@@ -283,6 +283,11 @@ def cmd_cv(args) -> None:
                 fh.write(f"{beta},{row['rank']},{row['mean_mse']:.17g},"
                          f"{row['status']},{folds}\n")
         lio.write_json(out / "best_config.json", lio.model_config_to_dict(best))
+        return {"failed_folds": [
+            {"beta": row["beta"], "rank": row["rank"], "fold": fold, "error": error}
+            for row in table for fold, error in enumerate(row["fold_errors"])
+            if error is not None
+        ]}
 
     _run_with_manifest(
         out, "cv",

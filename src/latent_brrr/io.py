@@ -27,7 +27,6 @@ import numpy as np
 
 from latent_brrr.errors import ConfigurationError
 from latent_brrr.model import ModelConfig, ModelState, PosteriorSamples, Variant
-from latent_brrr.simulate import SimConfig
 from latent_brrr.tuning import CvPlan
 
 SAMPLES_MAGIC = b"LBRRRST1"
@@ -125,10 +124,6 @@ def model_config_to_dict(config: ModelConfig) -> dict:
     data = dataclasses.asdict(config)
     data["variant"] = config.variant.value
     return data
-
-
-def sim_config_from_dict(data: dict) -> SimConfig:
-    return _from_dict(SimConfig, dict(data), "simulation config")
 
 
 def cv_plan_from_dict(data: dict) -> CvPlan:

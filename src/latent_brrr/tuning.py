@@ -56,7 +56,8 @@ def cross_validate(dataset: Dataset, base_config: ModelConfig, plan: CvPlan,
     regularization). For variants without latent noise the beta grid is
     irrelevant and collapses to a single row per rank. The score table has
     one row per grid point; a numerical failure in any fold marks the row
-    failed instead of aborting the search.
+    failed instead of aborting the search, and the row's ``fold_errors``
+    keeps each fold's error message (None for folds that fitted).
     """
     uses_beta = base_config.variant is Variant.LATENT_NOISE
     folds = fold_assignments(dataset.n_samples, plan.n_folds, plan.seed)
@@ -89,21 +90,22 @@ def cross_validate(dataset: Dataset, base_config: ModelConfig, plan: CvPlan,
 
     jobs = [(gi, fold) for gi in range(len(grid)) for fold in range(plan.n_folds)]
 
-    def run_job(job):
+    def run_job(job) -> tuple[float, str | None]:
         try:
-            return fit_fold(job)
-        except NumericalError:
-            return float("nan")
+            return fit_fold(job), None
+        except NumericalError as exc:
+            return float("nan"), str(exc)
 
     if n_threads is not None and n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            scores = list(pool.map(run_job, jobs))
+            results = list(pool.map(run_job, jobs))
     else:
-        scores = [run_job(job) for job in jobs]
+        results = [run_job(job) for job in jobs]
 
     table: list[dict] = []
     for gi, (beta, rank) in enumerate(grid):
-        fold_scores = np.array(scores[gi * plan.n_folds:(gi + 1) * plan.n_folds])
+        row_results = results[gi * plan.n_folds:(gi + 1) * plan.n_folds]
+        fold_scores = np.array([score for score, _ in row_results])
         ok = np.isfinite(fold_scores).all()
         table.append({
             "beta": beta,
@@ -111,6 +113,7 @@ def cross_validate(dataset: Dataset, base_config: ModelConfig, plan: CvPlan,
             "fold_mse": fold_scores.tolist(),
             "mean_mse": float(fold_scores.mean()) if ok else float("nan"),
             "status": "ok" if ok else "failed",
+            "fold_errors": [error for _, error in row_results],
         })
 
     candidates = [row for row in table if row["status"] == "ok"]

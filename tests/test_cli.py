@@ -7,7 +7,7 @@ import pytest
 
 from latent_brrr import io as lio
 from latent_brrr.cli import main
-from latent_brrr.errors import ConfigurationError
+from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.gibbs import run_chain
 from latent_brrr.model import Dataset, ModelConfig, Variant
 
@@ -230,6 +230,35 @@ def test_cv_singleton_grid_echoes_config(sim_dir, tmp_path):
     table = (out / "score_table.csv").read_text().splitlines()
     assert table[0].startswith("beta,rank,mean_mse,status")
     assert len(table) == 2
+
+
+def test_cv_manifest_keeps_failed_fold_message(sim_dir, tmp_path, monkeypatch):
+    import latent_brrr.tuning as tuning
+
+    real = tuning.run_chain
+    calls = {"n": 0}
+
+    def fail_second_fit(train, config):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise NumericalError("synthetic Cholesky failure in fold two")
+        return real(train, config)
+
+    monkeypatch.setattr(tuning, "run_chain", fail_second_fit)
+    config = write_config(tmp_path / "config.json", iterations=30, burn_in=10, thin=2)
+    plan = tmp_path / "plan.json"
+    lio.write_json(plan, {"beta_grid": [0.1, 0.2], "rank_grid": [2], "n_folds": 3, "seed": 1})
+    out = tmp_path / "cv"
+    code = run_cli("cv", "--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv",
+                   "--config", config, "--plan", plan, "--threads", 1, "--out-dir", out)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_folds"] == [{
+        "beta": 0.1, "rank": 2, "fold": 1,
+        "error": "synthetic Cholesky failure in fold two",
+    }]
+    rows = (out / "score_table.csv").read_text().splitlines()
+    assert [r.split(",")[3] for r in rows[1:]] == ["failed", "ok"]
 
 
 def test_assoc_writes_result(sim_dir, tmp_path):

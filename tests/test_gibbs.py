@@ -367,6 +367,116 @@ def test_sigma_posterior_mean_matches_residual_scale():
 
 
 # ---------------------------------------------------------------------------
+# products shared within a sweep
+
+
+VARIANT_CONFIGS = {
+    Variant.LATENT_NOISE: dict(sigma_omega_sq=1.3),
+    Variant.INDEPENDENT_NOISE: dict(noise_rank=2),
+    Variant.NO_NOISE: {},
+}
+
+
+def sweep_problem(variant, seed=30, N=60, P=5, K=4, S1=2):
+    config = ModelConfig(variant=variant, rank=S1, iterations=20, burn_in=10, thin=2,
+                         **VARIANT_CONFIGS[variant])
+    rng = np.random.default_rng(seed)
+    state = sample_prior(config, Dims(N, P, K, S1), rng)
+    X = rng.standard_normal((N, P))
+    Y = X @ state.Psi @ state.Gamma + rng.standard_normal((N, K))
+    return state, Dataset(X=X, Y=Y), config
+
+
+@pytest.mark.parametrize("variant", list(VARIANT_CONFIGS))
+def test_sweep_matches_updates_called_one_by_one(variant):
+    state, dataset, config = sweep_problem(variant)
+    gram_eig = np.linalg.eigh(dataset.X.T @ dataset.X)
+    xty = None if variant is Variant.INDEPENDENT_NOISE else dataset.X.T @ dataset.Y
+    swept = gibbs.gibbs_sweep(state, dataset, config, np.random.default_rng(5),
+                              gram_eig=gram_eig, xty=xty)
+
+    rng = np.random.default_rng(5)
+    s = update_psi_fast(state, dataset, config, rng)
+    if variant is Variant.LATENT_NOISE:
+        s = update_omega(s, dataset, config, rng)
+    if variant is Variant.INDEPENDENT_NOISE:
+        s = gibbs.update_h(s, dataset, config, rng)
+    s = update_gamma(s, dataset, config, rng)
+    if variant is Variant.INDEPENDENT_NOISE:
+        s = gibbs.update_lambda(s, dataset, config, rng)
+    s = update_phi_gamma(s, config, rng)
+    if variant is Variant.INDEPENDENT_NOISE:
+        s = gibbs.update_phi_lambda(s, config, rng)
+    s = update_delta(s, config, rng)
+    if variant is Variant.INDEPENDENT_NOISE:
+        s = gibbs.update_delta_noise(s, config, rng)
+    s = update_sigma(s, dataset, config, rng)
+
+    for name in ("Psi", "Omega", "H", "Gamma", "Lambda", "phi_gamma", "delta", "sigma_sq"):
+        got, want = getattr(swept, name), getattr(s, name)
+        if want is None:
+            assert got is None
+        else:
+            assert np.allclose(got, want, rtol=1e-10, atol=0.0), name
+
+
+class CountingMatmul(np.ndarray):
+    """Counts the matrix products that take this array (or a view) as an operand."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingMatmul.calls += 1
+        inputs = tuple(np.asarray(x) if isinstance(x, CountingMatmul) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("variant, passes", [(Variant.LATENT_NOISE, 1),
+                                             (Variant.NO_NOISE, 1),
+                                             (Variant.INDEPENDENT_NOISE, 2)])
+def test_sweep_multiplies_by_x_once(variant, passes):
+    # Independent noise also forms X'((Y - H Lambda) M^{-1} G') in the Psi
+    # step, because its target changes every sweep.
+    state, dataset, config = sweep_problem(variant)
+    gram_eig = np.linalg.eigh(dataset.X.T @ dataset.X)
+    xty = None if variant is Variant.INDEPENDENT_NOISE else dataset.X.T @ dataset.Y
+    object.__setattr__(dataset, "X", dataset.X.view(CountingMatmul))
+    for _ in range(3):
+        CountingMatmul.calls = 0
+        state = gibbs.gibbs_sweep(state, dataset, config, np.random.default_rng(5),
+                                  gram_eig=gram_eig, xty=xty)
+        assert CountingMatmul.calls == passes
+
+
+def test_sigma_falls_back_to_direct_residual_when_fit_is_near_exact():
+    # Targets 0 and 1 fit to 1e-7, so their expanded y'y - 2 g'Z'y + g'Z'Z g
+    # loses most digits to cancellation; targets 2 and 3 keep unit noise.
+    state, dataset, config = sweep_problem(Variant.LATENT_NOISE, N=200, K=4)
+    rng = np.random.default_rng(31)
+    Z = dataset.X @ state.Psi + state.Omega
+    noise_sd = np.array([1e-7, 1e-7, 1.0, 1.0])
+    Y = Z @ state.Gamma + rng.standard_normal(dataset.Y.shape) * noise_sd
+    dataset = Dataset(X=dataset.X, Y=Y)
+    state = replace(state, sigma_sq=noise_sd**2)
+
+    shared = {"yty": (Y**2).sum(axis=0)}
+    state = update_gamma(state, dataset, config, np.random.default_rng(6), shared)
+    _, _, ztz, zty = shared["gamma_stats"]
+    G = state.Gamma
+    direct = ((Y - Z @ G)**2).sum(axis=0)
+    expanded = shared["yty"] - 2.0 * (G * zty).sum(axis=0) + (G * (ztz @ G)).sum(axis=0)
+    rel = np.abs(expanded - direct) / direct
+    assert np.all(rel[:2] > 1e-6) and np.all(rel[2:] < 1e-12)
+    assert np.all(direct[:2] < gibbs._RSS_FALLBACK_RATIO * shared["yty"][:2])
+
+    via_stats = update_sigma(state, dataset, config, np.random.default_rng(7), shared)
+    via_resid = update_sigma(state, dataset, config, np.random.default_rng(7))
+    assert np.allclose(via_stats.sigma_sq, via_resid.sigma_sq, rtol=1e-10, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
 # chain driver
 
 
