@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage or validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -36,6 +35,11 @@ from latent_brrr.theory import (
     truncation_deficit,
 )
 from latent_brrr.tuning import cross_validate
+
+
+# Accepted so existing scripts keep working; a sweep holds the GIL, so a
+# thread pool over the chains ran slower than the plain loop.
+_THREADS_HELP = "no effect; fits run one after another (kept for compatibility)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--y", type=Path, required=True)
     cv.add_argument("--config", type=Path, required=True)
     cv.add_argument("--plan", type=Path, required=True, help="CV plan JSON")
-    cv.add_argument("--threads", type=int, default=None)
+    cv.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     cv.add_argument("--out-dir", type=Path, required=True)
 
     assoc = sub.add_parser("assoc", help="permutation association test (PTVE)")
@@ -86,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     assoc.add_argument("--y", type=Path, required=True)
     assoc.add_argument("--config", type=Path, required=True)
     assoc.add_argument("--n-perm", type=int, default=100)
-    assoc.add_argument("--threads", type=int, default=None)
+    assoc.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     assoc.add_argument("--out-dir", type=Path, required=True)
 
     verify = sub.add_parser("verify", help="Monte-Carlo proposition and sampler checks")
@@ -108,20 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out-dir", type=Path, required=True)
 
     return parser
-
-
-def _thread_count(requested: int | None) -> int:
-    env = os.environ.get("LATENT_BRRR_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(
-                f"LATENT_BRRR_THREADS must be an integer, got {env!r}"
-            ) from None
-    if requested is not None:
-        return max(1, requested)
-    return os.cpu_count() or 1
 
 
 def _require_file(path: Path) -> Path:
@@ -231,15 +221,25 @@ def cmd_fit(args) -> None:
                        {"x": args.x, "y": args.y, "config": args.config}, worker)
 
 
+def _read_theta(path: Path) -> np.ndarray:
+    """The finite P x K ``theta_mean`` matrix of a posterior summary file."""
+    summary = lio.read_json(_require_file(path))
+    try:
+        theta = np.asarray(summary["theta_mean"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        theta = None
+    if theta is None or theta.ndim != 2 or not np.isfinite(theta).all():
+        raise ConfigurationError(f"{path}: theta_mean must be a matrix of finite numbers")
+    return theta
+
+
 def cmd_predict(args) -> None:
     X, x_names = lio.read_matrix_csv(_require_file(args.x))
     lio.check_matrix_finite(X, args.x, x_names)
-    summary = lio.read_json(_require_file(args.model))
-    theta = np.asarray(summary.get("theta_mean"), dtype=float)
-    if theta.ndim != 2 or X.shape[1] != theta.shape[0]:
+    theta = _read_theta(args.model)
+    if X.shape[1] != theta.shape[0]:
         raise ConfigurationError(
-            f"model expects {theta.shape[0] if theta.ndim == 2 else '?'} covariates, "
-            f"X has {X.shape[1]} columns"
+            f"model expects {theta.shape[0]} covariates, X has {X.shape[1]} columns"
         )
     out = args.out_dir
     inputs = {"x": args.x, "model": args.model}
@@ -268,11 +268,10 @@ def cmd_cv(args) -> None:
     dataset = _load_dataset(args.x, args.y)
     config = lio.model_config_from_dict(lio.read_json(_require_file(args.config)))
     plan = lio.cv_plan_from_dict(lio.read_json(_require_file(args.plan)))
-    threads = _thread_count(args.threads)
     out = args.out_dir
 
     def worker():
-        best, table = cross_validate(dataset, config, plan, n_threads=threads)
+        best, table = cross_validate(dataset, config, plan)
         n_folds = plan.n_folds
         with open(out / "score_table.csv", "w", encoding="utf-8") as fh:
             fold_cols = ",".join(f"fold{f}_mse" for f in range(n_folds))
@@ -291,29 +290,26 @@ def cmd_cv(args) -> None:
 
     _run_with_manifest(
         out, "cv",
-        {"model_config": lio.model_config_to_dict(config), "plan": vars(plan).copy(),
-         "threads": threads},
+        {"model_config": lio.model_config_to_dict(config), "plan": vars(plan).copy()},
         {"x": args.x, "y": args.y, "config": args.config, "plan": args.plan}, worker)
 
 
 def cmd_assoc(args) -> None:
     dataset = _load_dataset(args.x, args.y)
     config = lio.model_config_from_dict(lio.read_json(_require_file(args.config)))
-    threads = _thread_count(args.threads)
     out = args.out_dir
 
     def worker():
         rng = np.random.default_rng(config.seed)
-        result = permutation_test(dataset, config, args.n_perm, rng,
-                                  n_threads=threads)
+        result = permutation_test(dataset, config, args.n_perm, rng)
         payload = result.as_dict()
         payload["n_perm"] = args.n_perm
         lio.write_json(out / "assoc.json", payload)
+        return {"retried_fits": list(result.retried_fits)}
 
     _run_with_manifest(
         out, "assoc",
-        {"model_config": lio.model_config_to_dict(config), "n_perm": args.n_perm,
-         "threads": threads},
+        {"model_config": lio.model_config_to_dict(config), "n_perm": args.n_perm},
         {"x": args.x, "y": args.y, "config": args.config}, worker)
 
 

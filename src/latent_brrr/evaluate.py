@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,11 +31,18 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class AssocResult:
-    """Observed PTVE, its permutation distribution, and the empirical rank."""
+    """Observed PTVE, its permutation distribution, and the empirical rank.
+
+    ``retried_fits`` lists each fit whose first chain failed and was rerun
+    with a fresh seed, as {"fit": index, "error": message}; index 0 is the
+    fit to the observed data and index i the i-th permutation. It is run
+    metadata and stays out of ``as_dict``.
+    """
 
     observed_ptve: float
     perm_ptves: np.ndarray
     rank_fraction: float
+    retried_fits: tuple[dict, ...]
 
     def as_dict(self) -> dict:
         return {
@@ -117,45 +123,39 @@ def ptve_from_theta(theta: np.ndarray, dataset: Dataset) -> float:
 
 
 def permutation_test(dataset: Dataset, config: ModelConfig, n_perm: int,
-                     rng: np.random.Generator, n_threads: int | None = None) -> AssocResult:
+                     rng: np.random.Generator) -> AssocResult:
     """Refit under row permutations of X and rank the observed PTVE.
 
     Permuting X breaks the covariate-target link while preserving the
-    correlation structure of Y that the noise model must explain. Each fit
-    gets its own seed drawn up front from ``rng``, so the result does not
-    depend on thread scheduling. A failed chain is retried once with a
-    fresh seed, then aborts.
+    correlation structure of Y that the noise model must explain. The fits
+    run one after another in one loop. Each gets its own seed pair, drawn
+    up front from ``rng`` together with the permutations. A failed chain is
+    retried once with the pair's second seed and recorded in
+    ``retried_fits``; a second failure aborts.
     """
     if n_perm < 1:
         raise ConfigurationError("permutation test needs n_perm >= 1")
     n = dataset.n_samples
     permutations = [rng.permutation(n) for _ in range(n_perm)]
     seeds = rng.integers(0, 2**63, size=(n_perm + 1, 2))
+    retried: list[dict] = []
 
-    def fit_ptve(data: Dataset, seed_pair) -> float:
-        for attempt, seed in enumerate(seed_pair):
-            try:
-                trace = run_chain(data, replace(config, seed=int(seed)))
-                return ptve(trace.samples, data)
-            except NumericalError:
-                if attempt == 1:
-                    raise
-        raise AssertionError("unreachable")
+    def fit_ptve(fit: int, data: Dataset) -> float:
+        try:
+            trace = run_chain(data, replace(config, seed=int(seeds[fit, 0])))
+        except NumericalError as exc:
+            retried.append({"fit": fit, "error": str(exc)})
+            trace = run_chain(data, replace(config, seed=int(seeds[fit, 1])))
+        return ptve(trace.samples, data)
 
-    observed = fit_ptve(dataset, seeds[0])
-
-    def one_perm(i: int) -> float:
-        permuted = Dataset(X=dataset.X[permutations[i]], Y=dataset.Y)
-        return fit_ptve(permuted, seeds[i + 1])
-
-    if n_threads is not None and n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            perm_ptves = np.array(list(pool.map(one_perm, range(n_perm))))
-    else:
-        perm_ptves = np.array([one_perm(i) for i in range(n_perm)])
-
+    observed = fit_ptve(0, dataset)
+    perm_ptves = np.array([
+        fit_ptve(i + 1, Dataset(X=dataset.X[perm], Y=dataset.Y))
+        for i, perm in enumerate(permutations)
+    ])
     return AssocResult(
         observed_ptve=float(observed),
         perm_ptves=perm_ptves,
         rank_fraction=float(np.mean(perm_ptves < observed)),
+        retried_fits=tuple(retried),
     )

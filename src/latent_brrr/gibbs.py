@@ -54,7 +54,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import (
@@ -64,6 +64,8 @@ from latent_brrr.model import (
     ModelState,
     PosteriorSamples,
     Variant,
+    fitted_mean,
+    marginal_covariance,
     resolve_sigma_omega,
     sample_prior,
 )
@@ -88,13 +90,6 @@ def _chol(matrix: np.ndarray, what: str) -> np.ndarray:
         raise NumericalError(f"Cholesky factorization failed in {what}") from exc
 
 
-def _cho_factor(matrix: np.ndarray, what: str):
-    try:
-        return cho_factor(matrix, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization failed in {what}") from exc
-
-
 def _eigh(matrix: np.ndarray, what: str):
     try:
         return np.linalg.eigh(matrix)
@@ -112,6 +107,14 @@ def _draw_from_precision(chol_lower: np.ndarray, lin: np.ndarray,
     w = solve_triangular(chol_lower, lin, lower=True)
     z = rng.standard_normal(lin.shape)
     return solve_triangular(chol_lower.T, w + z, lower=False)
+
+
+def _precision_moments(chol_lower: np.ndarray, lin: np.ndarray):
+    """Mean P^{-1} lin and covariance P^{-1} = L^{-T} L^{-1} of N(P^{-1} lin, P^{-1}),
+    given the lower Cholesky factor L of P (or a stack of factors)."""
+    inv_lower = solve_triangular(chol_lower, np.eye(chol_lower.shape[-1]), lower=True)
+    inv_upper = np.swapaxes(inv_lower, -1, -2)
+    return inv_upper @ (inv_lower @ lin), inv_upper @ inv_lower
 
 
 # ---------------------------------------------------------------------------
@@ -144,27 +147,27 @@ def _gamma_design(state: ModelState, dataset: Dataset, config: ModelConfig,
     raise ConfigurationError("gamma update undefined for the null variant")
 
 
-def _draw_ridge_columns(gram, lin_all, prior_prec_cols, sigma_sq, rng, what):
-    """Sample each regression column from its Gaussian full conditional.
+def _ridge_system(gram, lin_all, prior_prec_cols, sigma_sq, what):
+    """Factored Gaussian full conditionals of independent regression columns.
 
     With design X* and targets y_i, ``gram`` = X*'X* and column i of
-    ``lin_all`` = X*'y_i. Column i of the result follows N(S (X*'y_i / s_i), S)
-    with S = (diag(prior_prec_cols[:, i]) + X*'X* / s_i)^{-1}. All columns
-    are factorized in one batched Cholesky call, L L' = S^{-1}, and drawn as
-    L^{-T} (L^{-1} X*'y_i / s_i + z).
+    ``lin_all`` = X*'y_i. Column i follows N(S_i X*'y_i / s_i, S_i) with
+    S_i^{-1} = diag(prior_prec_cols[:, i]) + X*'X* / s_i. Returns the lower
+    Cholesky factors of all S_i^{-1} from one batched call, stacked
+    (K, S1, S1), and the linear terms X*'y_i / s_i, stacked (K, S1, 1).
     """
-    S1, K = prior_prec_cols.shape
-    prec = gram[None, :, :] / sigma_sq[:, None, None]      # (K, S1, S1)
+    S1 = prior_prec_cols.shape[0]
+    prec = gram[None, :, :] / sigma_sq[:, None, None]
     idx = np.arange(S1)
     prec[:, idx, idx] += prior_prec_cols.T
     if not np.all(np.isfinite(prec)):
         raise NumericalError(f"non-finite precision in {what}")
-    try:
-        L = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization failed in {what}") from exc
-    lin = (lin_all / sigma_sq[None, :]).T[:, :, None]      # (K, S1, 1)
-    w = np.linalg.solve(L, lin) + rng.standard_normal((K, S1, 1))
+    return _chol(prec, what), (lin_all / sigma_sq[None, :]).T[:, :, None]
+
+
+def _draw_ridge_columns(L, lin, rng):
+    """Draw every column of a ``_ridge_system`` as L^{-T} (L^{-1} lin + z); (S1, K)."""
+    w = np.linalg.solve(L, lin) + rng.standard_normal(lin.shape)
     return np.linalg.solve(np.transpose(L, (0, 2, 1)), w)[:, :, 0].T
 
 
@@ -178,8 +181,8 @@ def update_gamma(state: ModelState, dataset: Dataset, config: ModelConfig,
     X_star, target = _gamma_design(state, dataset, config, shared)
     ztz = X_star.T @ X_star
     zty = X_star.T @ target
-    prior_prec = state.phi_gamma * state.tau[:, None]
-    Gamma = _draw_ridge_columns(ztz, zty, prior_prec, state.sigma_sq, rng, "gamma update")
+    Gamma = _draw_ridge_columns(*_ridge_system(
+        ztz, zty, state.phi_gamma * state.tau[:, None], state.sigma_sq, "gamma update"), rng)
     if shared is not None and config.variant is not Variant.INDEPENDENT_NOISE:
         shared["gamma_stats"] = ((state.Psi, state.Omega, Gamma), X_star, ztz, zty)
     return replace(state, Gamma=Gamma)
@@ -188,18 +191,10 @@ def update_gamma(state: ModelState, dataset: Dataset, config: ModelConfig,
 def gamma_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (S1, K) and covariance (K, S1, S1) of the Gamma conditional."""
     X_star, target = _gamma_design(state, dataset, config)
-    gram = X_star.T @ X_star
-    lin_all = X_star.T @ target
-    prior_prec = state.phi_gamma * state.tau[:, None]
-    S1, K = prior_prec.shape
-    means = np.empty((S1, K))
-    covs = np.empty((K, S1, S1))
-    for i in range(K):
-        prec = np.diag(prior_prec[:, i]) + gram / state.sigma_sq[i]
-        factor = _cho_factor(prec, "gamma moments")
-        covs[i] = cho_solve(factor, np.eye(S1))
-        means[:, i] = cho_solve(factor, lin_all[:, i] / state.sigma_sq[i])
-    return means, covs
+    means, covs = _precision_moments(*_ridge_system(
+        X_star.T @ X_star, X_star.T @ target, state.phi_gamma * state.tau[:, None],
+        state.sigma_sq, "gamma moments"))
+    return means[:, :, 0].T, covs
 
 
 def update_lambda(state: ModelState, dataset: Dataset, config: ModelConfig,
@@ -209,9 +204,9 @@ def update_lambda(state: ModelState, dataset: Dataset, config: ModelConfig,
         raise ConfigurationError("lambda update applies to the independent-noise variant")
     H = state.H
     target = dataset.Y - _x_psi(state, dataset, shared) @ state.Gamma
-    prior_prec = state.phi_lambda * state.tau_noise[:, None]
-    Lam = _draw_ridge_columns(H.T @ H, H.T @ target, prior_prec, state.sigma_sq, rng,
-                              "lambda update")
+    Lam = _draw_ridge_columns(*_ridge_system(
+        H.T @ H, H.T @ target, state.phi_lambda * state.tau_noise[:, None], state.sigma_sq,
+        "lambda update"), rng)
     return replace(state, Lambda=Lam)
 
 
@@ -226,9 +221,7 @@ def _psi_regression_inputs(state: ModelState, dataset: Dataset, config: ModelCon
     per-row covariance to sigma_omega_sq (G*)'(G*) + diag(sigma_sq).
     """
     if config.variant is Variant.LATENT_NOISE:
-        gamma_star = state.Gamma / np.sqrt(state.tau)[:, None]
-        M = config.sigma_omega_sq * (gamma_star.T @ gamma_star) + np.diag(state.sigma_sq)
-        return dataset.Y, M
+        return dataset.Y, marginal_covariance(state, config)
     if config.variant is Variant.INDEPENDENT_NOISE:
         return dataset.Y - state.H @ state.Lambda, np.diag(state.sigma_sq)
     if config.variant is Variant.NO_NOISE:
@@ -245,8 +238,10 @@ def _psi_linear_terms(state, dataset, config, xty=None):
     variant, whose target Y - H Lambda changes every sweep.
     """
     target, M = _psi_regression_inputs(state, dataset, config)
-    factor = _cho_factor(M, "psi update (marginal covariance)")
-    minv_gt = cho_solve(factor, state.Gamma.T)            # (K, S1)
+    try:
+        minv_gt = np.linalg.solve(M, state.Gamma.T)       # (K, S1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular marginal covariance in psi update") from exc
     A = state.Gamma @ minv_gt
     A = 0.5 * (A + A.T)
     if xty is not None and config.variant is not Variant.INDEPENDENT_NOISE:
@@ -256,35 +251,37 @@ def _psi_linear_terms(state, dataset, config, xty=None):
     return A, lin
 
 
+def _psi_naive_system(state, dataset, config, gram=None, xty=None):
+    """Lower Cholesky factor of the dense (P*S1, P*S1) Psi precision
+    diag_h(tau_h I_P) + A (x) X'X, and the linear term vec(X' Y M^{-1} G')."""
+    A, lin = _psi_linear_terms(state, dataset, config, xty)
+    P = state.Psi.shape[0]
+    if gram is None:
+        gram = dataset.X.T @ dataset.X
+    prec = np.kron(A, gram) + np.kron(np.diag(state.tau), np.eye(P))
+    return _chol(prec, "psi update (naive)"), lin.ravel(order="F")
+
+
 def update_psi_naive(state: ModelState, dataset: Dataset, config: ModelConfig,
                      rng: np.random.Generator, gram: np.ndarray | None = None,
                      xty: np.ndarray | None = None) -> ModelState:
     """Draw vec(Psi) from one dense (P*S1, P*S1) Gaussian system.
 
-    Precision = diag_h(tau_h I_P) + A (x) X'X, linear term vec(X' Y M^{-1} G').
     ``gram`` and ``xty`` may carry the precomputed X'X and X'Y.
     """
-    A, lin = _psi_linear_terms(state, dataset, config, xty)
-    X = dataset.X
-    P, S1 = state.Psi.shape
-    if gram is None:
-        gram = X.T @ X
-    prec = np.kron(A, gram) + np.kron(np.diag(state.tau), np.eye(P))
-    L = _chol(prec, "psi update (naive)")
-    draw = _draw_from_precision(L, lin.ravel(order="F"), rng)
-    return replace(state, Psi=draw.reshape((P, S1), order="F"))
+    draw = _draw_from_precision(*_psi_naive_system(state, dataset, config, gram, xty), rng)
+    return replace(state, Psi=draw.reshape(state.Psi.shape, order="F"))
 
 
-def update_psi_fast(state: ModelState, dataset: Dataset, config: ModelConfig,
-                    rng: np.random.Generator, gram_eig=None,
-                    xty: np.ndarray | None = None) -> ModelState:
-    """Draw Psi through the prior-whitened, doubly-diagonalized system.
+def _psi_fast_system(state, dataset, config, gram_eig=None, xty=None):
+    """The prior-whitened, doubly-diagonalized Psi system.
 
     After scaling column h of Psi by tau_h^{1/2} the joint precision is
-    I + A_tilde (x) X'X; rotating by the eigenvectors of A_tilde and X'X
-    makes it diagonal with entries 1 + lam_X[p] * lam_A[h]. ``gram_eig`` may
-    carry a precomputed eigendecomposition of X'X and ``xty`` the product
-    X'Y (both only depend on the data); otherwise they are computed here.
+    I + A_tilde (x) X'X; rotating by the eigenvectors U_x of X'X and U_a of
+    A_tilde makes it diagonal with entries ``denom`` = 1 + lam_X[p] lam_A[h],
+    and the rotated linear term is C. Psi = (U_x W U_a') tau^{-1/2} where W
+    has independent entries N(C / denom, 1 / denom). Returns
+    (U_x, U_a, tau^{-1/2}, denom, C).
     """
     A, lin = _psi_linear_terms(state, dataset, config, xty)
     t_isqrt = 1.0 / np.sqrt(state.tau)
@@ -294,10 +291,21 @@ def update_psi_fast(state: ModelState, dataset: Dataset, config: ModelConfig,
         gram_eig = _eigh(dataset.X.T @ dataset.X, "psi update (Gram matrix)")
     lam_x, U_x = gram_eig
     # Both matrices are PSD; clip eigenvalue noise so the diagonal stays >= 1.
-    lam_a = np.maximum(lam_a, 0.0)
-    lam_x = np.maximum(lam_x, 0.0)
-    denom = 1.0 + np.outer(lam_x, lam_a)
+    denom = 1.0 + np.outer(np.maximum(lam_x, 0.0), np.maximum(lam_a, 0.0))
     C = U_x.T @ (lin * t_isqrt[None, :]) @ U_a
+    return U_x, U_a, t_isqrt, denom, C
+
+
+def update_psi_fast(state: ModelState, dataset: Dataset, config: ModelConfig,
+                    rng: np.random.Generator, gram_eig=None,
+                    xty: np.ndarray | None = None) -> ModelState:
+    """Draw Psi through the prior-whitened, doubly-diagonalized system.
+
+    ``gram_eig`` may carry a precomputed eigendecomposition of X'X and
+    ``xty`` the product X'Y (both only depend on the data); otherwise they
+    are computed here.
+    """
+    U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, dataset, config, gram_eig, xty)
     W = C / denom + rng.standard_normal(denom.shape) / np.sqrt(denom)
     return replace(state, Psi=(U_x @ W @ U_a.T) * t_isqrt[None, :])
 
@@ -306,30 +314,15 @@ def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelCo
                             method: str = "fast", gram_eig=None):
     """Mean and per-entry variance (both (P, S1)) of the Psi full conditional.
 
-    Both methods target the identical distribution; this is the hook the
-    equivalence tests use.
+    Both methods target the identical distribution and use the same system
+    as the matching update; this is the hook the equivalence tests use.
     """
-    A, lin = _psi_linear_terms(state, dataset, config)
-    P, S1 = state.Psi.shape
+    shape = state.Psi.shape
     if method == "naive":
-        gram = dataset.X.T @ dataset.X
-        prec = np.kron(A, gram) + np.kron(np.diag(state.tau), np.eye(P))
-        factor = _cho_factor(prec, "psi moments (naive)")
-        mean = cho_solve(factor, lin.ravel(order="F")).reshape((P, S1), order="F")
-        cov = cho_solve(factor, np.eye(P * S1))
-        var = np.diag(cov).reshape((P, S1), order="F")
-        return mean, var
+        mean, cov = _precision_moments(*_psi_naive_system(state, dataset, config))
+        return mean.reshape(shape, order="F"), np.diag(cov).reshape(shape, order="F")
     if method == "fast":
-        t_isqrt = 1.0 / np.sqrt(state.tau)
-        A_tilde = A * np.outer(t_isqrt, t_isqrt)
-        lam_a, U_a = _eigh(A_tilde, "psi moments (coupling matrix)")
-        if gram_eig is None:
-            gram_eig = _eigh(dataset.X.T @ dataset.X, "psi moments (Gram matrix)")
-        lam_x, U_x = gram_eig
-        lam_a = np.maximum(lam_a, 0.0)
-        lam_x = np.maximum(lam_x, 0.0)
-        denom = 1.0 + np.outer(lam_x, lam_a)
-        C = U_x.T @ (lin * t_isqrt[None, :]) @ U_a
+        U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, dataset, config, gram_eig)
         mean = (U_x @ (C / denom) @ U_a.T) * t_isqrt[None, :]
         var = ((U_x**2) @ (1.0 / denom) @ (U_a**2).T) * (t_isqrt**2)[None, :]
         return mean, var
@@ -373,10 +366,8 @@ def update_omega(state: ModelState, dataset: Dataset, config: ModelConfig,
 def omega_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (N, S1) and shared covariance (S1, S1) of the Omega rows."""
     prec, lin = _omega_system(state, dataset, config)
-    factor = _cho_factor(prec, "omega moments")
-    cov = cho_solve(factor, np.eye(prec.shape[0]))
-    mean = cho_solve(factor, lin).T
-    return mean, cov
+    mean, cov = _precision_moments(_chol(prec, "omega moments"), lin)
+    return mean.T, cov
 
 
 def update_h(state: ModelState, dataset: Dataset, config: ModelConfig,
@@ -460,17 +451,6 @@ def update_delta_noise(state: ModelState, config: ModelConfig,
     return replace(state, delta_noise=delta)
 
 
-def _fitted_mean(state: ModelState, dataset: Dataset, config: ModelConfig,
-                 shared: dict | None = None) -> np.ndarray:
-    if config.variant is Variant.LATENT_NOISE:
-        return (_x_psi(state, dataset, shared) + state.Omega) @ state.Gamma
-    if config.variant is Variant.INDEPENDENT_NOISE:
-        return _x_psi(state, dataset, shared) @ state.Gamma + state.H @ state.Lambda
-    if config.variant is Variant.NO_NOISE:
-        return _x_psi(state, dataset, shared) @ state.Gamma
-    return np.zeros_like(dataset.Y)
-
-
 # Below this fraction of y'y a target's expanded residual sum of squares is
 # recomputed from the residual itself; see the module docstring.
 _RSS_FALLBACK_RATIO = 1e-3
@@ -483,7 +463,8 @@ def _residual_ss(state: ModelState, dataset: Dataset, config: ModelConfig,
     stats = None if shared is None else shared.get("gamma_stats")
     current = (state.Psi, state.Omega, state.Gamma)
     if stats is None or "yty" not in shared or any(a is not b for a, b in zip(stats[0], current)):
-        return ((dataset.Y - _fitted_mean(state, dataset, config, shared))**2).sum(axis=0)
+        fitted = fitted_mean(state, _x_psi(state, dataset, shared), config)
+        return ((dataset.Y - fitted)**2).sum(axis=0)
     _, Z, ztz, zty = stats
     G, yty = state.Gamma, shared["yty"]
     rss = yty - 2.0 * (G * zty).sum(axis=0) + (G * (ztz @ G)).sum(axis=0)

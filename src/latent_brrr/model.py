@@ -282,6 +282,22 @@ def predict_mean(state: ModelState, X_new: np.ndarray) -> np.ndarray:
     return X_new @ state.Psi @ state.Gamma
 
 
+def fitted_mean(state: ModelState, x_psi: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Mean of Y given every latent term of ``state``, from X Psi.
+
+    This is the one place that says what each variant adds to X Psi Gamma:
+    Omega Gamma (latent noise), H Lambda (independent noise), nothing (no
+    noise); the null variant's mean is zero.
+    """
+    if config.variant is Variant.LATENT_NOISE:
+        return (x_psi + state.Omega) @ state.Gamma
+    if config.variant is Variant.INDEPENDENT_NOISE:
+        return x_psi @ state.Gamma + state.H @ state.Lambda
+    if config.variant is Variant.NO_NOISE:
+        return x_psi @ state.Gamma
+    return np.zeros((x_psi.shape[0], state.Gamma.shape[1]))
+
+
 def marginal_covariance(state: ModelState, config: ModelConfig) -> np.ndarray:
     """Target covariance with the latent noise integrated out.
 

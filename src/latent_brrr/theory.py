@@ -32,6 +32,7 @@ from latent_brrr.model import (
     ModelConfig,
     ModelState,
     Variant,
+    fitted_mean,
     sample_prior,
 )
 
@@ -278,12 +279,7 @@ def default_geweke_config(rank: int = 2) -> ModelConfig:
 
 def _draw_response(state: ModelState, X: np.ndarray, config: ModelConfig,
                    rng: np.random.Generator) -> np.ndarray:
-    if config.variant is Variant.LATENT_NOISE:
-        mean = (X @ state.Psi + state.Omega) @ state.Gamma
-    elif config.variant is Variant.INDEPENDENT_NOISE:
-        mean = X @ state.Psi @ state.Gamma + state.H @ state.Lambda
-    else:
-        mean = X @ state.Psi @ state.Gamma
+    mean = fitted_mean(state, X @ state.Psi, config)
     return mean + rng.standard_normal(mean.shape) * np.sqrt(state.sigma_sq)
 
 

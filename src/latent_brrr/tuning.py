@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,8 +47,8 @@ def fold_assignments(n_samples: int, n_folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def cross_validate(dataset: Dataset, base_config: ModelConfig, plan: CvPlan,
-                   n_threads: int | None = None) -> tuple[ModelConfig, list[dict]]:
+def cross_validate(dataset: Dataset, base_config: ModelConfig,
+                   plan: CvPlan) -> tuple[ModelConfig, list[dict]]:
     """Score every grid point by k-fold CV MSE and return the winner.
 
     Ties break toward smaller rank, then larger beta (stronger
@@ -58,6 +57,9 @@ def cross_validate(dataset: Dataset, base_config: ModelConfig, plan: CvPlan,
     one row per grid point; a numerical failure in any fold marks the row
     failed instead of aborting the search, and the row's ``fold_errors``
     keeps each fold's error message (None for folds that fitted).
+
+    The (grid point, fold) fits run one after another in one loop. Each
+    gets its own seed, drawn up front from ``base_config.seed``.
     """
     uses_beta = base_config.variant is Variant.LATENT_NOISE
     folds = fold_assignments(dataset.n_samples, plan.n_folds, plan.seed)
@@ -96,11 +98,7 @@ def cross_validate(dataset: Dataset, base_config: ModelConfig, plan: CvPlan,
         except NumericalError as exc:
             return float("nan"), str(exc)
 
-    if n_threads is not None and n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run_job, jobs))
-    else:
-        results = [run_job(job) for job in jobs]
+    results = [run_job(job) for job in jobs]
 
     table: list[dict] = []
     for gi, (beta, rank) in enumerate(grid):

@@ -252,8 +252,7 @@ def test_criterion_7_permutation_power_and_null_uniformity():
     train, _, _ = generate(sim)
     config = ModelConfig(variant=Variant.LATENT_NOISE, rank=2, latent_snr=1 / 10,
                          iterations=250, burn_in=100, thin=5, seed=7)
-    power = permutation_test(train, config, 100, np.random.default_rng(8),
-                             n_threads=2)
+    power = permutation_test(train, config, 100, np.random.default_rng(8))
     power_ok = power.rank_fraction >= 0.95
 
     # null data: rank fractions over 20 repeats look uniform (KS at 1%)
@@ -265,8 +264,7 @@ def test_criterion_7_permutation_power_and_null_uniformity():
     for _ in range(20):
         X = null_rng.standard_normal((120, 5))
         Y = null_rng.standard_normal((120, 6))
-        result = permutation_test(Dataset(X=X, Y=Y), null_config, 19, null_rng,
-                                  n_threads=2)
+        result = permutation_test(Dataset(X=X, Y=Y), null_config, 19, null_rng)
         fractions.append(result.rank_fraction)
     # two-sided KS distance against U[0,1]
     grid = np.sort(fractions)

@@ -300,10 +300,73 @@ def test_verify_requires_a_check(tmp_path, capsys):
     assert run_cli("verify", "--out-dir", tmp_path / "v") == 2
 
 
-def test_threads_env_override(sim_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LATENT_BRRR_THREADS", "junk")
+def test_assoc_manifest_records_retried_fit(sim_dir, tmp_path, monkeypatch):
+    import latent_brrr.evaluate as evaluate
+
+    real = evaluate.run_chain
+    calls = {"n": 0}
+
+    def fail_third_fit(train, config):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise NumericalError("synthetic Cholesky failure in permutation two")
+        return real(train, config)
+
+    monkeypatch.setattr(evaluate, "run_chain", fail_third_fit)
     config = write_config(tmp_path / "config.json", iterations=20, burn_in=5, thin=1)
+    out = tmp_path / "assoc"
     code = run_cli("assoc", "--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv",
-                   "--config", config, "--n-perm", 2, "--out-dir", tmp_path / "a")
+                   "--config", config, "--n-perm", 3, "--out-dir", out)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["retried_fits"] == [
+        {"fit": 2, "error": "synthetic Cholesky failure in permutation two"}]
+    result = json.loads((out / "assoc.json").read_text())
+    assert sorted(result) == ["n_perm", "observed_ptve", "perm_ptves", "rank_fraction"]
+    assert len(result["perm_ptves"]) == 3
+
+
+def test_cv_and_assoc_ignore_threads_flag_and_environment(sim_dir, tmp_path, monkeypatch):
+    # --threads is still parsed, for old scripts, but nothing reads it, and
+    # LATENT_BRRR_THREADS is no longer read at all.
+    config = write_config(tmp_path / "config.json", iterations=20, burn_in=5, thin=1)
+    plan = tmp_path / "plan.json"
+    lio.write_json(plan, {"beta_grid": [0.1, 0.2], "rank_grid": [1, 2], "n_folds": 2,
+                          "seed": 1})
+    data = ("--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv",
+            "--config", config)
+    primaries = ("cv/score_table.csv", "cv/best_config.json", "assoc/assoc.json")
+    outputs = {}
+    for name, flags, env in (("default", (), None), ("two", ("--threads", 2), None),
+                             ("junk_env", (), "junk")):
+        if env is None:
+            monkeypatch.delenv("LATENT_BRRR_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LATENT_BRRR_THREADS", env)
+        out = tmp_path / name
+        assert run_cli("cv", *data, "--plan", plan, *flags, "--out-dir", out / "cv") == 0
+        assert run_cli("assoc", *data, "--n-perm", 3, *flags,
+                       "--out-dir", out / "assoc") == 0
+        for command in ("cv", "assoc"):
+            manifest = json.loads((out / command / "manifest.json").read_text())
+            assert "threads" not in manifest and "threads" not in manifest["config"]
+        outputs[name] = [(out / path).read_bytes() for path in primaries]
+    assert outputs["two"] == outputs["default"]
+    assert outputs["junk_env"] == outputs["default"]
+
+
+@pytest.mark.parametrize("summary", [
+    {"theta_mean": [[0.0] * 5] * 3 + [[0.0] * 4]},           # ragged rows
+    {"theta_mean": [[0.0] * 5] * 3 + [["x"] * 5]},           # not numbers
+    [[0.0] * 5] * 4,                                          # not a JSON object
+    {"theta_mean": [[0.0] * 5] * 3 + [[0.0] * 4 + [float("nan")]]},  # NaN entry
+], ids=["ragged", "non_numeric", "not_object", "nan"])
+def test_predict_malformed_model_exits_2_with_path(sim_dir, tmp_path, capsys, summary):
+    model = tmp_path / "posterior_summary.json"
+    lio.write_json(model, summary)
+    out = tmp_path / "pred"
+    code = run_cli("predict", "--x", sim_dir / "X_test.csv", "--model", model,
+                   "--out-dir", out)
     assert code == 2
-    assert "LATENT_BRRR_THREADS" in capsys.readouterr().err
+    assert str(model) in capsys.readouterr().err
+    assert not (out / "Y_pred.csv").exists()

@@ -264,6 +264,84 @@ def test_omega_draws_match_moments():
 
 
 # ---------------------------------------------------------------------------
+# independent-noise H and Lambda updates
+
+
+class ScriptedNormal:
+    """Stands in for the Generator: ``standard_normal(shape)`` returns ``fill(shape)``.
+
+    The H and Lambda updates draw L^{-T} (L^{-1} lin + z). Zero noise gives
+    the conditional mean, and unit noise in coordinate j gives column j of
+    L^{-T}, so the covariance L^{-T} L^{-1} follows from the update itself
+    without sampling.
+    """
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def standard_normal(self, shape):
+        return self.fill(shape)
+
+
+def unit_noise(j, axis):
+    def fill(shape):
+        z = np.zeros(shape)
+        z[(slice(None),) * axis + (j,)] = 1.0
+        return z
+    return fill
+
+
+def affine_draw_moments(update, state, dataset, config, field, axis):
+    """Mean and noise columns (stacked on the last axis) of an update's draw."""
+    mean = getattr(update(state, dataset, config, ScriptedNormal(np.zeros)), field)
+    cols = np.stack([
+        getattr(update(state, dataset, config, ScriptedNormal(unit_noise(j, axis))), field)
+        - mean for j in range(state.delta_noise.size)
+    ], axis=-1)
+    return mean, cols
+
+
+def independent_noise_problem(seed, N=7, P=3, K=4, S1=2, S2=2):
+    config = ModelConfig(variant=Variant.INDEPENDENT_NOISE, rank=S1, noise_rank=S2,
+                         iterations=20, burn_in=10, thin=2)
+    rng = np.random.default_rng(seed)
+    state = sample_prior(config, Dims(N, P, K, S1), rng)
+    X = rng.standard_normal((N, P))
+    Y = X @ state.Psi @ state.Gamma + state.H @ state.Lambda \
+        + rng.standard_normal((N, K)) * np.sqrt(state.sigma_sq)
+    return state, Dataset(X=X, Y=Y), config
+
+
+def test_h_update_matches_dense_oracle():
+    # Rows are independent Bayesian linear models with design Lambda'.
+    state, dataset, config = independent_noise_problem(40)
+    mean, cols = affine_draw_moments(gibbs.update_h, state, dataset, config, "H", axis=0)
+    resid = dataset.Y - dataset.X @ state.Psi @ state.Gamma
+    prior_prec = np.diag(np.cumprod(state.delta_noise))
+    sigma_inv = np.diag(1.0 / state.sigma_sq)
+    C = np.linalg.inv(prior_prec + state.Lambda @ sigma_inv @ state.Lambda.T)
+    for n in range(dataset.n_samples):
+        assert np.allclose(cols[n] @ cols[n].T, C, atol=1e-12)
+        assert np.allclose(mean[n], C @ state.Lambda @ sigma_inv @ resid[n], atol=1e-10)
+
+
+def test_lambda_update_matches_dense_oracle():
+    # Targets are independent Bayesian linear models with design H.
+    state, dataset, config = independent_noise_problem(41)
+    mean, cols = affine_draw_moments(gibbs.update_lambda, state, dataset, config,
+                                     "Lambda", axis=1)
+    resid = dataset.Y - dataset.X @ state.Psi @ state.Gamma
+    tau_noise = np.cumprod(state.delta_noise)
+    H = state.H
+    for k in range(dataset.n_targets):
+        prior_prec = np.diag(state.phi_lambda[:, k] * tau_noise)
+        cov = np.linalg.inv(prior_prec + H.T @ H / state.sigma_sq[k])
+        assert np.allclose(cols[:, k] @ cols[:, k].T, cov, atol=1e-12)
+        assert np.allclose(mean[:, k], cov @ H.T @ resid[:, k] / state.sigma_sq[k],
+                           atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
 # hyperparameter updates
 
 

@@ -59,7 +59,7 @@ def test_score_table_covers_grid_and_is_deterministic():
     dataset = cv_dataset(seed=1)
     plan = CvPlan(beta_grid=(0.2, 0.05), rank_grid=(1, 2), n_folds=3, seed=2)
     best_a, table_a = cross_validate(dataset, base_config(), plan)
-    best_b, table_b = cross_validate(dataset, base_config(), plan, n_threads=2)
+    best_b, table_b = cross_validate(dataset, base_config(), plan)
     assert len(table_a) == 4
     assert [r["mean_mse"] for r in table_a] == [r["mean_mse"] for r in table_b]
     assert (best_a.latent_snr, best_a.rank) == (best_b.latent_snr, best_b.rank)
