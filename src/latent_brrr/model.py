@@ -311,8 +311,8 @@ def marginal_covariance(state: ModelState, config: ModelConfig) -> np.ndarray:
     if np.any(state.sigma_sq <= 0):
         raise StateError("sigma_sq entries must be strictly positive")
     gamma_star = state.Gamma / np.sqrt(state.tau)[:, None]
-    cov = config.sigma_omega_sq * (gamma_star.T @ gamma_star) + np.diag(state.sigma_sq)
-    return 0.5 * (cov + cov.T)
+    # numpy forms A'A with a symmetric rank-k update, so the sum is exactly symmetric.
+    return config.sigma_omega_sq * (gamma_star.T @ gamma_star) + np.diag(state.sigma_sq)
 
 
 def latent_snr_to_variance(beta: float, rank: int, X: np.ndarray) -> float:
