@@ -8,7 +8,7 @@ import numpy as np
 
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.gibbs import run_chain
-from latent_brrr.model import Dataset, ModelConfig, PosteriorSamples
+from latent_brrr.model import Dataset, ModelConfig, PosteriorSamples, total_variance
 
 
 @dataclass(frozen=True)
@@ -105,21 +105,16 @@ def eval_report(predictions: np.ndarray, y_test: np.ndarray,
     )
 
 
-def _trace_of_covariance(M: np.ndarray) -> float:
-    centered = M - M.mean(axis=0)
-    return float((centered * centered).sum() / (M.shape[0] - 1))
-
-
 def ptve(samples: PosteriorSamples, dataset: Dataset) -> float:
     """Proportion of total variance explained by the posterior-mean fit."""
     return ptve_from_theta(samples.theta_mean, dataset)
 
 
 def ptve_from_theta(theta: np.ndarray, dataset: Dataset) -> float:
-    total = _trace_of_covariance(dataset.Y)
+    total = total_variance(dataset.Y)
     if total <= 0:
         raise ConfigurationError("targets have zero total variance")
-    return _trace_of_covariance(dataset.X @ theta) / total
+    return total_variance(dataset.X @ theta) / total
 
 
 def permutation_test(dataset: Dataset, config: ModelConfig, n_perm: int,

@@ -6,46 +6,38 @@ pair (Psi, Omega) is a valid blocked update. The fixed cycle is
 
     Psi (Omega marginalized) -> Omega -> Gamma -> phi_gamma -> delta -> sigma_sq
 
-with variant-appropriate analogues for the independent-noise and no-noise
-variants.
+Independent noise draws H in Omega's place and Lambda after Gamma, with its
+own phi and delta; no noise has neither Omega nor H.
 
 Two interchangeable Psi samplers are provided. The naive one factorizes the
 dense (P*S1, P*S1) joint precision directly, costing O(P^3 S1^3). The fast
 one whitens Psi by the prior scales, after which the joint precision becomes
 I + A_tilde (x) X'X; eigendecomposing the S1 x S1 matrix A_tilde and the
 P x P Gram matrix diagonalizes the system, so a draw costs O(P^3 + S1^3)
-plus matrix products -- and the Gram eigendecomposition depends only on the
-data, so the chain driver computes it once and reuses it every sweep.
+plus matrix products.
 
-The chain driver likewise caches X'Y once per chain for the latent-noise and
-no-noise variants, whose Psi regression target is Y itself. The linear term
-X' Y M^{-1} G' then costs O(P K S1) per sweep, so the fast draw's per-sweep
-cost no longer depends on N. The independent-noise target Y - H Lambda
-changes every sweep, so that variant still forms the N-sized product.
+Every variant's mean is D B (``model.mean_design``, ``mean_coefficients``)
+with D = [X Psi (+ Omega) | H] and B = [Gamma; Lambda]; H and Lambda exist
+only for independent noise. The data enter through the statistics cached on
+the Dataset (X'X, its eigendecomposition, X'Y, y'y) and one pass over X per
+sweep, forming X Psi after the Psi draw; independent noise adds X'H for its
+Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'. Omega and H form their
+linear term as B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)'. The Gamma
+step forms D, D'D and D'Y, from which Gamma (Z'Y - (Z'H) Lambda, Z = X Psi
+(+ Omega)), Lambda (H'Y - (H'Z) Gamma) and sigma read, with target k's
+residual sum of squares
 
-After the Psi draw a sweep reads X once. Every later update needs the data
-only through Z = X Psi + Omega (X Psi for the other variants), so the first
-update that needs X Psi forms it and leaves it in a per-sweep dict for the
-rest; an update called without that dict computes what it needs itself.
-The Omega and H steps form their linear term B Sigma^{-1} Y' -
-(B Sigma^{-1} Gamma') (X Psi)' without building the N x K residual.
-
-For the latent-noise and no-noise variants the sigma step reads no N-sized
-array either. The Gamma step forms Z'Z and Z'Y; with y'y cached per chain,
-target k's residual sum of squares is
-
-    rss_k = y_k'y_k - 2 gamma_k' Z'y_k + gamma_k' Z'Z gamma_k.
+    rss_k = y_k'y_k - 2 b_k' D'y_k + b_k' D'D b_k.
 
 The cross-products carry rounding error of order 1e-16 * sqrt(N) * y_k'y_k,
 and the sum cancels it into rss_k, so the relative error grows like
 sqrt(N) * y_k'y_k / rss_k: measured against an 80-bit reference, at most
 about 2e-16 * sqrt(N) * y_k'y_k / rss_k. Where rss_k falls below
 1e-3 * y_k'y_k, that target's sum is recomputed from the residual
-y_k - Z gamma_k itself (an N x S1 product). The bound keeps the relative
+y_k - D b_k itself (an N x S product). The bound keeps the relative
 error of the expanded sum below 1e-10 for N up to about 2e5 (measured:
 4e-12 at N = 5000, 1.5e-11 at N = 5e5); fits with rss_k that small are
-rare, and the recomputation is cheap. The independent-noise variant keeps
-the direct residual Y - X Psi Gamma - H Lambda, with X Psi shared.
+rare, and the recomputation is cheap.
 """
 
 from __future__ import annotations
@@ -63,8 +55,9 @@ from latent_brrr.model import (
     ModelState,
     PosteriorSamples,
     Variant,
-    fitted_mean,
     marginal_covariance,
+    mean_coefficients,
+    mean_design,
     resolve_sigma_omega,
     sample_prior,
 )
@@ -142,20 +135,26 @@ def _x_psi(state: ModelState, dataset: Dataset, shared: dict | None) -> np.ndarr
     return x_psi
 
 
+def _design(state: ModelState, dataset: Dataset, config: ModelConfig,
+            shared: dict | None = None):
+    """The design D of ``model.mean_design`` and the cross-products D'D, D'Y.
+
+    They are formed once per design (X Psi, Omega, H): the Gamma step forms
+    them and leaves them in ``shared``, and the Lambda and sigma steps, which
+    change no column of D, read them from there.
+    """
+    key = (state.Psi, state.Omega, state.H)
+    cached = None if shared is None else shared.get("design")
+    if cached is None or any(a is not b for a, b in zip(cached[0], key)):
+        D = mean_design(state, _x_psi(state, dataset, shared), config)
+        cached = key, D, D.T @ D, D.T @ dataset.Y
+        if shared is not None:
+            shared["design"] = cached
+    return cached[1:]
+
+
 # ---------------------------------------------------------------------------
 # Gamma (and Lambda) updates
-
-
-def _gamma_design(state: ModelState, dataset: Dataset, config: ModelConfig,
-                  shared: dict | None = None):
-    """Design matrix and regression target for the Gamma columns."""
-    if config.variant is Variant.LATENT_NOISE:
-        return _x_psi(state, dataset, shared) + state.Omega, dataset.Y
-    if config.variant is Variant.INDEPENDENT_NOISE:
-        return _x_psi(state, dataset, shared), dataset.Y - state.H @ state.Lambda
-    if config.variant is Variant.NO_NOISE:
-        return _x_psi(state, dataset, shared), dataset.Y
-    raise ConfigurationError("gamma update undefined for the null variant")
 
 
 def _ridge_system(gram, lin_all, prior_prec_cols, sigma_sq, what):
@@ -182,41 +181,52 @@ def _draw_ridge_columns(L, lin, rng):
     return np.linalg.solve(np.transpose(L, (0, 2, 1)), w)[:, :, 0].T
 
 
+def _block_system(state, dataset, config, shared, block, prior_prec_cols, what):
+    """Ridge system of one block of B's rows given the other: Gamma (block 0,
+    rows :S1) or Lambda (block 1, rows S1:).
+
+    Its design is the block's columns D_b of D, and its linear term
+    D_b'Y - (D_b'D_r) B_r over the other block r: Z'Y - (Z'H) Lambda for
+    Gamma, with Z = D[:, :S1], and H'Y - (H'Z) Gamma for Lambda.
+    """
+    _, dtd, dty = _design(state, dataset, config, shared)
+    S1 = state.Gamma.shape[0]
+    rows, rest = slice(None, S1), slice(S1, None)
+    if block:
+        rows, rest = rest, rows
+    lin = dty[rows] - dtd[rows, rest] @ mean_coefficients(state, config)[rest]
+    return _ridge_system(dtd[rows, rows], lin, prior_prec_cols, state.sigma_sq, what)
+
+
 def update_gamma(state: ModelState, dataset: Dataset, config: ModelConfig,
                  rng: np.random.Generator, shared: dict | None = None) -> ModelState:
     """Draw the loading matrix Gamma column by column (targets independent).
 
-    With ``shared``, X Psi is taken from it, and for the variants whose
-    target is Y the design Z, Z'Z and Z'Y are left there for update_sigma.
+    With ``shared``, X Psi is taken from it and the design's D'D and D'Y are
+    left there for update_lambda and update_sigma.
     """
-    X_star, target = _gamma_design(state, dataset, config, shared)
-    ztz = X_star.T @ X_star
-    zty = X_star.T @ target
-    Gamma = _draw_ridge_columns(*_ridge_system(
-        ztz, zty, state.phi_gamma * state.tau[:, None], state.sigma_sq, "gamma update"), rng)
-    if shared is not None and config.variant is not Variant.INDEPENDENT_NOISE:
-        shared["gamma_stats"] = ((state.Psi, state.Omega, Gamma), X_star, ztz, zty)
+    Gamma = _draw_ridge_columns(*_block_system(
+        state, dataset, config, shared, 0, state.phi_gamma * state.tau[:, None],
+        "gamma update"), rng)
     return replace(state, Gamma=Gamma)
 
 
 def gamma_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (S1, K) and covariance (K, S1, S1) of the Gamma conditional."""
-    X_star, target = _gamma_design(state, dataset, config)
-    means, covs = _precision_moments(*_ridge_system(
-        X_star.T @ X_star, X_star.T @ target, state.phi_gamma * state.tau[:, None],
-        state.sigma_sq, "gamma moments"))
+    means, covs = _precision_moments(*_block_system(
+        state, dataset, config, None, 0, state.phi_gamma * state.tau[:, None],
+        "gamma moments"))
     return means[:, :, 0].T, covs
 
 
 def update_lambda(state: ModelState, dataset: Dataset, config: ModelConfig,
                   rng: np.random.Generator, shared: dict | None = None) -> ModelState:
-    """Draw the independent-noise loadings Lambda given the factors H."""
-    if config.variant is not Variant.INDEPENDENT_NOISE:
-        raise ConfigurationError("lambda update applies to the independent-noise variant")
-    H = state.H
-    target = dataset.Y - _x_psi(state, dataset, shared) @ state.Gamma
-    Lam = _draw_ridge_columns(*_ridge_system(
-        H.T @ H, H.T @ target, state.phi_lambda * state.tau_noise[:, None], state.sigma_sq,
+    """Draw the independent-noise loadings Lambda given the factors H.
+
+    A state without the noise stack raises StateError (via ``tau_noise``).
+    """
+    Lam = _draw_ridge_columns(*_block_system(
+        state, dataset, config, shared, 1, state.phi_lambda * state.tau_noise[:, None],
         "lambda update"), rng)
     return replace(state, Lambda=Lam)
 
@@ -225,66 +235,49 @@ def update_lambda(state: ModelState, dataset: Dataset, config: ModelConfig,
 # Psi updates (naive dense and fast reparameterized)
 
 
-def _psi_regression_inputs(state: ModelState, dataset: Dataset, config: ModelConfig):
-    """Effective target and K x K noise covariance for the Psi regression.
+def _psi_linear_terms(state, dataset, config):
+    """Coupling matrix A = G M^{-1} G' and linear term (X'Y - (X'H) Lambda) M^{-1} G'.
 
-    For the latent-noise variant Omega is integrated out, which inflates the
-    per-row covariance to sigma_omega_sq (G*)'(G*) + diag(sigma_sq).
+    M is the K x K noise covariance of the Psi regression. For the
+    latent-noise variant Omega is integrated out, which inflates it to
+    sigma_omega_sq (G*)'(G*) + diag(sigma_sq); otherwise it is diag(sigma_sq).
+    The regression target is Y, less H Lambda for independent noise; with
+    X'Y cached on the dataset the linear term costs O(P K S1), plus the
+    N x S2 product X'H for independent noise.
     """
     if config.variant is Variant.LATENT_NOISE:
-        return dataset.Y, marginal_covariance(state, config)
-    if config.variant is Variant.INDEPENDENT_NOISE:
-        return dataset.Y - state.H @ state.Lambda, np.diag(state.sigma_sq)
-    if config.variant is Variant.NO_NOISE:
-        return dataset.Y, np.diag(state.sigma_sq)
-    raise ConfigurationError("psi update undefined for the null variant")
-
-
-def _psi_linear_terms(state, dataset, config, xty=None):
-    """Shared pieces: coupling matrix A = G M^{-1} G' and linear term X' Y M^{-1} G'.
-
-    ``xty`` may carry X'Y, which depends only on the data and is cached once
-    per chain. With it the linear term is (X'Y) M^{-1} G', an O(P K S1)
-    product with no N-sized factor. It is ignored for the independent-noise
-    variant, whose target Y - H Lambda changes every sweep.
-    """
-    target, M = _psi_regression_inputs(state, dataset, config)
+        M = marginal_covariance(state, config)
+    else:
+        M = np.diag(state.sigma_sq)
     try:
         minv_gt = np.linalg.solve(M, state.Gamma.T)       # (K, S1)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular marginal covariance in psi update") from exc
     A = state.Gamma @ minv_gt
     A = 0.5 * (A + A.T)
-    if xty is not None and config.variant is not Variant.INDEPENDENT_NOISE:
-        lin = xty @ minv_gt                               # (P, S1)
-    else:
-        lin = dataset.X.T @ (target @ minv_gt)
-    return A, lin
+    xty = dataset.xty
+    if config.variant is Variant.INDEPENDENT_NOISE:
+        xty = xty - (dataset.X.T @ state.H) @ state.Lambda
+    return A, xty @ minv_gt                               # (P, S1)
 
 
-def _psi_naive_system(state, dataset, config, gram=None, xty=None):
+def _psi_naive_system(state, dataset, config):
     """Lower Cholesky factor of the dense (P*S1, P*S1) Psi precision
     diag_h(tau_h I_P) + A (x) X'X, and the linear term vec(X' Y M^{-1} G')."""
-    A, lin = _psi_linear_terms(state, dataset, config, xty)
+    A, lin = _psi_linear_terms(state, dataset, config)
     P = state.Psi.shape[0]
-    if gram is None:
-        gram = dataset.X.T @ dataset.X
-    prec = np.kron(A, gram) + np.kron(np.diag(state.tau), np.eye(P))
+    prec = np.kron(A, dataset.gram) + np.kron(np.diag(state.tau), np.eye(P))
     return _chol(prec, "psi update (naive)"), lin.ravel(order="F")
 
 
 def update_psi_naive(state: ModelState, dataset: Dataset, config: ModelConfig,
-                     rng: np.random.Generator, gram: np.ndarray | None = None,
-                     xty: np.ndarray | None = None) -> ModelState:
-    """Draw vec(Psi) from one dense (P*S1, P*S1) Gaussian system.
-
-    ``gram`` and ``xty`` may carry the precomputed X'X and X'Y.
-    """
-    draw = _draw_from_precision(*_psi_naive_system(state, dataset, config, gram, xty), rng)
+                     rng: np.random.Generator) -> ModelState:
+    """Draw vec(Psi) from one dense (P*S1, P*S1) Gaussian system."""
+    draw = _draw_from_precision(*_psi_naive_system(state, dataset, config), rng)
     return replace(state, Psi=draw.reshape(state.Psi.shape, order="F"))
 
 
-def _psi_fast_system(state, dataset, config, gram_eig=None, xty=None):
+def _psi_fast_system(state, dataset, config):
     """The prior-whitened, doubly-diagonalized Psi system.
 
     After scaling column h of Psi by tau_h^{1/2} the joint precision is
@@ -294,13 +287,11 @@ def _psi_fast_system(state, dataset, config, gram_eig=None, xty=None):
     has independent entries N(C / denom, 1 / denom). Returns
     (U_x, U_a, tau^{-1/2}, denom, C).
     """
-    A, lin = _psi_linear_terms(state, dataset, config, xty)
+    A, lin = _psi_linear_terms(state, dataset, config)
     t_isqrt = 1.0 / np.sqrt(state.tau)
     A_tilde = A * np.outer(t_isqrt, t_isqrt)
     lam_a, U_a = _eigh(A_tilde, "psi update (coupling matrix)")
-    if gram_eig is None:
-        gram_eig = _eigh(dataset.X.T @ dataset.X, "psi update (Gram matrix)")
-    lam_x, U_x = gram_eig
+    lam_x, U_x = dataset.gram_eig
     # Both matrices are PSD; clip eigenvalue noise so the diagonal stays >= 1.
     denom = 1.0 + np.outer(np.maximum(lam_x, 0.0), np.maximum(lam_a, 0.0))
     C = U_x.T @ (lin * t_isqrt[None, :]) @ U_a
@@ -308,21 +299,15 @@ def _psi_fast_system(state, dataset, config, gram_eig=None, xty=None):
 
 
 def update_psi_fast(state: ModelState, dataset: Dataset, config: ModelConfig,
-                    rng: np.random.Generator, gram_eig=None,
-                    xty: np.ndarray | None = None) -> ModelState:
-    """Draw Psi through the prior-whitened, doubly-diagonalized system.
-
-    ``gram_eig`` may carry a precomputed eigendecomposition of X'X and
-    ``xty`` the product X'Y (both only depend on the data); otherwise they
-    are computed here.
-    """
-    U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, dataset, config, gram_eig, xty)
+                    rng: np.random.Generator) -> ModelState:
+    """Draw Psi through the prior-whitened, doubly-diagonalized system."""
+    U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, dataset, config)
     W = C / denom + rng.standard_normal(denom.shape) / np.sqrt(denom)
     return replace(state, Psi=(U_x @ W @ U_a.T) * t_isqrt[None, :])
 
 
 def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig,
-                            method: str = "fast", gram_eig=None):
+                            method: str = "fast"):
     """Mean and per-entry variance (both (P, S1)) of the Psi full conditional.
 
     Both methods target the identical distribution and use the same system
@@ -333,7 +318,7 @@ def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelCo
         mean, cov = _precision_moments(*_psi_naive_system(state, dataset, config))
         return mean.reshape(shape, order="F"), np.diag(cov).reshape(shape, order="F")
     if method == "fast":
-        U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, dataset, config, gram_eig)
+        U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, dataset, config)
         mean = (U_x @ (C / denom) @ U_a.T) * t_isqrt[None, :]
         var = ((U_x**2) @ (1.0 / denom) @ (U_a**2).T) * (t_isqrt**2)[None, :]
         return mean, var
@@ -383,9 +368,10 @@ def omega_conditional_moments(state: ModelState, dataset: Dataset, config: Model
 
 def update_h(state: ModelState, dataset: Dataset, config: ModelConfig,
              rng: np.random.Generator, shared: dict | None = None) -> ModelState:
-    """Draw the independent-noise factor rows (unit-variance prior scale)."""
-    if config.variant is not Variant.INDEPENDENT_NOISE:
-        raise ConfigurationError("H update applies to the independent-noise variant")
+    """Draw the independent-noise factor rows (unit-variance prior scale).
+
+    A state without the noise stack raises StateError (via ``tau_noise``).
+    """
     prec, lin = _factor_rows_system(state.Lambda, state.tau_noise, state, dataset, shared)
     draws = _draw_from_precision(_chol(prec, "H update"), lin, rng)
     return replace(state, H=draws.T)
@@ -467,30 +453,19 @@ def update_delta_noise(state: ModelState, config: ModelConfig,
 _RSS_FALLBACK_RATIO = 1e-3
 
 
-def _residual_ss(state: ModelState, dataset: Dataset, config: ModelConfig,
-                 shared: dict | None) -> np.ndarray:
-    """Per-target residual sum of squares, from the Gamma step's Z'Z and Z'Y
-    when ``shared`` holds them for the current (Psi, Omega, Gamma)."""
-    stats = None if shared is None else shared.get("gamma_stats")
-    current = (state.Psi, state.Omega, state.Gamma)
-    if stats is None or "yty" not in shared or any(a is not b for a, b in zip(stats[0], current)):
-        fitted = fitted_mean(state, _x_psi(state, dataset, shared), config)
-        return ((dataset.Y - fitted)**2).sum(axis=0)
-    _, Z, ztz, zty = stats
-    G, yty = state.Gamma, shared["yty"]
-    rss = yty - 2.0 * (G * zty).sum(axis=0) + (G * (ztz @ G)).sum(axis=0)
-    low = np.flatnonzero(rss <= _RSS_FALLBACK_RATIO * yty)
-    if low.size:
-        rss[low] = ((dataset.Y[:, low] - Z @ G[:, low])**2).sum(axis=0)
-    return rss
-
-
 def update_sigma(state: ModelState, dataset: Dataset, config: ModelConfig,
                  rng: np.random.Generator, shared: dict | None = None) -> ModelState:
-    """Conjugate update of the target-specific noise precisions."""
-    n = dataset.n_samples
-    rate = config.b_sigma + 0.5 * _residual_ss(state, dataset, config, shared)
-    precision = rng.gamma(config.a_sigma + 0.5 * n, 1.0 / rate)
+    """Conjugate update of the target-specific noise precisions, with each
+    residual sum of squares of Y - D B taken from D'D and D'Y."""
+    D, dtd, dty = _design(state, dataset, config, shared)
+    B = mean_coefficients(state, config)
+    yty = dataset.yty
+    rss = yty - 2.0 * (B * dty).sum(axis=0) + (B * (dtd @ B)).sum(axis=0)
+    low = np.flatnonzero(rss <= _RSS_FALLBACK_RATIO * yty)
+    if low.size:
+        rss[low] = ((dataset.Y[:, low] - D @ B[:, low])**2).sum(axis=0)
+    rate = config.b_sigma + 0.5 * rss
+    precision = rng.gamma(config.a_sigma + 0.5 * dataset.n_samples, 1.0 / rate)
     return replace(state, sigma_sq=1.0 / precision)
 
 
@@ -504,30 +479,24 @@ def _accumulate(timings, name, t0):
 
 
 def gibbs_sweep(state: ModelState, dataset: Dataset, config: ModelConfig,
-                rng: np.random.Generator, *, gram=None, gram_eig=None, xty=None,
-                yty=None, delta_step=None, timings=None) -> ModelState:
+                rng: np.random.Generator, *, delta_step=None, timings=None) -> ModelState:
     """One full update cycle in the fixed order used by run_chain.
 
-    ``gram``, ``gram_eig``, ``xty`` and ``yty`` (the per-target y'y) may
-    carry data-only statistics cached by the caller; y'y is computed here
-    when not given. The updates share X Psi and the Gamma step's
-    cross-products through one per-sweep dict. ``delta_step`` replaces the
-    delta update when given (used by the sampler-validation harness for
-    fault injection).
+    The updates share X Psi and the Gamma step's D'D and D'Y through one
+    per-sweep dict. ``delta_step`` replaces the delta update when given
+    (used by the sampler-validation harness for fault injection).
     """
     variant = config.variant
     if variant is Variant.NULL:
         return state
     delta_step = delta_step or update_delta
     shared: dict = {}
-    if variant is not Variant.INDEPENDENT_NOISE:
-        shared["yty"] = (dataset.Y**2).sum(axis=0) if yty is None else yty
 
     t0 = time.perf_counter()
     if config.psi_update == "naive":
-        state = update_psi_naive(state, dataset, config, rng, gram=gram, xty=xty)
+        state = update_psi_naive(state, dataset, config, rng)
     else:
-        state = update_psi_fast(state, dataset, config, rng, gram_eig=gram_eig, xty=xty)
+        state = update_psi_fast(state, dataset, config, rng)
     _accumulate(timings, "psi", t0)
 
     if variant is Variant.LATENT_NOISE:
@@ -582,38 +551,28 @@ def run_chain(dataset: Dataset, config: ModelConfig) -> ChainTrace:
     dims = Dims(dataset.n_samples, dataset.n_covariates, dataset.n_targets, config.rank)
     P, K = dataset.n_covariates, dataset.n_targets
     timings: dict[str, float] = {}
+    rng = np.random.default_rng(config.seed)
+    state = sample_prior(config, dims, rng)
 
     if config.variant is Variant.NULL:
-        rng = np.random.default_rng(config.seed)
-        state = sample_prior(config, dims, rng)
         samples = PosteriorSamples(
             states=(state,) * n_retained, theta_mean=np.zeros((P, K)), config=config
         )
         return ChainTrace(samples=samples, wall_time_seconds=timings)
 
-    rng = np.random.default_rng(config.seed)
-    state = sample_prior(config, dims, rng)
-
-    # One-time data-dependent work; timed apart from the per-sweep updates
-    # so the psi bucket reflects pure per-call cost.
+    # The data-only statistics are cached on the dataset; reading them here
+    # times their one-time cost apart from the per-sweep updates, so the psi
+    # bucket reflects pure per-call cost.
     t0 = time.perf_counter()
-    gram = dataset.X.T @ dataset.X
-    gram_eig = None
-    if config.psi_update == "fast":
-        gram_eig = _eigh(gram, "chain setup (Gram matrix)")
-    xty = yty = None
-    if config.variant is not Variant.INDEPENDENT_NOISE:
-        xty = dataset.X.T @ dataset.Y
-        yty = (dataset.Y**2).sum(axis=0)
+    for name in ("gram_eig" if config.psi_update == "fast" else "gram", "xty", "yty"):
+        getattr(dataset, name)
     _accumulate(timings, "setup", t0)
 
     retained: list[ModelState] = []
     theta_sum = np.zeros((P, K))
     for it in range(1, config.iterations + 1):
         try:
-            state = gibbs_sweep(state, dataset, config, rng,
-                                gram=gram, gram_eig=gram_eig, xty=xty, yty=yty,
-                                timings=timings)
+            state = gibbs_sweep(state, dataset, config, rng, timings=timings)
         except NumericalError as exc:
             raise NumericalError(f"{exc} (iteration {it})") from exc
         if it > config.burn_in and (it - config.burn_in) % config.thin == 0:

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from latent_brrr.errors import ConfigurationError, DimensionError, StateError
+from latent_brrr.errors import ConfigurationError, DimensionError, NumericalError, StateError
 
 
 class Variant(Enum):
@@ -165,7 +166,13 @@ class ModelState:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Paired covariate matrix X (N, P) and target matrix Y (N, K)."""
+    """Paired covariate matrix X (N, P) and target matrix Y (N, K).
+
+    X and Y are treated as immutable: the data-only statistics ``gram``
+    (X'X), ``gram_eig`` (its eigendecomposition), ``xty`` (X'Y) and ``yty``
+    (per-target y'y) are computed on first use and cached, so every chain
+    on one dataset shares them.
+    """
 
     X: np.ndarray
     Y: np.ndarray
@@ -205,6 +212,25 @@ class Dataset:
     @property
     def n_targets(self) -> int:
         return self.Y.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return self.X.T @ self.X
+
+    @cached_property
+    def gram_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            return np.linalg.eigh(self.gram)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("eigendecomposition of the Gram matrix X'X failed") from exc
+
+    @cached_property
+    def xty(self) -> np.ndarray:
+        return self.X.T @ self.Y
+
+    @cached_property
+    def yty(self) -> np.ndarray:
+        return (self.Y**2).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -282,20 +308,37 @@ def predict_mean(state: ModelState, X_new: np.ndarray) -> np.ndarray:
     return X_new @ state.Psi @ state.Gamma
 
 
-def fitted_mean(state: ModelState, x_psi: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Mean of Y given every latent term of ``state``, from X Psi.
+def mean_coefficients(state: ModelState, config: ModelConfig) -> np.ndarray:
+    """Coefficients B of the mean D B of Y: [Gamma; Lambda] for independent
+    noise, Gamma for latent and no noise, none for the null variant."""
+    if config.variant is Variant.INDEPENDENT_NOISE:
+        return np.vstack([state.Gamma, state.Lambda])
+    if config.variant is Variant.NULL:
+        return state.Gamma[:0]
+    return state.Gamma
 
-    This is the one place that says what each variant adds to X Psi Gamma:
-    Omega Gamma (latent noise), H Lambda (independent noise), nothing (no
-    noise); the null variant's mean is zero.
+
+def mean_design(state: ModelState, x_psi: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Design D of the mean D B of Y, from X Psi.
+
+    With ``mean_coefficients`` this is the one place that says what each
+    variant adds to X Psi Gamma. The first S1 columns of D multiply Gamma:
+    X Psi + Omega for latent noise, X Psi otherwise. Independent noise
+    appends the columns of H, which multiply Lambda: D = [X Psi | H]. The
+    null variant's design is empty, so its mean is zero.
     """
     if config.variant is Variant.LATENT_NOISE:
-        return (x_psi + state.Omega) @ state.Gamma
+        return x_psi + state.Omega
     if config.variant is Variant.INDEPENDENT_NOISE:
-        return x_psi @ state.Gamma + state.H @ state.Lambda
-    if config.variant is Variant.NO_NOISE:
-        return x_psi @ state.Gamma
-    return np.zeros((x_psi.shape[0], state.Gamma.shape[1]))
+        return np.hstack([x_psi, state.H])
+    if config.variant is Variant.NULL:
+        return x_psi[:, :0]
+    return x_psi
+
+
+def fitted_mean(state: ModelState, x_psi: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Mean D B of Y given every latent term of ``state``, from X Psi."""
+    return mean_design(state, x_psi, config) @ mean_coefficients(state, config)
 
 
 def marginal_covariance(state: ModelState, config: ModelConfig) -> np.ndarray:
@@ -328,9 +371,13 @@ def latent_snr_to_variance(beta: float, rank: int, X: np.ndarray) -> float:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ConfigurationError("X must be a matrix with at least two rows")
-    centered = X - X.mean(axis=0)
-    trace_var = float((centered * centered).sum() / (X.shape[0] - 1))
-    return rank * trace_var / beta
+    return rank * total_variance(X) / beta
+
+
+def total_variance(M: np.ndarray) -> float:
+    """trace(Var(M)): the sum of the column variances, denominator N-1."""
+    centered = M - M.mean(axis=0)
+    return float((centered * centered).sum() / (M.shape[0] - 1))
 
 
 def resolve_sigma_omega(config: ModelConfig, X: np.ndarray) -> ModelConfig:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from latent_brrr.errors import ConfigurationError, NumericalError
-from latent_brrr.model import Dataset
+from latent_brrr.model import Dataset, total_variance
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,6 @@ def _gram_schmidt_rows(M: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     return out
 
 
-def _aggregate_trace(M: np.ndarray) -> float:
-    """Sum of column variances (denominator N-1) on the given sample."""
-    centered = M - M.mean(axis=0)
-    return float((centered * centered).sum() / (M.shape[0] - 1))
-
-
 def generate(config: SimConfig,
              rng: np.random.Generator | None = None) -> tuple[Dataset, Dataset, SimTruth]:
     """Draw one replicate: train split, test split, and the scaled truth.
@@ -134,7 +128,7 @@ def generate(config: SimConfig,
     # (average per-target variance one).
     scales = {}
     for name, (component, fraction) in components.items():
-        realized = _aggregate_trace(component)
+        realized = total_variance(component)
         if fraction > 0 and realized <= 0:
             raise NumericalError(f"degenerate {name} component in simulation")
         scales[name] = np.sqrt(fraction * K / realized) if fraction > 0 else 0.0
@@ -152,9 +146,9 @@ def generate(config: SimConfig,
         noise_sd=scales["diag"],
         alpha=config.alpha,
         realized_fractions=(
-            _aggregate_trace(scales["signal"] * signal) / K,
-            _aggregate_trace(scales["structured"] * structured) / K,
-            _aggregate_trace(scales["diag"] * E) / K,
+            total_variance(scales["signal"] * signal) / K,
+            total_variance(scales["structured"] * structured) / K,
+            total_variance(scales["diag"] * E) / K,
         ),
     )
     train = Dataset(X=X[:config.n_train], Y=Y[:config.n_train])

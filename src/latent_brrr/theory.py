@@ -283,23 +283,23 @@ def _draw_response(state: ModelState, X: np.ndarray, config: ModelConfig,
     return mean + rng.standard_normal(mean.shape) * np.sqrt(state.sigma_sq)
 
 
-def _statistic_names(dims: Dims) -> list[str]:
+def _statistic_names(dims: Dims, noise_rank: int | None) -> list[str]:
     names = [f"gamma[{h},{j}]" for h in range(dims.rank) for j in range(dims.n_targets)]
     names += [f"psi[{j},{h}]" for j in range(dims.n_covariates) for h in range(dims.rank)]
     names += [f"tau[{h}]" for h in range(dims.rank)]
     names += [f"sigma_sq[{j}]" for j in range(dims.n_targets)]
     names.append("y[0,0]")
+    if noise_rank is not None:
+        names += [f"lambda[{h},{j}]" for h in range(noise_rank) for j in range(dims.n_targets)]
+        names += [f"tau_noise[{h}]" for h in range(noise_rank)]
     return names
 
 
 def _statistics(state: ModelState, Y: np.ndarray) -> np.ndarray:
-    return np.concatenate([
-        state.Gamma.ravel(),
-        state.Psi.ravel(),
-        state.tau,
-        state.sigma_sq,
-        [Y[0, 0]],
-    ])
+    stats = [state.Gamma.ravel(), state.Psi.ravel(), state.tau, state.sigma_sq, [Y[0, 0]]]
+    if state.Lambda is not None:
+        stats += [state.Lambda.ravel(), state.tau_noise]
+    return np.concatenate(stats)
 
 
 def _corrupted_delta_step(state, config, rng):
@@ -336,9 +336,10 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     """Run both simulators and return per-statistic z-scores.
 
     Statistics: every Gamma and Psi entry, each tau_h, each sigma_sq_j, and
-    one response entry; each contributes a first-moment and a second-moment
-    z-score. A correct sampler keeps essentially all |z| small; a corrupted
-    update drives some |z| far out.
+    one response entry, plus every Lambda entry and each tau_noise_h for the
+    independent-noise variant; each contributes a first-moment and a
+    second-moment z-score. A correct sampler keeps essentially all |z|
+    small; a corrupted update drives some |z| far out.
 
     The successive-conditional side is autocorrelated, so its standard
     errors come from batch means; by default batches are kept at least 5000
@@ -354,7 +355,7 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
         n_batches = int(np.clip(n_iter // 5000, 10, 50))
     n_batches = min(n_batches, max(2, n_iter // 10))
 
-    names = _statistic_names(dims)
+    names = _statistic_names(dims, config.noise_rank)
     n_stats = len(names)
     X = rng.standard_normal((dims.n_samples, dims.n_covariates))
 
@@ -365,15 +366,12 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
         marginal[t] = _statistics(state, Y)
 
     delta_step = _corrupted_delta_step if corrupt_delta else None
-    gram = X.T @ X
-    gram_eig = np.linalg.eigh(gram)
     successive = np.empty((n_iter, n_stats))
     state = sample_prior(config, dims, rng)
     for t in range(n_iter):
         Y = _draw_response(state, X, config, rng)
         dataset = Dataset(X=X, Y=Y)
-        state = gibbs.gibbs_sweep(state, dataset, config, rng, gram=gram,
-                                  gram_eig=gram_eig, delta_step=delta_step)
+        state = gibbs.gibbs_sweep(state, dataset, config, rng, delta_step=delta_step)
         successive[t] = _statistics(state, Y)
 
     z_scores: dict[str, float] = {}

@@ -26,6 +26,7 @@ from latent_brrr.model import (
     ModelConfig,
     ModelState,
     Variant,
+    marginal_covariance,
     sample_prior,
 )
 
@@ -75,16 +76,27 @@ def test_gamma_posterior_reverts_to_prior_as_noise_explodes():
         assert np.allclose(np.diag(covs[i]), prior_var[:, i], rtol=1e-9)
 
 
-def test_gamma_moments_match_dense_oracle():
-    # Brute-force Bayesian linear model: S = (P0 + X*'X*/s2)^-1, m = S X*'y/s2.
-    state, dataset, config, _ = make_problem(2, N=50, S1=2, K=3, P=4)
+@pytest.mark.parametrize("variant", [Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE,
+                                     Variant.NO_NOISE])
+def test_gamma_moments_match_dense_oracle(variant):
+    # Brute-force Bayesian linear model: S = (P0 + X*'X*/s2)^-1, m = S X*'y/s2,
+    # with design X* = X Psi (+ Omega) and target y (- H Lambda).
+    if variant is Variant.LATENT_NOISE:
+        state, dataset, config, _ = make_problem(2, N=50, S1=2, K=3, P=4)
+    else:
+        state, dataset, config = sweep_problem(variant, seed=2, N=50, P=4, K=3, S1=2)
     means, covs = gamma_conditional_moments(state, dataset, config)
-    X_star = dataset.X @ state.Psi + state.Omega
+    X_star = dataset.X @ state.Psi
+    target = dataset.Y
+    if variant is Variant.LATENT_NOISE:
+        X_star = X_star + state.Omega
+    if variant is Variant.INDEPENDENT_NOISE:
+        target = dataset.Y - state.H @ state.Lambda
     tau = np.cumprod(state.delta)
     for i in range(dataset.n_targets):
         prior_prec = np.diag(state.phi_gamma[:, i] * tau)
         cov = np.linalg.inv(prior_prec + X_star.T @ X_star / state.sigma_sq[i])
-        mean = cov @ X_star.T @ dataset.Y[:, i] / state.sigma_sq[i]
+        mean = cov @ X_star.T @ target[:, i] / state.sigma_sq[i]
         assert np.allclose(covs[i], cov, atol=1e-10)
         assert np.allclose(means[:, i], mean, atol=1e-10)
 
@@ -189,14 +201,24 @@ def test_psi_draws_match_conditional_moments():
 
 @pytest.mark.parametrize("variant", [Variant.LATENT_NOISE, Variant.NO_NOISE])
 def test_psi_draws_same_with_cached_xty(variant):
+    # The Psi steps read X'Y cached on the dataset; with zero noise each
+    # draw is the conditional mean, which must match the one formed from the
+    # N-sized product X'(Y M^{-1} G').
     state, dataset, config, _ = make_problem(11, N=40, P=5, K=4, S1=3)
     if variant is Variant.NO_NOISE:
         config = replace(config, variant=variant, sigma_omega_sq=None)
-    xty = dataset.X.T @ dataset.Y
+        M = np.diag(state.sigma_sq)
+    else:
+        M = marginal_covariance(state, config)
+    minv_gt = np.linalg.solve(M, state.Gamma.T)
+    A = state.Gamma @ minv_gt
+    X = dataset.X
+    prec = np.kron(A, X.T @ X) + np.kron(np.diag(state.tau), np.eye(X.shape[1]))
+    lin = (X.T @ (dataset.Y @ minv_gt)).ravel(order="F")
+    mean = np.linalg.solve(prec, lin).reshape(state.Psi.shape, order="F")
     for update in (update_psi_fast, update_psi_naive):
-        computed = update(state, dataset, config, np.random.default_rng(5)).Psi
-        cached = update(state, dataset, config, np.random.default_rng(5), xty=xty).Psi
-        assert np.allclose(cached, computed, rtol=1e-10, atol=0.0)
+        drawn = update(state, dataset, config, ScriptedNormal(np.zeros)).Psi
+        assert np.allclose(drawn, mean, rtol=1e-10, atol=1e-14)
 
 
 @pytest.mark.parametrize("method", ["fast", "naive"])
@@ -209,7 +231,7 @@ def test_independent_noise_sweep_keeps_psi_target_y_minus_h_lambda(method):
     X = rng.standard_normal((40, 5))
     Y = rng.standard_normal((40, 4))
     swept = gibbs.gibbs_sweep(state, Dataset(X=X, Y=Y), config,
-                              np.random.default_rng(5), xty=X.T @ Y)
+                              np.random.default_rng(5))
     update = update_psi_fast if method == "fast" else update_psi_naive
     expected = update(replace(state, Lambda=np.zeros_like(state.Lambda)),
                       Dataset(X=X, Y=Y - state.H @ state.Lambda), config,
@@ -483,6 +505,36 @@ def test_sigma_zero_rows_returns_prior():
     assert np.all(np.abs(prec.mean(axis=0) - 2.0 / 3.0) < 4 * se)
 
 
+class ScriptedGamma:
+    """Stands in for the Generator: ``gamma(shape, scale)`` returns ``scale``.
+
+    update_sigma draws each precision from Ga(shape, 1 / rate), so with this
+    stand-in the drawn sigma_sq is the rate itself.
+    """
+
+    def gamma(self, shape, scale):
+        return np.asarray(scale, dtype=float)
+
+
+@pytest.mark.parametrize("variant", [Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE,
+                                     Variant.NO_NOISE])
+def test_sigma_rate_matches_direct_residual_oracle(variant):
+    state, dataset, config = sweep_problem(variant, seed=33, N=80, K=5)
+
+    def direct_rate(state):
+        D, B = design_and_coefficients(state, dataset, variant)
+        return config.b_sigma + 0.5 * ((dataset.Y - D @ B)**2).sum(axis=0)
+
+    alone = update_sigma(state, dataset, config, ScriptedGamma())
+    assert np.allclose(alone.sigma_sq, direct_rate(state), rtol=1e-10, atol=0.0)
+
+    # The same rate from the cross-products a sweep's Gamma step leaves behind.
+    shared: dict = {}
+    state = update_gamma(state, dataset, config, np.random.default_rng(8), shared)
+    swept = update_sigma(state, dataset, config, ScriptedGamma(), shared)
+    assert np.allclose(swept.sigma_sq, direct_rate(state), rtol=1e-10, atol=0.0)
+
+
 def test_sigma_posterior_mean_matches_residual_scale():
     # ||r||^2 = 2N per column -> E[1/sigma_sq] = (a + N/2)/(b + N) ~ 1/2.
     rng = np.random.default_rng(17)
@@ -524,10 +576,7 @@ def sweep_problem(variant, seed=30, N=60, P=5, K=4, S1=2):
 @pytest.mark.parametrize("variant", list(VARIANT_CONFIGS))
 def test_sweep_matches_updates_called_one_by_one(variant):
     state, dataset, config = sweep_problem(variant)
-    gram_eig = np.linalg.eigh(dataset.X.T @ dataset.X)
-    xty = None if variant is Variant.INDEPENDENT_NOISE else dataset.X.T @ dataset.Y
-    swept = gibbs.gibbs_sweep(state, dataset, config, np.random.default_rng(5),
-                              gram_eig=gram_eig, xty=xty)
+    swept = gibbs.gibbs_sweep(state, dataset, config, np.random.default_rng(5))
 
     rng = np.random.default_rng(5)
     s = update_psi_fast(state, dataset, config, rng)
@@ -571,43 +620,57 @@ class CountingMatmul(np.ndarray):
                                              (Variant.NO_NOISE, 1),
                                              (Variant.INDEPENDENT_NOISE, 2)])
 def test_sweep_multiplies_by_x_once(variant, passes):
-    # Independent noise also forms X'((Y - H Lambda) M^{-1} G') in the Psi
-    # step, because its target changes every sweep.
+    # Independent noise also forms X'H in the Psi step, because its target
+    # Y - H Lambda changes every sweep. The data-only statistics cached on the
+    # dataset are formed before counting starts, as run_chain does.
     state, dataset, config = sweep_problem(variant)
-    gram_eig = np.linalg.eigh(dataset.X.T @ dataset.X)
-    xty = None if variant is Variant.INDEPENDENT_NOISE else dataset.X.T @ dataset.Y
+    dataset.gram_eig, dataset.xty, dataset.yty
     object.__setattr__(dataset, "X", dataset.X.view(CountingMatmul))
     for _ in range(3):
         CountingMatmul.calls = 0
-        state = gibbs.gibbs_sweep(state, dataset, config, np.random.default_rng(5),
-                                  gram_eig=gram_eig, xty=xty)
+        state = gibbs.gibbs_sweep(state, dataset, config, np.random.default_rng(5))
         assert CountingMatmul.calls == passes
 
 
+def design_and_coefficients(state, dataset, variant):
+    """[X Psi (+ Omega) | H] and [Gamma; Lambda], built from the state's fields."""
+    Z = dataset.X @ state.Psi
+    if variant is Variant.LATENT_NOISE:
+        Z = Z + state.Omega
+    if variant is Variant.INDEPENDENT_NOISE:
+        return np.hstack([Z, state.H]), np.vstack([state.Gamma, state.Lambda])
+    return Z, state.Gamma
+
+
 def test_sigma_falls_back_to_direct_residual_when_fit_is_near_exact():
-    # Targets 0 and 1 fit to 1e-7, so their expanded y'y - 2 g'Z'y + g'Z'Z g
+    # Targets 0 and 1 fit to 1e-7, so their expanded y'y - 2 b'D'y + b'D'D b
     # loses most digits to cancellation; targets 2 and 3 keep unit noise.
-    state, dataset, config = sweep_problem(Variant.LATENT_NOISE, N=200, K=4)
-    rng = np.random.default_rng(31)
-    Z = dataset.X @ state.Psi + state.Omega
-    noise_sd = np.array([1e-7, 1e-7, 1.0, 1.0])
-    Y = Z @ state.Gamma + rng.standard_normal(dataset.Y.shape) * noise_sd
-    dataset = Dataset(X=dataset.X, Y=Y)
-    state = replace(state, sigma_sq=noise_sd**2)
+    # The design D is X Psi + Omega for latent noise and [X Psi | H] for
+    # independent noise.
+    for variant in (Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE):
+        state, dataset, config = sweep_problem(variant, N=200, K=4)
+        rng = np.random.default_rng(31)
+        D, B = design_and_coefficients(state, dataset, variant)
+        noise_sd = np.array([1e-7, 1e-7, 1.0, 1.0])
+        Y = D @ B + rng.standard_normal(dataset.Y.shape) * noise_sd
+        dataset = Dataset(X=dataset.X, Y=Y)
+        state = replace(state, sigma_sq=noise_sd**2)
 
-    shared = {"yty": (Y**2).sum(axis=0)}
-    state = update_gamma(state, dataset, config, np.random.default_rng(6), shared)
-    _, _, ztz, zty = shared["gamma_stats"]
-    G = state.Gamma
-    direct = ((Y - Z @ G)**2).sum(axis=0)
-    expanded = shared["yty"] - 2.0 * (G * zty).sum(axis=0) + (G * (ztz @ G)).sum(axis=0)
-    rel = np.abs(expanded - direct) / direct
-    assert np.all(rel[:2] > 1e-6) and np.all(rel[2:] < 1e-12)
-    assert np.all(direct[:2] < gibbs._RSS_FALLBACK_RATIO * shared["yty"][:2])
+        shared: dict = {}
+        state = update_gamma(state, dataset, config, np.random.default_rng(6), shared)
+        D, B = design_and_coefficients(state, dataset, variant)
+        yty = (Y**2).sum(axis=0)
+        direct = ((Y - D @ B)**2).sum(axis=0)
+        expanded = yty - 2.0 * (B * (D.T @ Y)).sum(axis=0) + (B * (D.T @ D @ B)).sum(axis=0)
+        rel = np.abs(expanded - direct) / direct
+        assert np.all(rel[:2] > 1e-6) and np.all(rel[2:] < 1e-12), variant
+        assert np.all(direct[:2] < gibbs._RSS_FALLBACK_RATIO * yty[:2]), variant
 
-    via_stats = update_sigma(state, dataset, config, np.random.default_rng(7), shared)
-    via_resid = update_sigma(state, dataset, config, np.random.default_rng(7))
-    assert np.allclose(via_stats.sigma_sq, via_resid.sigma_sq, rtol=1e-10, atol=0.0)
+        drawn = update_sigma(state, dataset, config, np.random.default_rng(7), shared)
+        rate = config.b_sigma + 0.5 * direct
+        precision = np.random.default_rng(7).gamma(config.a_sigma + 0.5 * dataset.n_samples,
+                                                    1.0 / rate)
+        assert np.allclose(drawn.sigma_sq, 1.0 / precision, rtol=1e-10, atol=0.0), variant
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for the proposition checks and the Geweke validation harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import latent_brrr.gibbs as gibbs
 from latent_brrr.errors import ConfigurationError
 from latent_brrr.model import Dims, ModelConfig, Variant
 from latent_brrr.theory import (
@@ -156,3 +159,35 @@ def test_geweke_accepts_other_variants():
     report = geweke_test(config, small_dims(), 20_000, np.random.default_rng(4))
     mean_zs = [v for k, v in report.z_scores.items() if k.endswith(":mean")]
     assert np.mean(np.abs(mean_zs) < 4.0) >= 0.95
+
+
+def independent_noise_geweke_config():
+    # a1 = a2 = 6 and nu = 10 keep the moments the batch-means standard
+    # errors need finite; at a1 = 3, nu = 6 tau's heavy tail fails seeds.
+    return ModelConfig(variant=Variant.INDEPENDENT_NOISE, rank=2, noise_rank=2,
+                       a1=6.0, a2=6.0, nu=10.0, a_sigma=5.0, b_sigma=1.0,
+                       iterations=2, burn_in=0, thin=1)
+
+
+def test_geweke_accepts_independent_noise_variant():
+    report = geweke_test(independent_noise_geweke_config(), small_dims(), 20_000,
+                         np.random.default_rng(5))
+    assert "lambda[1,3]:mean" in report.z_scores
+    assert "tau_noise[1]:mean" in report.z_scores
+    mean_zs = [v for k, v in report.z_scores.items() if k.endswith(":mean")]
+    assert np.mean(np.abs(mean_zs) < 4.0) >= 0.95
+
+
+def test_geweke_detects_wrong_shape_delta_noise_update(monkeypatch):
+    def forget_h_entries(state, config, rng):
+        # The shape parameter counts the Lambda entries but not the H rows,
+        # while the rate keeps both.
+        quads = (state.phi_lambda * state.Lambda**2).sum(axis=1) + (state.H**2).sum(axis=0)
+        delta = gibbs._draw_mgp_delta(state.delta_noise, quads, state.Lambda.shape[1],
+                                      config.a1, config.a2, rng)
+        return replace(state, delta_noise=delta)
+
+    monkeypatch.setattr(gibbs, "update_delta_noise", forget_h_entries)
+    report = geweke_test(independent_noise_geweke_config(), small_dims(), 20_000,
+                         np.random.default_rng(6))
+    assert report.max_abs_z() > 6.0
