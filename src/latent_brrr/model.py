@@ -224,6 +224,14 @@ class Dataset:
         except np.linalg.LinAlgError as exc:
             raise NumericalError("eigendecomposition of the Gram matrix X'X failed") from exc
 
+    def with_targets(self, Y: np.ndarray) -> Dataset:
+        """The same X with new targets Y, keeping X's cached statistics."""
+        new = replace(self, Y=Y)
+        for name in ("gram", "gram_eig"):
+            if name in self.__dict__:
+                new.__dict__[name] = self.__dict__[name]
+        return new
+
     @cached_property
     def xty(self) -> np.ndarray:
         return self.X.T @ self.Y

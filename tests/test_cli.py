@@ -286,6 +286,15 @@ def test_verify_prop_subcommand(tmp_path):
     assert all(e["closed_form_consistency"] for e in report["prop2"])
 
 
+@pytest.mark.parametrize("var_x", ["-1", "nan"])
+def test_verify_rejects_bad_var_x(tmp_path, capsys, var_x):
+    code = run_cli("verify", "--prop1", "--var-x", var_x, "--draws", 200,
+                   "--out-dir", tmp_path / "v")
+    assert code == 2
+    assert "var_x" in capsys.readouterr().err
+    assert not (tmp_path / "v" / "propositions.json").exists()
+
+
 def test_verify_geweke_smoke(tmp_path):
     out = tmp_path / "verify"
     code = run_cli("verify", "--geweke", "--geweke-iters", 3000, "--seed", 1,

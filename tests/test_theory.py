@@ -1,13 +1,15 @@
 """Tests for the proposition checks and the Geweke validation harness."""
 
+import tracemalloc
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import latent_brrr.gibbs as gibbs
 from latent_brrr.errors import ConfigurationError
-from latent_brrr.model import Dims, ModelConfig, Variant
+from latent_brrr.model import Dataset, Dims, ModelConfig, Variant
 from latent_brrr.theory import (
     check_prop1,
     check_prop2,
@@ -79,6 +81,32 @@ def test_prop1_monte_carlo_agrees_with_closed_form():
     assert report.passed == (gap <= max(3 * report.mc_standard_error, report.tolerance))
 
 
+def test_prop1_standard_error_is_calibrated():
+    # Each draw is finite-variance, so the reported SE is a real standard
+    # error: over 20 seeds about 0.05 land beyond 3 SEs.
+    z_scores = []
+    for seed in range(20):
+        report = check_prop1(3.0, 4.0, 3.0, n_covariates=30, truncation=50,
+                             n_draws=20_000, rng=np.random.default_rng(seed))
+        z_scores.append((report.empirical_value - report.analytic_value)
+                        / report.mc_standard_error)
+    assert np.sum(np.abs(z_scores) > 3) <= 1, np.round(z_scores, 2)
+
+
+def test_prop1_memory_does_not_grow_with_covariates():
+    # A (4000, 300, 50) float64 Psi batch alone would be 480 MB; the
+    # projected draw needs O(batch * truncation) memory whatever P is.
+    tracemalloc.start()
+    try:
+        report = check_prop1(3.0, 4.0, 3.0, n_covariates=300, truncation=50,
+                             n_draws=20_000, rng=np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert report.analytic_value == pytest.approx(540.0, abs=1e-9)
+
+
 def test_prop1_zero_covariate_report():
     report = check_prop1(3.0, 4.0, 3.0, n_covariates=0)
     assert report.analytic_value == 0.0 and report.empirical_value == 0.0
@@ -109,6 +137,28 @@ def test_prop2_standard_error_is_calibrated():
     assert np.sum(np.abs(z_scores) > 3) <= 1, np.round(z_scores, 2)
 
 
+def test_prop2_report_does_not_depend_on_batch_size():
+    reports = [check_prop2(4.0, 2, n_draws=10_000, rng=np.random.default_rng(3),
+                           batch_size=batch)
+               for batch in (4000, 10_000)]
+    assert reports[0] == reports[1]
+
+
+def test_prediction_variance_rejects_bad_var_x():
+    for var_x in (-1.0, np.nan, np.inf, [1.0, -0.5]):
+        with pytest.raises(ConfigurationError, match="var_x"):
+            prediction_variance_limit(3.0, 4.0, 3.0, var_x, 2)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_prop1(3.0, 4.0, 3.0, n_covariates=3, n_draws=1000, batch_size=0),
+    lambda: check_prop2(4.0, 1, n_draws=1000, batch_size=0),
+])
+def test_prop_checks_reject_empty_batches(check):
+    with pytest.raises(ConfigurationError, match="batch_size"):
+        check()
+
+
 def test_prop2_rank_must_stay_below_reference():
     with pytest.raises(ConfigurationError):
         check_prop2(4.0, 50, reference_truncation=50, n_draws=1000)
@@ -135,6 +185,23 @@ def test_geweke_statistic_set_and_names():
     assert "tau[0]:mean" in report.z_scores
     assert "y[0,0]:second_moment" in report.z_scores
     assert np.all(np.isfinite(list(report.z_scores.values())))
+
+
+def test_geweke_decomposes_the_gram_matrix_once(monkeypatch):
+    # X is fixed across the successive-conditional iterations, so X'X and
+    # its eigendecomposition are computed once, however many sweeps run.
+    calls = []
+    decompose = Dataset.gram_eig.func
+
+    def counted(self):
+        calls.append(1)
+        return decompose(self)
+
+    counted_property = cached_property(counted)
+    counted_property.__set_name__(Dataset, "gram_eig")
+    monkeypatch.setattr(Dataset, "gram_eig", counted_property)
+    geweke_test(default_geweke_config(), small_dims(), 50, np.random.default_rng(1))
+    assert len(calls) == 1
 
 
 def test_geweke_correct_sampler_passes_desk_scale():
