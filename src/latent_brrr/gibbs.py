@@ -7,7 +7,11 @@ pair (Psi, Omega) is a valid blocked update. The fixed cycle is
     Psi (Omega marginalized) -> Omega -> Gamma -> phi_gamma -> delta -> sigma_sq
 
 Independent noise draws H in Omega's place and Lambda after Gamma, with its
-own phi and delta; no noise has neither Omega nor H.
+own phi and delta; no noise has neither Omega nor H. ``gibbs_sweep`` writes
+each variant's cycle once, as a list of (timing bucket, update, arguments)
+steps run in one timed loop. It builds the list on each call from this
+module's ``update_*`` names, so fault injection and tracing that replace one
+of them reach the sweep.
 
 Two interchangeable Psi samplers are provided. The naive one factorizes the
 dense (P*S1, P*S1) joint precision directly, costing O(P^3 S1^3). The fast
@@ -482,56 +486,36 @@ def gibbs_sweep(state: ModelState, dataset: Dataset, config: ModelConfig,
                 rng: np.random.Generator, *, delta_step=None, timings=None) -> ModelState:
     """One full update cycle in the fixed order used by run_chain.
 
-    The updates share X Psi and the Gamma step's D'D and D'Y through one
-    per-sweep dict. ``delta_step`` replaces the delta update when given
-    (used by the sampler-validation harness for fault injection).
+    The variant's cycle is a list of (timing bucket, update, arguments)
+    steps, run in one loop that adds each step's wall time to its bucket;
+    the null variant's list is empty. The list is built on each call from
+    this module's global names, so a caller that replaces ``update_*`` here
+    (fault injection, tracing) changes what the sweep calls. The updates
+    share X Psi and the Gamma step's D'D and D'Y through one per-sweep dict.
+    ``delta_step`` replaces the delta update when given (used by the
+    sampler-validation harness for fault injection).
     """
-    variant = config.variant
-    if variant is Variant.NULL:
-        return state
-    delta_step = delta_step or update_delta
     shared: dict = {}
-
-    t0 = time.perf_counter()
-    if config.psi_update == "naive":
-        state = update_psi_naive(state, dataset, config, rng)
+    data, prior = (dataset, config, rng), (config, rng)
+    fit = (*data, shared)
+    draw_psi = update_psi_naive if config.psi_update == "naive" else update_psi_fast
+    psi, gamma = ("psi", draw_psi, data), ("gamma", update_gamma, fit)
+    phi, delta = ("phi", update_phi_gamma, prior), ("delta", delta_step or update_delta, prior)
+    sigma = ("sigma", update_sigma, fit)
+    if config.variant is Variant.LATENT_NOISE:
+        steps = [psi, ("omega", update_omega, fit), gamma, phi, delta, sigma]
+    elif config.variant is Variant.INDEPENDENT_NOISE:
+        steps = [psi, ("h", update_h, fit), gamma, ("lambda", update_lambda, fit),
+                 phi, ("phi", update_phi_lambda, prior),
+                 delta, ("delta", update_delta_noise, prior), sigma]
+    elif config.variant is Variant.NO_NOISE:
+        steps = [psi, gamma, phi, delta, sigma]
     else:
-        state = update_psi_fast(state, dataset, config, rng)
-    _accumulate(timings, "psi", t0)
-
-    if variant is Variant.LATENT_NOISE:
+        steps = []
+    for bucket, update, args in steps:
         t0 = time.perf_counter()
-        state = update_omega(state, dataset, config, rng, shared)
-        _accumulate(timings, "omega", t0)
-    elif variant is Variant.INDEPENDENT_NOISE:
-        t0 = time.perf_counter()
-        state = update_h(state, dataset, config, rng, shared)
-        _accumulate(timings, "h", t0)
-
-    t0 = time.perf_counter()
-    state = update_gamma(state, dataset, config, rng, shared)
-    _accumulate(timings, "gamma", t0)
-
-    if variant is Variant.INDEPENDENT_NOISE:
-        t0 = time.perf_counter()
-        state = update_lambda(state, dataset, config, rng, shared)
-        _accumulate(timings, "lambda", t0)
-
-    t0 = time.perf_counter()
-    state = update_phi_gamma(state, config, rng)
-    if variant is Variant.INDEPENDENT_NOISE:
-        state = update_phi_lambda(state, config, rng)
-    _accumulate(timings, "phi", t0)
-
-    t0 = time.perf_counter()
-    state = delta_step(state, config, rng)
-    if variant is Variant.INDEPENDENT_NOISE:
-        state = update_delta_noise(state, config, rng)
-    _accumulate(timings, "delta", t0)
-
-    t0 = time.perf_counter()
-    state = update_sigma(state, dataset, config, rng, shared)
-    _accumulate(timings, "sigma", t0)
+        state = update(state, *args)
+        _accumulate(timings, bucket, t0)
     return state
 
 

@@ -12,7 +12,8 @@ then per retained state the row-major float64 arrays
 Psi (P, S1), Gamma (S1, K), phi_gamma (S1, K), delta (S1,), sigma_sq (K,),
 followed by Omega (n_rows, S1) when n_rows > 0 and noise_rank == 0, or by
 H (n_rows, S2), Lambda (S2, K), phi_lambda (S2, K), delta_noise (S2,) when
-noise_rank > 0.
+noise_rank > 0. ``_sample_blocks`` holds this order for both the writer and
+the reader.
 """
 
 from __future__ import annotations
@@ -146,12 +147,16 @@ def file_digest(path) -> str:
 # raw retained states
 
 
-def _state_layout(state: ModelState) -> tuple[int, int]:
-    if state.Omega is not None:
-        return state.Omega.shape[0], 0
-    if state.H is not None:
-        return state.H.shape[0], state.H.shape[1]
-    return 0, 0
+def _sample_blocks(n_rows: int, P: int, K: int, S1: int, S2: int) -> dict[str, tuple]:
+    """The ModelState fields stored per retained state, in file order, with
+    their shapes; the header's (n_rows, P, K, S1, S2) selects the variant."""
+    blocks = {"Psi": (P, S1), "Gamma": (S1, K), "phi_gamma": (S1, K), "delta": (S1,),
+              "sigma_sq": (K,)}
+    if S2:
+        blocks.update(H=(n_rows, S2), Lambda=(S2, K), phi_lambda=(S2, K), delta_noise=(S2,))
+    elif n_rows:
+        blocks["Omega"] = (n_rows, S1)
+    return blocks
 
 
 def write_samples(path, samples: PosteriorSamples) -> None:
@@ -161,20 +166,16 @@ def write_samples(path, samples: PosteriorSamples) -> None:
     first = states[0]
     P, S1 = first.Psi.shape
     K = first.Gamma.shape[1]
-    n_rows, S2 = _state_layout(first)
+    n_rows = next((noise.shape[0] for noise in (first.Omega, first.H) if noise is not None), 0)
+    S2 = 0 if first.H is None else first.H.shape[1]
     with open(path, "wb") as fh:
         fh.write(SAMPLES_MAGIC)
         fh.write(struct.pack("<II", SAMPLES_VERSION, 0))
         fh.write(struct.pack("<6Q", len(states), n_rows, P, K, S1, S2))
+        blocks = _sample_blocks(n_rows, P, K, S1, S2)
         for state in states:
-            blocks = [state.Psi, state.Gamma, state.phi_gamma, state.delta,
-                      state.sigma_sq]
-            if n_rows and S2 == 0:
-                blocks.append(state.Omega)
-            elif S2:
-                blocks += [state.H, state.Lambda, state.phi_lambda, state.delta_noise]
-            for block in blocks:
-                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+            for name in blocks:
+                fh.write(np.ascontiguousarray(getattr(state, name), dtype="<f8").tobytes())
 
 
 def read_samples(path) -> tuple[ModelState, ...]:
@@ -186,33 +187,15 @@ def read_samples(path) -> tuple[ModelState, ...]:
         if version != SAMPLES_VERSION:
             raise ConfigurationError(f"unsupported samples format version {version}")
         n_states, n_rows, P, K, S1, S2 = struct.unpack("<6Q", fh.read(48))
+        blocks = _sample_blocks(n_rows, P, K, S1, S2)
 
         def read_array(shape):
             count = int(np.prod(shape))
             data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
             return data.reshape(shape).astype(float)
 
-        states = []
-        for _ in range(n_states):
-            Psi = read_array((P, S1))
-            Gamma = read_array((S1, K))
-            phi_gamma = read_array((S1, K))
-            delta = read_array((S1,))
-            sigma_sq = read_array((K,))
-            Omega = H = Lam = phi_lambda = delta_noise = None
-            if n_rows and S2 == 0:
-                Omega = read_array((n_rows, S1))
-            elif S2:
-                H = read_array((n_rows, S2))
-                Lam = read_array((S2, K))
-                phi_lambda = read_array((S2, K))
-                delta_noise = read_array((S2,))
-            states.append(ModelState(
-                Psi=Psi, Gamma=Gamma, phi_gamma=phi_gamma, delta=delta,
-                sigma_sq=sigma_sq, Omega=Omega, H=H, Lambda=Lam,
-                phi_lambda=phi_lambda, delta_noise=delta_noise,
-            ))
-    return tuple(states)
+        return tuple(ModelState(**{name: read_array(shape) for name, shape in blocks.items()})
+                     for _ in range(n_states))
 
 
 # ---------------------------------------------------------------------------

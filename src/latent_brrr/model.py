@@ -103,7 +103,9 @@ class ModelConfig:
         if self.psi_update not in ("fast", "naive"):
             raise ConfigurationError(f"psi_update must be 'fast' or 'naive', got {self.psi_update!r}")
 
-        if self.variant is Variant.LATENT_NOISE:
+        latent = self.variant is Variant.LATENT_NOISE
+        independent = self.variant is Variant.INDEPENDENT_NOISE
+        if latent:
             if (self.latent_snr is None) == (self.sigma_omega_sq is None):
                 raise ConfigurationError(
                     "latent-noise variant needs exactly one of latent_snr and sigma_omega_sq"
@@ -112,18 +114,12 @@ class ModelConfig:
                 raise ConfigurationError("latent_snr must be positive")
             if self.sigma_omega_sq is not None and not self.sigma_omega_sq >= 0:
                 raise ConfigurationError("sigma_omega_sq must be non-negative")
-            if self.noise_rank is not None:
-                raise ConfigurationError("noise_rank applies only to the independent-noise variant")
-        elif self.variant is Variant.INDEPENDENT_NOISE:
-            if self.noise_rank is None or self.noise_rank < 1:
-                raise ConfigurationError("independent-noise variant needs noise_rank >= 1")
-            if self.latent_snr is not None or self.sigma_omega_sq is not None:
-                raise ConfigurationError("latent_snr/sigma_omega_sq apply only to the latent-noise variant")
-        else:
-            if self.latent_snr is not None or self.sigma_omega_sq is not None:
-                raise ConfigurationError("latent_snr/sigma_omega_sq apply only to the latent-noise variant")
-            if self.noise_rank is not None:
-                raise ConfigurationError("noise_rank applies only to the independent-noise variant")
+        elif independent and (self.noise_rank is None or self.noise_rank < 1):
+            raise ConfigurationError("independent-noise variant needs noise_rank >= 1")
+        if not latent and (self.latent_snr is not None or self.sigma_omega_sq is not None):
+            raise ConfigurationError("latent_snr/sigma_omega_sq apply only to the latent-noise variant")
+        if not independent and self.noise_rank is not None:
+            raise ConfigurationError("noise_rank applies only to the independent-noise variant")
 
 
 @dataclass(frozen=True)
@@ -318,11 +314,9 @@ def predict_mean(state: ModelState, X_new: np.ndarray) -> np.ndarray:
 
 def mean_coefficients(state: ModelState, config: ModelConfig) -> np.ndarray:
     """Coefficients B of the mean D B of Y: [Gamma; Lambda] for independent
-    noise, Gamma for latent and no noise, none for the null variant."""
+    noise, Gamma otherwise."""
     if config.variant is Variant.INDEPENDENT_NOISE:
         return np.vstack([state.Gamma, state.Lambda])
-    if config.variant is Variant.NULL:
-        return state.Gamma[:0]
     return state.Gamma
 
 
@@ -333,14 +327,13 @@ def mean_design(state: ModelState, x_psi: np.ndarray, config: ModelConfig) -> np
     variant adds to X Psi Gamma. The first S1 columns of D multiply Gamma:
     X Psi + Omega for latent noise, X Psi otherwise. Independent noise
     appends the columns of H, which multiply Lambda: D = [X Psi | H]. The
-    null variant's design is empty, so its mean is zero.
+    sampler never forms the null variant's mean; a null state has Psi = 0
+    and Gamma = 0, so its D B is zero.
     """
     if config.variant is Variant.LATENT_NOISE:
         return x_psi + state.Omega
     if config.variant is Variant.INDEPENDENT_NOISE:
         return np.hstack([x_psi, state.H])
-    if config.variant is Variant.NULL:
-        return x_psi[:, :0]
     return x_psi
 
 

@@ -58,8 +58,9 @@ def cross_validate(dataset: Dataset, base_config: ModelConfig,
     failed instead of aborting the search, and the row's ``fold_errors``
     keeps each fold's error message (None for folds that fitted).
 
-    The (grid point, fold) fits run one after another in one loop. Each
-    gets its own seed, drawn up front from ``base_config.seed``.
+    The fits run one after another, grid point by grid point (rank-major)
+    and fold by fold within each. Each gets its own seed, taken in that
+    order from a stream drawn up front from ``base_config.seed``.
     """
     uses_beta = base_config.variant is Variant.LATENT_NOISE
     folds = fold_assignments(dataset.n_samples, plan.n_folds, plan.seed)
@@ -67,51 +68,41 @@ def cross_validate(dataset: Dataset, base_config: ModelConfig,
         if (folds != fold).sum() < 2:
             raise ConfigurationError(f"fold {fold} leaves fewer than two training rows")
 
-    grid: list[tuple[float | None, int]] = [
-        (beta if uses_beta else None, rank)
-        for rank in plan.rank_grid
-        for beta in (plan.beta_grid if uses_beta else (None,))
-    ]
-    seed_seq = np.random.SeedSequence(base_config.seed)
-    job_seeds = seed_seq.generate_state(len(grid) * plan.n_folds, dtype=np.uint64)
+    def grid_config(beta, rank, **fields) -> ModelConfig:
+        if uses_beta:
+            fields.update(latent_snr=beta, sigma_omega_sq=None)
+        return replace(base_config, rank=rank, **fields)
 
-    def fit_fold(job: tuple[int, int]) -> float:
-        gi, fold = job
-        beta, rank = grid[gi]
-        train_rows = folds != fold
-        val_rows = ~train_rows
-        train = Dataset(X=dataset.X[train_rows], Y=dataset.Y[train_rows])
-        config = replace(
-            base_config, rank=rank, seed=int(job_seeds[gi * plan.n_folds + fold]),
-            **({"latent_snr": beta, "sigma_omega_sq": None} if uses_beta else {}),
-        )
-        trace = run_chain(train, config)
-        predictions = dataset.X[val_rows] @ trace.samples.theta_mean
-        total, _ = mse(predictions, dataset.Y[val_rows])
-        return total
-
-    jobs = [(gi, fold) for gi in range(len(grid)) for fold in range(plan.n_folds)]
-
-    def run_job(job) -> tuple[float, str | None]:
-        try:
-            return fit_fold(job), None
-        except NumericalError as exc:
-            return float("nan"), str(exc)
-
-    results = [run_job(job) for job in jobs]
+    grid = [(beta, rank) for rank in plan.rank_grid
+            for beta in (plan.beta_grid if uses_beta else (None,))]
+    seeds = iter(np.random.SeedSequence(base_config.seed).generate_state(
+        len(grid) * plan.n_folds, dtype=np.uint64))
 
     table: list[dict] = []
-    for gi, (beta, rank) in enumerate(grid):
-        row_results = results[gi * plan.n_folds:(gi + 1) * plan.n_folds]
-        fold_scores = np.array([score for score, _ in row_results])
-        ok = np.isfinite(fold_scores).all()
+    for beta, rank in grid:
+        fold_scores, fold_errors = [], []
+        for fold in range(plan.n_folds):
+            train_rows = folds != fold
+            config = grid_config(beta, rank, seed=int(next(seeds)))
+            try:
+                trace = run_chain(Dataset(X=dataset.X[train_rows], Y=dataset.Y[train_rows]),
+                                  config)
+                score, _ = mse(dataset.X[~train_rows] @ trace.samples.theta_mean,
+                               dataset.Y[~train_rows])
+                error = None
+            except NumericalError as exc:
+                score, error = float("nan"), str(exc)
+            fold_scores.append(score)
+            fold_errors.append(error)
+        scores = np.array(fold_scores)
+        ok = np.isfinite(scores).all()
         table.append({
             "beta": beta,
             "rank": rank,
-            "fold_mse": fold_scores.tolist(),
-            "mean_mse": float(fold_scores.mean()) if ok else float("nan"),
+            "fold_mse": scores.tolist(),
+            "mean_mse": float(scores.mean()) if ok else float("nan"),
             "status": "ok" if ok else "failed",
-            "fold_errors": [error for _, error in row_results],
+            "fold_errors": fold_errors,
         })
 
     candidates = [row for row in table if row["status"] == "ok"]
@@ -119,8 +110,4 @@ def cross_validate(dataset: Dataset, base_config: ModelConfig,
         raise NumericalError("every grid point failed during cross-validation")
     best = min(candidates,
                key=lambda r: (r["mean_mse"], r["rank"], -(r["beta"] or 0.0)))
-    best_config = replace(
-        base_config, rank=best["rank"],
-        **({"latent_snr": best["beta"], "sigma_omega_sq": None} if uses_beta else {}),
-    )
-    return best_config, table
+    return grid_config(best["beta"], best["rank"]), table

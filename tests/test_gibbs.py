@@ -689,6 +689,27 @@ def test_run_chain_schedule_retains_expected_count():
     assert all(v >= 0 for v in trace.wall_time_seconds.values())
 
 
+LATENT_BUCKETS = {"setup", "psi", "omega", "gamma", "phi", "delta", "sigma"}
+
+
+@pytest.mark.parametrize("variant, psi_update, buckets", [
+    (Variant.LATENT_NOISE, "fast", LATENT_BUCKETS),
+    (Variant.LATENT_NOISE, "naive", LATENT_BUCKETS),
+    (Variant.INDEPENDENT_NOISE, "fast",
+     {"setup", "psi", "h", "gamma", "lambda", "phi", "delta", "sigma"}),
+    (Variant.NO_NOISE, "fast", {"setup", "psi", "gamma", "phi", "delta", "sigma"}),
+    (Variant.NULL, "fast", set()),
+])
+def test_run_chain_times_each_variant_in_its_buckets(variant, psi_update, buckets):
+    # The fit manifest's wall_time_by_update carries these names: acceptance
+    # criterion 4 reads "psi", and perfbench matches each bucket to the spans
+    # of its updates.
+    _, dataset, _, _ = make_problem(24, N=15, P=3, K=3, S1=2)
+    config = ModelConfig(variant=variant, rank=2, iterations=4, burn_in=2, thin=1,
+                         psi_update=psi_update, **VARIANT_CONFIGS.get(variant, {}))
+    assert set(run_chain(dataset, config).wall_time_seconds) == buckets
+
+
 def test_run_chain_null_variant_gives_zero_theta():
     _, dataset, _, _ = make_problem(19, N=12, P=3, K=3, S1=2)
     config = ModelConfig(variant=Variant.NULL, rank=2, iterations=40, burn_in=20,

@@ -1,6 +1,7 @@
 """Property tests: CSV matrices and samples.bin round-trip bit for bit."""
 
 import dataclasses
+import struct
 import tempfile
 from pathlib import Path
 
@@ -69,6 +70,31 @@ def posterior_samples(draw, variant):
     return PosteriorSamples(states=tuple(states), theta_mean=np.zeros((P, K)), config=config)
 
 
+def check_samples_layout(raw, samples, variant):
+    """Parse the file as the io module docstring lays it out, without the io module."""
+    first = samples.states[0]
+    (P, S1), K = first.Psi.shape, first.Gamma.shape[1]
+    order = ["Psi", "Gamma", "phi_gamma", "delta", "sigma_sq"]
+    n_rows = S2 = 0
+    if variant is Variant.LATENT_NOISE:
+        order.append("Omega")
+        n_rows = first.Omega.shape[0]
+    elif variant is Variant.INDEPENDENT_NOISE:
+        order += ["H", "Lambda", "phi_lambda", "delta_noise"]
+        n_rows, S2 = first.H.shape
+    assert raw[:8] == b"LBRRRST1"
+    assert struct.unpack_from("<II", raw, 8) == (1, 0)
+    assert struct.unpack_from("<6Q", raw, 16) == (len(samples.states), n_rows, P, K, S1, S2)
+    offset = 64
+    for state in samples.states:
+        for name in order:
+            want = getattr(state, name)
+            got = np.frombuffer(raw, dtype="<f8", count=want.size, offset=offset)
+            assert same_bits(got.astype(np.float64).reshape(want.shape), want), name
+            offset += 8 * want.size
+    assert offset == len(raw)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(),
        variant=st.sampled_from([Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE,
@@ -79,7 +105,9 @@ def test_samples_bin_round_trips_every_field(data, variant):
         path = Path(tmp) / "samples.bin"
         lio.write_samples(path, samples)
         states = lio.read_samples(path)
+        raw = path.read_bytes()
     assert len(states) == len(samples.states)
+    check_samples_layout(raw, samples, variant)
     for got, want in zip(states, samples.states):
         for field in dataclasses.fields(ModelState):
             a, b = getattr(got, field.name), getattr(want, field.name)

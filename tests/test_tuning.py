@@ -1,5 +1,7 @@
 """Cross-validation tests: folds, grids, tie-breaking, failure markers."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,32 @@ def test_fold_too_small_raises():
     plan = CvPlan(beta_grid=(0.1,), rank_grid=(1,), n_folds=2, seed=0)
     with pytest.raises(ConfigurationError):
         cross_validate(dataset, base_config(), plan)
+
+
+@pytest.mark.parametrize("config, betas", [
+    (base_config(), (0.2, 0.05)),
+    (ModelConfig(variant=Variant.NO_NOISE, rank=2, iterations=30, burn_in=10, thin=2, seed=11),
+     (None,)),
+])
+def test_fits_run_grid_point_then_fold_with_streamed_seeds(monkeypatch, config, betas):
+    dataset = cv_dataset(seed=6, n=40)
+    plan = CvPlan(beta_grid=(0.2, 0.05), rank_grid=(2, 1), n_folds=3, seed=4)
+    calls = []
+
+    def recording_chain(train, fit_config):
+        calls.append((fit_config.rank, fit_config.latent_snr, fit_config.seed,
+                      train.n_samples))
+        theta = np.zeros((train.n_covariates, train.n_targets))
+        return SimpleNamespace(samples=SimpleNamespace(theta_mean=theta))
+
+    monkeypatch.setattr(tuning, "run_chain", recording_chain)
+    cross_validate(dataset, config, plan)
+
+    folds = fold_assignments(dataset.n_samples, plan.n_folds, plan.seed)
+    grid = [(rank, beta) for rank in plan.rank_grid for beta in betas]
+    seeds = np.random.SeedSequence(config.seed).generate_state(
+        len(grid) * plan.n_folds, dtype=np.uint64)
+    assert calls == [
+        (rank, beta, int(seeds[g * plan.n_folds + fold]), int((folds != fold).sum()))
+        for g, (rank, beta) in enumerate(grid) for fold in range(plan.n_folds)
+    ]
