@@ -28,12 +28,13 @@ from latent_brrr.model import (
     resolve_sigma_omega,
     sample_prior,
 )
-from latent_brrr.gibbs import ChainTrace, run_chain
+from latent_brrr.gibbs import ChainsTrace, ChainTrace, RunStats, run_chain, run_chains
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChainTrace",
+    "ChainsTrace",
     "ConfigurationError",
     "Dataset",
     "DimensionError",
@@ -42,6 +43,7 @@ __all__ = [
     "ModelState",
     "NumericalError",
     "PosteriorSamples",
+    "RunStats",
     "StateError",
     "Variant",
     "latent_snr_to_variance",
@@ -49,6 +51,7 @@ __all__ = [
     "predict_mean",
     "resolve_sigma_omega",
     "run_chain",
+    "run_chains",
     "sample_prior",
     "__version__",
 ]

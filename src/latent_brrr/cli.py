@@ -22,7 +22,7 @@ from latent_brrr import __version__
 from latent_brrr import io as lio
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.evaluate import mse, permutation_test
-from latent_brrr.gibbs import run_chain
+from latent_brrr.gibbs import RunStats, run_chain
 from latent_brrr.model import Dataset, Dims, resolve_sigma_omega
 from latent_brrr.simulate import SimConfig, generate
 from latent_brrr.theory import (
@@ -38,9 +38,9 @@ from latent_brrr.theory import (
 from latent_brrr.tuning import cross_validate
 
 
-# Accepted so existing scripts keep working; a sweep holds the GIL, so a
-# thread pool over the chains ran slower than the plain loop.
-_THREADS_HELP = "no effect; fits run one after another (kept for compatibility)"
+# Accepted so existing scripts keep working. Fits of one shape advance
+# together on one chain axis in a single thread, so a thread count has no use.
+_THREADS_HELP = "no effect; fits of one shape advance together (kept for compatibility)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +267,8 @@ def cmd_cv(args) -> None:
     out = args.out_dir
 
     def worker():
-        best, table = cross_validate(dataset, config, plan)
+        stats = RunStats()
+        best, table = cross_validate(dataset, config, plan, stats)
         n_folds = plan.n_folds
         with open(out / "score_table.csv", "w", encoding="utf-8") as fh:
             fold_cols = ",".join(f"fold{f}_mse" for f in range(n_folds))
@@ -278,7 +279,7 @@ def cmd_cv(args) -> None:
                 fh.write(f"{beta},{row['rank']},{row['mean_mse']:.17g},"
                          f"{row['status']},{folds}\n")
         lio.write_json(out / "best_config.json", lio.model_config_to_dict(best))
-        return {"failed_folds": [
+        return {**stats.as_dict(), "failed_folds": [
             {"beta": row["beta"], "rank": row["rank"], "fold": fold, "error": error}
             for row in table for fold, error in enumerate(row["fold_errors"])
             if error is not None
@@ -297,11 +298,12 @@ def cmd_assoc(args) -> None:
 
     def worker():
         rng = np.random.default_rng(config.seed)
-        result = permutation_test(dataset, config, args.n_perm, rng)
+        stats = RunStats()
+        result = permutation_test(dataset, config, args.n_perm, rng, stats)
         payload = result.as_dict()
         payload["n_perm"] = args.n_perm
         lio.write_json(out / "assoc.json", payload)
-        return {"retried_fits": list(result.retried_fits)}
+        return {**stats.as_dict(), "retried_fits": list(result.retried_fits)}
 
     _run_with_manifest(
         out, "assoc",

@@ -7,7 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from latent_brrr.errors import ConfigurationError, NumericalError
-from latent_brrr.gibbs import run_chain
+# run_chain stays bound here for callers and tracers that patch it by module.
+from latent_brrr.gibbs import RunStats, batch_width, run_chain, run_chains  # noqa: F401
 from latent_brrr.model import Dataset, ModelConfig, PosteriorSamples, total_variance
 
 
@@ -118,15 +119,18 @@ def ptve_from_theta(theta: np.ndarray, dataset: Dataset) -> float:
 
 
 def permutation_test(dataset: Dataset, config: ModelConfig, n_perm: int,
-                     rng: np.random.Generator) -> AssocResult:
+                     rng: np.random.Generator, stats: RunStats | None = None) -> AssocResult:
     """Refit under row permutations of X and rank the observed PTVE.
 
     Permuting X breaks the covariate-target link while preserving the
-    correlation structure of Y that the noise model must explain. The fits
-    run one after another in one loop. Each gets its own seed pair, drawn
-    up front from ``rng`` together with the permutations. A failed chain is
-    retried once with the pair's second seed and recorded in
-    ``retried_fits``; a second failure aborts.
+    correlation structure of Y that the noise model must explain. Each fit
+    gets its own seed pair, drawn up front from ``rng`` together with the
+    permutations. The fit to the observed data and the permutation fits
+    advance together in ``run_chains``, ``batch_width`` chains at a time,
+    and a batch's permuted copies of X exist only while it runs. A failed
+    chain is retried once with the pair's second seed and recorded in
+    ``retried_fits``; a second failure aborts. With ``stats``, the update
+    timings and sweep count are added to it.
     """
     if n_perm < 1:
         raise ConfigurationError("permutation test needs n_perm >= 1")
@@ -134,22 +138,31 @@ def permutation_test(dataset: Dataset, config: ModelConfig, n_perm: int,
     permutations = [rng.permutation(n) for _ in range(n_perm)]
     seeds = rng.integers(0, 2**63, size=(n_perm + 1, 2))
     retried: list[dict] = []
-
-    def fit_ptve(fit: int, data: Dataset) -> float:
-        try:
-            trace = run_chain(data, replace(config, seed=int(seeds[fit, 0])))
-        except NumericalError as exc:
-            retried.append({"fit": fit, "error": str(exc)})
-            trace = run_chain(data, replace(config, seed=int(seeds[fit, 1])))
-        return ptve(trace.samples, data)
-
-    observed = fit_ptve(0, dataset)
-    perm_ptves = np.array([
-        fit_ptve(i + 1, Dataset(X=dataset.X[perm], Y=dataset.Y))
-        for i, perm in enumerate(permutations)
-    ])
+    ptves = np.empty(n_perm + 1)
+    width = batch_width(dataset, config)
+    for start in range(0, n_perm + 1, width):
+        batch = range(start, min(start + width, n_perm + 1))
+        # One stacked copy of X holds the batch's row orders; each fit's
+        # Dataset is a view of its slice, which run_chains stacks uncopied.
+        rows = [np.arange(n) if fit == 0 else permutations[fit - 1] for fit in batch]
+        X = dataset.X[np.array(rows)]
+        data = {fit: Dataset(X=X[i], Y=dataset.Y) for i, fit in enumerate(batch)}
+        trace = run_chains([(data[fit], replace(config, seed=int(seeds[fit, 0])))
+                            for fit in batch], stats)
+        thetas = dict(zip(batch, trace.theta_means))
+        failed = [(fit, error) for fit, error in zip(batch, trace.errors) if error is not None]
+        retried += [{"fit": fit, "error": error} for fit, error in failed]
+        retry = run_chains([(data[fit], replace(config, seed=int(seeds[fit, 1])))
+                            for fit, _ in failed], stats)
+        for (fit, _), theta, error in zip(failed, retry.theta_means, retry.errors):
+            if error is not None:
+                raise NumericalError(error)
+            thetas[fit] = theta
+        for fit in batch:
+            ptves[fit] = ptve_from_theta(thetas[fit], data[fit])
+    observed, perm_ptves = float(ptves[0]), ptves[1:]
     return AssocResult(
-        observed_ptve=float(observed),
+        observed_ptve=observed,
         perm_ptves=perm_ptves,
         rank_fraction=float(np.mean(perm_ptves < observed)),
         retried_fits=tuple(retried),

@@ -13,6 +13,11 @@ steps run in one timed loop. It builds the list on each call from this
 module's ``update_*`` names, so fault injection and tracing that replace one
 of them reach the sweep.
 
+Each full conditional is written once, for arrays with any number of
+leading axes, so the same code updates one ModelState or C chains stacked
+along a leading chain axis (see ``latent_brrr.chains``). ``run_chains``
+advances fits of one shape together; ``run_chain`` is its one-chain case.
+
 Two interchangeable Psi samplers are provided. The naive one factorizes the
 dense (P*S1, P*S1) joint precision directly, costing O(P^3 S1^3). The fast
 one whitens Psi by the prior scales, after which the joint precision becomes
@@ -23,12 +28,12 @@ plus matrix products.
 Every variant's mean is D B (``model.mean_design``, ``mean_coefficients``)
 with D = [X Psi (+ Omega) | H] and B = [Gamma; Lambda]; H and Lambda exist
 only for independent noise. The data enter through the statistics cached on
-the Dataset (X'X, its eigendecomposition, X'Y, y'y) and one pass over X per
-sweep, forming X Psi after the Psi draw; independent noise adds X'H for its
-Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'. Omega and H form their
-linear term as B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)'. The Gamma
-step forms D, D'D and D'Y, from which Gamma (Z'Y - (Z'H) Lambda, Z = X Psi
-(+ Omega)), Lambda (H'Y - (H'Z) Gamma) and sigma read, with target k's
+the Dataset or ChainData (X'X, its eigendecomposition, X'Y, y'y) and one
+pass over X per sweep, forming X Psi after the Psi draw; independent noise
+adds X'H for its Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'. Omega and
+H form their linear term as B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)'.
+The Gamma step forms D, D'D and D'Y, from which Gamma (Z'Y - (Z'H) Lambda,
+Z = X Psi (+ Omega)), Lambda (H'Y - (H'Z) Gamma) and sigma read, with target k's
 residual sum of squares
 
     rss_k = y_k'y_k - 2 b_k' D'y_k + b_k' D'D b_k.
@@ -47,10 +52,23 @@ rare, and the recomputation is cheap.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from latent_brrr.chains import (
+    Chains,
+    ChainData,
+    ChainStreams,
+    ChainsTrace,
+    RunStats,
+    batch_width,
+    guarded,
+    omega_variance,
+    record_failure,
+    set_fields,
+)
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import (
     Dataset,
@@ -59,7 +77,6 @@ from latent_brrr.model import (
     ModelState,
     PosteriorSamples,
     Variant,
-    marginal_covariance,
     mean_coefficients,
     mean_design,
     resolve_sigma_omega,
@@ -79,18 +96,16 @@ class ChainTrace:
 # numerics helpers
 
 
-def _chol(matrix: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization failed in {what}") from exc
+def _T(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
 
 
-def _eigh(matrix: np.ndarray, what: str):
-    try:
-        return np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed in {what}") from exc
+def _chol(matrix: np.ndarray, what: str, rng=None) -> np.ndarray:
+    return guarded(np.linalg.cholesky, f"Cholesky factorization failed in {what}", rng, matrix)
+
+
+def _eigh(matrix: np.ndarray, what: str, rng=None):
+    return guarded(np.linalg.eigh, f"eigendecomposition failed in {what}", rng, matrix)
 
 
 def _inverse_factor(chol_lower: np.ndarray):
@@ -103,11 +118,10 @@ def _inverse_factor(chol_lower: np.ndarray):
     Cholesky factorization, still within that step's O(P^3 S1^3).
     """
     inv_lower = np.linalg.inv(chol_lower)
-    return inv_lower, np.swapaxes(inv_lower, -1, -2)
+    return inv_lower, _T(inv_lower)
 
 
-def _draw_from_precision(chol_lower: np.ndarray, lin: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
+def _draw_from_precision(chol_lower: np.ndarray, lin: np.ndarray, rng) -> np.ndarray:
     """Draw L^{-T} (L^{-1} lin + z) ~ N(P^{-1} lin, P^{-1}) given the lower
     Cholesky factor L of P.
 
@@ -115,7 +129,9 @@ def _draw_from_precision(chol_lower: np.ndarray, lin: np.ndarray,
     an independent draw.
     """
     inv_lower, inv_upper = _inverse_factor(chol_lower)
-    return inv_upper @ (inv_lower @ lin + rng.standard_normal(lin.shape))
+    w = inv_lower @ lin
+    w += rng.standard_normal(lin.shape)
+    return inv_upper @ w
 
 
 def _precision_moments(chol_lower: np.ndarray, lin: np.ndarray):
@@ -129,7 +145,7 @@ def _precision_moments(chol_lower: np.ndarray, lin: np.ndarray):
 # products shared within a sweep
 
 
-def _x_psi(state: ModelState, dataset: Dataset, shared: dict | None) -> np.ndarray:
+def _x_psi(state, dataset, shared: dict | None) -> np.ndarray:
     """X Psi, formed once per Psi draw when the sweep passes ``shared``."""
     if shared is not None and shared.get("psi") is state.Psi:
         return shared["x_psi"]
@@ -139,8 +155,7 @@ def _x_psi(state: ModelState, dataset: Dataset, shared: dict | None) -> np.ndarr
     return x_psi
 
 
-def _design(state: ModelState, dataset: Dataset, config: ModelConfig,
-            shared: dict | None = None):
+def _design(state, dataset, config: ModelConfig, shared: dict | None = None):
     """The design D of ``model.mean_design`` and the cross-products D'D, D'Y.
 
     They are formed once per design (X Psi, Omega, H): the Gamma step forms
@@ -151,7 +166,7 @@ def _design(state: ModelState, dataset: Dataset, config: ModelConfig,
     cached = None if shared is None else shared.get("design")
     if cached is None or any(a is not b for a, b in zip(cached[0], key)):
         D = mean_design(state, _x_psi(state, dataset, shared), config)
-        cached = key, D, D.T @ D, D.T @ dataset.Y
+        cached = key, D, _T(D) @ D, _T(D) @ dataset.Y
         if shared is not None:
             shared["design"] = cached
     return cached[1:]
@@ -161,7 +176,7 @@ def _design(state: ModelState, dataset: Dataset, config: ModelConfig,
 # Gamma (and Lambda) updates
 
 
-def _ridge_system(gram, lin_all, prior_prec_cols, sigma_sq, what):
+def _ridge_system(gram, lin_all, prior_prec_cols, sigma_sq, what, rng=None):
     """Factored Gaussian full conditionals of independent regression columns.
 
     With design X* and targets y_i, ``gram`` = X*'X* and column i of
@@ -170,22 +185,22 @@ def _ridge_system(gram, lin_all, prior_prec_cols, sigma_sq, what):
     Cholesky factors of all S_i^{-1} from one batched call, stacked
     (K, S1, S1), and the linear terms X*'y_i / s_i, stacked (K, S1, 1).
     """
-    S1 = prior_prec_cols.shape[0]
-    prec = gram[None, :, :] / sigma_sq[:, None, None]
+    S1 = prior_prec_cols.shape[-2]
+    prec = gram[..., None, :, :] / sigma_sq[..., :, None, None]
     idx = np.arange(S1)
-    prec[:, idx, idx] += prior_prec_cols.T
-    if not np.all(np.isfinite(prec)):
-        raise NumericalError(f"non-finite precision in {what}")
-    return _chol(prec, what), (lin_all / sigma_sq[None, :]).T[:, :, None]
+    prec[..., idx, idx] += _T(prior_prec_cols)
+    if not np.isfinite(prec).all():
+        record_failure(rng, ~np.isfinite(prec).all(axis=(-3, -2, -1)), f"non-finite precision in {what}")
+    return _chol(prec, what, rng), _T(lin_all / sigma_sq[..., None, :])[..., None]
 
 
 def _draw_ridge_columns(L, lin, rng):
     """Draw every column of a ``_ridge_system`` as L^{-T} (L^{-1} lin + z); (S1, K)."""
     w = np.linalg.solve(L, lin) + rng.standard_normal(lin.shape)
-    return np.linalg.solve(np.transpose(L, (0, 2, 1)), w)[:, :, 0].T
+    return _T(np.linalg.solve(_T(L), w)[..., 0])
 
 
-def _block_system(state, dataset, config, shared, block, prior_prec_cols, what):
+def _block_system(state, dataset, config, shared, block, prior_prec_cols, what, rng=None):
     """Ridge system of one block of B's rows given the other: Gamma (block 0,
     rows :S1) or Lambda (block 1, rows S1:).
 
@@ -194,25 +209,25 @@ def _block_system(state, dataset, config, shared, block, prior_prec_cols, what):
     Gamma, with Z = D[:, :S1], and H'Y - (H'Z) Gamma for Lambda.
     """
     _, dtd, dty = _design(state, dataset, config, shared)
-    S1 = state.Gamma.shape[0]
+    S1 = state.Gamma.shape[-2]
     rows, rest = slice(None, S1), slice(S1, None)
     if block:
         rows, rest = rest, rows
-    lin = dty[rows] - dtd[rows, rest] @ mean_coefficients(state, config)[rest]
-    return _ridge_system(dtd[rows, rows], lin, prior_prec_cols, state.sigma_sq, what)
+    B = mean_coefficients(state, config)
+    lin = dty[..., rows, :] - dtd[..., rows, rest] @ B[..., rest, :]
+    return _ridge_system(dtd[..., rows, rows], lin, prior_prec_cols, state.sigma_sq, what, rng)
 
 
-def update_gamma(state: ModelState, dataset: Dataset, config: ModelConfig,
-                 rng: np.random.Generator, shared: dict | None = None) -> ModelState:
+def update_gamma(state, dataset, config: ModelConfig, rng, shared: dict | None = None):
     """Draw the loading matrix Gamma column by column (targets independent).
 
     With ``shared``, X Psi is taken from it and the design's D'D and D'Y are
     left there for update_lambda and update_sigma.
     """
     Gamma = _draw_ridge_columns(*_block_system(
-        state, dataset, config, shared, 0, state.phi_gamma * state.tau[:, None],
-        "gamma update"), rng)
-    return replace(state, Gamma=Gamma)
+        state, dataset, config, shared, 0, state.phi_gamma * state.tau[..., :, None],
+        "gamma update", rng), rng)
+    return set_fields(state, Gamma=Gamma)
 
 
 def gamma_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
@@ -223,65 +238,75 @@ def gamma_conditional_moments(state: ModelState, dataset: Dataset, config: Model
     return means[:, :, 0].T, covs
 
 
-def update_lambda(state: ModelState, dataset: Dataset, config: ModelConfig,
-                  rng: np.random.Generator, shared: dict | None = None) -> ModelState:
+def update_lambda(state, dataset, config: ModelConfig, rng, shared: dict | None = None):
     """Draw the independent-noise loadings Lambda given the factors H.
 
     A state without the noise stack raises StateError (via ``tau_noise``).
     """
     Lam = _draw_ridge_columns(*_block_system(
-        state, dataset, config, shared, 1, state.phi_lambda * state.tau_noise[:, None],
-        "lambda update"), rng)
-    return replace(state, Lambda=Lam)
+        state, dataset, config, shared, 1, state.phi_lambda * state.tau_noise[..., :, None],
+        "lambda update", rng), rng)
+    return set_fields(state, Lambda=Lam)
 
 
 # ---------------------------------------------------------------------------
 # Psi updates (naive dense and fast reparameterized)
 
 
-def _psi_linear_terms(state, dataset, config):
+def _psi_linear_terms(state, dataset, config, rng=None):
     """Coupling matrix A = G M^{-1} G' and linear term (X'Y - (X'H) Lambda) M^{-1} G'.
 
-    M is the K x K noise covariance of the Psi regression. For the
-    latent-noise variant Omega is integrated out, which inflates it to
-    sigma_omega_sq (G*)'(G*) + diag(sigma_sq); otherwise it is diag(sigma_sq).
-    The regression target is Y, less H Lambda for independent noise; with
-    X'Y cached on the dataset the linear term costs O(P K S1), plus the
-    N x S2 product X'H for independent noise.
+    M is the K x K noise covariance of the Psi regression, D = diag(sigma_sq).
+    For the latent-noise variant Omega is integrated out, which inflates it
+    to D + G'SG with S = sigma_omega_sq diag(1/tau); M^{-1} G' is then formed
+    by Woodbury as D^{-1} G' (I + S G D^{-1} G')^{-1}, an S1 x S1 solve in
+    place of a K x K one. Where sigma_omega_sq / tau dwarfs sigma_sq (as on
+    covariates of large units) M itself is numerically singular, while the
+    S1 x S1 system keeps its conditioning. The regression target is Y, less
+    H Lambda for independent noise; with X'Y cached on the dataset the
+    linear term costs O(P K S1), plus the N x S2 product X'H for independent
+    noise.
     """
+    minv_gt = _T(state.Gamma) / state.sigma_sq[..., :, None]       # D^{-1} G', (K, S1)
     if config.variant is Variant.LATENT_NOISE:
-        M = marginal_covariance(state, config)
-    else:
-        M = np.diag(state.sigma_sq)
-    try:
-        minv_gt = np.linalg.solve(M, state.Gamma.T)       # (K, S1)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular marginal covariance in psi update") from exc
+        scale = omega_variance(state, config)[..., None] / state.tau
+        inner = np.eye(scale.shape[-1]) + scale[..., :, None] * (state.Gamma @ minv_gt)
+        minv_gt = _T(guarded(np.linalg.solve, "singular marginal covariance in psi update",
+                              rng, _T(inner), _T(minv_gt)))
     A = state.Gamma @ minv_gt
-    A = 0.5 * (A + A.T)
+    A = 0.5 * (A + _T(A))
     xty = dataset.xty
     if config.variant is Variant.INDEPENDENT_NOISE:
-        xty = xty - (dataset.X.T @ state.H) @ state.Lambda
-    return A, xty @ minv_gt                               # (P, S1)
+        xty = xty - (_T(dataset.X) @ state.H) @ state.Lambda
+    return A, xty @ minv_gt                                        # (P, S1)
 
 
-def _psi_naive_system(state, dataset, config):
+def _psi_naive_system(state, dataset, config, rng=None):
     """Lower Cholesky factor of the dense (P*S1, P*S1) Psi precision
-    diag_h(tau_h I_P) + A (x) X'X, and the linear term vec(X' Y M^{-1} G')."""
-    A, lin = _psi_linear_terms(state, dataset, config)
-    P = state.Psi.shape[0]
-    prec = np.kron(A, dataset.gram) + np.kron(np.diag(state.tau), np.eye(P))
-    return _chol(prec, "psi update (naive)"), lin.ravel(order="F")
+    diag_h(tau_h I_P) + A (x) X'X, and the linear term vec(X' Y M^{-1} G')
+    as a column."""
+    A, lin = _psi_linear_terms(state, dataset, config, rng)
+    P, S1 = state.Psi.shape[-2:]
+    lead = A.shape[:-2]
+    prec = (A[..., :, None, :, None] * dataset.gram[..., None, :, None, :]).reshape(
+        *lead, S1 * P, S1 * P)
+    idx = np.arange(S1 * P)
+    prec[..., idx, idx] += np.repeat(state.tau, P, axis=-1)
+    return _chol(prec, "psi update (naive)", rng), _T(lin).reshape(*lead, S1 * P, 1)
 
 
-def update_psi_naive(state: ModelState, dataset: Dataset, config: ModelConfig,
-                     rng: np.random.Generator) -> ModelState:
+def _unvec(column: np.ndarray, P: int) -> np.ndarray:
+    """Psi (P, S1) from its column-major vec, stored as a (P*S1, 1) column."""
+    return _T(column.reshape(*column.shape[:-2], -1, P))
+
+
+def update_psi_naive(state, dataset, config: ModelConfig, rng):
     """Draw vec(Psi) from one dense (P*S1, P*S1) Gaussian system."""
-    draw = _draw_from_precision(*_psi_naive_system(state, dataset, config), rng)
-    return replace(state, Psi=draw.reshape(state.Psi.shape, order="F"))
+    draw = _draw_from_precision(*_psi_naive_system(state, dataset, config, rng), rng)
+    return set_fields(state, Psi=_unvec(draw, state.Psi.shape[-2]))
 
 
-def _psi_fast_system(state, dataset, config):
+def _psi_fast_system(state, dataset, config, rng=None):
     """The prior-whitened, doubly-diagonalized Psi system.
 
     After scaling column h of Psi by tau_h^{1/2} the joint precision is
@@ -291,23 +316,22 @@ def _psi_fast_system(state, dataset, config):
     has independent entries N(C / denom, 1 / denom). Returns
     (U_x, U_a, tau^{-1/2}, denom, C).
     """
-    A, lin = _psi_linear_terms(state, dataset, config)
+    A, lin = _psi_linear_terms(state, dataset, config, rng)
     t_isqrt = 1.0 / np.sqrt(state.tau)
-    A_tilde = A * np.outer(t_isqrt, t_isqrt)
-    lam_a, U_a = _eigh(A_tilde, "psi update (coupling matrix)")
+    A_tilde = A * (t_isqrt[..., :, None] * t_isqrt[..., None, :])
+    lam_a, U_a = _eigh(A_tilde, "psi update (coupling matrix)", rng)
     lam_x, U_x = dataset.gram_eig
     # Both matrices are PSD; clip eigenvalue noise so the diagonal stays >= 1.
-    denom = 1.0 + np.outer(np.maximum(lam_x, 0.0), np.maximum(lam_a, 0.0))
-    C = U_x.T @ (lin * t_isqrt[None, :]) @ U_a
+    denom = 1.0 + np.maximum(lam_x, 0.0)[..., :, None] * np.maximum(lam_a, 0.0)[..., None, :]
+    C = _T(U_x) @ (lin * t_isqrt[..., None, :]) @ U_a
     return U_x, U_a, t_isqrt, denom, C
 
 
-def update_psi_fast(state: ModelState, dataset: Dataset, config: ModelConfig,
-                    rng: np.random.Generator) -> ModelState:
+def update_psi_fast(state, dataset, config: ModelConfig, rng):
     """Draw Psi through the prior-whitened, doubly-diagonalized system."""
-    U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, dataset, config)
+    U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, dataset, config, rng)
     W = C / denom + rng.standard_normal(denom.shape) / np.sqrt(denom)
-    return replace(state, Psi=(U_x @ W @ U_a.T) * t_isqrt[None, :])
+    return set_fields(state, Psi=(U_x @ W @ _T(U_a)) * t_isqrt[..., None, :])
 
 
 def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig,
@@ -317,10 +341,10 @@ def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelCo
     Both methods target the identical distribution and use the same system
     as the matching update; this is the hook the equivalence tests use.
     """
-    shape = state.Psi.shape
+    P = state.Psi.shape[0]
     if method == "naive":
         mean, cov = _precision_moments(*_psi_naive_system(state, dataset, config))
-        return mean.reshape(shape, order="F"), np.diag(cov).reshape(shape, order="F")
+        return _unvec(mean, P), _unvec(np.diag(cov)[:, None], P)
     if method == "fast":
         U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, dataset, config)
         mean = (U_x @ (C / denom) @ U_a.T) * t_isqrt[None, :]
@@ -340,27 +364,29 @@ def _factor_rows_system(loadings, prior_prec, state, dataset, shared):
     The linear term B Sigma^{-1} (Y - X Psi Gamma)' is formed as
     B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)', so no N x K residual is built.
     """
-    bs = loadings * (1.0 / state.sigma_sq)[None, :]         # B Sigma^{-1}
-    prec = np.diag(prior_prec) + bs @ loadings.T
-    lin = bs @ dataset.Y.T - (bs @ state.Gamma.T) @ _x_psi(state, dataset, shared).T
+    bs = loadings * (1.0 / state.sigma_sq)[..., None, :]    # B Sigma^{-1}
+    prec = bs @ _T(loadings)
+    idx = np.arange(prior_prec.shape[-1])
+    prec[..., idx, idx] += prior_prec
+    lin = bs @ _T(dataset.Y)
+    lin -= (bs @ _T(state.Gamma)) @ _T(_x_psi(state, dataset, shared))
     return prec, lin
 
 
 def _omega_system(state, dataset, config, shared=None):
-    return _factor_rows_system(state.Gamma, state.tau / config.sigma_omega_sq,
+    return _factor_rows_system(state.Gamma, state.tau / omega_variance(state, config)[..., None],
                                state, dataset, shared)
 
 
-def update_omega(state: ModelState, dataset: Dataset, config: ModelConfig,
-                 rng: np.random.Generator, shared: dict | None = None) -> ModelState:
+def update_omega(state, dataset, config: ModelConfig, rng, shared: dict | None = None):
     """Draw the latent-noise rows; all rows share one S1 x S1 posterior covariance."""
     if config.variant is not Variant.LATENT_NOISE:
         raise ConfigurationError("omega update applies to the latent-noise variant")
     if not config.sigma_omega_sq or config.sigma_omega_sq <= 0:
         raise ConfigurationError("sampling Omega requires sigma_omega_sq > 0")
     prec, lin = _omega_system(state, dataset, config, shared)
-    draws = _draw_from_precision(_chol(prec, "omega update"), lin, rng)
-    return replace(state, Omega=draws.T)
+    draws = _draw_from_precision(_chol(prec, "omega update", rng), lin, rng)
+    return set_fields(state, Omega=_T(draws))
 
 
 def omega_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
@@ -370,38 +396,33 @@ def omega_conditional_moments(state: ModelState, dataset: Dataset, config: Model
     return mean.T, cov
 
 
-def update_h(state: ModelState, dataset: Dataset, config: ModelConfig,
-             rng: np.random.Generator, shared: dict | None = None) -> ModelState:
+def update_h(state, dataset, config: ModelConfig, rng, shared: dict | None = None):
     """Draw the independent-noise factor rows (unit-variance prior scale).
 
     A state without the noise stack raises StateError (via ``tau_noise``).
     """
     prec, lin = _factor_rows_system(state.Lambda, state.tau_noise, state, dataset, shared)
-    draws = _draw_from_precision(_chol(prec, "H update"), lin, rng)
-    return replace(state, H=draws.T)
+    draws = _draw_from_precision(_chol(prec, "H update", rng), lin, rng)
+    return set_fields(state, H=_T(draws))
 
 
 # ---------------------------------------------------------------------------
 # shrinkage and noise hyperparameter updates
 
 
-def update_phi_gamma(state: ModelState, config: ModelConfig,
-                     rng: np.random.Generator) -> ModelState:
+def update_phi_gamma(state, config: ModelConfig, rng):
     """Local shrinkage: phi_hj ~ Ga((nu+1)/2, (nu + tau_h gamma_hj^2)/2)."""
-    rate = 0.5 * (config.nu + state.tau[:, None] * state.Gamma**2)
-    phi = rng.gamma((config.nu + 1.0) / 2.0, 1.0 / rate)
-    return replace(state, phi_gamma=phi)
+    rate = 0.5 * (config.nu + state.tau[..., :, None] * state.Gamma**2)
+    return set_fields(state, phi_gamma=rng.gamma((config.nu + 1.0) / 2.0, 1.0 / rate))
 
 
-def update_phi_lambda(state: ModelState, config: ModelConfig,
-                      rng: np.random.Generator) -> ModelState:
-    rate = 0.5 * (config.nu + state.tau_noise[:, None] * state.Lambda**2)
-    phi = rng.gamma((config.nu + 1.0) / 2.0, 1.0 / rate)
-    return replace(state, phi_lambda=phi)
+def update_phi_lambda(state, config: ModelConfig, rng):
+    rate = 0.5 * (config.nu + state.tau_noise[..., :, None] * state.Lambda**2)
+    return set_fields(state, phi_lambda=rng.gamma((config.nu + 1.0) / 2.0, 1.0 / rate))
 
 
 def _draw_mgp_delta(delta: np.ndarray, quads: np.ndarray, count: int,
-                    a1: float, a2: float, rng: np.random.Generator) -> np.ndarray:
+                    a1: float, a2: float, rng) -> np.ndarray:
     """One conjugate sweep over the multiplicative-gamma increments.
 
     ``quads`` holds the per-component quadratic forms q_h and ``count`` the
@@ -411,45 +432,45 @@ def _draw_mgp_delta(delta: np.ndarray, quads: np.ndarray, count: int,
     tau_h^(-l) is the cumulative product with delta_l excluded.
     """
     delta = np.array(delta, dtype=float)
-    S = delta.size
+    S = delta.shape[-1]
     for l in range(S):
         a = a1 if l == 0 else a2
         excl = delta.copy()
-        excl[l] = 1.0
-        tau_excl = np.cumprod(excl)
+        excl[..., l] = 1.0
+        tau_excl = np.cumprod(excl, axis=-1)
         shape = a + 0.5 * count * (S - l)
-        rate = 1.0 + 0.5 * float(tau_excl[l:] @ quads[l:])
-        if not np.isfinite(rate):
-            raise NumericalError("non-finite rate in delta update")
-        delta[l] = rng.gamma(shape, 1.0 / rate)
+        rate = 1.0 + 0.5 * (tau_excl[..., l:] * quads[..., l:]).sum(axis=-1)
+        if not np.isfinite(rate).all():
+            bad = ~np.isfinite(rate)
+            record_failure(rng, bad, "non-finite rate in delta update")
+            rate = np.where(bad, 1.0, rate)
+        delta[..., l] = rng.gamma(shape, 1.0 / rate)
     return delta
 
 
-def _delta_quads(state: ModelState, config: ModelConfig):
+def _delta_quads(state, config: ModelConfig):
     """Quadratic forms and entry count entering the delta conditional."""
-    quads = (state.phi_gamma * state.Gamma**2).sum(axis=1) + (state.Psi**2).sum(axis=0)
-    count = state.Gamma.shape[1] + state.Psi.shape[0]
+    quads = (state.phi_gamma * state.Gamma**2).sum(axis=-1) + (state.Psi**2).sum(axis=-2)
+    count = state.Gamma.shape[-1] + state.Psi.shape[-2]
     if config.variant is Variant.LATENT_NOISE:
-        quads = quads + (state.Omega**2).sum(axis=0) / config.sigma_omega_sq
-        count += state.Omega.shape[0]
+        quads = quads + (state.Omega**2).sum(axis=-2) / omega_variance(state, config)[..., None]
+        count += state.Omega.shape[-2]
     return quads, count
 
 
-def update_delta(state: ModelState, config: ModelConfig,
-                 rng: np.random.Generator) -> ModelState:
+def update_delta(state, config: ModelConfig, rng):
     """Global shrinkage increments for the Gamma/Psi(/Omega) stack."""
     quads, count = _delta_quads(state, config)
-    delta = _draw_mgp_delta(state.delta, quads, count, config.a1, config.a2, rng)
-    return replace(state, delta=delta)
+    return set_fields(state, delta=_draw_mgp_delta(state.delta, quads, count,
+                                             config.a1, config.a2, rng))
 
 
-def update_delta_noise(state: ModelState, config: ModelConfig,
-                       rng: np.random.Generator) -> ModelState:
+def update_delta_noise(state, config: ModelConfig, rng):
     """Global shrinkage increments for the independent-noise H/Lambda stack."""
-    quads = (state.phi_lambda * state.Lambda**2).sum(axis=1) + (state.H**2).sum(axis=0)
-    count = state.Lambda.shape[1] + state.H.shape[0]
-    delta = _draw_mgp_delta(state.delta_noise, quads, count, config.a1, config.a2, rng)
-    return replace(state, delta_noise=delta)
+    quads = (state.phi_lambda * state.Lambda**2).sum(axis=-1) + (state.H**2).sum(axis=-2)
+    count = state.Lambda.shape[-1] + state.H.shape[-2]
+    return set_fields(state, delta_noise=_draw_mgp_delta(state.delta_noise, quads, count,
+                                                   config.a1, config.a2, rng))
 
 
 # Below this fraction of y'y a target's expanded residual sum of squares is
@@ -457,20 +478,21 @@ def update_delta_noise(state: ModelState, config: ModelConfig,
 _RSS_FALLBACK_RATIO = 1e-3
 
 
-def update_sigma(state: ModelState, dataset: Dataset, config: ModelConfig,
-                 rng: np.random.Generator, shared: dict | None = None) -> ModelState:
+def update_sigma(state, dataset, config: ModelConfig, rng, shared: dict | None = None):
     """Conjugate update of the target-specific noise precisions, with each
     residual sum of squares of Y - D B taken from D'D and D'Y."""
     D, dtd, dty = _design(state, dataset, config, shared)
     B = mean_coefficients(state, config)
     yty = dataset.yty
-    rss = yty - 2.0 * (B * dty).sum(axis=0) + (B * (dtd @ B)).sum(axis=0)
-    low = np.flatnonzero(rss <= _RSS_FALLBACK_RATIO * yty)
-    if low.size:
-        rss[low] = ((dataset.Y[:, low] - D @ B[:, low])**2).sum(axis=0)
+    rss = yty - 2.0 * (B * dty).sum(axis=-2) + (B * (dtd @ B)).sum(axis=-2)
+    low = rss <= _RSS_FALLBACK_RATIO * yty
+    if low.any():
+        for c in np.ndindex(low.shape[:-1]):
+            k = np.flatnonzero(low[c])
+            rss[c][k] = ((dataset.Y[c][:, k] - D[c] @ B[c][:, k])**2).sum(axis=0)
     rate = config.b_sigma + 0.5 * rss
     precision = rng.gamma(config.a_sigma + 0.5 * dataset.n_samples, 1.0 / rate)
-    return replace(state, sigma_sq=1.0 / precision)
+    return set_fields(state, sigma_sq=1.0 / precision)
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +504,26 @@ def _accumulate(timings, name, t0):
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0)
 
 
-def gibbs_sweep(state: ModelState, dataset: Dataset, config: ModelConfig,
-                rng: np.random.Generator, *, delta_step=None, timings=None) -> ModelState:
+def gibbs_sweep(state, dataset, config: ModelConfig, rng, *, delta_step=None, timings=None):
     """One full update cycle in the fixed order used by run_chain.
 
-    The variant's cycle is a list of (timing bucket, update, arguments)
-    steps, run in one loop that adds each step's wall time to its bucket;
-    the null variant's list is empty. The list is built on each call from
-    this module's global names, so a caller that replaces ``update_*`` here
-    (fault injection, tracing) changes what the sweep calls. The updates
-    share X Psi and the Gamma step's D'D and D'Y through one per-sweep dict.
-    ``delta_step`` replaces the delta update when given (used by the
-    sampler-validation harness for fault injection).
+    ``state`` is one ModelState, with its Dataset and Generator, or a
+    ``Chains`` workspace with its ``ChainData`` and ``ChainStreams``, which
+    is updated in place. The variant's cycle is a list of (timing bucket,
+    update, arguments) steps, run in one loop that adds each step's wall
+    time to its bucket; the null variant's list is empty. The list is built
+    on each call from this module's global names, so a caller that replaces
+    ``update_*`` here (fault injection, tracing) changes what the sweep
+    calls. The updates share X Psi and the Gamma step's D'D and D'Y through
+    one per-sweep dict. ``delta_step`` replaces the delta update when given
+    (used by the sampler-validation harness for fault injection).
+
+    In a batch, a NumericalError raised by a step fails every chain it ran
+    on, and the sweep stops early once every chain has failed.
     """
+    lone = isinstance(state, ModelState)
+    chains = Chains.from_state(state, config) if lone else state
+    batch = isinstance(rng, ChainStreams)
     shared: dict = {}
     data, prior = (dataset, config, rng), (config, rng)
     fit = (*data, shared)
@@ -514,58 +543,125 @@ def gibbs_sweep(state: ModelState, dataset: Dataset, config: ModelConfig,
         steps = []
     for bucket, update, args in steps:
         t0 = time.perf_counter()
-        state = update(state, *args)
+        try:
+            chains = update(chains, *args)
+        except NumericalError as exc:
+            if not batch:
+                raise
+            rng.fail(np.ones(len(rng.generators), dtype=bool), str(exc))
         _accumulate(timings, bucket, t0)
-    return state
+        if batch and len(rng.failed) == len(rng.generators):
+            break
+    return chains.state() if lone else chains
+
+
+def _resolved(dataset: Dataset, config: ModelConfig) -> ModelConfig:
+    """``config`` with sigma_omega_sq resolved on ``dataset``, checked for a fit."""
+    config = resolve_sigma_omega(config, dataset.X)
+    if config.variant is Variant.LATENT_NOISE and not config.sigma_omega_sq > 0:
+        raise ConfigurationError("fitting the latent-noise variant requires sigma_omega_sq > 0")
+    if (config.iterations - config.burn_in) // config.thin < 1:
+        raise ConfigurationError("schedule retains no samples: (iterations - burn_in) // thin < 1")
+    return config
+
+
+def _advance(datasets: Sequence[Dataset], configs: Sequence[ModelConfig],
+             stats: RunStats, retain: bool = False):
+    """Run the chains of ``configs`` (one shape, differing in seed and
+    sigma_omega_sq) on ``datasets`` together, along one chain axis.
+
+    Returns each chain's posterior mean of Theta (None if it failed), its
+    error message with the iteration (None if it ran through), and, with
+    ``retain``, the first chain's retained states. Adds the wall time per
+    update bucket and the sweep count to ``stats``.
+    """
+    config = configs[0]
+    first = datasets[0]
+    P, K = first.n_covariates, first.n_targets
+    dims = Dims(first.n_samples, P, K, config.rank)
+    n_retained = (config.iterations - config.burn_in) // config.thin
+    generators = [np.random.default_rng(c.seed) for c in configs]
+    states = [sample_prior(c, dims, g) for c, g in zip(configs, generators)]
+    n_chains = len(configs)
+    errors: list[str | None] = [None] * n_chains
+    if config.variant is Variant.NULL:
+        return [np.zeros((P, K))] * n_chains, errors, (states[0],) * n_retained * retain
+
+    # The data-only statistics are cached on the ChainData; reading them here
+    # times their one-time cost apart from the per-sweep updates, so the psi
+    # bucket reflects pure per-call cost.
+    timings = stats.wall_time_seconds
+    t0 = time.perf_counter()
+    data = ChainData(datasets)
+    for name in ("gram_eig" if config.psi_update == "fast" else "gram", "xty", "yty"):
+        getattr(data, name)
+    _accumulate(timings, "setup", t0)
+
+    chains = Chains.stack(states, configs)
+    streams = ChainStreams(generators)
+    theta_sum = np.zeros((n_chains, P, K))
+    retained: list[ModelState] = []
+    for it in range(1, config.iterations + 1):
+        chains = gibbs_sweep(chains, data, config, streams, timings=timings)
+        stats.sweeps += 1
+        for c, message in streams.failed.items():
+            errors[c] = errors[c] or f"{message} (iteration {it})"
+        if len(streams.failed) == n_chains:
+            break
+        if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
+            theta_sum += chains.Psi @ chains.Gamma
+            if retain:
+                retained.append(chains.state(0))
+    theta_means = [None if error else total / n_retained
+                   for error, total in zip(errors, theta_sum)]
+    return theta_means, errors, tuple(retained)
 
 
 def run_chain(dataset: Dataset, config: ModelConfig) -> ChainTrace:
     """Run one Gibbs chain; deterministic given (dataset, config.seed).
 
-    Retains every ``thin``-th post-burn-in state and the posterior mean of
-    Theta = Psi Gamma over the retained states. Numerical failures are
-    re-raised with the iteration index attached.
+    The one-chain case of ``run_chains``. Retains every ``thin``-th
+    post-burn-in state and the posterior mean of Theta = Psi Gamma over the
+    retained states. Numerical failures are raised with the iteration index
+    attached.
     """
-    config = resolve_sigma_omega(config, dataset.X)
-    if config.variant is Variant.LATENT_NOISE and not config.sigma_omega_sq > 0:
-        raise ConfigurationError("fitting the latent-noise variant requires sigma_omega_sq > 0")
-    n_retained = (config.iterations - config.burn_in) // config.thin
-    if n_retained < 1:
-        raise ConfigurationError("schedule retains no samples: (iterations - burn_in) // thin < 1")
-    dims = Dims(dataset.n_samples, dataset.n_covariates, dataset.n_targets, config.rank)
-    P, K = dataset.n_covariates, dataset.n_targets
-    timings: dict[str, float] = {}
-    rng = np.random.default_rng(config.seed)
-    state = sample_prior(config, dims, rng)
+    config = _resolved(dataset, config)
+    stats = RunStats()
+    theta_means, errors, retained = _advance([dataset], [config], stats, retain=True)
+    if errors[0] is not None:
+        raise NumericalError(errors[0])
+    samples = PosteriorSamples(states=retained, theta_mean=theta_means[0], config=config)
+    return ChainTrace(samples=samples, wall_time_seconds=stats.wall_time_seconds)
 
-    if config.variant is Variant.NULL:
-        samples = PosteriorSamples(
-            states=(state,) * n_retained, theta_mean=np.zeros((P, K)), config=config
-        )
-        return ChainTrace(samples=samples, wall_time_seconds=timings)
 
-    # The data-only statistics are cached on the dataset; reading them here
-    # times their one-time cost apart from the per-sweep updates, so the psi
-    # bucket reflects pure per-call cost.
-    t0 = time.perf_counter()
-    for name in ("gram_eig" if config.psi_update == "fast" else "gram", "xty", "yty"):
-        getattr(dataset, name)
-    _accumulate(timings, "setup", t0)
+def run_chains(fits: Sequence[tuple[Dataset, ModelConfig]],
+               stats: RunStats | None = None) -> ChainsTrace:
+    """Run every (dataset, config) fit, advancing fits of one shape together.
 
-    retained: list[ModelState] = []
-    theta_sum = np.zeros((P, K))
-    for it in range(1, config.iterations + 1):
-        try:
-            state = gibbs_sweep(state, dataset, config, rng, timings=timings)
-        except NumericalError as exc:
-            raise NumericalError(f"{exc} (iteration {it})") from exc
-        if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
-            retained.append(state)
-            theta_sum += state.Psi @ state.Gamma
-
-    samples = PosteriorSamples(
-        states=tuple(retained),
-        theta_mean=theta_sum / len(retained),
-        config=config,
-    )
-    return ChainTrace(samples=samples, wall_time_seconds=timings)
+    Fits whose data have one shape and whose configs differ only in seed
+    and (after latent_snr is resolved) sigma_omega_sq form a group, which
+    runs in batches of ``batch_width`` chains along one chain axis. Each
+    chain draws what its solo ``run_chain`` would, so its posterior mean of
+    Theta equals that run's up to rounding. A chain that fails stops alone,
+    with the message ``run_chain`` would raise; the others go on unchanged.
+    No states are retained. With ``stats``, the wall time per update bucket
+    and the sweep calls of every batch are added to it.
+    """
+    stats = RunStats() if stats is None else stats
+    configs = [_resolved(dataset, config) for dataset, config in fits]
+    groups: dict[tuple, list[int]] = {}
+    for i, ((dataset, _), config) in enumerate(zip(fits, configs)):
+        shape = config if config.sigma_omega_sq is None else replace(config, sigma_omega_sq=1.0)
+        key = (dataset.X.shape, dataset.Y.shape, replace(shape, seed=0))
+        groups.setdefault(key, []).append(i)
+    theta_means: list[np.ndarray | None] = [None] * len(fits)
+    errors: list[str | None] = [None] * len(fits)
+    for members in groups.values():
+        width = batch_width(fits[members[0]][0], configs[members[0]])
+        for start in range(0, len(members), width):
+            batch = members[start:start + width]
+            means, errs, _ = _advance([fits[i][0] for i in batch],
+                                      [configs[i] for i in batch], stats)
+            for i, mean, error in zip(batch, means, errs):
+                theta_means[i], errors[i] = mean, error
+    return ChainsTrace(theta_means=tuple(theta_means), errors=tuple(errors))

@@ -316,7 +316,7 @@ def mean_coefficients(state: ModelState, config: ModelConfig) -> np.ndarray:
     """Coefficients B of the mean D B of Y: [Gamma; Lambda] for independent
     noise, Gamma otherwise."""
     if config.variant is Variant.INDEPENDENT_NOISE:
-        return np.vstack([state.Gamma, state.Lambda])
+        return np.concatenate([state.Gamma, state.Lambda], axis=-2)
     return state.Gamma
 
 
@@ -333,7 +333,7 @@ def mean_design(state: ModelState, x_psi: np.ndarray, config: ModelConfig) -> np
     if config.variant is Variant.LATENT_NOISE:
         return x_psi + state.Omega
     if config.variant is Variant.INDEPENDENT_NOISE:
-        return np.hstack([x_psi, state.H])
+        return np.concatenate([x_psi, state.H], axis=-1)
     return x_psi
 
 

@@ -8,7 +8,8 @@ import numpy as np
 
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.evaluate import mse
-from latent_brrr.gibbs import run_chain
+# run_chain stays bound here for callers and tracers that patch it by module.
+from latent_brrr.gibbs import RunStats, run_chain, run_chains  # noqa: F401
 from latent_brrr.model import Dataset, ModelConfig, Variant
 
 
@@ -47,8 +48,8 @@ def fold_assignments(n_samples: int, n_folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def cross_validate(dataset: Dataset, base_config: ModelConfig,
-                   plan: CvPlan) -> tuple[ModelConfig, list[dict]]:
+def cross_validate(dataset: Dataset, base_config: ModelConfig, plan: CvPlan,
+                   stats: RunStats | None = None) -> tuple[ModelConfig, list[dict]]:
     """Score every grid point by k-fold CV MSE and return the winner.
 
     Ties break toward smaller rank, then larger beta (stronger
@@ -58,9 +59,11 @@ def cross_validate(dataset: Dataset, base_config: ModelConfig,
     failed instead of aborting the search, and the row's ``fold_errors``
     keeps each fold's error message (None for folds that fitted).
 
-    The fits run one after another, grid point by grid point (rank-major)
-    and fold by fold within each. Each gets its own seed, taken in that
-    order from a stream drawn up front from ``base_config.seed``.
+    The fits are listed grid point by grid point (rank-major) and fold by
+    fold within each, and each gets its own seed, taken in that order from
+    a stream drawn up front from ``base_config.seed``. ``run_chains``
+    advances the fits of one rank and training-row count together; with
+    ``stats``, their update timings and sweep count are added to it.
     """
     uses_beta = base_config.variant is Variant.LATENT_NOISE
     folds = fold_assignments(dataset.n_samples, plan.n_folds, plan.seed)
@@ -77,21 +80,22 @@ def cross_validate(dataset: Dataset, base_config: ModelConfig,
             for beta in (plan.beta_grid if uses_beta else (None,))]
     seeds = iter(np.random.SeedSequence(base_config.seed).generate_state(
         len(grid) * plan.n_folds, dtype=np.uint64))
+    # One training Dataset per fold, shared by every grid point's fit on it.
+    train = [Dataset(X=dataset.X[folds != fold], Y=dataset.Y[folds != fold])
+             for fold in range(plan.n_folds)]
+    fits = [(train[fold], grid_config(beta, rank, seed=int(next(seeds))))
+            for beta, rank in grid for fold in range(plan.n_folds)]
+    trace = run_chains(fits, stats)
+    outcomes = iter(zip(trace.theta_means, trace.errors))
 
     table: list[dict] = []
     for beta, rank in grid:
         fold_scores, fold_errors = [], []
         for fold in range(plan.n_folds):
-            train_rows = folds != fold
-            config = grid_config(beta, rank, seed=int(next(seeds)))
-            try:
-                trace = run_chain(Dataset(X=dataset.X[train_rows], Y=dataset.Y[train_rows]),
-                                  config)
-                score, _ = mse(dataset.X[~train_rows] @ trace.samples.theta_mean,
-                               dataset.Y[~train_rows])
-                error = None
-            except NumericalError as exc:
-                score, error = float("nan"), str(exc)
+            theta, error = next(outcomes)
+            held_out = folds == fold
+            score = float("nan") if error is not None else \
+                mse(dataset.X[held_out] @ theta, dataset.Y[held_out])[0]
             fold_scores.append(score)
             fold_errors.append(error)
         scores = np.array(fold_scores)

@@ -1,0 +1,155 @@
+"""The chain-axis engine: batched fits against solo run_chain, failure
+isolation, uneven CV folds and the batch byte cap."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import latent_brrr.chains as chains
+import latent_brrr.gibbs as gibbs
+from latent_brrr.errors import NumericalError
+from latent_brrr.evaluate import permutation_test
+from latent_brrr.gibbs import RunStats, run_chain, run_chains
+from latent_brrr.model import Dataset, Dims, ModelConfig, Variant
+from latent_brrr.tuning import CvPlan, cross_validate, fold_assignments
+
+
+def problem(seed=0, N=60, P=5, K=4):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, P))
+    Y = X @ rng.standard_normal((P, K)) * 0.5 + rng.standard_normal((N, K))
+    return Dataset(X=X, Y=Y)
+
+
+VARIANTS = [
+    (Variant.LATENT_NOISE, "fast", dict(latent_snr=0.2)),
+    (Variant.LATENT_NOISE, "naive", dict(latent_snr=0.2)),
+    (Variant.INDEPENDENT_NOISE, "fast", dict(noise_rank=2)),
+    (Variant.NO_NOISE, "fast", {}),
+]
+
+
+def chain_config(variant, psi_update, extra, seed, **kw):
+    base = dict(variant=variant, rank=2, iterations=40, burn_in=10, thin=3, seed=seed,
+                psi_update=psi_update, **extra)
+    base.update(kw)
+    return ModelConfig(**base)
+
+
+def assert_same_theta(batched, solo):
+    assert np.max(np.abs(batched - solo)) <= 1e-10 * np.max(np.abs(solo))
+
+
+@pytest.mark.parametrize("variant, psi_update, extra", VARIANTS)
+def test_batched_chains_equal_solo_runs(variant, psi_update, extra):
+    # Four fits of one shape: permuted rows of X, their own seeds and, for
+    # latent noise, their own latent SNR (so their own sigma_omega_sq).
+    data = problem(1)
+    fits = []
+    for c in range(4):
+        kw = {"latent_snr": 0.1 * (c + 1)} if "latent_snr" in extra else {}
+        perm = np.random.default_rng(c).permutation(data.n_samples)
+        fits.append((Dataset(X=data.X[perm], Y=data.Y),
+                     chain_config(variant, psi_update, extra, seed=20 + c, **kw)))
+    stats = RunStats()
+    trace = run_chains(fits, stats)
+    assert trace.errors == (None,) * 4
+    assert stats.sweeps == 40  # one batch
+    for (dataset, config), theta in zip(fits, trace.theta_means):
+        assert_same_theta(theta, run_chain(dataset, config).samples.theta_mean)
+
+
+def inject_at(k, target_sigma_omega_sq, corrupt):
+    """An update_gamma that, on its k-th call, corrupts the chain whose
+    sigma_omega_sq is ``target_sigma_omega_sq`` before drawing."""
+    real = gibbs.update_gamma
+    calls = {"n": 0}
+
+    def update(state, *args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == k:
+            hit = np.isclose(np.asarray(state.sigma_omega_sq), target_sigma_omega_sq)
+            corrupt(state, hit)
+        return real(state, *args, **kwargs)
+
+    return update
+
+
+def nan_sigma(state, hit):
+    state.sigma_sq = np.where(hit[..., None], np.nan, state.sigma_sq)
+
+
+def negative_phi(state, hit):
+    state.phi_gamma = np.where(hit[..., None, None], -1e12, state.phi_gamma)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (nan_sigma, "non-finite precision in gamma update (iteration 5)"),
+    (negative_phi, "Cholesky factorization failed in gamma update (iteration 5)"),
+])
+def test_failure_in_one_chain_stops_only_that_chain(monkeypatch, corrupt, message):
+    data = problem(2)
+    fits = [(data, chain_config(Variant.LATENT_NOISE, "fast", {}, seed=30 + c,
+                                latent_snr=0.1 * (c + 1))) for c in range(3)]
+    solo = [run_chain(dataset, config).samples.theta_mean for dataset, config in fits]
+    target = gibbs._resolved(*fits[1]).sigma_omega_sq
+
+    monkeypatch.setattr(gibbs, "update_gamma", inject_at(5, target, corrupt))
+    trace = run_chains(fits)
+    assert trace.errors == (None, message, None)
+    assert trace.theta_means[1] is None
+    for c in (0, 2):
+        assert_same_theta(trace.theta_means[c], solo[c])
+
+    # The solo run of the corrupted fit raises the same message.
+    monkeypatch.setattr(gibbs, "update_gamma", inject_at(5, target, corrupt))
+    with pytest.raises(NumericalError) as err:
+        run_chain(*fits[1])
+    assert str(err.value) == message
+
+
+def test_uneven_folds_batch_by_training_rows_and_match_solo_fits():
+    # 40 rows over 3 folds train on 26, 27 and 27 rows, so each rank's fits
+    # form two batches: one per training-row count.
+    data = problem(3, N=40)
+    base = chain_config(Variant.LATENT_NOISE, "fast", dict(latent_snr=0.1), seed=9)
+    plan = CvPlan(beta_grid=(0.2, 0.05), rank_grid=(1, 2), n_folds=3, seed=4)
+    stats = RunStats()
+    _, table = cross_validate(data, base, plan, stats)
+    assert stats.sweeps == 4 * base.iterations
+
+    folds = fold_assignments(data.n_samples, plan.n_folds, plan.seed)
+    assert sorted(np.bincount(folds)) == [13, 13, 14]
+    seeds = iter(np.random.SeedSequence(base.seed).generate_state(
+        len(table) * plan.n_folds, dtype=np.uint64))
+    for row in table:
+        for fold in range(plan.n_folds):
+            train = folds != fold
+            config = replace(base, rank=row["rank"], latent_snr=row["beta"],
+                             seed=int(next(seeds)))
+            theta = run_chain(Dataset(X=data.X[train], Y=data.Y[train]),
+                              config).samples.theta_mean
+            resid = data.X[~train] @ theta - data.Y[~train]
+            assert row["fold_mse"][fold] == pytest.approx((resid**2).mean(), rel=1e-10)
+
+
+def test_byte_cap_splits_assoc_into_batches_with_the_same_result(monkeypatch):
+    data = problem(4)
+    config = chain_config(Variant.LATENT_NOISE, "fast", dict(latent_snr=0.1), seed=5)
+    fits = [(data, replace(config, seed=s)) for s in range(5)]
+    whole_stats, capped_stats = RunStats(), RunStats()
+    whole = permutation_test(data, config, 5, np.random.default_rng(6), whole_stats)
+    whole_fits = run_chains(fits, whole_stats)
+    assert whole_stats.sweeps == 2 * config.iterations
+
+    per_chain = chains._chain_bytes(Dims(60, 5, 4, 2), config)
+    monkeypatch.setattr(chains, "_BATCH_BYTES", 2 * per_chain)
+    assert chains.batch_width(data, config) == 2
+    capped = permutation_test(data, config, 5, np.random.default_rng(6), capped_stats)
+    capped_fits = run_chains(fits, capped_stats)
+    assert capped_stats.sweeps == (3 + 3) * config.iterations
+    assert capped.observed_ptve == pytest.approx(whole.observed_ptve, rel=1e-10)
+    assert np.allclose(capped.perm_ptves, whole.perm_ptves, rtol=1e-10, atol=0.0)
+    for capped_theta, whole_theta in zip(capped_fits.theta_means, whole_fits.theta_means):
+        assert_same_theta(capped_theta, whole_theta)

@@ -7,8 +7,8 @@ import pytest
 
 from latent_brrr import io as lio
 from latent_brrr.cli import main
-from latent_brrr.errors import ConfigurationError, NumericalError
-from latent_brrr.gibbs import run_chain
+from latent_brrr.errors import ConfigurationError
+from latent_brrr.gibbs import ChainsTrace, run_chain
 from latent_brrr.model import Dataset, ModelConfig, Variant
 
 
@@ -232,19 +232,28 @@ def test_cv_singleton_grid_echoes_config(sim_dir, tmp_path):
     assert len(table) == 2
 
 
+def failing_fit(real, n, message):
+    """A run_chains stand-in whose n-th fit, counted over every call, fails
+    with ``message``; the other fits run as ``real`` runs them."""
+    calls = {"n": 0}
+
+    def run(fits, stats=None):
+        trace = real(fits, stats)
+        errors = list(trace.errors)
+        for i in range(len(fits)):
+            calls["n"] += 1
+            if calls["n"] == n:
+                errors[i] = message
+        return ChainsTrace(theta_means=trace.theta_means, errors=tuple(errors))
+
+    return run
+
+
 def test_cv_manifest_keeps_failed_fold_message(sim_dir, tmp_path, monkeypatch):
     import latent_brrr.tuning as tuning
 
-    real = tuning.run_chain
-    calls = {"n": 0}
-
-    def fail_second_fit(train, config):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise NumericalError("synthetic Cholesky failure in fold two")
-        return real(train, config)
-
-    monkeypatch.setattr(tuning, "run_chain", fail_second_fit)
+    monkeypatch.setattr(tuning, "run_chains", failing_fit(
+        tuning.run_chains, 2, "synthetic Cholesky failure in fold two"))
     config = write_config(tmp_path / "config.json", iterations=30, burn_in=10, thin=2)
     plan = tmp_path / "plan.json"
     lio.write_json(plan, {"beta_grid": [0.1, 0.2], "rank_grid": [2], "n_folds": 3, "seed": 1})
@@ -312,16 +321,8 @@ def test_verify_requires_a_check(tmp_path, capsys):
 def test_assoc_manifest_records_retried_fit(sim_dir, tmp_path, monkeypatch):
     import latent_brrr.evaluate as evaluate
 
-    real = evaluate.run_chain
-    calls = {"n": 0}
-
-    def fail_third_fit(train, config):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise NumericalError("synthetic Cholesky failure in permutation two")
-        return real(train, config)
-
-    monkeypatch.setattr(evaluate, "run_chain", fail_third_fit)
+    monkeypatch.setattr(evaluate, "run_chains", failing_fit(
+        evaluate.run_chains, 3, "synthetic Cholesky failure in permutation two"))
     config = write_config(tmp_path / "config.json", iterations=20, burn_in=5, thin=1)
     out = tmp_path / "assoc"
     code = run_cli("assoc", "--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv",
@@ -333,6 +334,23 @@ def test_assoc_manifest_records_retried_fit(sim_dir, tmp_path, monkeypatch):
     result = json.loads((out / "assoc.json").read_text())
     assert sorted(result) == ["n_perm", "observed_ptve", "perm_ptves", "rank_fraction"]
     assert len(result["perm_ptves"]) == 3
+
+
+def test_cv_and_assoc_manifests_record_update_timings_and_sweeps(sim_dir, tmp_path):
+    # 80 rows over 3 folds train on 53, 53 and 54 rows: two batches of 30
+    # sweeps. The 3 permutations and the observed fit form one batch.
+    config = write_config(tmp_path / "config.json", iterations=30, burn_in=10, thin=2)
+    plan = tmp_path / "plan.json"
+    lio.write_json(plan, {"beta_grid": [0.1, 0.2], "rank_grid": [2], "n_folds": 3, "seed": 1})
+    data = ("--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv", "--config", config)
+    assert run_cli("cv", *data, "--plan", plan, "--out-dir", tmp_path / "cv") == 0
+    assert run_cli("assoc", *data, "--n-perm", 3, "--out-dir", tmp_path / "assoc") == 0
+    buckets = {"setup", "psi", "omega", "gamma", "phi", "delta", "sigma"}
+    for command, sweeps in (("cv", 60), ("assoc", 30)):
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["sweeps"] == sweeps
+        assert set(manifest["wall_time_by_update"]) == buckets
+        assert all(t > 0 for t in manifest["wall_time_by_update"].values())
 
 
 def test_cv_and_assoc_ignore_threads_flag_and_environment(sim_dir, tmp_path, monkeypatch):

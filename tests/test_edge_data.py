@@ -35,6 +35,9 @@ def edge_case(name):
 
 CASES = ["p_above_n", "single_target", "constant_column", "duplicate_columns",
          "x_times_1e8", "y_times_1e8", "y_times_1e-8", "rank_above_p"]
+# Cases that must fit: the latent-noise Psi step used to solve the K x K
+# marginal covariance, which X x 1e8 makes numerically singular.
+MUST_FIT = {("x_times_1e8", Variant.LATENT_NOISE)}
 VARIANTS = {
     Variant.LATENT_NOISE: dict(latent_snr=0.5),
     Variant.INDEPENDENT_NOISE: dict(noise_rank=2),
@@ -52,6 +55,8 @@ def test_edge_data_gives_finite_fit_or_typed_error(case, variant, method):
     try:
         trace = run_chain(Dataset(X=X, Y=Y), config)
     except (NumericalError, ConfigurationError):
+        if (case, variant) in MUST_FIT:
+            raise
         return
     assert trace.samples.theta_mean.shape == (X.shape[1], Y.shape[1])
     assert np.all(np.isfinite(trace.samples.theta_mean))

@@ -1,12 +1,11 @@
 """Cross-validation tests: folds, grids, tie-breaking, failure markers."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 import latent_brrr.tuning as tuning
-from latent_brrr.errors import ConfigurationError, NumericalError
+from latent_brrr.errors import ConfigurationError
+from latent_brrr.gibbs import ChainsTrace
 from latent_brrr.model import Dataset, ModelConfig, Variant
 from latent_brrr.simulate import SimConfig, generate
 from latent_brrr.tuning import CvPlan, cross_validate, fold_assignments
@@ -71,14 +70,13 @@ def test_tie_breaking_prefers_small_rank_then_large_beta(monkeypatch):
     dataset = cv_dataset(seed=2, n=40)
     plan = CvPlan(beta_grid=(0.05, 0.2), rank_grid=(3, 1), n_folds=2, seed=0)
 
-    def constant_chain(train, config):
-        class FakeSamples:
-            theta_mean = np.zeros((train.n_covariates, train.n_targets))
-        class FakeTrace:
-            samples = FakeSamples()
-        return FakeTrace()
+    def constant_chains(fits, stats=None):
+        return ChainsTrace(
+            theta_means=tuple(np.zeros((train.n_covariates, train.n_targets))
+                              for train, _ in fits),
+            errors=(None,) * len(fits))
 
-    monkeypatch.setattr(tuning, "run_chain", constant_chain)
+    monkeypatch.setattr(tuning, "run_chains", constant_chains)
     best, table = cross_validate(dataset, base_config(), plan)
     assert all(r["mean_mse"] == table[0]["mean_mse"] for r in table)
     assert best.rank == 1
@@ -88,14 +86,15 @@ def test_tie_breaking_prefers_small_rank_then_large_beta(monkeypatch):
 def test_failed_grid_points_are_marked(monkeypatch):
     dataset = cv_dataset(seed=3, n=40)
     plan = CvPlan(beta_grid=(0.05, 0.2), rank_grid=(1,), n_folds=2, seed=0)
-    real = tuning.run_chain
+    real = tuning.run_chains
 
-    def flaky_chain(train, config):
-        if config.latent_snr == 0.05:
-            raise NumericalError("synthetic failure")
-        return real(train, config)
+    def flaky_chains(fits, stats=None):
+        trace = real(fits, stats)
+        errors = tuple("synthetic failure" if config.latent_snr == 0.05 else error
+                       for (_, config), error in zip(fits, trace.errors))
+        return ChainsTrace(theta_means=trace.theta_means, errors=errors)
 
-    monkeypatch.setattr(tuning, "run_chain", flaky_chain)
+    monkeypatch.setattr(tuning, "run_chains", flaky_chains)
     best, table = cross_validate(dataset, base_config(), plan)
     by_beta = {r["beta"]: r for r in table}
     assert by_beta[0.05]["status"] == "failed"
@@ -133,13 +132,16 @@ def test_fits_run_grid_point_then_fold_with_streamed_seeds(monkeypatch, config, 
     plan = CvPlan(beta_grid=(0.2, 0.05), rank_grid=(2, 1), n_folds=3, seed=4)
     calls = []
 
-    def recording_chain(train, fit_config):
-        calls.append((fit_config.rank, fit_config.latent_snr, fit_config.seed,
-                      train.n_samples))
-        theta = np.zeros((train.n_covariates, train.n_targets))
-        return SimpleNamespace(samples=SimpleNamespace(theta_mean=theta))
+    def recording_chains(fits, stats=None):
+        for train, fit_config in fits:
+            calls.append((fit_config.rank, fit_config.latent_snr, fit_config.seed,
+                          train.n_samples))
+        return ChainsTrace(
+            theta_means=tuple(np.zeros((train.n_covariates, train.n_targets))
+                              for train, _ in fits),
+            errors=(None,) * len(fits))
 
-    monkeypatch.setattr(tuning, "run_chain", recording_chain)
+    monkeypatch.setattr(tuning, "run_chains", recording_chains)
     cross_validate(dataset, config, plan)
 
     folds = fold_assignments(dataset.n_samples, plan.n_folds, plan.seed)
