@@ -1,36 +1,37 @@
-"""The chain axis: Gibbs chains of one shape advanced together.
+"""The chain axis: the one state the Gibbs kernel runs on.
 
-Each full conditional in ``gibbs`` is written once, for arrays with any
-number of leading axes: products are batched ``@``, transposes swap the last
-two axes, and sums run along axis -1 or -2. A lone ``ModelState`` (direct
-calls, the moment oracles, Geweke) has no leading axis. ``gibbs.run_chains``
-stacks the states of C fits of one shape along a leading chain axis in a
-``Chains`` workspace, their data in a ``ChainData`` and their Generators in
-a ``ChainStreams``, and advances all C together: one sweep call, one stacked
-Cholesky, eigendecomposition or solve per step. Each chain draws from its
-own Generator the same variates, in the same shapes and order, as it would
-alone, so a batched chain equals its solo run up to rounding. The workspace
-is updated in place, and a ``ModelState`` is built only for a retained
-state.
+Each full conditional in ``gibbs`` updates a ``Chains`` workspace: the fields
+of ``ModelState`` stacked along a leading chain axis of C >= 1 chains, with
+their data in a ``ChainData`` and their Generators in a ``ChainStreams``.
+Products are batched ``@``, transposes swap the last two axes, and sums run
+along axis -1 or -2, so one sweep call advances all C chains together: one
+stacked Cholesky, eigendecomposition or solve per step. ``gibbs.run_chains``
+stacks the states of C fits of one shape; ``run_chain``, ``geweke_test`` and
+the moment oracles use a workspace of one chain. Each chain draws from its own
+Generator the same variates, in the same shapes and order, as it would alone,
+so a batched chain equals its one-chain run up to rounding. The workspace is
+updated in place, and a ``ModelState`` (the public value) is built only for a
+retained state.
 
-Failure isolation. When one chain of a batch meets a numerical failure (a
-factorization that fails on its matrix, a non-finite precision or rate),
-the update records against that chain the message a solo run would raise,
-and gives it stand-ins (an identity matrix, no further draws), so that
-every other chain's steps go on unchanged. ``run_chains`` reports the
-failed chain with the iteration and ignores what it computes afterwards.
-A lone state raises NumericalError at once.
+Failures. When a chain meets a numerical failure (a factorization that fails
+on its matrix, a non-finite precision or rate), the update records the
+message against that chain in its ``ChainStreams`` and gives it stand-ins (an
+identity matrix, no further draws), so that every other chain's steps go on
+unchanged. Nothing here raises; the caller that owns the chains does.
+``run_chains`` reports each failed chain with the iteration and ignores what
+it computes afterwards; ``run_chain``, ``theory.geweke_test`` and the moment
+oracles, which own a single chain, raise NumericalError with its message.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
-from latent_brrr.errors import NumericalError, StateError
+from latent_brrr.errors import NumericalError
 from latent_brrr.model import Dataset, Dims, ModelConfig, ModelState
 
 # Bytes of stacked per-chain arrays one batch of ``run_chains`` may hold
@@ -61,9 +62,9 @@ class ChainsTrace:
 
 @dataclass(eq=False)
 class Chains:
-    """Mutable workspace of chain states: the fields of ``ModelState``,
-    stacked along a leading chain axis in a batch (no leading axis for one
-    state), plus each chain's latent-noise variance."""
+    """Mutable workspace of C >= 1 chain states: the fields of ``ModelState``
+    stacked along a leading chain axis, plus each chain's latent-noise
+    variance sigma_omega_sq, shape (C,) (None without latent noise)."""
 
     Psi: np.ndarray
     Gamma: np.ndarray
@@ -75,22 +76,11 @@ class Chains:
     Lambda: np.ndarray | None = None
     phi_lambda: np.ndarray | None = None
     delta_noise: np.ndarray | None = None
-    sigma_omega_sq: np.ndarray | float | None = None
+    sigma_omega_sq: np.ndarray | None = None
 
-    @property
-    def tau(self) -> np.ndarray:
-        return np.cumprod(self.delta, axis=-1)
-
-    @property
-    def tau_noise(self) -> np.ndarray:
-        if self.delta_noise is None:
-            raise StateError("state has no independent-noise shrinkage stack")
-        return np.cumprod(self.delta_noise, axis=-1)
-
-    @classmethod
-    def from_state(cls, state: ModelState, config: ModelConfig) -> Chains:
-        return cls(**{name: getattr(state, name) for name in _STATE_FIELDS},
-                   sigma_omega_sq=config.sigma_omega_sq)
+    # ModelState's shrinkage products, taken along the last axis of each chain.
+    tau = ModelState.tau
+    tau_noise = ModelState.tau_noise
 
     @classmethod
     def stack(cls, states: Sequence[ModelState], configs: Sequence[ModelConfig]) -> Chains:
@@ -100,8 +90,8 @@ class Chains:
             np.array([c.sigma_omega_sq for c in configs])
         return cls(**arrays, sigma_omega_sq=omega)
 
-    def state(self, index=()) -> ModelState:
-        """Chain ``index``'s state (the whole workspace when it has no chain axis)."""
+    def state(self, index: int) -> ModelState:
+        """Chain ``index``'s state."""
         arrays = vars(self)
         return ModelState(**{name: None if arrays[name] is None else arrays[name][index]
                              for name in _STATE_FIELDS})
@@ -159,6 +149,13 @@ class ChainData:
     def yty(self) -> np.ndarray:
         return stack([d.yty for d in self.datasets])
 
+    def set_targets(self, Y: np.ndarray) -> None:
+        """New targets Y, stacked (C, N, K), with X'Y and y'y formed from them;
+        X'X and its eigendecomposition stay."""
+        self.Y = Y
+        self.xty = self.X.swapaxes(-1, -2) @ Y
+        self.yty = (Y**2).sum(axis=-2)
+
 
 class ChainStreams:
     """One Generator per chain of a batch, and each chain's first failure.
@@ -180,62 +177,49 @@ class ChainStreams:
         return out
 
     def gamma(self, shape: float, scale: np.ndarray) -> np.ndarray:
+        # Ga(shape, scale) variates are scale times Ga(shape, 1) variates, bit
+        # for bit; drawing the unit-scale ones by size skips numpy's checks of
+        # an array scale, which cost several times the draws at these sizes.
         out = np.ones(np.shape(scale))
         for c, generator in enumerate(self.generators):
             if c not in self.failed:
-                out[c] = generator.gamma(shape, scale[c])
+                out[c] = generator.standard_gamma(shape, size=np.shape(scale[c])) * scale[c]
         return out
 
     def fail(self, bad: np.ndarray, message: str) -> None:
+        """Record ``message`` against each chain flagged in ``bad`` (one flag
+        per chain) that has not failed yet."""
         for c in np.flatnonzero(bad):
             self.failed.setdefault(int(c), message)
 
-
-def record_failure(rng, bad, message: str) -> None:
-    """Mark the chains flagged in ``bad`` failed; a lone chain raises instead."""
-    if isinstance(rng, ChainStreams):
-        rng.fail(bad, message)
-    elif np.any(bad):
-        raise NumericalError(message)
+    def raise_failure(self) -> None:
+        """Raise the first failed chain's message as NumericalError, for
+        callers that own a single chain."""
+        if self.failed:
+            raise NumericalError(self.failed[min(self.failed)])
 
 
-def guarded(fn, what: str, rng, matrix: np.ndarray, *rest):
-    """``fn(matrix, *rest)`` for a matrix or a stack with one per chain.
+def guarded(fn, what: str, streams: ChainStreams, matrix: np.ndarray, *rest):
+    """``fn(matrix, *rest)`` for a stack of matrices, one per chain.
 
-    A LinAlgError on a lone matrix raises NumericalError(what). In a batch,
-    the chains whose own matrices fail are marked failed, and an identity
-    stands in for their matrices so that the others' results are unchanged.
+    On a LinAlgError, the chains whose own matrices fail are recorded failed
+    with ``what``, and an identity stands in for their matrices so that the
+    others' results are unchanged.
     """
     try:
         return fn(matrix, *rest)
-    except np.linalg.LinAlgError as exc:
-        if not isinstance(rng, ChainStreams):
-            raise NumericalError(what) from exc
+    except np.linalg.LinAlgError:
+        pass
     bad = np.zeros(len(matrix), dtype=bool)
     for c in range(len(matrix)):
         try:
             fn(matrix[c], *(r[c] for r in rest))
         except np.linalg.LinAlgError:
             bad[c] = True
-    record_failure(rng, bad, what)
+    streams.fail(bad, what)
     matrix = matrix.copy()
     matrix[bad] = np.eye(matrix.shape[-1])
     return fn(matrix, *rest)
-
-
-def set_fields(state, **values):
-    """``state`` with ``values`` set: a new ModelState, or the workspace in place."""
-    if isinstance(state, ModelState):
-        return replace(state, **values)
-    for name, value in values.items():
-        setattr(state, name, value)
-    return state
-
-
-def omega_variance(state, config: ModelConfig) -> np.ndarray:
-    """sigma_omega_sq: one per chain in a workspace, the config's for a lone state."""
-    return np.asarray(state.sigma_omega_sq if isinstance(state, Chains)
-                      else config.sigma_omega_sq)
 
 
 def _chain_bytes(dims: Dims, config: ModelConfig) -> int:

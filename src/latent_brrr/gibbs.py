@@ -13,10 +13,12 @@ steps run in one timed loop. It builds the list on each call from this
 module's ``update_*`` names, so fault injection and tracing that replace one
 of them reach the sweep.
 
-Each full conditional is written once, for arrays with any number of
-leading axes, so the same code updates one ModelState or C chains stacked
-along a leading chain axis (see ``latent_brrr.chains``). ``run_chains``
-advances fits of one shape together; ``run_chain`` is its one-chain case.
+Every update and the sweep take one kind of state, updated in place: a
+``Chains`` workspace of C >= 1 chains with its ``ChainData`` and
+``ChainStreams``, where each chain's failures are recorded (see
+``latent_brrr.chains``, which also says who raises them). ``run_chains``
+advances fits of one shape together and ``run_chain`` is its one-chain
+case; the moment oracles build a one-chain workspace from a ``ModelState``.
 
 Two interchangeable Psi samplers are provided. The naive one factorizes the
 dense (P*S1, P*S1) joint precision directly, costing O(P^3 S1^3). The fast
@@ -27,10 +29,10 @@ plus matrix products.
 
 Every variant's mean is D B (``model.mean_design``, ``mean_coefficients``)
 with D = [X Psi (+ Omega) | H] and B = [Gamma; Lambda]; H and Lambda exist
-only for independent noise. The data enter through the statistics cached on
-the Dataset or ChainData (X'X, its eigendecomposition, X'Y, y'y) and one
-pass over X per sweep, forming X Psi after the Psi draw; independent noise
-adds X'H for its Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'. Omega and
+only for independent noise. The data enter through the statistics stacked
+on the ChainData (X'X, its eigendecomposition, X'Y, y'y) and one pass over
+X per sweep, forming X Psi after the Psi draw; independent noise adds X'H
+for its Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'. Omega and
 H form their linear term as B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)'.
 The Gamma step forms D, D'D and D'Y, from which Gamma (Z'Y - (Z'H) Lambda,
 Z = X Psi (+ Omega)), Lambda (H'Y - (H'Z) Gamma) and sigma read, with target k's
@@ -65,9 +67,6 @@ from latent_brrr.chains import (
     RunStats,
     batch_width,
     guarded,
-    omega_variance,
-    record_failure,
-    set_fields,
 )
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import (
@@ -100,12 +99,12 @@ def _T(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _chol(matrix: np.ndarray, what: str, rng=None) -> np.ndarray:
-    return guarded(np.linalg.cholesky, f"Cholesky factorization failed in {what}", rng, matrix)
+def _chol(matrix: np.ndarray, what: str, streams) -> np.ndarray:
+    return guarded(np.linalg.cholesky, f"Cholesky factorization failed in {what}", streams, matrix)
 
 
-def _eigh(matrix: np.ndarray, what: str, rng=None):
-    return guarded(np.linalg.eigh, f"eigendecomposition failed in {what}", rng, matrix)
+def _eigh(matrix: np.ndarray, what: str, streams):
+    return guarded(np.linalg.eigh, f"eigendecomposition failed in {what}", streams, matrix)
 
 
 def _inverse_factor(chol_lower: np.ndarray):
@@ -141,34 +140,35 @@ def _precision_moments(chol_lower: np.ndarray, lin: np.ndarray):
     return inv_upper @ (inv_lower @ lin), inv_upper @ inv_lower
 
 
+def _one_chain(state: ModelState, dataset: Dataset, config: ModelConfig):
+    """``state`` on ``dataset`` as a one-chain workspace, for the moment
+    oracles: they draw nothing, and raise the failure their streams record."""
+    return Chains.stack([state], [config]), ChainData([dataset]), ChainStreams([]), {}
+
+
 # ---------------------------------------------------------------------------
 # products shared within a sweep
 
 
-def _x_psi(state, dataset, shared: dict | None) -> np.ndarray:
-    """X Psi, formed once per Psi draw when the sweep passes ``shared``."""
-    if shared is not None and shared.get("psi") is state.Psi:
-        return shared["x_psi"]
-    x_psi = dataset.X @ state.Psi
-    if shared is not None:
-        shared["psi"], shared["x_psi"] = state.Psi, x_psi
-    return x_psi
+def _x_psi(chains, data, shared: dict) -> np.ndarray:
+    """X Psi, formed once per Psi draw and kept in ``shared``."""
+    if shared.get("psi") is not chains.Psi:
+        shared["psi"], shared["x_psi"] = chains.Psi, data.X @ chains.Psi
+    return shared["x_psi"]
 
 
-def _design(state, dataset, config: ModelConfig, shared: dict | None = None):
+def _design(chains, data, config: ModelConfig, shared: dict):
     """The design D of ``model.mean_design`` and the cross-products D'D, D'Y.
 
     They are formed once per design (X Psi, Omega, H): the Gamma step forms
     them and leaves them in ``shared``, and the Lambda and sigma steps, which
     change no column of D, read them from there.
     """
-    key = (state.Psi, state.Omega, state.H)
-    cached = None if shared is None else shared.get("design")
+    key = (chains.Psi, chains.Omega, chains.H)
+    cached = shared.get("design")
     if cached is None or any(a is not b for a, b in zip(cached[0], key)):
-        D = mean_design(state, _x_psi(state, dataset, shared), config)
-        cached = key, D, _T(D) @ D, _T(D) @ dataset.Y
-        if shared is not None:
-            shared["design"] = cached
+        D = mean_design(chains, _x_psi(chains, data, shared), config)
+        cached = shared["design"] = key, D, _T(D) @ D, _T(D) @ data.Y
     return cached[1:]
 
 
@@ -176,31 +176,31 @@ def _design(state, dataset, config: ModelConfig, shared: dict | None = None):
 # Gamma (and Lambda) updates
 
 
-def _ridge_system(gram, lin_all, prior_prec_cols, sigma_sq, what, rng=None):
+def _ridge_system(gram, lin_all, prior_prec_cols, sigma_sq, what, streams):
     """Factored Gaussian full conditionals of independent regression columns.
 
     With design X* and targets y_i, ``gram`` = X*'X* and column i of
     ``lin_all`` = X*'y_i. Column i follows N(S_i X*'y_i / s_i, S_i) with
     S_i^{-1} = diag(prior_prec_cols[:, i]) + X*'X* / s_i. Returns the lower
     Cholesky factors of all S_i^{-1} from one batched call, stacked
-    (K, S1, S1), and the linear terms X*'y_i / s_i, stacked (K, S1, 1).
+    (C, K, S1, S1), and the linear terms X*'y_i / s_i, stacked (C, K, S1, 1).
     """
     S1 = prior_prec_cols.shape[-2]
     prec = gram[..., None, :, :] / sigma_sq[..., :, None, None]
     idx = np.arange(S1)
     prec[..., idx, idx] += _T(prior_prec_cols)
     if not np.isfinite(prec).all():
-        record_failure(rng, ~np.isfinite(prec).all(axis=(-3, -2, -1)), f"non-finite precision in {what}")
-    return _chol(prec, what, rng), _T(lin_all / sigma_sq[..., None, :])[..., None]
+        streams.fail(~np.isfinite(prec).all(axis=(-3, -2, -1)), f"non-finite precision in {what}")
+    return _chol(prec, what, streams), _T(lin_all / sigma_sq[..., None, :])[..., None]
 
 
-def _draw_ridge_columns(L, lin, rng):
-    """Draw every column of a ``_ridge_system`` as L^{-T} (L^{-1} lin + z); (S1, K)."""
-    w = np.linalg.solve(L, lin) + rng.standard_normal(lin.shape)
+def _draw_ridge_columns(L, lin, streams):
+    """Draw every column of a ``_ridge_system`` as L^{-T} (L^{-1} lin + z); (C, S1, K)."""
+    w = np.linalg.solve(L, lin) + streams.standard_normal(lin.shape)
     return _T(np.linalg.solve(_T(L), w)[..., 0])
 
 
-def _block_system(state, dataset, config, shared, block, prior_prec_cols, what, rng=None):
+def _block_system(chains, data, config, shared, block, prior_prec_cols, what, streams):
     """Ridge system of one block of B's rows given the other: Gamma (block 0,
     rows :S1) or Lambda (block 1, rows S1:).
 
@@ -208,52 +208,52 @@ def _block_system(state, dataset, config, shared, block, prior_prec_cols, what, 
     D_b'Y - (D_b'D_r) B_r over the other block r: Z'Y - (Z'H) Lambda for
     Gamma, with Z = D[:, :S1], and H'Y - (H'Z) Gamma for Lambda.
     """
-    _, dtd, dty = _design(state, dataset, config, shared)
-    S1 = state.Gamma.shape[-2]
+    _, dtd, dty = _design(chains, data, config, shared)
+    S1 = chains.Gamma.shape[-2]
     rows, rest = slice(None, S1), slice(S1, None)
     if block:
         rows, rest = rest, rows
-    B = mean_coefficients(state, config)
+    B = mean_coefficients(chains, config)
     lin = dty[..., rows, :] - dtd[..., rows, rest] @ B[..., rest, :]
-    return _ridge_system(dtd[..., rows, rows], lin, prior_prec_cols, state.sigma_sq, what, rng)
+    return _ridge_system(dtd[..., rows, rows], lin, prior_prec_cols, chains.sigma_sq, what, streams)
 
 
-def update_gamma(state, dataset, config: ModelConfig, rng, shared: dict | None = None):
+def update_gamma(chains, data, config: ModelConfig, streams, shared: dict):
     """Draw the loading matrix Gamma column by column (targets independent).
 
-    With ``shared``, X Psi is taken from it and the design's D'D and D'Y are
-    left there for update_lambda and update_sigma.
+    X Psi is taken from ``shared``, and the design's D'D and D'Y are left
+    there for update_lambda and update_sigma.
     """
-    Gamma = _draw_ridge_columns(*_block_system(
-        state, dataset, config, shared, 0, state.phi_gamma * state.tau[..., :, None],
-        "gamma update", rng), rng)
-    return set_fields(state, Gamma=Gamma)
+    chains.Gamma = _draw_ridge_columns(*_block_system(
+        chains, data, config, shared, 0, chains.phi_gamma * chains.tau[..., :, None],
+        "gamma update", streams), streams)
 
 
 def gamma_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (S1, K) and covariance (K, S1, S1) of the Gamma conditional."""
+    chains, data, streams, shared = _one_chain(state, dataset, config)
     means, covs = _precision_moments(*_block_system(
-        state, dataset, config, None, 0, state.phi_gamma * state.tau[:, None],
-        "gamma moments"))
-    return means[:, :, 0].T, covs
+        chains, data, config, shared, 0, chains.phi_gamma * chains.tau[..., :, None],
+        "gamma moments", streams))
+    streams.raise_failure()
+    return means[0, :, :, 0].T, covs[0]
 
 
-def update_lambda(state, dataset, config: ModelConfig, rng, shared: dict | None = None):
+def update_lambda(chains, data, config: ModelConfig, streams, shared: dict):
     """Draw the independent-noise loadings Lambda given the factors H.
 
-    A state without the noise stack raises StateError (via ``tau_noise``).
+    A workspace without the noise stack raises StateError (via ``tau_noise``).
     """
-    Lam = _draw_ridge_columns(*_block_system(
-        state, dataset, config, shared, 1, state.phi_lambda * state.tau_noise[..., :, None],
-        "lambda update", rng), rng)
-    return set_fields(state, Lambda=Lam)
+    chains.Lambda = _draw_ridge_columns(*_block_system(
+        chains, data, config, shared, 1, chains.phi_lambda * chains.tau_noise[..., :, None],
+        "lambda update", streams), streams)
 
 
 # ---------------------------------------------------------------------------
 # Psi updates (naive dense and fast reparameterized)
 
 
-def _psi_linear_terms(state, dataset, config, rng=None):
+def _psi_linear_terms(chains, data, config, streams):
     """Coupling matrix A = G M^{-1} G' and linear term (X'Y - (X'H) Lambda) M^{-1} G'.
 
     M is the K x K noise covariance of the Psi regression, D = diag(sigma_sq).
@@ -263,36 +263,35 @@ def _psi_linear_terms(state, dataset, config, rng=None):
     place of a K x K one. Where sigma_omega_sq / tau dwarfs sigma_sq (as on
     covariates of large units) M itself is numerically singular, while the
     S1 x S1 system keeps its conditioning. The regression target is Y, less
-    H Lambda for independent noise; with X'Y cached on the dataset the
-    linear term costs O(P K S1), plus the N x S2 product X'H for independent
-    noise.
+    H Lambda for independent noise; with X'Y cached on the data the linear
+    term costs O(P K S1), plus the N x S2 product X'H for independent noise.
     """
-    minv_gt = _T(state.Gamma) / state.sigma_sq[..., :, None]       # D^{-1} G', (K, S1)
+    minv_gt = _T(chains.Gamma) / chains.sigma_sq[..., :, None]     # D^{-1} G', (K, S1)
     if config.variant is Variant.LATENT_NOISE:
-        scale = omega_variance(state, config)[..., None] / state.tau
-        inner = np.eye(scale.shape[-1]) + scale[..., :, None] * (state.Gamma @ minv_gt)
+        scale = chains.sigma_omega_sq[..., None] / chains.tau
+        inner = np.eye(scale.shape[-1]) + scale[..., :, None] * (chains.Gamma @ minv_gt)
         minv_gt = _T(guarded(np.linalg.solve, "singular marginal covariance in psi update",
-                              rng, _T(inner), _T(minv_gt)))
-    A = state.Gamma @ minv_gt
+                              streams, _T(inner), _T(minv_gt)))
+    A = chains.Gamma @ minv_gt
     A = 0.5 * (A + _T(A))
-    xty = dataset.xty
+    xty = data.xty
     if config.variant is Variant.INDEPENDENT_NOISE:
-        xty = xty - (_T(dataset.X) @ state.H) @ state.Lambda
+        xty = xty - (_T(data.X) @ chains.H) @ chains.Lambda
     return A, xty @ minv_gt                                        # (P, S1)
 
 
-def _psi_naive_system(state, dataset, config, rng=None):
+def _psi_naive_system(chains, data, config, streams):
     """Lower Cholesky factor of the dense (P*S1, P*S1) Psi precision
     diag_h(tau_h I_P) + A (x) X'X, and the linear term vec(X' Y M^{-1} G')
     as a column."""
-    A, lin = _psi_linear_terms(state, dataset, config, rng)
-    P, S1 = state.Psi.shape[-2:]
+    A, lin = _psi_linear_terms(chains, data, config, streams)
+    P, S1 = chains.Psi.shape[-2:]
     lead = A.shape[:-2]
-    prec = (A[..., :, None, :, None] * dataset.gram[..., None, :, None, :]).reshape(
+    prec = (A[..., :, None, :, None] * data.gram[..., None, :, None, :]).reshape(
         *lead, S1 * P, S1 * P)
     idx = np.arange(S1 * P)
-    prec[..., idx, idx] += np.repeat(state.tau, P, axis=-1)
-    return _chol(prec, "psi update (naive)", rng), _T(lin).reshape(*lead, S1 * P, 1)
+    prec[..., idx, idx] += np.repeat(chains.tau, P, axis=-1)
+    return _chol(prec, "psi update (naive)", streams), _T(lin).reshape(*lead, S1 * P, 1)
 
 
 def _unvec(column: np.ndarray, P: int) -> np.ndarray:
@@ -300,13 +299,13 @@ def _unvec(column: np.ndarray, P: int) -> np.ndarray:
     return _T(column.reshape(*column.shape[:-2], -1, P))
 
 
-def update_psi_naive(state, dataset, config: ModelConfig, rng):
+def update_psi_naive(chains, data, config: ModelConfig, streams):
     """Draw vec(Psi) from one dense (P*S1, P*S1) Gaussian system."""
-    draw = _draw_from_precision(*_psi_naive_system(state, dataset, config, rng), rng)
-    return set_fields(state, Psi=_unvec(draw, state.Psi.shape[-2]))
+    draw = _draw_from_precision(*_psi_naive_system(chains, data, config, streams), streams)
+    chains.Psi = _unvec(draw, chains.Psi.shape[-2])
 
 
-def _psi_fast_system(state, dataset, config, rng=None):
+def _psi_fast_system(chains, data, config, streams):
     """The prior-whitened, doubly-diagonalized Psi system.
 
     After scaling column h of Psi by tau_h^{1/2} the joint precision is
@@ -316,22 +315,22 @@ def _psi_fast_system(state, dataset, config, rng=None):
     has independent entries N(C / denom, 1 / denom). Returns
     (U_x, U_a, tau^{-1/2}, denom, C).
     """
-    A, lin = _psi_linear_terms(state, dataset, config, rng)
-    t_isqrt = 1.0 / np.sqrt(state.tau)
+    A, lin = _psi_linear_terms(chains, data, config, streams)
+    t_isqrt = 1.0 / np.sqrt(chains.tau)
     A_tilde = A * (t_isqrt[..., :, None] * t_isqrt[..., None, :])
-    lam_a, U_a = _eigh(A_tilde, "psi update (coupling matrix)", rng)
-    lam_x, U_x = dataset.gram_eig
+    lam_a, U_a = _eigh(A_tilde, "psi update (coupling matrix)", streams)
+    lam_x, U_x = data.gram_eig
     # Both matrices are PSD; clip eigenvalue noise so the diagonal stays >= 1.
     denom = 1.0 + np.maximum(lam_x, 0.0)[..., :, None] * np.maximum(lam_a, 0.0)[..., None, :]
     C = _T(U_x) @ (lin * t_isqrt[..., None, :]) @ U_a
     return U_x, U_a, t_isqrt, denom, C
 
 
-def update_psi_fast(state, dataset, config: ModelConfig, rng):
+def update_psi_fast(chains, data, config: ModelConfig, streams):
     """Draw Psi through the prior-whitened, doubly-diagonalized system."""
-    U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, dataset, config, rng)
-    W = C / denom + rng.standard_normal(denom.shape) / np.sqrt(denom)
-    return set_fields(state, Psi=(U_x @ W @ _T(U_a)) * t_isqrt[..., None, :])
+    U_x, U_a, t_isqrt, denom, C = _psi_fast_system(chains, data, config, streams)
+    W = C / denom + streams.standard_normal(denom.shape) / np.sqrt(denom)
+    chains.Psi = (U_x @ W @ _T(U_a)) * t_isqrt[..., None, :]
 
 
 def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig,
@@ -341,15 +340,18 @@ def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelCo
     Both methods target the identical distribution and use the same system
     as the matching update; this is the hook the equivalence tests use.
     """
+    chains, data, streams, _ = _one_chain(state, dataset, config)
     P = state.Psi.shape[0]
     if method == "naive":
-        mean, cov = _precision_moments(*_psi_naive_system(state, dataset, config))
-        return _unvec(mean, P), _unvec(np.diag(cov)[:, None], P)
+        mean, cov = _precision_moments(*_psi_naive_system(chains, data, config, streams))
+        streams.raise_failure()
+        return _unvec(mean[0], P), _unvec(np.diag(cov[0])[:, None], P)
     if method == "fast":
-        U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, dataset, config)
-        mean = (U_x @ (C / denom) @ U_a.T) * t_isqrt[None, :]
-        var = ((U_x**2) @ (1.0 / denom) @ (U_a**2).T) * (t_isqrt**2)[None, :]
-        return mean, var
+        U_x, U_a, t_isqrt, denom, C = _psi_fast_system(chains, data, config, streams)
+        streams.raise_failure()
+        mean = (U_x @ (C / denom) @ _T(U_a)) * t_isqrt[..., None, :]
+        var = ((U_x**2) @ (1.0 / denom) @ _T(U_a**2)) * (t_isqrt**2)[..., None, :]
+        return mean[0], var[0]
     raise ConfigurationError(f"unknown psi moment method {method!r}")
 
 
@@ -357,72 +359,74 @@ def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelCo
 # latent factor updates
 
 
-def _factor_rows_system(loadings, prior_prec, state, dataset, shared):
+def _factor_rows_system(loadings, prior_prec, chains, data, shared):
     """Shared precision (S, S) and linear terms (S, N) of the factor rows F in
     Y - X Psi Gamma = F B + E, B = ``loadings`` (S, K), F rows ~ N(0, diag(1/prior_prec)).
 
     The linear term B Sigma^{-1} (Y - X Psi Gamma)' is formed as
     B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)', so no N x K residual is built.
     """
-    bs = loadings * (1.0 / state.sigma_sq)[..., None, :]    # B Sigma^{-1}
+    bs = loadings * (1.0 / chains.sigma_sq)[..., None, :]    # B Sigma^{-1}
     prec = bs @ _T(loadings)
     idx = np.arange(prior_prec.shape[-1])
     prec[..., idx, idx] += prior_prec
-    lin = bs @ _T(dataset.Y)
-    lin -= (bs @ _T(state.Gamma)) @ _T(_x_psi(state, dataset, shared))
+    lin = bs @ _T(data.Y)
+    lin -= (bs @ _T(chains.Gamma)) @ _T(_x_psi(chains, data, shared))
     return prec, lin
 
 
-def _omega_system(state, dataset, config, shared=None):
-    return _factor_rows_system(state.Gamma, state.tau / omega_variance(state, config)[..., None],
-                               state, dataset, shared)
+def _omega_system(chains, data, shared):
+    return _factor_rows_system(chains.Gamma, chains.tau / chains.sigma_omega_sq[..., None],
+                               chains, data, shared)
 
 
-def update_omega(state, dataset, config: ModelConfig, rng, shared: dict | None = None):
+def update_omega(chains, data, config: ModelConfig, streams, shared: dict):
     """Draw the latent-noise rows; all rows share one S1 x S1 posterior covariance."""
     if config.variant is not Variant.LATENT_NOISE:
         raise ConfigurationError("omega update applies to the latent-noise variant")
     if not config.sigma_omega_sq or config.sigma_omega_sq <= 0:
         raise ConfigurationError("sampling Omega requires sigma_omega_sq > 0")
-    prec, lin = _omega_system(state, dataset, config, shared)
-    draws = _draw_from_precision(_chol(prec, "omega update", rng), lin, rng)
-    return set_fields(state, Omega=_T(draws))
+    prec, lin = _omega_system(chains, data, shared)
+    draws = _draw_from_precision(_chol(prec, "omega update", streams), lin, streams)
+    chains.Omega = _T(draws)
 
 
 def omega_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (N, S1) and shared covariance (S1, S1) of the Omega rows."""
-    prec, lin = _omega_system(state, dataset, config)
-    mean, cov = _precision_moments(_chol(prec, "omega moments"), lin)
-    return mean.T, cov
+    chains, data, streams, shared = _one_chain(state, dataset, config)
+    prec, lin = _omega_system(chains, data, shared)
+    mean, cov = _precision_moments(_chol(prec, "omega moments", streams), lin)
+    streams.raise_failure()
+    return mean[0].T, cov[0]
 
 
-def update_h(state, dataset, config: ModelConfig, rng, shared: dict | None = None):
+def update_h(chains, data, config: ModelConfig, streams, shared: dict):
     """Draw the independent-noise factor rows (unit-variance prior scale).
 
-    A state without the noise stack raises StateError (via ``tau_noise``).
+    A workspace without the noise stack raises StateError (via ``tau_noise``).
     """
-    prec, lin = _factor_rows_system(state.Lambda, state.tau_noise, state, dataset, shared)
-    draws = _draw_from_precision(_chol(prec, "H update", rng), lin, rng)
-    return set_fields(state, H=_T(draws))
+    prec, lin = _factor_rows_system(chains.Lambda, chains.tau_noise, chains, data, shared)
+    draws = _draw_from_precision(_chol(prec, "H update", streams), lin, streams)
+    chains.H = _T(draws)
 
 
 # ---------------------------------------------------------------------------
 # shrinkage and noise hyperparameter updates
 
 
-def update_phi_gamma(state, config: ModelConfig, rng):
+def update_phi_gamma(chains, config: ModelConfig, streams):
     """Local shrinkage: phi_hj ~ Ga((nu+1)/2, (nu + tau_h gamma_hj^2)/2)."""
-    rate = 0.5 * (config.nu + state.tau[..., :, None] * state.Gamma**2)
-    return set_fields(state, phi_gamma=rng.gamma((config.nu + 1.0) / 2.0, 1.0 / rate))
+    rate = 0.5 * (config.nu + chains.tau[..., :, None] * chains.Gamma**2)
+    chains.phi_gamma = streams.gamma((config.nu + 1.0) / 2.0, 1.0 / rate)
 
 
-def update_phi_lambda(state, config: ModelConfig, rng):
-    rate = 0.5 * (config.nu + state.tau_noise[..., :, None] * state.Lambda**2)
-    return set_fields(state, phi_lambda=rng.gamma((config.nu + 1.0) / 2.0, 1.0 / rate))
+def update_phi_lambda(chains, config: ModelConfig, streams):
+    rate = 0.5 * (config.nu + chains.tau_noise[..., :, None] * chains.Lambda**2)
+    chains.phi_lambda = streams.gamma((config.nu + 1.0) / 2.0, 1.0 / rate)
 
 
 def _draw_mgp_delta(delta: np.ndarray, quads: np.ndarray, count: int,
-                    a1: float, a2: float, rng) -> np.ndarray:
+                    a1: float, a2: float, streams) -> np.ndarray:
     """One conjugate sweep over the multiplicative-gamma increments.
 
     ``quads`` holds the per-component quadratic forms q_h and ``count`` the
@@ -442,35 +446,34 @@ def _draw_mgp_delta(delta: np.ndarray, quads: np.ndarray, count: int,
         rate = 1.0 + 0.5 * (tau_excl[..., l:] * quads[..., l:]).sum(axis=-1)
         if not np.isfinite(rate).all():
             bad = ~np.isfinite(rate)
-            record_failure(rng, bad, "non-finite rate in delta update")
+            streams.fail(bad, "non-finite rate in delta update")
             rate = np.where(bad, 1.0, rate)
-        delta[..., l] = rng.gamma(shape, 1.0 / rate)
+        delta[..., l] = streams.gamma(shape, 1.0 / rate)
     return delta
 
 
-def _delta_quads(state, config: ModelConfig):
+def _delta_quads(chains, config: ModelConfig):
     """Quadratic forms and entry count entering the delta conditional."""
-    quads = (state.phi_gamma * state.Gamma**2).sum(axis=-1) + (state.Psi**2).sum(axis=-2)
-    count = state.Gamma.shape[-1] + state.Psi.shape[-2]
+    quads = (chains.phi_gamma * chains.Gamma**2).sum(axis=-1) + (chains.Psi**2).sum(axis=-2)
+    count = chains.Gamma.shape[-1] + chains.Psi.shape[-2]
     if config.variant is Variant.LATENT_NOISE:
-        quads = quads + (state.Omega**2).sum(axis=-2) / omega_variance(state, config)[..., None]
-        count += state.Omega.shape[-2]
+        quads = quads + (chains.Omega**2).sum(axis=-2) / chains.sigma_omega_sq[..., None]
+        count += chains.Omega.shape[-2]
     return quads, count
 
 
-def update_delta(state, config: ModelConfig, rng):
+def update_delta(chains, config: ModelConfig, streams):
     """Global shrinkage increments for the Gamma/Psi(/Omega) stack."""
-    quads, count = _delta_quads(state, config)
-    return set_fields(state, delta=_draw_mgp_delta(state.delta, quads, count,
-                                             config.a1, config.a2, rng))
+    quads, count = _delta_quads(chains, config)
+    chains.delta = _draw_mgp_delta(chains.delta, quads, count, config.a1, config.a2, streams)
 
 
-def update_delta_noise(state, config: ModelConfig, rng):
+def update_delta_noise(chains, config: ModelConfig, streams):
     """Global shrinkage increments for the independent-noise H/Lambda stack."""
-    quads = (state.phi_lambda * state.Lambda**2).sum(axis=-1) + (state.H**2).sum(axis=-2)
-    count = state.Lambda.shape[-1] + state.H.shape[-2]
-    return set_fields(state, delta_noise=_draw_mgp_delta(state.delta_noise, quads, count,
-                                                   config.a1, config.a2, rng))
+    quads = (chains.phi_lambda * chains.Lambda**2).sum(axis=-1) + (chains.H**2).sum(axis=-2)
+    count = chains.Lambda.shape[-1] + chains.H.shape[-2]
+    chains.delta_noise = _draw_mgp_delta(chains.delta_noise, quads, count,
+                                         config.a1, config.a2, streams)
 
 
 # Below this fraction of y'y a target's expanded residual sum of squares is
@@ -478,21 +481,21 @@ def update_delta_noise(state, config: ModelConfig, rng):
 _RSS_FALLBACK_RATIO = 1e-3
 
 
-def update_sigma(state, dataset, config: ModelConfig, rng, shared: dict | None = None):
+def update_sigma(chains, data, config: ModelConfig, streams, shared: dict):
     """Conjugate update of the target-specific noise precisions, with each
     residual sum of squares of Y - D B taken from D'D and D'Y."""
-    D, dtd, dty = _design(state, dataset, config, shared)
-    B = mean_coefficients(state, config)
-    yty = dataset.yty
+    D, dtd, dty = _design(chains, data, config, shared)
+    B = mean_coefficients(chains, config)
+    yty = data.yty
     rss = yty - 2.0 * (B * dty).sum(axis=-2) + (B * (dtd @ B)).sum(axis=-2)
     low = rss <= _RSS_FALLBACK_RATIO * yty
     if low.any():
         for c in np.ndindex(low.shape[:-1]):
             k = np.flatnonzero(low[c])
-            rss[c][k] = ((dataset.Y[c][:, k] - D[c] @ B[c][:, k])**2).sum(axis=0)
+            rss[c][k] = ((data.Y[c][:, k] - D[c] @ B[c][:, k])**2).sum(axis=0)
     rate = config.b_sigma + 0.5 * rss
-    precision = rng.gamma(config.a_sigma + 0.5 * dataset.n_samples, 1.0 / rate)
-    return set_fields(state, sigma_sq=1.0 / precision)
+    precision = streams.gamma(config.a_sigma + 0.5 * data.n_samples, 1.0 / rate)
+    chains.sigma_sq = 1.0 / precision
 
 
 # ---------------------------------------------------------------------------
@@ -504,31 +507,32 @@ def _accumulate(timings, name, t0):
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0)
 
 
-def gibbs_sweep(state, dataset, config: ModelConfig, rng, *, delta_step=None, timings=None):
-    """One full update cycle in the fixed order used by run_chain.
+def gibbs_sweep(chains: Chains, data: ChainData, config: ModelConfig, streams: ChainStreams,
+                *, delta_step=None, timings=None) -> None:
+    """One full update cycle of every chain in ``chains``, in place, in the
+    fixed order used by run_chains.
 
-    ``state`` is one ModelState, with its Dataset and Generator, or a
-    ``Chains`` workspace with its ``ChainData`` and ``ChainStreams``, which
-    is updated in place. The variant's cycle is a list of (timing bucket,
-    update, arguments) steps, run in one loop that adds each step's wall
-    time to its bucket; the null variant's list is empty. The list is built
-    on each call from this module's global names, so a caller that replaces
-    ``update_*`` here (fault injection, tracing) changes what the sweep
-    calls. The updates share X Psi and the Gamma step's D'D and D'Y through
-    one per-sweep dict. ``delta_step`` replaces the delta update when given
-    (used by the sampler-validation harness for fault injection).
+    ``chains`` holds C >= 1 chains along its leading axis, ``data`` their
+    data and ``streams`` their Generators. The variant's cycle is a list of
+    (timing bucket, update, arguments) steps, run in one loop that adds each
+    step's wall time to its bucket; the null variant's list is empty. The
+    list is built on each call from this module's global names, so a caller
+    that replaces ``update_*`` here (fault injection, tracing) changes what
+    the sweep calls. The updates share X Psi and the Gamma step's D'D and
+    D'Y through one per-sweep dict. ``delta_step`` replaces the delta update
+    when given (used by the sampler-validation harness for fault injection).
 
-    In a batch, a NumericalError raised by a step fails every chain it ran
-    on, and the sweep stops early once every chain has failed.
+    A numerical failure is recorded against the chain it occurs on in
+    ``streams``, and a NumericalError raised by a step fails every chain;
+    the sweep stops early once every chain has failed. It raises neither:
+    ``run_chains`` reports failed chains, and the callers that own a single
+    chain (``run_chain``, ``theory.geweke_test``) raise NumericalError.
     """
-    lone = isinstance(state, ModelState)
-    chains = Chains.from_state(state, config) if lone else state
-    batch = isinstance(rng, ChainStreams)
     shared: dict = {}
-    data, prior = (dataset, config, rng), (config, rng)
-    fit = (*data, shared)
+    on_data, prior = (data, config, streams), (config, streams)
+    fit = (*on_data, shared)
     draw_psi = update_psi_naive if config.psi_update == "naive" else update_psi_fast
-    psi, gamma = ("psi", draw_psi, data), ("gamma", update_gamma, fit)
+    psi, gamma = ("psi", draw_psi, on_data), ("gamma", update_gamma, fit)
     phi, delta = ("phi", update_phi_gamma, prior), ("delta", delta_step or update_delta, prior)
     sigma = ("sigma", update_sigma, fit)
     if config.variant is Variant.LATENT_NOISE:
@@ -544,15 +548,12 @@ def gibbs_sweep(state, dataset, config: ModelConfig, rng, *, delta_step=None, ti
     for bucket, update, args in steps:
         t0 = time.perf_counter()
         try:
-            chains = update(chains, *args)
+            update(chains, *args)
         except NumericalError as exc:
-            if not batch:
-                raise
-            rng.fail(np.ones(len(rng.generators), dtype=bool), str(exc))
+            streams.fail(np.ones(len(streams.generators), dtype=bool), str(exc))
         _accumulate(timings, bucket, t0)
-        if batch and len(rng.failed) == len(rng.generators):
+        if len(streams.failed) == len(streams.generators):
             break
-    return chains.state() if lone else chains
 
 
 def _resolved(dataset: Dataset, config: ModelConfig) -> ModelConfig:
@@ -602,7 +603,7 @@ def _advance(datasets: Sequence[Dataset], configs: Sequence[ModelConfig],
     theta_sum = np.zeros((n_chains, P, K))
     retained: list[ModelState] = []
     for it in range(1, config.iterations + 1):
-        chains = gibbs_sweep(chains, data, config, streams, timings=timings)
+        gibbs_sweep(chains, data, config, streams, timings=timings)
         stats.sweeps += 1
         for c, message in streams.failed.items():
             errors[c] = errors[c] or f"{message} (iteration {it})"

@@ -96,9 +96,14 @@ def read_json(path):
             raise ConfigurationError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _from_dict(cls, data: dict, what: str):
+def _object(data, what: str) -> dict:
+    """A copy of ``data``, which must be a JSON object."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{what} must be a JSON object")
+    return dict(data)
+
+
+def _from_dict(cls, data: dict, what: str):
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - fields)
     if unknown:
@@ -107,7 +112,7 @@ def _from_dict(cls, data: dict, what: str):
 
 
 def model_config_from_dict(data: dict) -> ModelConfig:
-    data = dict(data)
+    data = _object(data, "model config")
     if "variant" in data and not isinstance(data["variant"], Variant):
         try:
             data["variant"] = Variant(data["variant"])
@@ -128,9 +133,9 @@ def model_config_to_dict(config: ModelConfig) -> dict:
 
 
 def cv_plan_from_dict(data: dict) -> CvPlan:
-    data = dict(data)
+    data = _object(data, "CV plan")
     for key in ("beta_grid", "rank_grid"):
-        if key in data:
+        if isinstance(data.get(key), list):
             data[key] = tuple(data[key])
     return _from_dict(CvPlan, data, "CV plan")
 

@@ -53,6 +53,22 @@ class Dims:
                 raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
 
 
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Raise ConfigurationError naming ``name`` unless ``value`` is an integer
+    (with ``integer``) or a finite real number. Numpy scalars pass; bools do not."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds) or \
+            (isinstance(value, (float, np.floating)) and not np.isfinite(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+
+
+# ModelConfig's numeric fields; None leaves the optional ones unset.
+_INTEGER_FIELDS = ("rank", "noise_rank", "iterations", "burn_in", "thin")
+_REAL_FIELDS = ("a1", "a2", "nu", "a_sigma", "b_sigma", "latent_snr", "sigma_omega_sq")
+_OPTIONAL_FIELDS = ("noise_rank", "latent_snr", "sigma_omega_sq")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters, variant selector, and MCMC schedule for one fit.
@@ -82,6 +98,10 @@ class ModelConfig:
     def __post_init__(self):
         if not isinstance(self.variant, Variant):
             raise ConfigurationError(f"unknown variant {self.variant!r}")
+        for name in _INTEGER_FIELDS + _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is not None or name not in _OPTIONAL_FIELDS:
+                check_number(name, value, integer=name in _INTEGER_FIELDS)
         if self.rank < 1:
             raise ConfigurationError("rank must be >= 1")
         if not self.a1 > 2:
@@ -128,8 +148,9 @@ class ModelState:
 
     ``Omega`` is present for the latent-noise variant; ``H``, ``Lambda``
     and their shrinkage stack (``phi_lambda``, ``delta_noise``) for the
-    independent-noise variant. Treated as an immutable value object:
-    updates produce new states via ``dataclasses.replace``.
+    independent-noise variant. Treated as an immutable value object; the
+    sampler updates a ``chains.Chains`` workspace and builds a ModelState
+    for each retained state.
     """
 
     Psi: np.ndarray          # (P, S1)
@@ -145,14 +166,14 @@ class ModelState:
 
     @property
     def tau(self) -> np.ndarray:
-        """Cumulative shrinkage tau_h = prod_{l<=h} delta_l."""
-        return np.cumprod(self.delta)
+        """Cumulative shrinkage tau_h = prod_{l<=h} delta_l, along the last axis."""
+        return np.cumprod(self.delta, axis=-1)
 
     @property
     def tau_noise(self) -> np.ndarray:
         if self.delta_noise is None:
             raise StateError("state has no independent-noise shrinkage stack")
-        return np.cumprod(self.delta_noise)
+        return np.cumprod(self.delta_noise, axis=-1)
 
     @property
     def theta(self) -> np.ndarray:
@@ -219,14 +240,6 @@ class Dataset:
             return np.linalg.eigh(self.gram)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("eigendecomposition of the Gram matrix X'X failed") from exc
-
-    def with_targets(self, Y: np.ndarray) -> Dataset:
-        """The same X with new targets Y, keeping X's cached statistics."""
-        new = replace(self, Y=Y)
-        for name in ("gram", "gram_eig"):
-            if name in self.__dict__:
-                new.__dict__[name] = self.__dict__[name]
-        return new
 
     @cached_property
     def xty(self) -> np.ndarray:

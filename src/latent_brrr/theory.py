@@ -28,11 +28,12 @@ disagreement shows up as large two-sample z-scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 import latent_brrr.gibbs as gibbs
+from latent_brrr.chains import ChainData, Chains, ChainStreams
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import (
     Dataset,
@@ -341,14 +342,13 @@ def _statistics(state: ModelState, Y: np.ndarray) -> np.ndarray:
     return np.concatenate(stats)
 
 
-def _corrupted_delta_step(state, config, rng):
+def _corrupted_delta_step(chains, config, streams):
     # Fault injection: the shape parameter forgets the Omega entries while
     # the rate keeps them, a realistic wrong-shape bug.
-    quads, _ = gibbs._delta_quads(state, config)
-    wrong_count = state.Gamma.shape[1] + state.Psi.shape[0]
-    delta = gibbs._draw_mgp_delta(state.delta, quads, wrong_count,
-                                  config.a1, config.a2, rng)
-    return replace(state, delta=delta)
+    quads, _ = gibbs._delta_quads(chains, config)
+    wrong_count = chains.Gamma.shape[-1] + chains.Psi.shape[-2]
+    chains.delta = gibbs._draw_mgp_delta(chains.delta, quads, wrong_count,
+                                         config.a1, config.a2, streams)
 
 
 def _two_sample_z(ind: np.ndarray, dep: np.ndarray, n_batches: int) -> float:
@@ -384,7 +384,9 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     errors come from batch means; by default batches are kept at least 5000
     iterations long (subject to having at least 10 of them) so that the
     sticky excursions of the shrinkage stack, observed to last up to ~2000
-    iterations, are covered.
+    iterations, are covered. It runs as a one-chain workspace on ``rng``,
+    whose targets are redrawn before every sweep; a numerical failure on
+    the chain raises NumericalError.
     """
     if n_iter < 1:
         raise ConfigurationError("geweke_test needs n_iter >= 1")
@@ -407,11 +409,15 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     delta_step = _corrupted_delta_step if corrupt_delta else None
     successive = np.empty((n_iter, n_stats))
     state = sample_prior(config, dims, rng)
-    dataset = Dataset(X=X, Y=np.zeros((dims.n_samples, dims.n_targets)))
+    chains = Chains.stack([state], [config])
+    data = ChainData([Dataset(X=X, Y=np.zeros((dims.n_samples, dims.n_targets)))])
+    streams = ChainStreams([rng])
     for t in range(n_iter):
         Y = _draw_response(state, X, config, rng)
-        dataset = dataset.with_targets(Y)
-        state = gibbs.gibbs_sweep(state, dataset, config, rng, delta_step=delta_step)
+        data.set_targets(Y[None])
+        gibbs.gibbs_sweep(chains, data, config, streams, delta_step=delta_step)
+        streams.raise_failure()
+        state = chains.state(0)
         successive[t] = _statistics(state, Y)
 
     z_scores: dict[str, float] = {}

@@ -10,7 +10,7 @@ from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.evaluate import mse
 # run_chain stays bound here for callers and tracers that patch it by module.
 from latent_brrr.gibbs import RunStats, run_chain, run_chains  # noqa: F401
-from latent_brrr.model import Dataset, ModelConfig, Variant
+from latent_brrr.model import Dataset, ModelConfig, Variant, check_number
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,22 @@ class CvPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.beta_grid) == 0 or len(self.rank_grid) == 0:
-            raise ConfigurationError("beta_grid and rank_grid must be non-empty")
+        for name, integer in (("beta_grid", False), ("rank_grid", True)):
+            grid = getattr(self, name)
+            if not isinstance(grid, tuple) or len(grid) == 0:
+                raise ConfigurationError(f"{name} must be a non-empty list, got {grid!r}")
+            for value in grid:
+                check_number(f"{name} entry", value, integer)
+        check_number("n_folds", self.n_folds, integer=True)
+        check_number("seed", self.seed, integer=True)
         if any(b <= 0 for b in self.beta_grid):
             raise ConfigurationError("beta grid values must be positive")
         if any(r < 1 for r in self.rank_grid):
             raise ConfigurationError("rank grid values must be >= 1")
         if self.n_folds < 2:
             raise ConfigurationError("n_folds must be >= 2")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
 
 
 def fold_assignments(n_samples: int, n_folds: int, seed: int) -> np.ndarray:

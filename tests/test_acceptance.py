@@ -24,7 +24,7 @@ import latent_brrr
 from latent_brrr import io as lio
 from latent_brrr.cli import main as cli_main
 from latent_brrr.evaluate import mse, permutation_test
-from latent_brrr.gibbs import psi_conditional_moments, run_chain
+from latent_brrr.gibbs import psi_conditional_moments, run_chain, run_chains
 from latent_brrr.model import (
     Dataset,
     Dims,
@@ -166,36 +166,32 @@ def test_criterion_4_fast_naive_psi_equivalence_and_timing():
            f"ratios {ratios[0]:.1f}, {ratios[1]:.1f}, {ratios[2]:.1f}")
 
 
-def _study_fit_mse(train, test, config):
-    trace = run_chain(train, config)
-    total, _ = mse(test.X @ trace.samples.theta_mean, test.Y)
-    return total
-
-
 def test_criterion_5_simulation_study():
     start = time.perf_counter()
     n_reps = 10
     schedule = dict(iterations=1000, burn_in=500, thin=10)
+    variant_configs = {
+        "latent": dict(variant=Variant.LATENT_NOISE, rank=3, latent_snr=1 / 10),
+        "independent": dict(variant=Variant.INDEPENDENT_NOISE, rank=3, noise_rank=3),
+        "no_noise": dict(variant=Variant.NO_NOISE, rank=3),
+    }
     scores = {}  # (alpha, n, variant) -> list of replicate MSEs
     for alpha in (0.0, 1.0):
         for n_train, variants in ((2000, ("latent", "independent")),
                                   (500, ("latent", "independent", "no_noise"))):
-            for rep in range(n_reps):
-                sim = SimConfig(alpha=alpha, n_train=n_train, n_test=8000,
-                                seed=1000 + 17 * rep)
-                train, test, _ = generate(sim)
-                configs = {
-                    "latent": ModelConfig(variant=Variant.LATENT_NOISE, rank=3,
-                                          latent_snr=1 / 10, seed=rep, **schedule),
-                    "independent": ModelConfig(variant=Variant.INDEPENDENT_NOISE,
-                                               rank=3, noise_rank=3, seed=rep,
-                                               **schedule),
-                    "no_noise": ModelConfig(variant=Variant.NO_NOISE, rank=3,
-                                            seed=rep, **schedule),
-                }
-                for name in variants:
-                    scores.setdefault((alpha, n_train, name), []).append(
-                        _study_fit_mse(train, test, configs[name]))
+            replicates = [generate(SimConfig(alpha=alpha, n_train=n_train, n_test=8000,
+                                             seed=1000 + 17 * rep))[:2]
+                          for rep in range(n_reps)]
+            for name in variants:
+                # A variant's replicates share one shape, so run_chains advances
+                # them together; each chain draws what its run_chain fit would.
+                trace = run_chains([
+                    (train, ModelConfig(seed=rep, **variant_configs[name], **schedule))
+                    for rep, (train, _) in enumerate(replicates)])
+                assert trace.errors == (None,) * n_reps, trace.errors
+                scores[(alpha, n_train, name)] = [
+                    mse(test.X @ theta, test.Y)[0]
+                    for (_, test), theta in zip(replicates, trace.theta_means)]
 
     def stats(alpha, n, name):
         vals = np.array(scores[(alpha, n, name)])

@@ -8,6 +8,7 @@ import pytest
 
 import latent_brrr.chains as chains
 import latent_brrr.gibbs as gibbs
+from latent_brrr.chains import ChainData, ChainStreams
 from latent_brrr.errors import NumericalError
 from latent_brrr.evaluate import permutation_test
 from latent_brrr.gibbs import RunStats, run_chain, run_chains
@@ -153,3 +154,31 @@ def test_byte_cap_splits_assoc_into_batches_with_the_same_result(monkeypatch):
     assert np.allclose(capped.perm_ptves, whole.perm_ptves, rtol=1e-10, atol=0.0)
     for capped_theta, whole_theta in zip(capped_fits.theta_means, whole_fits.theta_means):
         assert_same_theta(capped_theta, whole_theta)
+
+
+def test_streams_draw_what_each_chain_draws_alone():
+    # Slice c holds chain c's own Generator.standard_normal(shape) and
+    # Generator.gamma(shape, scale) draws, bit for bit, for every shape the
+    # updates use: a scale per chain (delta) or an array per chain.
+    streams = ChainStreams([np.random.default_rng(3), np.random.default_rng(4)])
+    alone = [np.random.default_rng(3), np.random.default_rng(4)]
+    scale = np.random.default_rng(5).gamma(2.0, 1.0, (2, 3, 4))
+    for _ in range(2):
+        normal = streams.standard_normal((2, 3, 4))
+        gamma = streams.gamma(2.5, scale)
+        per_chain = streams.gamma(2.5, scale[:, 0, 0])
+        for c, generator in enumerate(alone):
+            assert np.array_equal(normal[c], generator.standard_normal((3, 4)))
+            assert np.array_equal(gamma[c], generator.gamma(2.5, scale[c]))
+            assert per_chain[c] == generator.gamma(2.5, scale[c, 0, 0])
+
+
+def test_set_targets_gives_the_statistics_of_new_data():
+    data, other = problem(5), problem(6)
+    chained = ChainData([data])
+    chained.gram_eig, chained.xty, chained.yty
+    chained.set_targets(other.Y[None])
+    fresh = ChainData([Dataset(X=data.X, Y=other.Y)])
+    for name in ("Y", "xty", "yty"):
+        assert np.array_equal(getattr(chained, name), getattr(fresh, name)), name
+    assert all(np.array_equal(a, b) for a, b in zip(chained.gram_eig, fresh.gram_eig))

@@ -183,6 +183,42 @@ def test_fit_unknown_config_key_exits_2(sim_dir, tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"rank": "3"}, "rank"),
+    ({"a1": "4"}, "a1"),
+    ({"latent_snr": "0.1"}, "latent_snr"),
+    ({"iterations": 20.5}, "iterations"),
+    ([1, 2], "model config"),
+])
+def test_fit_mistyped_config_exits_2_naming_the_field(sim_dir, tmp_path, capsys, fields, name):
+    path = tmp_path / "config.json"
+    if isinstance(fields, dict):
+        write_config(path, **fields)
+    else:
+        lio.write_json(path, fields)
+    code = run_cli("fit", "--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv",
+                   "--config", path, "--out-dir", tmp_path / "fit")
+    assert code == 2
+    assert f"{name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plan, name", [
+    ({"n_folds": "2"}, "n_folds"),
+    ({"beta_grid": "0.1"}, "beta_grid"),
+    ([0], "CV plan"),
+])
+def test_cv_mistyped_plan_exits_2_naming_the_field(sim_dir, tmp_path, capsys, plan, name):
+    path = tmp_path / "plan.json"
+    if isinstance(plan, dict):
+        plan = {"beta_grid": [0.1], "rank_grid": [2], "n_folds": 3, "seed": 1, **plan}
+    lio.write_json(path, plan)
+    code = run_cli("cv", "--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv",
+                   "--config", write_config(tmp_path / "config.json"), "--plan", path,
+                   "--out-dir", tmp_path / "cv")
+    assert code == 2
+    assert f"{name} must be" in capsys.readouterr().err
+
+
 def test_fit_outputs_byte_identical_across_reruns(sim_dir, tmp_path):
     config = write_config(tmp_path / "config.json")
     a, b = tmp_path / "a", tmp_path / "b"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import latent_brrr.gibbs as gibbs
+from latent_brrr.chains import ChainData, Chains, ChainStreams
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.gibbs import (
     gamma_conditional_moments,
@@ -42,6 +43,28 @@ def make_problem(seed, N=50, P=4, K=3, S1=2, sigma_omega_sq=1.3):
     Y = (X @ state.Psi + state.Omega) @ state.Gamma \
         + rng.standard_normal((N, K)) * np.sqrt(state.sigma_sq)
     return state, Dataset(X=X, Y=Y), config, rng
+
+
+def chain_arg(arg):
+    """A Dataset or Generator as one chain's ChainData or ChainStreams."""
+    if isinstance(arg, Dataset):
+        return ChainData([arg])
+    if isinstance(arg, np.random.Generator):
+        return ChainStreams([arg])
+    return arg
+
+
+def solo(update, state, *args):
+    """Run ``update`` (or ``gibbs_sweep``) on ``state`` as a one-chain workspace.
+
+    ``args`` are the update's own arguments, with a Dataset and a Generator
+    (or a scripted stand-in for its streams) in their places; returns the
+    chain's new state.
+    """
+    config = next(arg for arg in args if isinstance(arg, ModelConfig))
+    chains = Chains.stack([state], [config])
+    update(chains, *map(chain_arg, args))
+    return chains.state(0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +128,7 @@ def test_gamma_draws_have_oracle_moments():
     state, dataset, config, rng = make_problem(3, N=30, K=2, S1=2)
     means, covs = gamma_conditional_moments(state, dataset, config)
     draws = np.array([
-        update_gamma(state, dataset, config, rng).Gamma for _ in range(4000)
+        solo(update_gamma, state, dataset, config, rng, {}).Gamma for _ in range(4000)
     ])
     emp_mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
@@ -188,10 +211,10 @@ def test_psi_draws_match_conditional_moments():
     state, dataset, config, rng = make_problem(7, N=25, P=3, K=3, S1=2)
     mean, var = psi_conditional_moments(state, dataset, config, method="naive")
     fast = np.array([
-        update_psi_fast(state, dataset, config, rng).Psi for _ in range(4000)
+        solo(update_psi_fast, state, dataset, config, rng).Psi for _ in range(4000)
     ])
     naive = np.array([
-        update_psi_naive(state, dataset, config, rng).Psi for _ in range(4000)
+        solo(update_psi_naive, state, dataset, config, rng).Psi for _ in range(4000)
     ])
     for draws in (fast, naive):
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
@@ -217,7 +240,7 @@ def test_psi_draws_same_with_cached_xty(variant):
     lin = (X.T @ (dataset.Y @ minv_gt)).ravel(order="F")
     mean = np.linalg.solve(prec, lin).reshape(state.Psi.shape, order="F")
     for update in (update_psi_fast, update_psi_naive):
-        drawn = update(state, dataset, config, ScriptedNormal(np.zeros)).Psi
+        drawn = solo(update, state, dataset, config, ScriptedNormal(np.zeros)).Psi
         assert np.allclose(drawn, mean, rtol=1e-10, atol=1e-14)
 
 
@@ -230,12 +253,12 @@ def test_independent_noise_sweep_keeps_psi_target_y_minus_h_lambda(method):
     state = sample_prior(config, Dims(40, 5, 4, 2), rng)
     X = rng.standard_normal((40, 5))
     Y = rng.standard_normal((40, 4))
-    swept = gibbs.gibbs_sweep(state, Dataset(X=X, Y=Y), config,
-                              np.random.default_rng(5))
+    swept = solo(gibbs.gibbs_sweep, state, Dataset(X=X, Y=Y), config,
+                 np.random.default_rng(5))
     update = update_psi_fast if method == "fast" else update_psi_naive
-    expected = update(replace(state, Lambda=np.zeros_like(state.Lambda)),
-                      Dataset(X=X, Y=Y - state.H @ state.Lambda), config,
-                      np.random.default_rng(5))
+    expected = solo(update, replace(state, Lambda=np.zeros_like(state.Lambda)),
+                    Dataset(X=X, Y=Y - state.H @ state.Lambda), config,
+                    np.random.default_rng(5))
     assert np.allclose(swept.Psi, expected.Psi, rtol=1e-10, atol=0.0)
 
 
@@ -277,12 +300,24 @@ def test_omega_draws_match_moments():
     state, dataset, config, rng = make_problem(11, N=5, K=3, S1=2)
     mean, cov = omega_conditional_moments(state, dataset, config)
     draws = np.array([
-        update_omega(state, dataset, config, rng).Omega for _ in range(5000)
+        solo(update_omega, state, dataset, config, rng, {}).Omega for _ in range(5000)
     ])
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
     emp_cov = np.cov(draws[:, 0, :], rowvar=False)
     assert np.allclose(emp_cov, cov, rtol=0.15, atol=5e-3)
+
+
+def test_moment_oracles_raise_on_a_non_pd_system():
+    # The oracles run on a one-chain workspace, which records a failure
+    # instead of raising it, so each must raise it before returning.
+    state, dataset, config, _ = make_problem(25)
+    negative_phi = replace(state, phi_gamma=np.full_like(state.phi_gamma, -1e12))
+    with pytest.raises(NumericalError, match="^Cholesky factorization failed in gamma moments$"):
+        gamma_conditional_moments(negative_phi, dataset, config)
+    negative_tau = replace(state, delta=np.array([-1e6, 1.0]))
+    with pytest.raises(NumericalError, match="^Cholesky factorization failed in omega moments$"):
+        omega_conditional_moments(negative_tau, dataset, config)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +349,17 @@ def unit_noise(j, axis):
 
 
 def affine_draw_moments(update, state, dataset, config, field, axis):
-    """Mean and noise columns (stacked on the last axis) of an update's draw."""
-    mean = getattr(update(state, dataset, config, ScriptedNormal(np.zeros)), field)
-    cols = np.stack([
-        getattr(update(state, dataset, config, ScriptedNormal(unit_noise(j, axis))), field)
-        - mean for j in range(state.delta_noise.size)
-    ], axis=-1)
+    """Mean and noise columns (stacked on the last axis) of an update's draw.
+
+    ``axis`` indexes the noise of one chain; the workspace's draws carry the
+    chain axis first.
+    """
+    def draw(fill):
+        return getattr(solo(update, state, dataset, config, ScriptedNormal(fill), {}), field)
+
+    mean = draw(np.zeros)
+    cols = np.stack([draw(unit_noise(j, axis + 1)) - mean
+                     for j in range(state.delta_noise.size)], axis=-1)
     return mean, cols
 
 
@@ -415,8 +455,9 @@ def test_draw_helper_dense_psi_system(x_scale):
     state, dataset, config, _ = make_problem(13, N=60, P=20, K=5, S1=3)
     state = replace(state, delta=np.array([1e-4, 1e4, 1e4]))
     scaled = Dataset(X=dataset.X * x_scale, Y=dataset.Y)
-    L, lin = gibbs._psi_naive_system(state, scaled, config)
-    assert_draw_helper_matches_solves(L @ L.T, lin)
+    L, lin = gibbs._psi_naive_system(Chains.stack([state], [config]), ChainData([scaled]),
+                                     config, ChainStreams([]))
+    assert_draw_helper_matches_solves(L[0] @ L[0].T, lin[0])
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +469,7 @@ def test_phi_gamma_zero_coefficient_posterior():
     state, dataset, config, rng = make_problem(12)
     flat = zero_gamma_state(state)
     draws = np.array([
-        update_phi_gamma(flat, config, rng).phi_gamma for _ in range(20000)
+        solo(update_phi_gamma, flat, config, rng).phi_gamma for _ in range(20000)
     ])
     nu = config.nu
     mean = draws.mean(axis=0)
@@ -444,7 +485,7 @@ def test_phi_gamma_large_coefficient_shrinks():
         delta=np.ones(1), sigma_sq=state.sigma_sq, Omega=state.Omega,
     )
     draws = np.array([
-        update_phi_gamma(loud, config, rng).phi_gamma[0, 0] for _ in range(5000)
+        solo(update_phi_gamma, loud, config, rng).phi_gamma[0, 0] for _ in range(5000)
     ])
     expected = (config.nu + 1) / big**2  # tau=1
     assert abs(draws.mean() - expected) / expected < 0.1
@@ -459,7 +500,7 @@ def test_delta_zero_parameters_posterior_mean():
         Omega=np.zeros_like(state.Omega),
     )
     count = 4 + 3 + 6  # K + P + N
-    draws = np.array([update_delta(zero, config, rng).delta for _ in range(20000)])
+    draws = np.array([solo(update_delta, zero, config, rng).delta for _ in range(20000)])
     expected = np.array([config.a1 + 0.5 * count * 2, config.a2 + 0.5 * count * 1])
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
@@ -482,7 +523,7 @@ def test_delta_single_component_hand_posterior():
               + (state.Omega**2).sum() / config.sigma_omega_sq)
     shape = config.a1 + 0.5 * (K + P + N)
     rate = 1.0 + 0.5 * q
-    draws = np.array([update_delta(state, config, rng).delta[0] for _ in range(20000)])
+    draws = np.array([solo(update_delta, state, config, rng).delta[0] for _ in range(20000)])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - shape / rate) < 4 * se
     assert abs(draws.var(ddof=1) - shape / rate**2) / (shape / rate**2) < 0.1
@@ -497,7 +538,7 @@ def test_sigma_zero_rows_returns_prior():
     empty = Dataset(X=np.zeros((0, 2)), Y=np.zeros((0, 2)))
     rng = np.random.default_rng(16)
     draws = np.array([
-        update_sigma(state, empty, config, rng).sigma_sq for _ in range(20000)
+        solo(update_sigma, state, empty, config, rng, {}).sigma_sq for _ in range(20000)
     ])
     # prior Ga(a, b) on the precision: E[1/sigma_sq] = a/b
     prec = 1.0 / draws
@@ -525,13 +566,16 @@ def test_sigma_rate_matches_direct_residual_oracle(variant):
         D, B = design_and_coefficients(state, dataset, variant)
         return config.b_sigma + 0.5 * ((dataset.Y - D @ B)**2).sum(axis=0)
 
-    alone = update_sigma(state, dataset, config, ScriptedGamma())
+    alone = solo(update_sigma, state, dataset, config, ScriptedGamma(), {})
     assert np.allclose(alone.sigma_sq, direct_rate(state), rtol=1e-10, atol=0.0)
 
     # The same rate from the cross-products a sweep's Gamma step leaves behind.
     shared: dict = {}
-    state = update_gamma(state, dataset, config, np.random.default_rng(8), shared)
-    swept = update_sigma(state, dataset, config, ScriptedGamma(), shared)
+    chains, data = Chains.stack([state], [config]), ChainData([dataset])
+    update_gamma(chains, data, config, ChainStreams([np.random.default_rng(8)]), shared)
+    state = chains.state(0)
+    update_sigma(chains, data, config, ScriptedGamma(), shared)
+    swept = chains.state(0)
     assert np.allclose(swept.sigma_sq, direct_rate(state), rtol=1e-10, atol=0.0)
 
 
@@ -547,7 +591,7 @@ def test_sigma_posterior_mean_matches_residual_scale():
     resid = np.full((N, K), np.sqrt(2.0))
     dataset = Dataset(X=np.zeros((N, 1)), Y=resid)
     draws = np.array([
-        update_sigma(state, dataset, config, rng).sigma_sq for _ in range(5000)
+        solo(update_sigma, state, dataset, config, rng, {}).sigma_sq for _ in range(5000)
     ])
     assert np.allclose(draws.mean(axis=0), 2.0, rtol=0.05)
 
@@ -576,24 +620,24 @@ def sweep_problem(variant, seed=30, N=60, P=5, K=4, S1=2):
 @pytest.mark.parametrize("variant", list(VARIANT_CONFIGS))
 def test_sweep_matches_updates_called_one_by_one(variant):
     state, dataset, config = sweep_problem(variant)
-    swept = gibbs.gibbs_sweep(state, dataset, config, np.random.default_rng(5))
+    swept = solo(gibbs.gibbs_sweep, state, dataset, config, np.random.default_rng(5))
 
     rng = np.random.default_rng(5)
-    s = update_psi_fast(state, dataset, config, rng)
+    s = solo(update_psi_fast, state, dataset, config, rng)
     if variant is Variant.LATENT_NOISE:
-        s = update_omega(s, dataset, config, rng)
+        s = solo(update_omega, s, dataset, config, rng, {})
     if variant is Variant.INDEPENDENT_NOISE:
-        s = gibbs.update_h(s, dataset, config, rng)
-    s = update_gamma(s, dataset, config, rng)
+        s = solo(gibbs.update_h, s, dataset, config, rng, {})
+    s = solo(update_gamma, s, dataset, config, rng, {})
     if variant is Variant.INDEPENDENT_NOISE:
-        s = gibbs.update_lambda(s, dataset, config, rng)
-    s = update_phi_gamma(s, config, rng)
+        s = solo(gibbs.update_lambda, s, dataset, config, rng, {})
+    s = solo(update_phi_gamma, s, config, rng)
     if variant is Variant.INDEPENDENT_NOISE:
-        s = gibbs.update_phi_lambda(s, config, rng)
-    s = update_delta(s, config, rng)
+        s = solo(gibbs.update_phi_lambda, s, config, rng)
+    s = solo(update_delta, s, config, rng)
     if variant is Variant.INDEPENDENT_NOISE:
-        s = gibbs.update_delta_noise(s, config, rng)
-    s = update_sigma(s, dataset, config, rng)
+        s = solo(gibbs.update_delta_noise, s, config, rng)
+    s = solo(update_sigma, s, dataset, config, rng, {})
 
     for name in ("Psi", "Omega", "H", "Gamma", "Lambda", "phi_gamma", "delta", "sigma_sq"):
         got, want = getattr(swept, name), getattr(s, name)
@@ -626,9 +670,11 @@ def test_sweep_multiplies_by_x_once(variant, passes):
     state, dataset, config = sweep_problem(variant)
     dataset.gram_eig, dataset.xty, dataset.yty
     object.__setattr__(dataset, "X", dataset.X.view(CountingMatmul))
+    chains, data = Chains.stack([state], [config]), ChainData([dataset])
+    streams = ChainStreams([np.random.default_rng(5)])
     for _ in range(3):
         CountingMatmul.calls = 0
-        state = gibbs.gibbs_sweep(state, dataset, config, np.random.default_rng(5))
+        gibbs.gibbs_sweep(chains, data, config, streams)
         assert CountingMatmul.calls == passes
 
 
@@ -657,7 +703,9 @@ def test_sigma_falls_back_to_direct_residual_when_fit_is_near_exact():
         state = replace(state, sigma_sq=noise_sd**2)
 
         shared: dict = {}
-        state = update_gamma(state, dataset, config, np.random.default_rng(6), shared)
+        chains, data = Chains.stack([state], [config]), ChainData([dataset])
+        update_gamma(chains, data, config, ChainStreams([np.random.default_rng(6)]), shared)
+        state = chains.state(0)
         D, B = design_and_coefficients(state, dataset, variant)
         yty = (Y**2).sum(axis=0)
         direct = ((Y - D @ B)**2).sum(axis=0)
@@ -666,7 +714,8 @@ def test_sigma_falls_back_to_direct_residual_when_fit_is_near_exact():
         assert np.all(rel[:2] > 1e-6) and np.all(rel[2:] < 1e-12), variant
         assert np.all(direct[:2] < gibbs._RSS_FALLBACK_RATIO * yty[:2]), variant
 
-        drawn = update_sigma(state, dataset, config, np.random.default_rng(7), shared)
+        update_sigma(chains, data, config, ChainStreams([np.random.default_rng(7)]), shared)
+        drawn = chains.state(0)
         rate = config.b_sigma + 0.5 * direct
         precision = np.random.default_rng(7).gamma(config.a_sigma + 0.5 * dataset.n_samples,
                                                     1.0 / rate)

@@ -1,16 +1,20 @@
-"""Property tests: CSV matrices and samples.bin round-trip bit for bit."""
+"""Property tests: CSV matrices and samples.bin round-trip bit for bit, and
+config and CV-plan JSON parse to a value or a ConfigurationError."""
 
 import dataclasses
+import json
 import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import latent_brrr.io as lio
+from latent_brrr.errors import ConfigurationError
 from latent_brrr.model import ModelConfig, ModelState, PosteriorSamples, Variant
 
 # Finite doubles, with the edges written out: -0.0, subnormals, 1e+-8, 1e+-300.
@@ -115,3 +119,87 @@ def test_samples_bin_round_trips_every_field(data, variant):
                 assert a is None, field.name
             else:
                 assert same_bits(a, b), field.name
+
+
+# ---------------------------------------------------------------------------
+# model config and CV plan JSON
+
+POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
+# Every value json.loads can return, NaN and Infinity included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                               max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def model_configs(draw):
+    variant = draw(st.sampled_from(Variant))
+    iterations = draw(st.integers(1, 10**6))
+    fields = dict(variant=variant, rank=draw(st.integers(1, 100)),
+                  a1=draw(st.floats(2.0, 1e300, exclude_min=True)),
+                  a2=draw(st.floats(3.0, 1e300, exclude_min=True)),
+                  nu=draw(st.floats(2.0, 1e300, exclude_min=True)),
+                  a_sigma=draw(POSITIVE), b_sigma=draw(POSITIVE), iterations=iterations,
+                  burn_in=draw(st.integers(0, iterations - 1)), thin=draw(st.integers(1, 10**6)),
+                  seed=draw(st.integers(0, 2**64 - 1)),
+                  psi_update=draw(st.sampled_from(["fast", "naive"])))
+    if variant is Variant.LATENT_NOISE and draw(st.booleans()):
+        fields["latent_snr"] = draw(POSITIVE)
+    elif variant is Variant.LATENT_NOISE:
+        fields["sigma_omega_sq"] = draw(st.floats(0.0, 1e300))
+    elif variant is Variant.INDEPENDENT_NOISE:
+        fields["noise_rank"] = draw(st.integers(1, 100))
+    return ModelConfig(**fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=model_configs())
+def test_model_config_round_trips_through_json(config):
+    text = json.dumps(lio.model_config_to_dict(config))
+    assert lio.model_config_from_dict(json.loads(text)) == config
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=model_configs(),
+       field=st.sampled_from([f.name for f in dataclasses.fields(ModelConfig)]),
+       value=JSON_VALUES)
+@example(config=ModelConfig(sigma_omega_sq=1.0), field="rank", value="3")
+@example(config=ModelConfig(sigma_omega_sq=1.0), field="iterations", value=20.5)
+def test_model_config_field_of_any_json_value_parses_or_is_rejected(config, field, value):
+    data = lio.model_config_to_dict(config)
+    data[field] = value
+    try:
+        lio.model_config_from_dict(data)
+    except ConfigurationError:
+        pass
+
+
+PLAN_FIELDS = {
+    "beta_grid": st.lists(POSITIVE, min_size=1, max_size=4),
+    "rank_grid": st.lists(st.integers(1, 100), min_size=1, max_size=4),
+    "n_folds": st.integers(2, 10**6),
+    "seed": st.integers(0, 2**64 - 1),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=st.fixed_dictionaries(PLAN_FIELDS), field=st.sampled_from(sorted(PLAN_FIELDS)),
+       value=JSON_VALUES)
+@example(plan={"beta_grid": [0.1], "rank_grid": [2], "n_folds": 2, "seed": 0},
+         field="beta_grid", value="0.1")
+def test_cv_plan_field_of_any_json_value_parses_or_is_rejected(plan, field, value):
+    plan[field] = value
+    try:
+        lio.cv_plan_from_dict(plan)
+    except ConfigurationError:
+        pass
+
+
+@pytest.mark.parametrize("value", [[1, 2], "config", 3, None])
+def test_config_and_plan_must_be_json_objects(value):
+    with pytest.raises(ConfigurationError, match="must be a JSON object"):
+        lio.model_config_from_dict(value)
+    with pytest.raises(ConfigurationError, match="must be a JSON object"):
+        lio.cv_plan_from_dict(value)

@@ -1,14 +1,13 @@
 """Tests for the proposition checks and the Geweke validation harness."""
 
 import tracemalloc
-from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 import latent_brrr.gibbs as gibbs
-from latent_brrr.errors import ConfigurationError
+from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import Dataset, Dims, ModelConfig, Variant
 from latent_brrr.theory import (
     check_prop1,
@@ -246,15 +245,37 @@ def test_geweke_accepts_independent_noise_variant():
 
 
 def test_geweke_detects_wrong_shape_delta_noise_update(monkeypatch):
-    def forget_h_entries(state, config, rng):
+    def forget_h_entries(chains, config, streams):
         # The shape parameter counts the Lambda entries but not the H rows,
         # while the rate keeps both.
-        quads = (state.phi_lambda * state.Lambda**2).sum(axis=1) + (state.H**2).sum(axis=0)
-        delta = gibbs._draw_mgp_delta(state.delta_noise, quads, state.Lambda.shape[1],
-                                      config.a1, config.a2, rng)
-        return replace(state, delta_noise=delta)
+        quads = (chains.phi_lambda * chains.Lambda**2).sum(axis=-1) + (chains.H**2).sum(axis=-2)
+        chains.delta_noise = gibbs._draw_mgp_delta(chains.delta_noise, quads,
+                                                   chains.Lambda.shape[-1],
+                                                   config.a1, config.a2, streams)
 
     monkeypatch.setattr(gibbs, "update_delta_noise", forget_h_entries)
     report = geweke_test(independent_noise_geweke_config(), small_dims(), 20_000,
                          np.random.default_rng(6))
     assert report.max_abs_z() > 6.0
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("sigma_sq", np.nan, "non-finite precision in gamma update"),
+    ("phi_gamma", -1e12, "Cholesky factorization failed in gamma update"),
+])
+def test_geweke_raises_a_failure_on_its_chain(monkeypatch, field, value, message):
+    # The one-chain workspace records a failure instead of raising it; the
+    # harness must stop at the failing sweep, not go on with stand-in draws.
+    real = gibbs.update_gamma
+    calls = []
+
+    def corrupted(chains, *args):
+        calls.append(1)
+        if len(calls) == 5:
+            setattr(chains, field, np.full_like(getattr(chains, field), value))
+        real(chains, *args)
+
+    monkeypatch.setattr(gibbs, "update_gamma", corrupted)
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        geweke_test(default_geweke_config(), small_dims(), 50, np.random.default_rng(1))
+    assert len(calls) == 5
