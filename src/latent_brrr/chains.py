@@ -1,17 +1,17 @@
-"""The chain axis: the one state the Gibbs kernel runs on.
+"""The chain axis: the data, Generators and failures of a batch of chains.
 
-Each full conditional in ``gibbs`` updates a ``Chains`` workspace: the fields
-of ``ModelState`` stacked along a leading chain axis of C >= 1 chains, with
-their data in a ``ChainData`` and their Generators in a ``ChainStreams``.
-Products are batched ``@``, transposes swap the last two axes, and sums run
-along axis -1 or -2, so one sweep call advances all C chains together: one
-stacked Cholesky, eigendecomposition or solve per step. ``gibbs.run_chains``
-stacks the states of C fits of one shape; ``run_chain``, ``geweke_test`` and
-the moment oracles use a workspace of one chain. Each chain draws from its own
-Generator the same variates, in the same shapes and order, as it would alone,
-so a batched chain equals its one-chain run up to rounding. The workspace is
-updated in place, and a ``ModelState`` (the public value) is built only for a
-retained state.
+Each full conditional in ``gibbs`` updates a ``ModelState`` holding C >= 1
+chains along a leading axis (``ModelState.stack``), with their data in a
+``ChainData`` and their Generators in a ``ChainStreams``. Products are
+batched ``@``, transposes swap the last two axes, and sums run along axis -1
+or -2, so one sweep call advances all C chains together: one stacked
+Cholesky, eigendecomposition or solve per step. ``gibbs.run_chains`` stacks
+the states of C fits of one shape; ``run_chain``, ``geweke_test`` and the
+moment oracles stack one. Each chain draws from its own Generator the same
+variates, in the same shapes and order, as it would alone, so a batched
+chain equals its one-chain run up to rounding. The updates replace the
+state's arrays and never write into them, so ``state.chain(c)`` taken for a
+retained draw stays valid as the chains go on.
 
 Failures. When a chain meets a numerical failure (a factorization that fails
 on its matrix, a non-finite precision or rate), the update records the
@@ -26,13 +26,13 @@ oracles, which own a single chain, raise NumericalError with its message.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from latent_brrr.errors import NumericalError
-from latent_brrr.model import Dataset, Dims, ModelConfig, ModelState
+from latent_brrr.model import Dataset, Dims, ModelConfig, stack_arrays
 
 # Bytes of stacked per-chain arrays one batch of ``run_chains`` may hold
 # (counted by ``_chain_bytes``); more fits of one shape run in further batches.
@@ -60,94 +60,45 @@ class ChainsTrace:
     errors: tuple[str | None, ...]
 
 
-@dataclass(eq=False)
-class Chains:
-    """Mutable workspace of C >= 1 chain states: the fields of ``ModelState``
-    stacked along a leading chain axis, plus each chain's latent-noise
-    variance sigma_omega_sq, shape (C,) (None without latent noise)."""
-
-    Psi: np.ndarray
-    Gamma: np.ndarray
-    phi_gamma: np.ndarray
-    delta: np.ndarray
-    sigma_sq: np.ndarray
-    Omega: np.ndarray | None = None
-    H: np.ndarray | None = None
-    Lambda: np.ndarray | None = None
-    phi_lambda: np.ndarray | None = None
-    delta_noise: np.ndarray | None = None
-    sigma_omega_sq: np.ndarray | None = None
-
-    # ModelState's shrinkage products, taken along the last axis of each chain.
-    tau = ModelState.tau
-    tau_noise = ModelState.tau_noise
-
-    @classmethod
-    def stack(cls, states: Sequence[ModelState], configs: Sequence[ModelConfig]) -> Chains:
-        arrays = {name: None if getattr(states[0], name) is None
-                  else stack([getattr(s, name) for s in states]) for name in _STATE_FIELDS}
-        omega = None if configs[0].sigma_omega_sq is None else \
-            np.array([c.sigma_omega_sq for c in configs])
-        return cls(**arrays, sigma_omega_sq=omega)
-
-    def state(self, index: int) -> ModelState:
-        """Chain ``index``'s state."""
-        arrays = vars(self)
-        return ModelState(**{name: None if arrays[name] is None else arrays[name][index]
-                             for name in _STATE_FIELDS})
-
-
-_STATE_FIELDS = tuple(f.name for f in fields(ModelState))
-
-
-def stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The arrays stacked along a new leading axis. Arrays that are already
-    the consecutive slices of one stack (views base[0], base[1], ...) give
-    that stack back uncopied."""
-    base = arrays[0].base
-    if isinstance(base, np.ndarray) and base.shape == (len(arrays), *arrays[0].shape) and all(
-            a.base is base and a.strides == base.strides[1:]
-            and a.ctypes.data == base.ctypes.data + c * base.strides[0]
-            for c, a in enumerate(arrays)):
-        return base
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 class ChainData:
     """The datasets of a batch's chains, stacked along the chain axis.
 
     X, Y and the statistics each Dataset caches (X'X, its eigendecomposition,
     X'Y, y'y) are stacked from the chains' Datasets, so fits that share a
     Dataset share its statistics. Chains that share one Y (permutations of
-    X) read it through a broadcast view instead of copies.
+    X) read it through a broadcast view instead of copies. Each chain's
+    latent-noise variance, resolved from its own X, comes from its config:
+    ``sigma_omega_sq`` has shape (C,), or is None without latent noise.
     """
 
-    def __init__(self, datasets: Sequence[Dataset]):
+    def __init__(self, datasets: Sequence[Dataset], configs: Sequence[ModelConfig]):
         self.datasets = datasets
+        self.sigma_omega_sq = None if configs[0].sigma_omega_sq is None else \
+            np.array([c.sigma_omega_sq for c in configs])
         first = datasets[0]
         self.n_samples = first.n_samples
-        self.X = stack([d.X for d in datasets])
+        self.X = stack_arrays([d.X for d in datasets])
         if all(d.Y is first.Y for d in datasets):
             self.Y = np.broadcast_to(first.Y, (len(datasets), *first.Y.shape))
         else:
-            self.Y = stack([d.Y for d in datasets])
+            self.Y = stack_arrays([d.Y for d in datasets])
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return stack([d.gram for d in self.datasets])
+        return stack_arrays([d.gram for d in self.datasets])
 
     @cached_property
     def gram_eig(self) -> tuple[np.ndarray, np.ndarray]:
         pairs = [d.gram_eig for d in self.datasets]
-        return stack([p[0] for p in pairs]), stack([p[1] for p in pairs])
+        return stack_arrays([p[0] for p in pairs]), stack_arrays([p[1] for p in pairs])
 
     @cached_property
     def xty(self) -> np.ndarray:
-        return stack([d.xty for d in self.datasets])
+        return stack_arrays([d.xty for d in self.datasets])
 
     @cached_property
     def yty(self) -> np.ndarray:
-        return stack([d.yty for d in self.datasets])
+        return stack_arrays([d.yty for d in self.datasets])
 
     def set_targets(self, Y: np.ndarray) -> None:
         """New targets Y, stacked (C, N, K), with X'Y and y'y formed from them;

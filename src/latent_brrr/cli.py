@@ -23,7 +23,7 @@ from latent_brrr import io as lio
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.evaluate import mse, permutation_test
 from latent_brrr.gibbs import RunStats, run_chain
-from latent_brrr.model import Dataset, Dims, resolve_sigma_omega
+from latent_brrr.model import Dataset, Dims, ModelConfig, resolve_sigma_omega
 from latent_brrr.simulate import SimConfig, generate
 from latent_brrr.theory import (
     check_prop1,
@@ -122,12 +122,14 @@ def _require_file(path: Path) -> Path:
     return path
 
 
-def _load_dataset(x_path: Path, y_path: Path) -> Dataset:
-    X, x_names = lio.read_matrix_csv(_require_file(x_path))
-    Y, y_names = lio.read_matrix_csv(_require_file(y_path))
-    lio.check_matrix_finite(X, x_path, x_names)
-    lio.check_matrix_finite(Y, y_path, y_names)
-    return Dataset(X=X, Y=Y, x_names=tuple(x_names), y_names=tuple(y_names))
+def _load_fit_inputs(args) -> tuple[Dataset, ModelConfig]:
+    """The dataset of ``--x``/``--y`` and the model config of ``--config``."""
+    X, x_names = lio.read_matrix_csv(_require_file(args.x))
+    Y, y_names = lio.read_matrix_csv(_require_file(args.y))
+    lio.check_matrix_finite(X, args.x, x_names)
+    lio.check_matrix_finite(Y, args.y, y_names)
+    dataset = Dataset(X=X, Y=Y, x_names=tuple(x_names), y_names=tuple(y_names))
+    return dataset, lio.model_config_from_dict(lio.read_json(_require_file(args.config)))
 
 
 def _run_with_manifest(out_dir: Path, command: str, config_dict: dict,
@@ -192,8 +194,7 @@ def _summarize(stack: np.ndarray) -> dict:
 
 
 def cmd_fit(args) -> None:
-    dataset = _load_dataset(args.x, args.y)
-    config = lio.model_config_from_dict(lio.read_json(_require_file(args.config)))
+    dataset, config = _load_fit_inputs(args)
     resolved = resolve_sigma_omega(config, dataset.X)
     out = args.out_dir
 
@@ -261,8 +262,7 @@ def cmd_predict(args) -> None:
 
 
 def cmd_cv(args) -> None:
-    dataset = _load_dataset(args.x, args.y)
-    config = lio.model_config_from_dict(lio.read_json(_require_file(args.config)))
+    dataset, config = _load_fit_inputs(args)
     plan = lio.cv_plan_from_dict(lio.read_json(_require_file(args.plan)))
     out = args.out_dir
 
@@ -292,8 +292,7 @@ def cmd_cv(args) -> None:
 
 
 def cmd_assoc(args) -> None:
-    dataset = _load_dataset(args.x, args.y)
-    config = lio.model_config_from_dict(lio.read_json(_require_file(args.config)))
+    dataset, config = _load_fit_inputs(args)
     out = args.out_dir
 
     def worker():

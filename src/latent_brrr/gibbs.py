@@ -8,17 +8,18 @@ pair (Psi, Omega) is a valid blocked update. The fixed cycle is
 
 Independent noise draws H in Omega's place and Lambda after Gamma, with its
 own phi and delta; no noise has neither Omega nor H. ``gibbs_sweep`` writes
-each variant's cycle once, as a list of (timing bucket, update, arguments)
-steps run in one timed loop. It builds the list on each call from this
-module's ``update_*`` names, so fault injection and tracing that replace one
-of them reach the sweep.
+each variant's cycle once, as a list of (timing bucket, update) steps run
+in one timed loop. It builds the list on each call from this module's
+``update_*`` names, so fault injection and tracing that replace one of them
+reach the sweep.
 
-Every update and the sweep take one kind of state, updated in place: a
-``Chains`` workspace of C >= 1 chains with its ``ChainData`` and
-``ChainStreams``, where each chain's failures are recorded (see
-``latent_brrr.chains``, which also says who raises them). ``run_chains``
-advances fits of one shape together and ``run_chain`` is its one-chain
-case; the moment oracles build a one-chain workspace from a ``ModelState``.
+There is one state type, ``ModelState`` stacked along a leading axis of
+C >= 1 chains, and one update signature, ``(state, data, config, streams,
+shared)``: the state, its ``ChainData`` and ``ChainStreams`` (where each
+chain's failures are recorded; see ``latent_brrr.chains``), and the products
+shared within a sweep. Updates replace the state's arrays and never write
+into them. ``run_chains`` advances fits of one shape together and
+``run_chain`` is its one-chain case.
 
 Two interchangeable Psi samplers are provided. The naive one factorizes the
 dense (P*S1, P*S1) joint precision directly, costing O(P^3 S1^3). The fast
@@ -60,7 +61,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from latent_brrr.chains import (
-    Chains,
     ChainData,
     ChainStreams,
     ChainsTrace,
@@ -141,33 +141,33 @@ def _precision_moments(chol_lower: np.ndarray, lin: np.ndarray):
 
 
 def _one_chain(state: ModelState, dataset: Dataset, config: ModelConfig):
-    """``state`` on ``dataset`` as a one-chain workspace, for the moment
-    oracles: they draw nothing, and raise the failure their streams record."""
-    return Chains.stack([state], [config]), ChainData([dataset]), ChainStreams([]), {}
+    """``state`` on ``dataset`` as one stacked chain, for the moment oracles:
+    they draw nothing, and raise the failure their streams record."""
+    return ModelState.stack([state]), ChainData([dataset], [config]), ChainStreams([]), {}
 
 
 # ---------------------------------------------------------------------------
 # products shared within a sweep
 
 
-def _x_psi(chains, data, shared: dict) -> np.ndarray:
+def _x_psi(state, data, shared: dict) -> np.ndarray:
     """X Psi, formed once per Psi draw and kept in ``shared``."""
-    if shared.get("psi") is not chains.Psi:
-        shared["psi"], shared["x_psi"] = chains.Psi, data.X @ chains.Psi
+    if shared.get("psi") is not state.Psi:
+        shared["psi"], shared["x_psi"] = state.Psi, data.X @ state.Psi
     return shared["x_psi"]
 
 
-def _design(chains, data, config: ModelConfig, shared: dict):
+def _design(state, data, config: ModelConfig, shared: dict):
     """The design D of ``model.mean_design`` and the cross-products D'D, D'Y.
 
     They are formed once per design (X Psi, Omega, H): the Gamma step forms
     them and leaves them in ``shared``, and the Lambda and sigma steps, which
     change no column of D, read them from there.
     """
-    key = (chains.Psi, chains.Omega, chains.H)
+    key = (state.Psi, state.Omega, state.H)
     cached = shared.get("design")
     if cached is None or any(a is not b for a, b in zip(cached[0], key)):
-        D = mean_design(chains, _x_psi(chains, data, shared), config)
+        D = mean_design(state, _x_psi(state, data, shared), config)
         cached = shared["design"] = key, D, _T(D) @ D, _T(D) @ data.Y
     return cached[1:]
 
@@ -200,7 +200,7 @@ def _draw_ridge_columns(L, lin, streams):
     return _T(np.linalg.solve(_T(L), w)[..., 0])
 
 
-def _block_system(chains, data, config, shared, block, prior_prec_cols, what, streams):
+def _block_system(state, data, config, shared, block, prior_prec_cols, what, streams):
     """Ridge system of one block of B's rows given the other: Gamma (block 0,
     rows :S1) or Lambda (block 1, rows S1:).
 
@@ -208,44 +208,44 @@ def _block_system(chains, data, config, shared, block, prior_prec_cols, what, st
     D_b'Y - (D_b'D_r) B_r over the other block r: Z'Y - (Z'H) Lambda for
     Gamma, with Z = D[:, :S1], and H'Y - (H'Z) Gamma for Lambda.
     """
-    _, dtd, dty = _design(chains, data, config, shared)
-    S1 = chains.Gamma.shape[-2]
+    _, dtd, dty = _design(state, data, config, shared)
+    S1 = state.Gamma.shape[-2]
     rows, rest = slice(None, S1), slice(S1, None)
     if block:
         rows, rest = rest, rows
-    B = mean_coefficients(chains, config)
+    B = mean_coefficients(state, config)
     lin = dty[..., rows, :] - dtd[..., rows, rest] @ B[..., rest, :]
-    return _ridge_system(dtd[..., rows, rows], lin, prior_prec_cols, chains.sigma_sq, what, streams)
+    return _ridge_system(dtd[..., rows, rows], lin, prior_prec_cols, state.sigma_sq, what, streams)
 
 
-def update_gamma(chains, data, config: ModelConfig, streams, shared: dict):
+def update_gamma(state, data, config: ModelConfig, streams, shared: dict):
     """Draw the loading matrix Gamma column by column (targets independent).
 
     X Psi is taken from ``shared``, and the design's D'D and D'Y are left
     there for update_lambda and update_sigma.
     """
-    chains.Gamma = _draw_ridge_columns(*_block_system(
-        chains, data, config, shared, 0, chains.phi_gamma * chains.tau[..., :, None],
+    state.Gamma = _draw_ridge_columns(*_block_system(
+        state, data, config, shared, 0, state.phi_gamma * state.tau[..., :, None],
         "gamma update", streams), streams)
 
 
 def gamma_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (S1, K) and covariance (K, S1, S1) of the Gamma conditional."""
-    chains, data, streams, shared = _one_chain(state, dataset, config)
+    state, data, streams, shared = _one_chain(state, dataset, config)
     means, covs = _precision_moments(*_block_system(
-        chains, data, config, shared, 0, chains.phi_gamma * chains.tau[..., :, None],
+        state, data, config, shared, 0, state.phi_gamma * state.tau[..., :, None],
         "gamma moments", streams))
     streams.raise_failure()
     return means[0, :, :, 0].T, covs[0]
 
 
-def update_lambda(chains, data, config: ModelConfig, streams, shared: dict):
+def update_lambda(state, data, config: ModelConfig, streams, shared: dict):
     """Draw the independent-noise loadings Lambda given the factors H.
 
-    A workspace without the noise stack raises StateError (via ``tau_noise``).
+    A state without the noise stack raises StateError (via ``tau_noise``).
     """
-    chains.Lambda = _draw_ridge_columns(*_block_system(
-        chains, data, config, shared, 1, chains.phi_lambda * chains.tau_noise[..., :, None],
+    state.Lambda = _draw_ridge_columns(*_block_system(
+        state, data, config, shared, 1, state.phi_lambda * state.tau_noise[..., :, None],
         "lambda update", streams), streams)
 
 
@@ -253,7 +253,7 @@ def update_lambda(chains, data, config: ModelConfig, streams, shared: dict):
 # Psi updates (naive dense and fast reparameterized)
 
 
-def _psi_linear_terms(chains, data, config, streams):
+def _psi_linear_terms(state, data, config, streams):
     """Coupling matrix A = G M^{-1} G' and linear term (X'Y - (X'H) Lambda) M^{-1} G'.
 
     M is the K x K noise covariance of the Psi regression, D = diag(sigma_sq).
@@ -266,31 +266,31 @@ def _psi_linear_terms(chains, data, config, streams):
     H Lambda for independent noise; with X'Y cached on the data the linear
     term costs O(P K S1), plus the N x S2 product X'H for independent noise.
     """
-    minv_gt = _T(chains.Gamma) / chains.sigma_sq[..., :, None]     # D^{-1} G', (K, S1)
+    minv_gt = _T(state.Gamma) / state.sigma_sq[..., :, None]     # D^{-1} G', (K, S1)
     if config.variant is Variant.LATENT_NOISE:
-        scale = chains.sigma_omega_sq[..., None] / chains.tau
-        inner = np.eye(scale.shape[-1]) + scale[..., :, None] * (chains.Gamma @ minv_gt)
+        scale = data.sigma_omega_sq[..., None] / state.tau
+        inner = np.eye(scale.shape[-1]) + scale[..., :, None] * (state.Gamma @ minv_gt)
         minv_gt = _T(guarded(np.linalg.solve, "singular marginal covariance in psi update",
                               streams, _T(inner), _T(minv_gt)))
-    A = chains.Gamma @ minv_gt
+    A = state.Gamma @ minv_gt
     A = 0.5 * (A + _T(A))
     xty = data.xty
     if config.variant is Variant.INDEPENDENT_NOISE:
-        xty = xty - (_T(data.X) @ chains.H) @ chains.Lambda
+        xty = xty - (_T(data.X) @ state.H) @ state.Lambda
     return A, xty @ minv_gt                                        # (P, S1)
 
 
-def _psi_naive_system(chains, data, config, streams):
+def _psi_naive_system(state, data, config, streams):
     """Lower Cholesky factor of the dense (P*S1, P*S1) Psi precision
     diag_h(tau_h I_P) + A (x) X'X, and the linear term vec(X' Y M^{-1} G')
     as a column."""
-    A, lin = _psi_linear_terms(chains, data, config, streams)
-    P, S1 = chains.Psi.shape[-2:]
+    A, lin = _psi_linear_terms(state, data, config, streams)
+    P, S1 = state.Psi.shape[-2:]
     lead = A.shape[:-2]
     prec = (A[..., :, None, :, None] * data.gram[..., None, :, None, :]).reshape(
         *lead, S1 * P, S1 * P)
     idx = np.arange(S1 * P)
-    prec[..., idx, idx] += np.repeat(chains.tau, P, axis=-1)
+    prec[..., idx, idx] += np.repeat(state.tau, P, axis=-1)
     return _chol(prec, "psi update (naive)", streams), _T(lin).reshape(*lead, S1 * P, 1)
 
 
@@ -299,13 +299,13 @@ def _unvec(column: np.ndarray, P: int) -> np.ndarray:
     return _T(column.reshape(*column.shape[:-2], -1, P))
 
 
-def update_psi_naive(chains, data, config: ModelConfig, streams):
+def update_psi_naive(state, data, config: ModelConfig, streams, shared: dict):
     """Draw vec(Psi) from one dense (P*S1, P*S1) Gaussian system."""
-    draw = _draw_from_precision(*_psi_naive_system(chains, data, config, streams), streams)
-    chains.Psi = _unvec(draw, chains.Psi.shape[-2])
+    draw = _draw_from_precision(*_psi_naive_system(state, data, config, streams), streams)
+    state.Psi = _unvec(draw, state.Psi.shape[-2])
 
 
-def _psi_fast_system(chains, data, config, streams):
+def _psi_fast_system(state, data, config, streams):
     """The prior-whitened, doubly-diagonalized Psi system.
 
     After scaling column h of Psi by tau_h^{1/2} the joint precision is
@@ -315,8 +315,8 @@ def _psi_fast_system(chains, data, config, streams):
     has independent entries N(C / denom, 1 / denom). Returns
     (U_x, U_a, tau^{-1/2}, denom, C).
     """
-    A, lin = _psi_linear_terms(chains, data, config, streams)
-    t_isqrt = 1.0 / np.sqrt(chains.tau)
+    A, lin = _psi_linear_terms(state, data, config, streams)
+    t_isqrt = 1.0 / np.sqrt(state.tau)
     A_tilde = A * (t_isqrt[..., :, None] * t_isqrt[..., None, :])
     lam_a, U_a = _eigh(A_tilde, "psi update (coupling matrix)", streams)
     lam_x, U_x = data.gram_eig
@@ -326,11 +326,11 @@ def _psi_fast_system(chains, data, config, streams):
     return U_x, U_a, t_isqrt, denom, C
 
 
-def update_psi_fast(chains, data, config: ModelConfig, streams):
+def update_psi_fast(state, data, config: ModelConfig, streams, shared: dict):
     """Draw Psi through the prior-whitened, doubly-diagonalized system."""
-    U_x, U_a, t_isqrt, denom, C = _psi_fast_system(chains, data, config, streams)
+    U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, data, config, streams)
     W = C / denom + streams.standard_normal(denom.shape) / np.sqrt(denom)
-    chains.Psi = (U_x @ W @ _T(U_a)) * t_isqrt[..., None, :]
+    state.Psi = (U_x @ W @ _T(U_a)) * t_isqrt[..., None, :]
 
 
 def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig,
@@ -340,14 +340,14 @@ def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelCo
     Both methods target the identical distribution and use the same system
     as the matching update; this is the hook the equivalence tests use.
     """
-    chains, data, streams, _ = _one_chain(state, dataset, config)
-    P = state.Psi.shape[0]
+    state, data, streams, _ = _one_chain(state, dataset, config)
+    P = state.Psi.shape[-2]
     if method == "naive":
-        mean, cov = _precision_moments(*_psi_naive_system(chains, data, config, streams))
+        mean, cov = _precision_moments(*_psi_naive_system(state, data, config, streams))
         streams.raise_failure()
         return _unvec(mean[0], P), _unvec(np.diag(cov[0])[:, None], P)
     if method == "fast":
-        U_x, U_a, t_isqrt, denom, C = _psi_fast_system(chains, data, config, streams)
+        U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, data, config, streams)
         streams.raise_failure()
         mean = (U_x @ (C / denom) @ _T(U_a)) * t_isqrt[..., None, :]
         var = ((U_x**2) @ (1.0 / denom) @ _T(U_a**2)) * (t_isqrt**2)[..., None, :]
@@ -359,70 +359,70 @@ def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelCo
 # latent factor updates
 
 
-def _factor_rows_system(loadings, prior_prec, chains, data, shared):
+def _factor_rows_system(loadings, prior_prec, state, data, shared):
     """Shared precision (S, S) and linear terms (S, N) of the factor rows F in
     Y - X Psi Gamma = F B + E, B = ``loadings`` (S, K), F rows ~ N(0, diag(1/prior_prec)).
 
     The linear term B Sigma^{-1} (Y - X Psi Gamma)' is formed as
     B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)', so no N x K residual is built.
     """
-    bs = loadings * (1.0 / chains.sigma_sq)[..., None, :]    # B Sigma^{-1}
+    bs = loadings * (1.0 / state.sigma_sq)[..., None, :]    # B Sigma^{-1}
     prec = bs @ _T(loadings)
     idx = np.arange(prior_prec.shape[-1])
     prec[..., idx, idx] += prior_prec
     lin = bs @ _T(data.Y)
-    lin -= (bs @ _T(chains.Gamma)) @ _T(_x_psi(chains, data, shared))
+    lin -= (bs @ _T(state.Gamma)) @ _T(_x_psi(state, data, shared))
     return prec, lin
 
 
-def _omega_system(chains, data, shared):
-    return _factor_rows_system(chains.Gamma, chains.tau / chains.sigma_omega_sq[..., None],
-                               chains, data, shared)
+def _omega_system(state, data, shared):
+    return _factor_rows_system(state.Gamma, state.tau / data.sigma_omega_sq[..., None],
+                               state, data, shared)
 
 
-def update_omega(chains, data, config: ModelConfig, streams, shared: dict):
+def update_omega(state, data, config: ModelConfig, streams, shared: dict):
     """Draw the latent-noise rows; all rows share one S1 x S1 posterior covariance."""
     if config.variant is not Variant.LATENT_NOISE:
         raise ConfigurationError("omega update applies to the latent-noise variant")
     if not config.sigma_omega_sq or config.sigma_omega_sq <= 0:
         raise ConfigurationError("sampling Omega requires sigma_omega_sq > 0")
-    prec, lin = _omega_system(chains, data, shared)
+    prec, lin = _omega_system(state, data, shared)
     draws = _draw_from_precision(_chol(prec, "omega update", streams), lin, streams)
-    chains.Omega = _T(draws)
+    state.Omega = _T(draws)
 
 
 def omega_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (N, S1) and shared covariance (S1, S1) of the Omega rows."""
-    chains, data, streams, shared = _one_chain(state, dataset, config)
-    prec, lin = _omega_system(chains, data, shared)
+    state, data, streams, shared = _one_chain(state, dataset, config)
+    prec, lin = _omega_system(state, data, shared)
     mean, cov = _precision_moments(_chol(prec, "omega moments", streams), lin)
     streams.raise_failure()
     return mean[0].T, cov[0]
 
 
-def update_h(chains, data, config: ModelConfig, streams, shared: dict):
+def update_h(state, data, config: ModelConfig, streams, shared: dict):
     """Draw the independent-noise factor rows (unit-variance prior scale).
 
-    A workspace without the noise stack raises StateError (via ``tau_noise``).
+    A state without the noise stack raises StateError (via ``tau_noise``).
     """
-    prec, lin = _factor_rows_system(chains.Lambda, chains.tau_noise, chains, data, shared)
+    prec, lin = _factor_rows_system(state.Lambda, state.tau_noise, state, data, shared)
     draws = _draw_from_precision(_chol(prec, "H update", streams), lin, streams)
-    chains.H = _T(draws)
+    state.H = _T(draws)
 
 
 # ---------------------------------------------------------------------------
 # shrinkage and noise hyperparameter updates
 
 
-def update_phi_gamma(chains, config: ModelConfig, streams):
+def update_phi_gamma(state, data, config: ModelConfig, streams, shared: dict):
     """Local shrinkage: phi_hj ~ Ga((nu+1)/2, (nu + tau_h gamma_hj^2)/2)."""
-    rate = 0.5 * (config.nu + chains.tau[..., :, None] * chains.Gamma**2)
-    chains.phi_gamma = streams.gamma((config.nu + 1.0) / 2.0, 1.0 / rate)
+    rate = 0.5 * (config.nu + state.tau[..., :, None] * state.Gamma**2)
+    state.phi_gamma = streams.gamma((config.nu + 1.0) / 2.0, 1.0 / rate)
 
 
-def update_phi_lambda(chains, config: ModelConfig, streams):
-    rate = 0.5 * (config.nu + chains.tau_noise[..., :, None] * chains.Lambda**2)
-    chains.phi_lambda = streams.gamma((config.nu + 1.0) / 2.0, 1.0 / rate)
+def update_phi_lambda(state, data, config: ModelConfig, streams, shared: dict):
+    rate = 0.5 * (config.nu + state.tau_noise[..., :, None] * state.Lambda**2)
+    state.phi_lambda = streams.gamma((config.nu + 1.0) / 2.0, 1.0 / rate)
 
 
 def _draw_mgp_delta(delta: np.ndarray, quads: np.ndarray, count: int,
@@ -452,27 +452,27 @@ def _draw_mgp_delta(delta: np.ndarray, quads: np.ndarray, count: int,
     return delta
 
 
-def _delta_quads(chains, config: ModelConfig):
+def _delta_quads(state, data, config: ModelConfig):
     """Quadratic forms and entry count entering the delta conditional."""
-    quads = (chains.phi_gamma * chains.Gamma**2).sum(axis=-1) + (chains.Psi**2).sum(axis=-2)
-    count = chains.Gamma.shape[-1] + chains.Psi.shape[-2]
+    quads = (state.phi_gamma * state.Gamma**2).sum(axis=-1) + (state.Psi**2).sum(axis=-2)
+    count = state.Gamma.shape[-1] + state.Psi.shape[-2]
     if config.variant is Variant.LATENT_NOISE:
-        quads = quads + (chains.Omega**2).sum(axis=-2) / chains.sigma_omega_sq[..., None]
-        count += chains.Omega.shape[-2]
+        quads = quads + (state.Omega**2).sum(axis=-2) / data.sigma_omega_sq[..., None]
+        count += state.Omega.shape[-2]
     return quads, count
 
 
-def update_delta(chains, config: ModelConfig, streams):
+def update_delta(state, data, config: ModelConfig, streams, shared: dict):
     """Global shrinkage increments for the Gamma/Psi(/Omega) stack."""
-    quads, count = _delta_quads(chains, config)
-    chains.delta = _draw_mgp_delta(chains.delta, quads, count, config.a1, config.a2, streams)
+    quads, count = _delta_quads(state, data, config)
+    state.delta = _draw_mgp_delta(state.delta, quads, count, config.a1, config.a2, streams)
 
 
-def update_delta_noise(chains, config: ModelConfig, streams):
+def update_delta_noise(state, data, config: ModelConfig, streams, shared: dict):
     """Global shrinkage increments for the independent-noise H/Lambda stack."""
-    quads = (chains.phi_lambda * chains.Lambda**2).sum(axis=-1) + (chains.H**2).sum(axis=-2)
-    count = chains.Lambda.shape[-1] + chains.H.shape[-2]
-    chains.delta_noise = _draw_mgp_delta(chains.delta_noise, quads, count,
+    quads = (state.phi_lambda * state.Lambda**2).sum(axis=-1) + (state.H**2).sum(axis=-2)
+    count = state.Lambda.shape[-1] + state.H.shape[-2]
+    state.delta_noise = _draw_mgp_delta(state.delta_noise, quads, count,
                                          config.a1, config.a2, streams)
 
 
@@ -481,11 +481,11 @@ def update_delta_noise(chains, config: ModelConfig, streams):
 _RSS_FALLBACK_RATIO = 1e-3
 
 
-def update_sigma(chains, data, config: ModelConfig, streams, shared: dict):
+def update_sigma(state, data, config: ModelConfig, streams, shared: dict):
     """Conjugate update of the target-specific noise precisions, with each
     residual sum of squares of Y - D B taken from D'D and D'Y."""
-    D, dtd, dty = _design(chains, data, config, shared)
-    B = mean_coefficients(chains, config)
+    D, dtd, dty = _design(state, data, config, shared)
+    B = mean_coefficients(state, config)
     yty = data.yty
     rss = yty - 2.0 * (B * dty).sum(axis=-2) + (B * (dtd @ B)).sum(axis=-2)
     low = rss <= _RSS_FALLBACK_RATIO * yty
@@ -495,7 +495,7 @@ def update_sigma(chains, data, config: ModelConfig, streams, shared: dict):
             rss[c][k] = ((data.Y[c][:, k] - D[c] @ B[c][:, k])**2).sum(axis=0)
     rate = config.b_sigma + 0.5 * rss
     precision = streams.gamma(config.a_sigma + 0.5 * data.n_samples, 1.0 / rate)
-    chains.sigma_sq = 1.0 / precision
+    state.sigma_sq = 1.0 / precision
 
 
 # ---------------------------------------------------------------------------
@@ -507,19 +507,19 @@ def _accumulate(timings, name, t0):
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0)
 
 
-def gibbs_sweep(chains: Chains, data: ChainData, config: ModelConfig, streams: ChainStreams,
-                *, delta_step=None, timings=None) -> None:
-    """One full update cycle of every chain in ``chains``, in place, in the
-    fixed order used by run_chains.
+def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
+                streams: ChainStreams, *, delta_step=None, timings=None) -> None:
+    """One full update cycle of every chain in ``state``, in a fixed order.
 
-    ``chains`` holds C >= 1 chains along its leading axis, ``data`` their
+    ``state`` holds C >= 1 chains along its leading axis, ``data`` their
     data and ``streams`` their Generators. The variant's cycle is a list of
-    (timing bucket, update, arguments) steps, run in one loop that adds each
-    step's wall time to its bucket; the null variant's list is empty. The
-    list is built on each call from this module's global names, so a caller
-    that replaces ``update_*`` here (fault injection, tracing) changes what
-    the sweep calls. The updates share X Psi and the Gamma step's D'D and
-    D'Y through one per-sweep dict. ``delta_step`` replaces the delta update
+    (timing bucket, update) steps, each called with the sweep's signature
+    ``(state, data, config, streams, shared)`` in one loop that adds its
+    wall time to its bucket; the null variant's list is empty. The list is
+    built on each call from this module's global names, so a caller that
+    replaces ``update_*`` here (fault injection, tracing) changes what the
+    sweep calls. The updates share X Psi and the Gamma step's D'D and D'Y
+    through one per-sweep dict. ``delta_step`` replaces the delta update
     when given (used by the sampler-validation harness for fault injection).
 
     A numerical failure is recorded against the chain it occurs on in
@@ -529,26 +529,22 @@ def gibbs_sweep(chains: Chains, data: ChainData, config: ModelConfig, streams: C
     chain (``run_chain``, ``theory.geweke_test``) raise NumericalError.
     """
     shared: dict = {}
-    on_data, prior = (data, config, streams), (config, streams)
-    fit = (*on_data, shared)
-    draw_psi = update_psi_naive if config.psi_update == "naive" else update_psi_fast
-    psi, gamma = ("psi", draw_psi, on_data), ("gamma", update_gamma, fit)
-    phi, delta = ("phi", update_phi_gamma, prior), ("delta", delta_step or update_delta, prior)
-    sigma = ("sigma", update_sigma, fit)
+    psi = ("psi", update_psi_naive if config.psi_update == "naive" else update_psi_fast)
+    gamma, phi = ("gamma", update_gamma), ("phi", update_phi_gamma)
+    delta, sigma = ("delta", delta_step or update_delta), ("sigma", update_sigma)
     if config.variant is Variant.LATENT_NOISE:
-        steps = [psi, ("omega", update_omega, fit), gamma, phi, delta, sigma]
+        steps = [psi, ("omega", update_omega), gamma, phi, delta, sigma]
     elif config.variant is Variant.INDEPENDENT_NOISE:
-        steps = [psi, ("h", update_h, fit), gamma, ("lambda", update_lambda, fit),
-                 phi, ("phi", update_phi_lambda, prior),
-                 delta, ("delta", update_delta_noise, prior), sigma]
+        steps = [psi, ("h", update_h), gamma, ("lambda", update_lambda),
+                 phi, ("phi", update_phi_lambda), delta, ("delta", update_delta_noise), sigma]
     elif config.variant is Variant.NO_NOISE:
         steps = [psi, gamma, phi, delta, sigma]
     else:
         steps = []
-    for bucket, update, args in steps:
+    for bucket, update in steps:
         t0 = time.perf_counter()
         try:
-            update(chains, *args)
+            update(state, data, config, streams, shared)
         except NumericalError as exc:
             streams.fail(np.ones(len(streams.generators), dtype=bool), str(exc))
         _accumulate(timings, bucket, t0)
@@ -593,26 +589,26 @@ def _advance(datasets: Sequence[Dataset], configs: Sequence[ModelConfig],
     # bucket reflects pure per-call cost.
     timings = stats.wall_time_seconds
     t0 = time.perf_counter()
-    data = ChainData(datasets)
+    data = ChainData(datasets, configs)
     for name in ("gram_eig" if config.psi_update == "fast" else "gram", "xty", "yty"):
         getattr(data, name)
     _accumulate(timings, "setup", t0)
 
-    chains = Chains.stack(states, configs)
+    state = ModelState.stack(states)
     streams = ChainStreams(generators)
     theta_sum = np.zeros((n_chains, P, K))
     retained: list[ModelState] = []
     for it in range(1, config.iterations + 1):
-        gibbs_sweep(chains, data, config, streams, timings=timings)
+        gibbs_sweep(state, data, config, streams, timings=timings)
         stats.sweeps += 1
         for c, message in streams.failed.items():
             errors[c] = errors[c] or f"{message} (iteration {it})"
         if len(streams.failed) == n_chains:
             break
         if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
-            theta_sum += chains.Psi @ chains.Gamma
+            theta_sum += state.theta
             if retain:
-                retained.append(chains.state(0))
+                retained.append(state.chain(0))
     theta_means = [None if error else total / n_retained
                    for error, total in zip(errors, theta_sum)]
     return theta_means, errors, tuple(retained)

@@ -19,6 +19,7 @@ structured noise entirely; the null variant fixes the coefficients at zero.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -55,12 +56,21 @@ class Dims:
 
 def check_number(name: str, value, integer: bool = False) -> None:
     """Raise ConfigurationError naming ``name`` unless ``value`` is an integer
-    (with ``integer``) or a finite real number. Numpy scalars pass; bools do not."""
+    that fits in 64 bits, as numpy needs of a count (with ``integer``), or a
+    finite real number. Numpy scalars pass; bools do not."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     if isinstance(value, bool) or not isinstance(value, kinds) or \
-            (isinstance(value, (float, np.floating)) and not np.isfinite(value)):
-        kind = "an integer" if integer else "a finite number"
+            (isinstance(value, (float, np.floating)) and not np.isfinite(value)) or \
+            (integer and not -2**63 <= value < 2**63):
+        kind = "a 64-bit integer" if integer else "a finite number"
         raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_seed(value) -> None:
+    """Raise ConfigurationError unless ``value`` is an unsigned 64-bit integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or \
+            not 0 <= value < 2**64:
+        raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {value!r}")
 
 
 # ModelConfig's numeric fields; None leaves the optional ones unset.
@@ -118,8 +128,7 @@ class ModelConfig:
             raise ConfigurationError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.thin < 1:
             raise ConfigurationError("thin must be >= 1")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise ConfigurationError("seed must be an unsigned 64-bit integer")
+        check_seed(self.seed)
         if self.psi_update not in ("fast", "naive"):
             raise ConfigurationError(f"psi_update must be 'fast' or 'naive', got {self.psi_update!r}")
 
@@ -142,15 +151,16 @@ class ModelConfig:
             raise ConfigurationError("noise_rank applies only to the independent-noise variant")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ModelState:
-    """One joint draw of all model parameters.
+    """Joint draws of all model parameters: one draw, or C >= 1 draws stacked
+    along a leading chain axis (``stack``) that the Gibbs updates advance.
 
     ``Omega`` is present for the latent-noise variant; ``H``, ``Lambda``
     and their shrinkage stack (``phi_lambda``, ``delta_noise``) for the
-    independent-noise variant. Treated as an immutable value object; the
-    sampler updates a ``chains.Chains`` workspace and builds a ModelState
-    for each retained state.
+    independent-noise variant. Each update gives a field a new array and
+    never writes into one, so a draw taken with ``chain`` (views into the
+    stacked arrays) stays valid while the chains go on.
     """
 
     Psi: np.ndarray          # (P, S1)
@@ -163,6 +173,17 @@ class ModelState:
     Lambda: np.ndarray | None = None       # (S2, K)
     phi_lambda: np.ndarray | None = None   # (S2, K)
     delta_noise: np.ndarray | None = None  # (S2,)
+
+    @classmethod
+    def stack(cls, states: Sequence[ModelState]) -> ModelState:
+        """The draws of ``states`` stacked along a new leading chain axis."""
+        return cls(**{name: stack_arrays([vars(s)[name] for s in states])
+                      for name, value in vars(states[0]).items() if value is not None})
+
+    def chain(self, index: int) -> ModelState:
+        """Chain ``index``'s draw of a stacked state."""
+        return ModelState(**{name: value[index] for name, value in vars(self).items()
+                             if value is not None})
 
     @property
     def tau(self) -> np.ndarray:
@@ -179,6 +200,19 @@ class ModelState:
     def theta(self) -> np.ndarray:
         """Regression coefficient matrix Theta = Psi Gamma, shape (P, K)."""
         return self.Psi @ self.Gamma
+
+
+def stack_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays stacked along a new leading axis. Arrays that are already
+    the consecutive slices of one stack (views base[0], base[1], ...) give
+    that stack back uncopied."""
+    base = arrays[0].base
+    if isinstance(base, np.ndarray) and base.shape == (len(arrays), *arrays[0].shape) and all(
+            a.base is base and a.strides == base.strides[1:]
+            and a.ctypes.data == base.ctypes.data + c * base.strides[0]
+            for c, a in enumerate(arrays)):
+        return base
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 @dataclass(frozen=True)

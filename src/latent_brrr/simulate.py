@@ -20,7 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from latent_brrr.errors import ConfigurationError, NumericalError
-from latent_brrr.model import Dataset, total_variance
+from latent_brrr.model import Dataset, check_number, check_seed, total_variance
+
+_COUNT_FIELDS = ("n_train", "n_test", "n_covariates", "n_targets", "rank")
+_REAL_FIELDS = ("alpha", "var_signal", "var_diag", "var_structured")
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _COUNT_FIELDS + _REAL_FIELDS:
+            check_number(name, getattr(self, name), integer=name in _COUNT_FIELDS)
+        check_seed(self.seed)
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        for name in ("n_train", "n_test", "n_covariates", "n_targets", "rank"):
+        for name in _COUNT_FIELDS:
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         fractions = (self.var_signal, self.var_diag, self.var_structured)
@@ -53,8 +59,6 @@ class SimConfig:
             raise ConfigurationError(
                 "rank must not exceed min(n_covariates, n_targets) for orthogonalization"
             )
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise ConfigurationError("seed must be an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)

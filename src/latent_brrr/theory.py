@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import latent_brrr.gibbs as gibbs
-from latent_brrr.chains import ChainData, Chains, ChainStreams
+from latent_brrr.chains import ChainData, ChainStreams
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import (
     Dataset,
@@ -217,8 +217,7 @@ def check_prop1(a1: float, a2: float, nu: float, n_covariates: int,
     return _make_report(analytic, mean, se, n_draws, tolerance)
 
 
-def check_prop2(a2: float, rank: int, *, a1: float = 3.0, nu: float = 6.0,
-                reference_truncation: int = 50, n_draws: int = 1_000_000,
+def check_prop2(a2: float, rank: int, *, reference_truncation: int = 50, n_draws: int = 1_000_000,
                 rng: np.random.Generator | None = None,
                 tolerance: float = 0.0, batch_size: int = 4000) -> PropositionReport:
     """Monte-Carlo estimate of the truncation deficit versus its closed form.
@@ -249,9 +248,8 @@ def check_prop2(a2: float, rank: int, *, a1: float = 3.0, nu: float = 6.0,
       only Gamma(a2-1)/Gamma(a2), not the ratio Gamma(a2-2)/Gamma(a2) under
       test.
 
-    Term h is then the product of the first h-1 such factors. ``a1`` and
-    ``nu`` cancel exactly and do not enter the draws; they are kept so the
-    signature still names the full prior (the CLI passes only ``--a2``).
+    Term h is then the product of the first h-1 such factors. As ``a1`` and
+    ``nu`` cancel exactly, the check takes neither.
     """
     analytic = truncation_deficit(a2, rank)
     if rank >= reference_truncation:
@@ -342,13 +340,13 @@ def _statistics(state: ModelState, Y: np.ndarray) -> np.ndarray:
     return np.concatenate(stats)
 
 
-def _corrupted_delta_step(chains, config, streams):
+def _corrupted_delta_step(state, data, config, streams, shared):
     # Fault injection: the shape parameter forgets the Omega entries while
     # the rate keeps them, a realistic wrong-shape bug.
-    quads, _ = gibbs._delta_quads(chains, config)
-    wrong_count = chains.Gamma.shape[-1] + chains.Psi.shape[-2]
-    chains.delta = gibbs._draw_mgp_delta(chains.delta, quads, wrong_count,
-                                         config.a1, config.a2, streams)
+    quads, _ = gibbs._delta_quads(state, data, config)
+    wrong_count = state.Gamma.shape[-1] + state.Psi.shape[-2]
+    state.delta = gibbs._draw_mgp_delta(state.delta, quads, wrong_count,
+                                        config.a1, config.a2, streams)
 
 
 def _two_sample_z(ind: np.ndarray, dep: np.ndarray, n_batches: int) -> float:
@@ -370,8 +368,7 @@ def _two_sample_z(ind: np.ndarray, dep: np.ndarray, n_batches: int) -> float:
 
 
 def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
-                rng: np.random.Generator, *, corrupt_delta: bool = False,
-                n_batches: int | None = None) -> GewekeReport:
+                rng: np.random.Generator, *, corrupt_delta: bool = False) -> GewekeReport:
     """Run both simulators and return per-statistic z-scores.
 
     Statistics: every Gamma and Psi entry, each tau_h, each sigma_sq_j, and
@@ -381,20 +378,18 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     small; a corrupted update drives some |z| far out.
 
     The successive-conditional side is autocorrelated, so its standard
-    errors come from batch means; by default batches are kept at least 5000
-    iterations long (subject to having at least 10 of them) so that the
-    sticky excursions of the shrinkage stack, observed to last up to ~2000
-    iterations, are covered. It runs as a one-chain workspace on ``rng``,
-    whose targets are redrawn before every sweep; a numerical failure on
-    the chain raises NumericalError.
+    errors come from batch means; batches are kept at least 5000 iterations
+    long (subject to having at least 10 of them) so that the sticky
+    excursions of the shrinkage stack, observed to last up to ~2000
+    iterations, are covered. It runs one stacked chain on ``rng``, whose
+    targets are redrawn before every sweep; a numerical failure on the
+    chain raises NumericalError.
     """
     if n_iter < 1:
         raise ConfigurationError("geweke_test needs n_iter >= 1")
     if config.variant is Variant.LATENT_NOISE and config.sigma_omega_sq is None:
         raise ConfigurationError("resolve latent_snr to sigma_omega_sq first")
-    if n_batches is None:
-        n_batches = int(np.clip(n_iter // 5000, 10, 50))
-    n_batches = min(n_batches, max(2, n_iter // 10))
+    n_batches = min(int(np.clip(n_iter // 5000, 10, 50)), max(2, n_iter // 10))
 
     names = _statistic_names(dims, config.noise_rank)
     n_stats = len(names)
@@ -409,15 +404,15 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     delta_step = _corrupted_delta_step if corrupt_delta else None
     successive = np.empty((n_iter, n_stats))
     state = sample_prior(config, dims, rng)
-    chains = Chains.stack([state], [config])
-    data = ChainData([Dataset(X=X, Y=np.zeros((dims.n_samples, dims.n_targets)))])
+    stacked = ModelState.stack([state])
+    data = ChainData([Dataset(X=X, Y=np.zeros((dims.n_samples, dims.n_targets)))], [config])
     streams = ChainStreams([rng])
     for t in range(n_iter):
         Y = _draw_response(state, X, config, rng)
         data.set_targets(Y[None])
-        gibbs.gibbs_sweep(chains, data, config, streams, delta_step=delta_step)
+        gibbs.gibbs_sweep(stacked, data, config, streams, delta_step=delta_step)
         streams.raise_failure()
-        state = chains.state(0)
+        state = stacked.chain(0)
         successive[t] = _statistics(state, Y)
 
     z_scores: dict[str, float] = {}

@@ -30,15 +30,16 @@ class CvPlan:
             for value in grid:
                 check_number(f"{name} entry", value, integer)
         check_number("n_folds", self.n_folds, integer=True)
-        check_number("seed", self.seed, integer=True)
+        # Any non-negative integer seeds the fold shuffle, so it has no 64-bit bound.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if any(b <= 0 for b in self.beta_grid):
             raise ConfigurationError("beta grid values must be positive")
         if any(r < 1 for r in self.rank_grid):
             raise ConfigurationError("rank grid values must be >= 1")
         if self.n_folds < 2:
             raise ConfigurationError("n_folds must be >= 2")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
 
 
 def fold_assignments(n_samples: int, n_folds: int, seed: int) -> np.ndarray:

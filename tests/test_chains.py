@@ -67,12 +67,11 @@ def inject_at(k, target_sigma_omega_sq, corrupt):
     real = gibbs.update_gamma
     calls = {"n": 0}
 
-    def update(state, *args, **kwargs):
+    def update(state, data, config, streams, shared):
         calls["n"] += 1
         if calls["n"] == k:
-            hit = np.isclose(np.asarray(state.sigma_omega_sq), target_sigma_omega_sq)
-            corrupt(state, hit)
-        return real(state, *args, **kwargs)
+            corrupt(state, np.isclose(data.sigma_omega_sq, target_sigma_omega_sq))
+        return real(state, data, config, streams, shared)
 
     return update
 
@@ -175,10 +174,11 @@ def test_streams_draw_what_each_chain_draws_alone():
 
 def test_set_targets_gives_the_statistics_of_new_data():
     data, other = problem(5), problem(6)
-    chained = ChainData([data])
+    configs = [ModelConfig(variant=Variant.NO_NOISE)]
+    chained = ChainData([data], configs)
     chained.gram_eig, chained.xty, chained.yty
     chained.set_targets(other.Y[None])
-    fresh = ChainData([Dataset(X=data.X, Y=other.Y)])
+    fresh = ChainData([Dataset(X=data.X, Y=other.Y)], configs)
     for name in ("Y", "xty", "yty"):
         assert np.array_equal(getattr(chained, name), getattr(fresh, name)), name
     assert all(np.array_equal(a, b) for a, b in zip(chained.gram_eig, fresh.gram_eig))

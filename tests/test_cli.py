@@ -101,6 +101,12 @@ def test_simulate_rejects_bad_alpha(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_simulate_rejects_nan_fraction_naming_it(tmp_path, capsys):
+    code = run_cli("simulate", "--var-signal", "nan", "--out-dir", tmp_path / "x")
+    assert code == 2
+    assert "var_signal must be" in capsys.readouterr().err
+
+
 def test_simulate_is_byte_identical_across_reruns(tmp_path):
     args = ("simulate", "--alpha", 0.5, "--n-train", 30, "--n-test", 40,
             "--p", 4, "--k", 5, "--rank", 2, "--seed", 11)
@@ -188,6 +194,7 @@ def test_fit_unknown_config_key_exits_2(sim_dir, tmp_path, capsys):
     ({"a1": "4"}, "a1"),
     ({"latent_snr": "0.1"}, "latent_snr"),
     ({"iterations": 20.5}, "iterations"),
+    ({"rank": 10**19}, "rank"),
     ([1, 2], "model config"),
 ])
 def test_fit_mistyped_config_exits_2_naming_the_field(sim_dir, tmp_path, capsys, fields, name):

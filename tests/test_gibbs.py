@@ -1,12 +1,14 @@
 """Gibbs update tests against brute-force dense oracles, plus chain driver."""
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import latent_brrr.gibbs as gibbs
-from latent_brrr.chains import ChainData, Chains, ChainStreams
+import latent_brrr.theory as theory
+from latent_brrr.chains import ChainData, ChainStreams
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.gibbs import (
     gamma_conditional_moments,
@@ -45,26 +47,16 @@ def make_problem(seed, N=50, P=4, K=3, S1=2, sigma_omega_sq=1.3):
     return state, Dataset(X=X, Y=Y), config, rng
 
 
-def chain_arg(arg):
-    """A Dataset or Generator as one chain's ChainData or ChainStreams."""
-    if isinstance(arg, Dataset):
-        return ChainData([arg])
-    if isinstance(arg, np.random.Generator):
-        return ChainStreams([arg])
-    return arg
-
-
-def solo(update, state, *args):
-    """Run ``update`` (or ``gibbs_sweep``) on ``state`` as a one-chain workspace.
-
-    ``args`` are the update's own arguments, with a Dataset and a Generator
-    (or a scripted stand-in for its streams) in their places; returns the
-    chain's new state.
-    """
-    config = next(arg for arg in args if isinstance(arg, ModelConfig))
-    chains = Chains.stack([state], [config])
-    update(chains, *map(chain_arg, args))
-    return chains.state(0)
+def solo(update, state, dataset, config, streams):
+    """Run ``update`` (an ``update_*`` or ``gibbs_sweep``) on ``state`` as one
+    stacked chain on ``dataset``, with a Generator (or a scripted stand-in
+    for its streams); returns the chain's new state."""
+    stacked = ModelState.stack([state])
+    if isinstance(streams, np.random.Generator):
+        streams = ChainStreams([streams])
+    shared = () if update is gibbs.gibbs_sweep else ({},)
+    update(stacked, ChainData([dataset], [config]), config, streams, *shared)
+    return stacked.chain(0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +120,7 @@ def test_gamma_draws_have_oracle_moments():
     state, dataset, config, rng = make_problem(3, N=30, K=2, S1=2)
     means, covs = gamma_conditional_moments(state, dataset, config)
     draws = np.array([
-        solo(update_gamma, state, dataset, config, rng, {}).Gamma for _ in range(4000)
+        solo(update_gamma, state, dataset, config, rng).Gamma for _ in range(4000)
     ])
     emp_mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
@@ -300,7 +292,7 @@ def test_omega_draws_match_moments():
     state, dataset, config, rng = make_problem(11, N=5, K=3, S1=2)
     mean, cov = omega_conditional_moments(state, dataset, config)
     draws = np.array([
-        solo(update_omega, state, dataset, config, rng, {}).Omega for _ in range(5000)
+        solo(update_omega, state, dataset, config, rng).Omega for _ in range(5000)
     ])
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
@@ -309,7 +301,7 @@ def test_omega_draws_match_moments():
 
 
 def test_moment_oracles_raise_on_a_non_pd_system():
-    # The oracles run on a one-chain workspace, which records a failure
+    # The oracles run on one stacked chain, whose streams record a failure
     # instead of raising it, so each must raise it before returning.
     state, dataset, config, _ = make_problem(25)
     negative_phi = replace(state, phi_gamma=np.full_like(state.phi_gamma, -1e12))
@@ -351,11 +343,11 @@ def unit_noise(j, axis):
 def affine_draw_moments(update, state, dataset, config, field, axis):
     """Mean and noise columns (stacked on the last axis) of an update's draw.
 
-    ``axis`` indexes the noise of one chain; the workspace's draws carry the
+    ``axis`` indexes the noise of one chain; the stacked draws carry the
     chain axis first.
     """
     def draw(fill):
-        return getattr(solo(update, state, dataset, config, ScriptedNormal(fill), {}), field)
+        return getattr(solo(update, state, dataset, config, ScriptedNormal(fill)), field)
 
     mean = draw(np.zeros)
     cols = np.stack([draw(unit_noise(j, axis + 1)) - mean
@@ -455,7 +447,7 @@ def test_draw_helper_dense_psi_system(x_scale):
     state, dataset, config, _ = make_problem(13, N=60, P=20, K=5, S1=3)
     state = replace(state, delta=np.array([1e-4, 1e4, 1e4]))
     scaled = Dataset(X=dataset.X * x_scale, Y=dataset.Y)
-    L, lin = gibbs._psi_naive_system(Chains.stack([state], [config]), ChainData([scaled]),
+    L, lin = gibbs._psi_naive_system(ModelState.stack([state]), ChainData([scaled], [config]),
                                      config, ChainStreams([]))
     assert_draw_helper_matches_solves(L[0] @ L[0].T, lin[0])
 
@@ -469,7 +461,7 @@ def test_phi_gamma_zero_coefficient_posterior():
     state, dataset, config, rng = make_problem(12)
     flat = zero_gamma_state(state)
     draws = np.array([
-        solo(update_phi_gamma, flat, config, rng).phi_gamma for _ in range(20000)
+        solo(update_phi_gamma, flat, dataset, config, rng).phi_gamma for _ in range(20000)
     ])
     nu = config.nu
     mean = draws.mean(axis=0)
@@ -485,7 +477,7 @@ def test_phi_gamma_large_coefficient_shrinks():
         delta=np.ones(1), sigma_sq=state.sigma_sq, Omega=state.Omega,
     )
     draws = np.array([
-        solo(update_phi_gamma, loud, config, rng).phi_gamma[0, 0] for _ in range(5000)
+        solo(update_phi_gamma, loud, dataset, config, rng).phi_gamma[0, 0] for _ in range(5000)
     ])
     expected = (config.nu + 1) / big**2  # tau=1
     assert abs(draws.mean() - expected) / expected < 0.1
@@ -500,7 +492,7 @@ def test_delta_zero_parameters_posterior_mean():
         Omega=np.zeros_like(state.Omega),
     )
     count = 4 + 3 + 6  # K + P + N
-    draws = np.array([solo(update_delta, zero, config, rng).delta for _ in range(20000)])
+    draws = np.array([solo(update_delta, zero, dataset, config, rng).delta for _ in range(20000)])
     expected = np.array([config.a1 + 0.5 * count * 2, config.a2 + 0.5 * count * 1])
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
@@ -518,12 +510,14 @@ def test_delta_single_component_hand_posterior():
         phi_gamma=rng.gamma(2.0, 1.0, (1, K)), delta=np.array([1.0]),
         sigma_sq=np.ones(K), Omega=rng.standard_normal((N, 1)),
     )
+    dataset = Dataset(X=np.zeros((N, P)), Y=np.zeros((N, K)))
     q = float((state.phi_gamma * state.Gamma**2).sum()
               + (state.Psi**2).sum()
               + (state.Omega**2).sum() / config.sigma_omega_sq)
     shape = config.a1 + 0.5 * (K + P + N)
     rate = 1.0 + 0.5 * q
-    draws = np.array([solo(update_delta, state, config, rng).delta[0] for _ in range(20000)])
+    draws = np.array([solo(update_delta, state, dataset, config, rng).delta[0]
+                      for _ in range(20000)])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - shape / rate) < 4 * se
     assert abs(draws.var(ddof=1) - shape / rate**2) / (shape / rate**2) < 0.1
@@ -538,7 +532,7 @@ def test_sigma_zero_rows_returns_prior():
     empty = Dataset(X=np.zeros((0, 2)), Y=np.zeros((0, 2)))
     rng = np.random.default_rng(16)
     draws = np.array([
-        solo(update_sigma, state, empty, config, rng, {}).sigma_sq for _ in range(20000)
+        solo(update_sigma, state, empty, config, rng).sigma_sq for _ in range(20000)
     ])
     # prior Ga(a, b) on the precision: E[1/sigma_sq] = a/b
     prec = 1.0 / draws
@@ -566,16 +560,16 @@ def test_sigma_rate_matches_direct_residual_oracle(variant):
         D, B = design_and_coefficients(state, dataset, variant)
         return config.b_sigma + 0.5 * ((dataset.Y - D @ B)**2).sum(axis=0)
 
-    alone = solo(update_sigma, state, dataset, config, ScriptedGamma(), {})
+    alone = solo(update_sigma, state, dataset, config, ScriptedGamma())
     assert np.allclose(alone.sigma_sq, direct_rate(state), rtol=1e-10, atol=0.0)
 
     # The same rate from the cross-products a sweep's Gamma step leaves behind.
     shared: dict = {}
-    chains, data = Chains.stack([state], [config]), ChainData([dataset])
-    update_gamma(chains, data, config, ChainStreams([np.random.default_rng(8)]), shared)
-    state = chains.state(0)
-    update_sigma(chains, data, config, ScriptedGamma(), shared)
-    swept = chains.state(0)
+    stacked, data = ModelState.stack([state]), ChainData([dataset], [config])
+    update_gamma(stacked, data, config, ChainStreams([np.random.default_rng(8)]), shared)
+    state = stacked.chain(0)
+    update_sigma(stacked, data, config, ScriptedGamma(), shared)
+    swept = stacked.chain(0)
     assert np.allclose(swept.sigma_sq, direct_rate(state), rtol=1e-10, atol=0.0)
 
 
@@ -591,7 +585,7 @@ def test_sigma_posterior_mean_matches_residual_scale():
     resid = np.full((N, K), np.sqrt(2.0))
     dataset = Dataset(X=np.zeros((N, 1)), Y=resid)
     draws = np.array([
-        solo(update_sigma, state, dataset, config, rng, {}).sigma_sq for _ in range(5000)
+        solo(update_sigma, state, dataset, config, rng).sigma_sq for _ in range(5000)
     ])
     assert np.allclose(draws.mean(axis=0), 2.0, rtol=0.05)
 
@@ -617,6 +611,14 @@ def sweep_problem(variant, seed=30, N=60, P=5, K=4, S1=2):
     return state, Dataset(X=X, Y=Y), config
 
 
+def test_every_update_takes_the_sweep_signature():
+    updates = [getattr(gibbs, name) for name in dir(gibbs) if name.startswith("update_")]
+    assert len(updates) == 11
+    for update in updates + [theory._corrupted_delta_step]:
+        assert list(inspect.signature(update).parameters) == \
+            ["state", "data", "config", "streams", "shared"], update.__name__
+
+
 @pytest.mark.parametrize("variant", list(VARIANT_CONFIGS))
 def test_sweep_matches_updates_called_one_by_one(variant):
     state, dataset, config = sweep_problem(variant)
@@ -625,19 +627,19 @@ def test_sweep_matches_updates_called_one_by_one(variant):
     rng = np.random.default_rng(5)
     s = solo(update_psi_fast, state, dataset, config, rng)
     if variant is Variant.LATENT_NOISE:
-        s = solo(update_omega, s, dataset, config, rng, {})
+        s = solo(update_omega, s, dataset, config, rng)
     if variant is Variant.INDEPENDENT_NOISE:
-        s = solo(gibbs.update_h, s, dataset, config, rng, {})
-    s = solo(update_gamma, s, dataset, config, rng, {})
+        s = solo(gibbs.update_h, s, dataset, config, rng)
+    s = solo(update_gamma, s, dataset, config, rng)
     if variant is Variant.INDEPENDENT_NOISE:
-        s = solo(gibbs.update_lambda, s, dataset, config, rng, {})
-    s = solo(update_phi_gamma, s, config, rng)
+        s = solo(gibbs.update_lambda, s, dataset, config, rng)
+    s = solo(update_phi_gamma, s, dataset, config, rng)
     if variant is Variant.INDEPENDENT_NOISE:
-        s = solo(gibbs.update_phi_lambda, s, config, rng)
-    s = solo(update_delta, s, config, rng)
+        s = solo(gibbs.update_phi_lambda, s, dataset, config, rng)
+    s = solo(update_delta, s, dataset, config, rng)
     if variant is Variant.INDEPENDENT_NOISE:
-        s = solo(gibbs.update_delta_noise, s, config, rng)
-    s = solo(update_sigma, s, dataset, config, rng, {})
+        s = solo(gibbs.update_delta_noise, s, dataset, config, rng)
+    s = solo(update_sigma, s, dataset, config, rng)
 
     for name in ("Psi", "Omega", "H", "Gamma", "Lambda", "phi_gamma", "delta", "sigma_sq"):
         got, want = getattr(swept, name), getattr(s, name)
@@ -670,11 +672,11 @@ def test_sweep_multiplies_by_x_once(variant, passes):
     state, dataset, config = sweep_problem(variant)
     dataset.gram_eig, dataset.xty, dataset.yty
     object.__setattr__(dataset, "X", dataset.X.view(CountingMatmul))
-    chains, data = Chains.stack([state], [config]), ChainData([dataset])
+    stacked, data = ModelState.stack([state]), ChainData([dataset], [config])
     streams = ChainStreams([np.random.default_rng(5)])
     for _ in range(3):
         CountingMatmul.calls = 0
-        gibbs.gibbs_sweep(chains, data, config, streams)
+        gibbs.gibbs_sweep(stacked, data, config, streams)
         assert CountingMatmul.calls == passes
 
 
@@ -703,9 +705,9 @@ def test_sigma_falls_back_to_direct_residual_when_fit_is_near_exact():
         state = replace(state, sigma_sq=noise_sd**2)
 
         shared: dict = {}
-        chains, data = Chains.stack([state], [config]), ChainData([dataset])
-        update_gamma(chains, data, config, ChainStreams([np.random.default_rng(6)]), shared)
-        state = chains.state(0)
+        stacked, data = ModelState.stack([state]), ChainData([dataset], [config])
+        update_gamma(stacked, data, config, ChainStreams([np.random.default_rng(6)]), shared)
+        state = stacked.chain(0)
         D, B = design_and_coefficients(state, dataset, variant)
         yty = (Y**2).sum(axis=0)
         direct = ((Y - D @ B)**2).sum(axis=0)
@@ -714,8 +716,8 @@ def test_sigma_falls_back_to_direct_residual_when_fit_is_near_exact():
         assert np.all(rel[:2] > 1e-6) and np.all(rel[2:] < 1e-12), variant
         assert np.all(direct[:2] < gibbs._RSS_FALLBACK_RATIO * yty[:2]), variant
 
-        update_sigma(chains, data, config, ChainStreams([np.random.default_rng(7)]), shared)
-        drawn = chains.state(0)
+        update_sigma(stacked, data, config, ChainStreams([np.random.default_rng(7)]), shared)
+        drawn = stacked.chain(0)
         rate = config.b_sigma + 0.5 * direct
         precision = np.random.default_rng(7).gamma(config.a_sigma + 0.5 * dataset.n_samples,
                                                     1.0 / rate)

@@ -26,6 +26,15 @@ def test_config_validation():
         small_config(n_test=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_train", 20.5), ("rank", "2"), ("n_test", 2**63), ("alpha", np.nan),
+    ("var_signal", np.nan), ("var_diag", np.inf), ("seed", -1), ("seed", 2**64),
+])
+def test_config_rejects_mistyped_fields_naming_them(field, value):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+        small_config(**{field: value})
+
+
 def test_realized_fractions_are_exact():
     for alpha in (0.0, 0.4, 1.0):
         _, _, truth = generate(small_config(alpha=alpha, seed=3))

@@ -245,13 +245,13 @@ def test_geweke_accepts_independent_noise_variant():
 
 
 def test_geweke_detects_wrong_shape_delta_noise_update(monkeypatch):
-    def forget_h_entries(chains, config, streams):
+    def forget_h_entries(state, data, config, streams, shared):
         # The shape parameter counts the Lambda entries but not the H rows,
         # while the rate keeps both.
-        quads = (chains.phi_lambda * chains.Lambda**2).sum(axis=-1) + (chains.H**2).sum(axis=-2)
-        chains.delta_noise = gibbs._draw_mgp_delta(chains.delta_noise, quads,
-                                                   chains.Lambda.shape[-1],
-                                                   config.a1, config.a2, streams)
+        quads = (state.phi_lambda * state.Lambda**2).sum(axis=-1) + (state.H**2).sum(axis=-2)
+        state.delta_noise = gibbs._draw_mgp_delta(state.delta_noise, quads,
+                                                  state.Lambda.shape[-1],
+                                                  config.a1, config.a2, streams)
 
     monkeypatch.setattr(gibbs, "update_delta_noise", forget_h_entries)
     report = geweke_test(independent_noise_geweke_config(), small_dims(), 20_000,
@@ -264,16 +264,16 @@ def test_geweke_detects_wrong_shape_delta_noise_update(monkeypatch):
     ("phi_gamma", -1e12, "Cholesky factorization failed in gamma update"),
 ])
 def test_geweke_raises_a_failure_on_its_chain(monkeypatch, field, value, message):
-    # The one-chain workspace records a failure instead of raising it; the
+    # The one stacked chain records a failure instead of raising it; the
     # harness must stop at the failing sweep, not go on with stand-in draws.
     real = gibbs.update_gamma
     calls = []
 
-    def corrupted(chains, *args):
+    def corrupted(state, data, config, streams, shared):
         calls.append(1)
         if len(calls) == 5:
-            setattr(chains, field, np.full_like(getattr(chains, field), value))
-        real(chains, *args)
+            setattr(state, field, np.full_like(getattr(state, field), value))
+        real(state, data, config, streams, shared)
 
     monkeypatch.setattr(gibbs, "update_gamma", corrupted)
     with pytest.raises(NumericalError, match=f"^{message}$"):
