@@ -6,8 +6,8 @@ chains along a leading axis (``ModelState.stack``), with their data in a
 batched ``@``, transposes swap the last two axes, and sums run along axis -1
 or -2, so one sweep call advances all C chains together: one stacked
 Cholesky, eigendecomposition or solve per step. ``gibbs.run_chains`` stacks
-the states of C fits of one shape; ``run_chain``, ``geweke_test`` and the
-moment oracles stack one. Each chain draws from its own Generator the same
+the states of C fits of one shape, ``geweke_test`` its C chains, ``run_chain``
+and the moment oracles one. Each chain draws from its own Generator the same
 variates, in the same shapes and order, as it would alone, so a batched
 chain equals its one-chain run up to rounding. The updates replace the
 state's arrays and never write into them, so ``state.chain(c)`` taken for a
@@ -20,7 +20,7 @@ identity matrix, no further draws), so that every other chain's steps go on
 unchanged. Nothing here raises; the caller that owns the chains does.
 ``run_chains`` reports each failed chain with the iteration and ignores what
 it computes afterwards; ``run_chain``, ``theory.geweke_test`` and the moment
-oracles, which own a single chain, raise NumericalError with its message.
+oracles, which need every chain, raise the first failure as NumericalError.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class ChainStreams:
 
     def raise_failure(self) -> None:
         """Raise the first failed chain's message as NumericalError, for
-        callers that own a single chain."""
+        callers that cannot go on without every chain."""
         if self.failed:
             raise NumericalError(self.failed[min(self.failed)])
 

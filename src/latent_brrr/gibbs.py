@@ -525,8 +525,8 @@ def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
     A numerical failure is recorded against the chain it occurs on in
     ``streams``, and a NumericalError raised by a step fails every chain;
     the sweep stops early once every chain has failed. It raises neither:
-    ``run_chains`` reports failed chains, and the callers that own a single
-    chain (``run_chain``, ``theory.geweke_test``) raise NumericalError.
+    ``run_chains`` reports failed chains, and ``run_chain`` and
+    ``theory.geweke_test``, which need every chain, raise NumericalError.
     """
     shared: dict = {}
     psi = ("psi", update_psi_naive if config.psi_update == "naive" else update_psi_fast)

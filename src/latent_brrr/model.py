@@ -384,11 +384,6 @@ def mean_design(state: ModelState, x_psi: np.ndarray, config: ModelConfig) -> np
     return x_psi
 
 
-def fitted_mean(state: ModelState, x_psi: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Mean D B of Y given every latent term of ``state``, from X Psi."""
-    return mean_design(state, x_psi, config) @ mean_coefficients(state, config)
-
-
 def marginal_covariance(state: ModelState, config: ModelConfig) -> np.ndarray:
     """Target covariance with the latent noise integrated out.
 

@@ -1,5 +1,6 @@
-"""Property tests: CSV matrices and samples.bin round-trip bit for bit, and
-config and CV-plan JSON parse to a value or a ConfigurationError."""
+"""Property tests: CSV matrices, samples.bin and the posterior summary's
+theta_mean round-trip bit for bit, and config and CV-plan JSON parse to a
+value or a ConfigurationError."""
 
 import dataclasses
 import json
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import latent_brrr.cli as cli
 import latent_brrr.io as lio
 from latent_brrr.errors import ConfigurationError
 from latent_brrr.model import ModelConfig, ModelState, PosteriorSamples, Variant
@@ -47,6 +49,20 @@ def test_matrix_csv_round_trips_bit_for_bit(matrix):
         lio.write_matrix_csv(path, matrix, names)
         back, got_names = lio.read_matrix_csv(path)
     assert got_names == names
+    assert same_bits(back, matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=MATRICES)
+@example(matrix=np.array([[-0.0, 5e-324], [1e300, -1e-300]]))
+@example(matrix=np.array([[2.2250738585072009e-308, -5e-324, 1.7976931348623157e308]]))
+def test_posterior_summary_theta_round_trips_bit_for_bit(matrix):
+    # fit writes theta_mean as nested lists through write_json; predict reads
+    # it back with _read_theta.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "posterior_summary.json"
+        lio.write_json(path, {"theta_mean": matrix.tolist(), "n_retained": 1})
+        back = cli._read_theta(path)
     assert same_bits(back, matrix)
 
 

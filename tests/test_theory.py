@@ -10,6 +10,8 @@ import latent_brrr.gibbs as gibbs
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import Dataset, Dims, ModelConfig, Variant
 from latent_brrr.theory import (
+    GEWEKE_CHAINS,
+    _chain_mean_z,
     check_prop1,
     check_prop2,
     default_geweke_config,
@@ -179,11 +181,60 @@ def test_geweke_requires_iterations():
 def test_geweke_statistic_set_and_names():
     report = geweke_test(default_geweke_config(), small_dims(), 200,
                          np.random.default_rng(1))
-    # (S1*K + P*S1 + S1 + K + 1) statistics, two moments each
-    assert len(report.z_scores) == 2 * (2 * 4 + 3 * 2 + 2 + 4 + 1)
-    assert "tau[0]:mean" in report.z_scores
-    assert "y[0,0]:second_moment" in report.z_scores
+    # (S1*K + P*S1 + S1 + K + 1) statistics, four test functions each
+    n_stats = 2 * 4 + 3 * 2 + 2 + 4 + 1
+    assert len(report.z_scores) == 4 * n_stats
+    suffixes = ("mean", "arctan", "above_median", "outside_2s")
+    assert {name.rsplit(":", 1)[1] for name in report.z_scores} == set(suffixes)
+    for suffix in suffixes:
+        assert f"tau[0]:{suffix}" in report.z_scores
+        assert f"y[0,0]:{suffix}" in report.z_scores
     assert np.all(np.isfinite(list(report.z_scores.values())))
+
+
+def test_geweke_reruns_identically():
+    first, second = (geweke_test(default_geweke_config(), small_dims(), 100,
+                                 np.random.default_rng(7)) for _ in range(2))
+    assert first.z_scores == second.z_scores
+
+
+@pytest.mark.parametrize("n_iter, n_chains, length", [
+    (1, 2, 1), (50, 32, 2), (70, 32, 3), (3000, 32, 94),
+])
+def test_geweke_chain_count_and_length(n_iter, n_chains, length):
+    # C = min(GEWEKE_CHAINS, n_iter), at least two, of ceil(n_iter / C) sweeps.
+    report = geweke_test(default_geweke_config(), small_dims(), n_iter,
+                         np.random.default_rng(8))
+    assert GEWEKE_CHAINS == 32
+    assert (report.n_iter, report.n_chains, report.iterations_per_chain) == \
+        (n_iter, n_chains, length)
+    assert set(report.as_dict()) >= {"n_iter", "n_chains", "iterations_per_chain",
+                                     "fraction_within_4", "max_abs_z", "z_scores"}
+    assert len(report.z_scores) == 4 * (2 * 4 + 3 * 2 + 2 + 4 + 1)
+    assert not np.isnan(list(report.z_scores.values())).any()
+
+
+def test_chain_mean_z_is_calibrated_on_autocorrelated_chains():
+    # Stationary AR(1) chains, phi = 0.9, against iid draws of their N(0, 1 /
+    # (1 - phi^2)) marginal: the chain-mean z spreads like a standard normal
+    # (a t with C - 1 = 31 degrees of freedom), where treating the chain
+    # draws as iid understates their standard error about threefold.
+    rng = np.random.default_rng(11)
+    phi, length, n_chains, reps = 0.9, 200, 32, 400
+    sd = 1.0 / np.sqrt(1.0 - phi**2)
+    chains = np.empty((length, n_chains, reps))
+    chains[0] = sd * rng.standard_normal((n_chains, reps))
+    for t in range(1, length):
+        chains[t] = phi * chains[t - 1] + rng.standard_normal((n_chains, reps))
+    iid = sd * rng.standard_normal((length * n_chains, reps))
+    z = _chain_mean_z(iid, chains)
+    assert z.shape == (reps,)
+    assert 0.85 < z.std() < 1.2
+    assert abs(z.mean()) < 0.2
+    flat = chains.reshape(length * n_chains, reps)
+    naive = (iid.mean(axis=0) - flat.mean(axis=0)) / np.sqrt(
+        (iid.var(axis=0, ddof=1) + flat.var(axis=0, ddof=1)) / len(flat))
+    assert naive.std() > 2.5
 
 
 def test_geweke_decomposes_the_gram_matrix_once(monkeypatch):
@@ -216,10 +267,9 @@ def test_geweke_detects_corrupted_delta_update():
 
 
 def test_geweke_accepts_other_variants():
-    # Short-run smoke test. Second-moment statistics are heavy-tailed (one
-    # large shared prior draw lifts them all), so at this length only the
-    # first-moment z-scores are stable; the acceptance suite runs the full
-    # statistic set at 1e5 iterations.
+    # Short-run smoke test of the raw means' z-scores. The bounded test
+    # functions are checked on the latent-noise variant, here and at 1e5
+    # iterations in the acceptance suite.
     config = ModelConfig(variant=Variant.NO_NOISE, rank=2, nu=6.0, a_sigma=5.0,
                          b_sigma=1.0, iterations=2, burn_in=0, thin=1)
     report = geweke_test(config, small_dims(), 20_000, np.random.default_rng(4))
@@ -228,8 +278,8 @@ def test_geweke_accepts_other_variants():
 
 
 def independent_noise_geweke_config():
-    # a1 = a2 = 6 and nu = 10 keep the moments the batch-means standard
-    # errors need finite; at a1 = 3, nu = 6 tau's heavy tail fails seeds.
+    # a1 = a2 = 6 and nu = 10 give every statistic a finite fourth moment,
+    # so the chain-mean standard errors of the raw means settle quickly.
     return ModelConfig(variant=Variant.INDEPENDENT_NOISE, rank=2, noise_rank=2,
                        a1=6.0, a2=6.0, nu=10.0, a_sigma=5.0, b_sigma=1.0,
                        iterations=2, burn_in=0, thin=1)
@@ -264,18 +314,21 @@ def test_geweke_detects_wrong_shape_delta_noise_update(monkeypatch):
     ("phi_gamma", -1e12, "Cholesky factorization failed in gamma update"),
 ])
 def test_geweke_raises_a_failure_on_its_chain(monkeypatch, field, value, message):
-    # The one stacked chain records a failure instead of raising it; the
-    # harness must stop at the failing sweep, not go on with stand-in draws.
+    # The stacked chains record a failure instead of raising it; the harness
+    # must stop at the sweep where one chain fails, not go on with stand-in
+    # draws. 320 iterations are 10 sweeps of 32 chains.
     real = gibbs.update_gamma
     calls = []
 
     def corrupted(state, data, config, streams, shared):
         calls.append(1)
         if len(calls) == 5:
-            setattr(state, field, np.full_like(getattr(state, field), value))
+            corrupt = getattr(state, field).copy()
+            corrupt[3] = value
+            setattr(state, field, corrupt)
         real(state, data, config, streams, shared)
 
     monkeypatch.setattr(gibbs, "update_gamma", corrupted)
     with pytest.raises(NumericalError, match=f"^{message}$"):
-        geweke_test(default_geweke_config(), small_dims(), 50, np.random.default_rng(1))
+        geweke_test(default_geweke_config(), small_dims(), 320, np.random.default_rng(1))
     assert len(calls) == 5
