@@ -63,7 +63,14 @@ class PropositionReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "analytic_value": self.analytic_value,
+            "empirical_value": self.empirical_value,
+            "mc_standard_error": self.mc_standard_error,
+            "n_draws": self.n_draws,
+            "tolerance": self.tolerance,
+            "passed": self.passed,
+        }
 
 
 def _make_report(analytic, empirical, se, n_draws, tolerance):
@@ -251,14 +258,18 @@ def check_prop2(a2: float, rank: int, *, reference_truncation: int = 50, n_draws
     if n_draws < 200 or batch_size < 1:
         raise ConfigurationError("need n_draws >= 200 and batch_size >= 1")
     rng = rng if rng is not None else np.random.default_rng()
-    pairs = np.empty((n_draws, 2))
-    for start in range(0, n_draws, batch_size):
-        b = min(batch_size, n_draws - start)
+    partial = []
+    full = []
+    done = 0
+    while done < n_draws:
+        b = min(batch_size, n_draws - done)
         delta = rng.gamma(a2 - 1.0, 1.0, size=(b, reference_truncation - 1))
         terms = np.ones((b, reference_truncation))
         np.cumprod(1.0 / ((a2 - 1.0) * delta), axis=1, out=terms[:, 1:])
-        pairs[start:start + b, 0] = terms[:, :rank].sum(axis=1)
-        pairs[start:start + b, 1] = terms.sum(axis=1)
+        partial.append(terms[:, :rank].sum(axis=1))
+        full.append(terms.sum(axis=1))
+        done += b
+    pairs = np.column_stack([np.concatenate(partial), np.concatenate(full)])
 
     def deficit(block):
         return 1.0 - block[:, 0].mean() / block[:, 1].mean()
@@ -297,6 +308,9 @@ class GewekeReport:
 # Chains on the successive-conditional side of ``geweke_test``; the spread of
 # their means gives its standard error, with GEWEKE_CHAINS - 1 degrees of freedom.
 GEWEKE_CHAINS = 32
+# Fewest sweeps per chain, unless n_iter is smaller: a faulty update moves a
+# chain off the joint distribution a little on each sweep it applies.
+GEWEKE_MIN_SWEEPS = 25
 
 # Test functions g(theta, m, s), with m the median and s the median |theta|
 # of a statistic on the marginal side; all but the raw mean are bounded.
@@ -326,12 +340,15 @@ def _draw_response(state: ModelState, X: np.ndarray, config: ModelConfig,
 
 
 def _statistic_names(dims: Dims, noise_rank: int | None) -> list[str]:
-    shapes = [("gamma", (dims.rank, dims.n_targets)), ("psi", (dims.n_covariates, dims.rank)),
-              ("tau", (dims.rank,)), ("sigma_sq", (dims.n_targets,)), ("y", (1, 1))]
+    names = [f"gamma[{h},{j}]" for h in range(dims.rank) for j in range(dims.n_targets)]
+    names += [f"psi[{j},{h}]" for j in range(dims.n_covariates) for h in range(dims.rank)]
+    names += [f"tau[{h}]" for h in range(dims.rank)]
+    names += [f"sigma_sq[{j}]" for j in range(dims.n_targets)]
+    names.append("y[0,0]")
     if noise_rank is not None:
-        shapes += [("lambda", (noise_rank, dims.n_targets)), ("tau_noise", (noise_rank,))]
-    return [f"{label}[{','.join(map(str, index))}]" for label, shape in shapes
-            for index in np.ndindex(shape)]
+        names += [f"lambda[{h},{j}]" for h in range(noise_rank) for j in range(dims.n_targets)]
+        names += [f"tau_noise[{h}]" for h in range(noise_rank)]
+    return names
 
 
 def _statistics(state: ModelState, Y: np.ndarray) -> np.ndarray:
@@ -380,10 +397,11 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     need E[theta^8], infinite at a1 = 3.
 
     The successive-conditional side runs C = min(GEWEKE_CHAINS, n_iter)
-    chains, at least two, of ceil(n_iter / C) sweeps on one chain axis, each
-    on a Generator spawned from ``rng`` and started from an exact prior
-    draw; each iteration redraws every chain's Y given its draw (X stays
-    fixed), then sweeps. A correct sweep leaves the joint distribution
+    chains, at least two, of ceil(n_iter / C) sweeps, but no fewer than
+    min(n_iter, GEWEKE_MIN_SWEEPS), on one chain axis, each on a Generator
+    spawned from ``rng`` and started from an exact prior draw; each
+    iteration redraws every chain's Y given its draw (X stays fixed), then
+    sweeps. A correct sweep leaves the joint distribution
     invariant, so each chain is stationary from its first step and the C
     chain means of any g are iid: their spread is the standard error
     (``_chain_mean_z``). The marginal side draws as many iid (prior, Y)
@@ -394,7 +412,7 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     if n_iter < 1:
         raise ConfigurationError("geweke_test needs n_iter >= 1")
     n_chains = max(2, min(GEWEKE_CHAINS, n_iter))
-    length = -(-n_iter // n_chains)
+    length = max(-(-n_iter // n_chains), min(n_iter, GEWEKE_MIN_SWEEPS))
     names = _statistic_names(dims, config.noise_rank)
     X = rng.standard_normal((dims.n_samples, dims.n_covariates))
 

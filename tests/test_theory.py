@@ -11,6 +11,7 @@ from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import Dataset, Dims, ModelConfig, Variant
 from latent_brrr.theory import (
     GEWEKE_CHAINS,
+    GEWEKE_MIN_SWEEPS,
     _chain_mean_z,
     check_prop1,
     check_prop2,
@@ -199,13 +200,14 @@ def test_geweke_reruns_identically():
 
 
 @pytest.mark.parametrize("n_iter, n_chains, length", [
-    (1, 2, 1), (50, 32, 2), (70, 32, 3), (3000, 32, 94),
+    (1, 2, 1), (20, 20, 20), (50, 32, 25), (1000, 32, 32), (3000, 32, 94),
 ])
 def test_geweke_chain_count_and_length(n_iter, n_chains, length):
-    # C = min(GEWEKE_CHAINS, n_iter), at least two, of ceil(n_iter / C) sweeps.
+    # C = min(GEWEKE_CHAINS, n_iter), at least two, of ceil(n_iter / C)
+    # sweeps, but no fewer than min(n_iter, GEWEKE_MIN_SWEEPS).
     report = geweke_test(default_geweke_config(), small_dims(), n_iter,
                          np.random.default_rng(8))
-    assert GEWEKE_CHAINS == 32
+    assert (GEWEKE_CHAINS, GEWEKE_MIN_SWEEPS) == (32, 25)
     assert (report.n_iter, report.n_chains, report.iterations_per_chain) == \
         (n_iter, n_chains, length)
     assert set(report.as_dict()) >= {"n_iter", "n_chains", "iterations_per_chain",
@@ -316,7 +318,7 @@ def test_geweke_detects_wrong_shape_delta_noise_update(monkeypatch):
 def test_geweke_raises_a_failure_on_its_chain(monkeypatch, field, value, message):
     # The stacked chains record a failure instead of raising it; the harness
     # must stop at the sweep where one chain fails, not go on with stand-in
-    # draws. 320 iterations are 10 sweeps of 32 chains.
+    # draws. 50 iterations are 25 sweeps of 32 chains.
     real = gibbs.update_gamma
     calls = []
 
@@ -330,5 +332,5 @@ def test_geweke_raises_a_failure_on_its_chain(monkeypatch, field, value, message
 
     monkeypatch.setattr(gibbs, "update_gamma", corrupted)
     with pytest.raises(NumericalError, match=f"^{message}$"):
-        geweke_test(default_geweke_config(), small_dims(), 320, np.random.default_rng(1))
+        geweke_test(default_geweke_config(), small_dims(), 50, np.random.default_rng(1))
     assert len(calls) == 5
