@@ -1,4 +1,4 @@
-"""The chain axis: the data, Generators and failures of a batch of chains.
+"""The chain axis: the data and Generators of a batch of chains.
 
 Each full conditional in ``gibbs`` updates a ``ModelState`` holding C >= 1
 chains along a leading axis (``ModelState.stack``), with their data in a
@@ -13,14 +13,12 @@ chain equals its one-chain run up to rounding. The updates replace the
 state's arrays and never write into them, so ``state.chain(c)`` taken for a
 retained draw stays valid as the chains go on.
 
-Failures. When a chain meets a numerical failure (a factorization that fails
-on its matrix, a non-finite precision or rate), the update records the
-message against that chain in its ``ChainStreams`` and gives it stand-ins (an
-identity matrix, no further draws), so that every other chain's steps go on
-unchanged. Nothing here raises; the caller that owns the chains does.
-``run_chains`` reports each failed chain with the iteration and ignores what
-it computes afterwards; ``run_chain``, ``theory.geweke_test`` and the moment
-oracles, which need every chain, raise the first failure as NumericalError.
+Failures. A numerical failure (a factorization that fails on any chain's
+matrix, a non-finite precision or rate) raises NumericalError where it
+occurs, for the whole batch. ``gibbs.run_chains`` alone decides what that
+means: it runs a failed batch again as two halves, down to the single fit
+that fails, which reports its message with the iteration while every other
+fit runs through.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 
-from latent_brrr.errors import NumericalError
 from latent_brrr.model import Dataset, Dims, ModelConfig, stack_arrays
 
 # Bytes of stacked per-chain arrays one batch of ``run_chains`` may hold
@@ -109,68 +106,29 @@ class ChainData:
 
 
 class ChainStreams:
-    """One Generator per chain of a batch, and each chain's first failure.
+    """One Generator per chain of a batch.
 
     ``standard_normal`` and ``gamma`` take the chain axis first and fill
-    slice c from chain c's Generator with the draw chain c makes alone. A
-    failed chain draws nothing more (zeros, ones stand in).
+    slice c from chain c's Generator with the draw chain c makes alone.
     """
 
     def __init__(self, generators: Sequence[np.random.Generator]):
         self.generators = list(generators)
-        self.failed: dict[int, str] = {}
 
     def standard_normal(self, shape) -> np.ndarray:
-        out = np.zeros(shape)
+        out = np.empty(shape)
         for c, generator in enumerate(self.generators):
-            if c not in self.failed:
-                generator.standard_normal(out=out[c])
+            generator.standard_normal(out=out[c])
         return out
 
     def gamma(self, shape: float, scale: np.ndarray) -> np.ndarray:
         # Ga(shape, scale) variates are scale times Ga(shape, 1) variates, bit
         # for bit; drawing the unit-scale ones by size skips numpy's checks of
         # an array scale, which cost several times the draws at these sizes.
-        out = np.ones(np.shape(scale))
+        out = np.empty(np.shape(scale))
         for c, generator in enumerate(self.generators):
-            if c not in self.failed:
-                out[c] = generator.standard_gamma(shape, size=np.shape(scale[c])) * scale[c]
+            out[c] = generator.standard_gamma(shape, size=np.shape(scale[c])) * scale[c]
         return out
-
-    def fail(self, bad: np.ndarray, message: str) -> None:
-        """Record ``message`` against each chain flagged in ``bad`` (one flag
-        per chain) that has not failed yet."""
-        for c in np.flatnonzero(bad):
-            self.failed.setdefault(int(c), message)
-
-    def raise_failure(self) -> None:
-        """Raise the first failed chain's message as NumericalError, for
-        callers that cannot go on without every chain."""
-        if self.failed:
-            raise NumericalError(self.failed[min(self.failed)])
-
-
-def guarded(fn, what: str, streams: ChainStreams, matrix: np.ndarray, *rest):
-    """``fn(matrix, *rest)`` for a stack of matrices, one per chain.
-
-    On a LinAlgError, the chains whose own matrices fail are recorded failed
-    with ``what``, and an identity stands in for their matrices so that the
-    others' results are unchanged.
-    """
-    try:
-        return fn(matrix, *rest)
-    except np.linalg.LinAlgError:
-        pass
-    bad = np.zeros(len(matrix), dtype=bool)
-    for c in range(len(matrix)):
-        try:
-            fn(matrix[c], *(r[c] for r in rest))
-        except np.linalg.LinAlgError:
-            bad[c] = True
-    streams.fail(bad, what)
-    matrix = matrix.copy()
-    matrix[bad] = np.eye(matrix.shape[-1])
-    return fn(matrix, *rest)
 
 
 def _chain_bytes(dims: Dims, config: ModelConfig) -> int:

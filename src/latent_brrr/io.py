@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -32,6 +33,8 @@ from latent_brrr.tuning import CvPlan
 
 SAMPLES_MAGIC = b"LBRRRST1"
 SAMPLES_VERSION = 1
+# Magic and version (16 bytes), then (n_states, n_rows, P, K, S1, S2) as uint64.
+_SAMPLES_HEADER_BYTES = 16 + 48
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +187,25 @@ def write_samples(path, samples: PosteriorSamples) -> None:
 
 
 def read_samples(path) -> tuple[ModelState, ...]:
+    """The retained states of a samples file; a file whose length is not the
+    one its header describes raises ConfigurationError."""
+    size = Path(path).stat().st_size
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != SAMPLES_MAGIC:
             raise ConfigurationError(f"{path} is not a samples file (bad magic)")
+        if size < _SAMPLES_HEADER_BYTES:
+            raise ConfigurationError(f"{path} is truncated: {size} bytes, "
+                                     f"shorter than the {_SAMPLES_HEADER_BYTES}-byte header")
         version, _ = struct.unpack("<II", fh.read(8))
         if version != SAMPLES_VERSION:
             raise ConfigurationError(f"unsupported samples format version {version}")
         n_states, n_rows, P, K, S1, S2 = struct.unpack("<6Q", fh.read(48))
         blocks = _sample_blocks(n_rows, P, K, S1, S2)
+        expected = _SAMPLES_HEADER_BYTES + n_states * 8 * sum(map(math.prod, blocks.values()))
+        if size != expected:
+            raise ConfigurationError(f"{path} has {size} bytes, but its header "
+                                     f"describes {expected}")
 
         def read_array(shape):
             count = int(np.prod(shape))

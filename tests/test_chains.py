@@ -61,16 +61,20 @@ def test_batched_chains_equal_solo_runs(variant, psi_update, extra):
         assert_same_theta(theta, run_chain(dataset, config).samples.theta_mean)
 
 
-def inject_at(k, target_sigma_omega_sq, corrupt):
-    """An update_gamma that, on its k-th call, corrupts the chain whose
-    sigma_omega_sq is ``target_sigma_omega_sq`` before drawing."""
+def inject_at(k, targets, corrupt):
+    """An update_gamma that, on its k-th call within each run (each
+    ChainData), corrupts the chains whose sigma_omega_sq is in ``targets``
+    before drawing. ``run_chains`` re-runs a failed batch's halves as new
+    runs, so each starts its own count; the runs are kept alive so that no
+    ``id`` is reused."""
     real = gibbs.update_gamma
-    calls = {"n": 0}
+    runs: dict[int, list] = {}
 
     def update(state, data, config, streams, shared):
-        calls["n"] += 1
-        if calls["n"] == k:
-            corrupt(state, np.isclose(data.sigma_omega_sq, target_sigma_omega_sq))
+        run = runs.setdefault(id(data), [data, 0])
+        run[1] += 1
+        if run[1] == k:
+            corrupt(state, np.isin(data.sigma_omega_sq, targets))
         return real(state, data, config, streams, shared)
 
     return update
@@ -93,7 +97,7 @@ def test_failure_in_one_chain_stops_only_that_chain(monkeypatch, corrupt, messag
     fits = [(data, chain_config(Variant.LATENT_NOISE, "fast", {}, seed=30 + c,
                                 latent_snr=0.1 * (c + 1))) for c in range(3)]
     solo = [run_chain(dataset, config).samples.theta_mean for dataset, config in fits]
-    target = gibbs._resolved(*fits[1]).sigma_omega_sq
+    target = [gibbs._resolved(*fits[1]).sigma_omega_sq]
 
     monkeypatch.setattr(gibbs, "update_gamma", inject_at(5, target, corrupt))
     trace = run_chains(fits)
@@ -107,6 +111,35 @@ def test_failure_in_one_chain_stops_only_that_chain(monkeypatch, corrupt, messag
     with pytest.raises(NumericalError) as err:
         run_chain(*fits[1])
     assert str(err.value) == message
+
+
+def test_two_failures_in_one_batch_are_isolated_by_halving(monkeypatch):
+    # Five fits in one batch; chain 1 fails at sweep 4 and chain 3 at sweep
+    # 7. The batch halves into [0, 1] and [2, 3, 4], which fail and halve
+    # again until each failing fit runs alone.
+    data = problem(7)
+    fits = [(data, chain_config(Variant.LATENT_NOISE, "fast", {}, seed=50 + c,
+                                latent_snr=0.1 * (c + 1))) for c in range(5)]
+    solo = [run_chain(dataset, config).samples.theta_mean for dataset, config in fits]
+    first, second = ([gibbs._resolved(*fits[c]).sigma_omega_sq] for c in (1, 3))
+    monkeypatch.setattr(gibbs, "update_gamma", inject_at(4, first, nan_sigma))
+    monkeypatch.setattr(gibbs, "update_gamma", inject_at(7, second, negative_phi))
+
+    stats = RunStats()
+    trace = run_chains(fits, stats)
+    messages = ["non-finite precision in gamma update (iteration 4)",
+                "Cholesky factorization failed in gamma update (iteration 7)"]
+    assert trace.errors == (None, messages[0], None, messages[1], None)
+    # The batch and [0, 1] stop at sweep 4, [2, 3, 4] and [3, 4] at sweep 7,
+    # and [0], [1], [2], [3], [4] run 40, 4, 40, 7 and 40 sweeps.
+    assert stats.sweeps == 4 + 4 + 7 + 7 + 40 + 4 + 40 + 7 + 40
+    for c in (0, 2, 4):
+        assert_same_theta(trace.theta_means[c], solo[c])
+    for c, message in zip((1, 3), messages):
+        assert trace.theta_means[c] is None
+        with pytest.raises(NumericalError) as err:
+            run_chain(*fits[c])
+        assert str(err.value) == message
 
 
 def test_uneven_folds_batch_by_training_rows_and_match_solo_fits():

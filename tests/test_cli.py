@@ -158,6 +158,45 @@ def test_fit_predict_pipeline(sim_dir, tmp_path):
     assert len(report["mse_per_target"]) == 5
 
 
+def awkward_data(case):
+    """X and Y of one awkward but valid shape: P > N, K = 1, a constant
+    column or two equal columns."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    N, P, K = (12, 20, 4) if case == "p_above_n" else (40, 5, 1 if case == "single_target" else 4)
+    X = rng.standard_normal((N, P))
+    Y = X @ rng.standard_normal((P, K)) + rng.standard_normal((N, K))
+    if case == "constant_column":
+        X[:, 0] = 3.0
+    if case == "duplicate_columns":
+        X[:, 1] = X[:, 0]
+    return X, Y
+
+
+@pytest.mark.parametrize("variant, extra", [
+    ("latent_noise", dict(latent_snr=0.5)),
+    ("independent_noise", dict(latent_snr=None, noise_rank=2)),
+    ("no_noise", dict(latent_snr=None)),
+])
+@pytest.mark.parametrize("case", ["p_above_n", "single_target", "constant_column",
+                                  "duplicate_columns"])
+def test_fit_on_awkward_data_gives_a_finite_fit_or_a_clean_exit(tmp_path, capsys, case,
+                                                                 variant, extra):
+    X, Y = awkward_data(case)
+    lio.write_matrix_csv(tmp_path / "X.csv", X, [f"x{j}" for j in range(X.shape[1])])
+    lio.write_matrix_csv(tmp_path / "Y.csv", Y, [f"y{j}" for j in range(Y.shape[1])])
+    config = write_config(tmp_path / "config.json", variant=variant, **extra)
+    code = run_cli("fit", "--x", tmp_path / "X.csv", "--y", tmp_path / "Y.csv",
+                   "--config", config, "--out-dir", tmp_path / "fit")
+    if code == 0:
+        summary = json.loads((tmp_path / "fit" / "posterior_summary.json").read_text())
+        theta = np.asarray(summary["theta_mean"], dtype=float)
+        assert theta.shape == (X.shape[1], Y.shape[1])
+        assert np.isfinite(theta).all()
+    else:
+        assert code in (2, 3)
+        assert capsys.readouterr().err.strip()
+
+
 def test_fit_missing_y_exits_2_with_path(sim_dir, tmp_path, capsys):
     config = write_config(tmp_path / "config.json")
     code = run_cli("fit", "--x", sim_dir / "X_train.csv", "--y", sim_dir / "nope.csv",

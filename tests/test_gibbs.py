@@ -301,8 +301,8 @@ def test_omega_draws_match_moments():
 
 
 def test_moment_oracles_raise_on_a_non_pd_system():
-    # The oracles run on one stacked chain, whose streams record a failure
-    # instead of raising it, so each must raise it before returning.
+    # The oracles share the updates' factorizations, which raise
+    # NumericalError naming the oracle's system.
     state, dataset, config, _ = make_problem(25)
     negative_phi = replace(state, phi_gamma=np.full_like(state.phi_gamma, -1e12))
     with pytest.raises(NumericalError, match="^Cholesky factorization failed in gamma moments$"):
@@ -448,7 +448,7 @@ def test_draw_helper_dense_psi_system(x_scale):
     state = replace(state, delta=np.array([1e-4, 1e4, 1e4]))
     scaled = Dataset(X=dataset.X * x_scale, Y=dataset.Y)
     L, lin = gibbs._psi_naive_system(ModelState.stack([state]), ChainData([scaled], [config]),
-                                     config, ChainStreams([]))
+                                     config)
     assert_draw_helper_matches_solves(L[0] @ L[0].T, lin[0])
 
 

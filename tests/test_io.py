@@ -137,6 +137,27 @@ def test_samples_bin_round_trips_every_field(data, variant):
                 assert same_bits(a, b), field.name
 
 
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw[:40],            # the header cut short
+    lambda raw: raw[:-8],            # the last state short of one value
+    lambda raw: raw[:64],            # the header alone, with states declared
+    lambda raw: raw + b"\0" * 8,    # one trailing value
+    lambda raw: raw + b"\0",        # one trailing byte
+], ids=["truncated-header", "truncated-body", "no-body", "trailing-value", "trailing-byte"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(),
+       variant=st.sampled_from([Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE,
+                                Variant.NO_NOISE]))
+def test_samples_bin_of_the_wrong_length_is_rejected(edit, data, variant):
+    samples = data.draw(posterior_samples(variant))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.bin"
+        lio.write_samples(path, samples)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ConfigurationError, match="samples.bin"):
+            lio.read_samples(path)
+
+
 # ---------------------------------------------------------------------------
 # model config and CV plan JSON
 

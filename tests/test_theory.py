@@ -316,9 +316,9 @@ def test_geweke_detects_wrong_shape_delta_noise_update(monkeypatch):
     ("phi_gamma", -1e12, "Cholesky factorization failed in gamma update"),
 ])
 def test_geweke_raises_a_failure_on_its_chain(monkeypatch, field, value, message):
-    # The stacked chains record a failure instead of raising it; the harness
-    # must stop at the sweep where one chain fails, not go on with stand-in
-    # draws. 50 iterations are 25 sweeps of 32 chains.
+    # A failure on one of the stacked chains raises from the sweep where it
+    # occurs, so the harness stops there. 50 iterations are 25 sweeps of 32
+    # chains.
     real = gibbs.update_gamma
     calls = []
 
