@@ -238,24 +238,26 @@ def cmd_predict(args) -> None:
         raise ConfigurationError(
             f"model expects {theta.shape[0]} covariates, X has {X.shape[1]} columns"
         )
+    shape = (X.shape[0], theta.shape[1])
     out = args.out_dir
     inputs = {"x": args.x, "model": args.model}
+    Y = None
     if args.y is not None:
         inputs["y"] = args.y
+        Y, y_names = lio.read_matrix_csv(_require_file(args.y))
+        lio.check_matrix_finite(Y, args.y, y_names)
+        if Y.shape != shape:
+            raise ConfigurationError(f"{args.y} has shape {Y.shape}, predictions {shape}")
 
     def worker():
         predictions = X @ theta
         lio.write_matrix_csv(out / "Y_pred.csv", predictions, prefix="y")
-        report: dict = {"n_rows": int(X.shape[0]), "n_targets": int(theta.shape[1])}
-        if args.y is not None:
-            Y, y_names = lio.read_matrix_csv(_require_file(args.y))
-            lio.check_matrix_finite(Y, args.y, y_names)
+        report: dict = {"n_rows": shape[0], "n_targets": shape[1],
+                        "mse_total": None, "mse_per_target": None}
+        if Y is not None:
             total, per_target = mse(predictions, Y)
             report["mse_total"] = total
             report["mse_per_target"] = per_target.tolist()
-        else:
-            report["mse_total"] = None
-            report["mse_per_target"] = None
         lio.write_json(out / "eval.json", report)
 
     _run_with_manifest(out, "predict", {"model": str(args.model)}, inputs, worker)

@@ -1,9 +1,11 @@
 """File formats: CSV matrices, JSON configs/reports, manifests, raw samples.
 
-CSV dialect: UTF-8, comma separator, LF line endings, one header row,
-numbers printed with up to 17 significant digits so float64 values
-round-trip exactly. Config files are JSON with exactly the dataclass field
-names in snake_case; unknown keys are a hard error.
+CSV dialect: UTF-8, comma separator, LF line endings, one header row.
+Values are written exactly as C's "%.17g" prints them, so float64 values
+round-trip exactly and the bytes are those np.savetxt(fmt="%.17g") wrote;
+``g17`` formats them a block of rows at a time. A file with a header but no
+data rows is rejected. Config files are JSON with exactly the dataclass
+field names in snake_case; unknown keys are a hard error.
 
 samples.bin layout (all little-endian): an 8-byte magic ``LBRRRST1``,
 uint32 format version, uint32 reserved (16 bytes total), then six uint64
@@ -23,10 +25,12 @@ import hashlib
 import json
 import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 
+from latent_brrr import g17
 from latent_brrr.errors import ConfigurationError
 from latent_brrr.model import ModelConfig, ModelState, PosteriorSamples, Variant
 from latent_brrr.tuning import CvPlan
@@ -43,6 +47,8 @@ _SAMPLES_HEADER_BYTES = 16 + 48
 
 def write_matrix_csv(path, matrix: np.ndarray, names: list[str] | None = None,
                      prefix: str = "c") -> None:
+    """Write ``matrix`` with a header row of ``names`` (``prefix`` and the
+    column number by default)."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ConfigurationError("can only write two-dimensional matrices")
@@ -50,20 +56,27 @@ def write_matrix_csv(path, matrix: np.ndarray, names: list[str] | None = None,
         names = [f"{prefix}{j}" for j in range(matrix.shape[1])]
     if len(names) != matrix.shape[1]:
         raise ConfigurationError("header length does not match column count")
-    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", newline="\n",
-               header=",".join(names), comments="", encoding="utf-8")
+    with open(path, "wb") as fh:
+        if names:
+            fh.write(",".join(names).encode("utf-8") + b"\n")
+        g17.write_rows(fh, matrix)
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
+    """The matrix and header names of a CSV file; a file without data rows
+    raises ConfigurationError."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         header = fh.readline().rstrip("\n")
         try:
             matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ConfigurationError(f"malformed numeric data in {path}: {exc}") from exc
+    if matrix.size == 0:
+        raise ConfigurationError(f"{path} has a header but no data rows")
     names = header.split(",") if header else []
-    if matrix.size and matrix.shape[1] != len(names):
+    if matrix.shape[1] != len(names):
         raise ConfigurationError(
             f"{path}: header has {len(names)} columns, data has {matrix.shape[1]}"
         )

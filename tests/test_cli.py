@@ -159,17 +159,26 @@ def test_fit_predict_pipeline(sim_dir, tmp_path):
 
 
 def awkward_data(case):
-    """X and Y of one awkward but valid shape: P > N, K = 1, a constant
-    column or two equal columns."""
+    """X, Y and rank of one awkward but valid data set: P > N, K = 1, a
+    constant column, two equal columns, X or Y scaled by 1e8 or 1e-8, or a
+    rank above P."""
     rng = np.random.default_rng(sum(map(ord, case)))
-    N, P, K = (12, 20, 4) if case == "p_above_n" else (40, 5, 1 if case == "single_target" else 4)
+    N, P, K, rank = 40, 5, 4, 2
+    if case == "p_above_n":
+        N, P = 12, 20
+    if case == "single_target":
+        K = 1
+    if case == "rank_above_p":
+        P, rank = 3, 5
     X = rng.standard_normal((N, P))
     Y = X @ rng.standard_normal((P, K)) + rng.standard_normal((N, K))
     if case == "constant_column":
         X[:, 0] = 3.0
     if case == "duplicate_columns":
         X[:, 1] = X[:, 0]
-    return X, Y
+    scale = {"x_times_1e8": (1e8, 1.0), "y_times_1e8": (1.0, 1e8), "y_times_1e-8": (1.0, 1e-8)}
+    x_scale, y_scale = scale.get(case, (1.0, 1.0))
+    return X * x_scale, Y * y_scale, rank
 
 
 @pytest.mark.parametrize("variant, extra", [
@@ -178,13 +187,14 @@ def awkward_data(case):
     ("no_noise", dict(latent_snr=None)),
 ])
 @pytest.mark.parametrize("case", ["p_above_n", "single_target", "constant_column",
-                                  "duplicate_columns"])
+                                  "duplicate_columns", "x_times_1e8", "y_times_1e8",
+                                  "y_times_1e-8", "rank_above_p"])
 def test_fit_on_awkward_data_gives_a_finite_fit_or_a_clean_exit(tmp_path, capsys, case,
                                                                  variant, extra):
-    X, Y = awkward_data(case)
+    X, Y, rank = awkward_data(case)
     lio.write_matrix_csv(tmp_path / "X.csv", X, [f"x{j}" for j in range(X.shape[1])])
     lio.write_matrix_csv(tmp_path / "Y.csv", Y, [f"y{j}" for j in range(Y.shape[1])])
-    config = write_config(tmp_path / "config.json", variant=variant, **extra)
+    config = write_config(tmp_path / "config.json", variant=variant, rank=rank, **extra)
     code = run_cli("fit", "--x", tmp_path / "X.csv", "--y", tmp_path / "Y.csv",
                    "--config", config, "--out-dir", tmp_path / "fit")
     if code == 0:
@@ -216,6 +226,46 @@ def test_fit_nan_input_exits_2_with_location(sim_dir, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "row 2" in err and "x1" in err
+
+
+def write_summary(path):
+    """A posterior summary for sim_dir's 4 covariates and 5 targets."""
+    lio.write_json(path, {"theta_mean": [[0.0] * 5] * 4})
+    return path
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_header_only_csv_exits_2_naming_the_file(sim_dir, tmp_path, capsys, recwarn, command):
+    empty = tmp_path / "X_empty.csv"
+    empty.write_text("x0,x1,x2,x3\n", encoding="utf-8")
+    if command == "fit":
+        inputs = ("--y", sim_dir / "Y_train.csv", "--config", write_config(tmp_path / "c.json"))
+    else:
+        inputs = ("--model", write_summary(tmp_path / "posterior_summary.json"))
+    code = run_cli(command, "--x", empty, *inputs, "--out-dir", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(empty) in err and "has a header but no data rows" in err
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
+@pytest.mark.parametrize("fault", ["too_few_columns", "nan"])
+def test_predict_bad_targets_exit_2_before_writing_predictions(sim_dir, tmp_path, capsys,
+                                                                fault):
+    Y, names = lio.read_matrix_csv(sim_dir / "Y_test.csv")
+    if fault == "nan":
+        Y[1, 2] = np.nan
+    else:
+        Y, names = Y[:, :3], names[:3]
+    targets = tmp_path / "Y_bad.csv"
+    lio.write_matrix_csv(targets, Y, names)
+    out = tmp_path / "pred"
+    code = run_cli("predict", "--x", sim_dir / "X_test.csv",
+                   "--model", write_summary(tmp_path / "posterior_summary.json"),
+                   "--y", targets, "--out-dir", out)
+    assert code == 2
+    assert str(targets) in capsys.readouterr().err
+    assert not (out / "Y_pred.csv").exists()
 
 
 def test_fit_unknown_config_key_exits_2(sim_dir, tmp_path, capsys):

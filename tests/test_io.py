@@ -1,6 +1,7 @@
-"""Property tests: CSV matrices, samples.bin and the posterior summary's
-theta_mean round-trip bit for bit, and config and CV-plan JSON parse to a
-value or a ConfigurationError."""
+"""Property tests: CSV matrices are written byte for byte as
+np.savetxt(fmt="%.17g") writes them; CSV matrices, samples.bin and the
+posterior summary's theta_mean round-trip bit for bit; config and CV-plan
+JSON parse to a value or a ConfigurationError."""
 
 import dataclasses
 import json
@@ -50,6 +51,76 @@ def test_matrix_csv_round_trips_bit_for_bit(matrix):
         back, got_names = lio.read_matrix_csv(path)
     assert got_names == names
     assert same_bits(back, matrix)
+
+
+def savetxt_bytes(path, matrix, names):
+    """The bytes np.savetxt(fmt="%.17g") writes: the reference for write_matrix_csv."""
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", newline="\n",
+               header=",".join(names), comments="", encoding="utf-8")
+    return path.read_bytes()
+
+
+def first_difference(got: bytes, want: bytes):
+    """The first differing (line number, got, want), or None."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.split(b"\n"), want.split(b"\n")
+    for i, (a, b) in enumerate(zip(got_lines, want_lines)):
+        if a != b:
+            return i, a, b
+    return min(len(got_lines), len(want_lines)), b"<end>", b"<end>"
+
+
+def same_csv_bytes_as_savetxt(matrix):
+    names = [f"c{j}" for j in range(matrix.shape[1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        lio.write_matrix_csv(path, matrix, names)
+        got = path.read_bytes()
+        want = savetxt_bytes(Path(tmp) / "reference.csv", matrix, names)
+    return first_difference(got, want)
+
+
+# The ends of the writer's fast range (the doubles nearest 1e-10 and 1e17),
+# powers of ten and their neighbours one ulp away, and exact ties at the
+# 17th significant digit, which round half to even.
+POW10 = 10.0 ** np.arange(-12, 19)
+BOUNDARIES = [1e-10, np.nextafter(1e-10, 0), 1e17, np.nextafter(1e17, 0),
+              *POW10, *np.nextafter(POW10, 0), *np.nextafter(POW10, np.inf)]
+TIES = [1234567890123456.75, 1234567890123457.25, -1234567890123456.75, 2.0**-25]
+ANY_VALUE = st.one_of(FINITE, st.sampled_from([np.nan, np.inf, -np.inf, *BOUNDARIES, *TIES]))
+ANY_MATRICES = st.tuples(st.integers(0, 6), st.integers(1, 5)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=ANY_VALUE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=ANY_MATRICES)
+@example(matrix=np.array([[1e-10, np.nextafter(1e-10, 0), 1e17, np.nextafter(1e17, 0)]]))
+@example(matrix=np.array(BOUNDARIES).reshape(-1, 1))
+@example(matrix=np.array([TIES]))
+@example(matrix=np.array([[np.nan, np.inf, -np.inf, -0.0, 0.0]]))
+@example(matrix=np.zeros((0, 3)))
+@example(matrix=np.zeros((4, 0)))
+@example(matrix=np.linspace(-3.0, 3.0, 2 * 4096 + 3).reshape(1, -1))
+def test_matrix_csv_bytes_equal_savetxt(matrix):
+    assert same_csv_bytes_as_savetxt(matrix) is None
+
+
+def test_matrix_csv_bytes_equal_savetxt_at_every_decimal_exponent():
+    # 1000 values at each decimal exponent from -324 to 308, 400k more inside
+    # the fast range, and 100k random bit patterns (nan, inf and subnormals
+    # among them), in rows of 50 columns.
+    rng = np.random.default_rng(20)
+    exponent = np.concatenate([np.repeat(np.arange(-324, 309), 1000),
+                               rng.integers(-10, 17, 400_000)])
+    scale = np.maximum(exponent, -300)
+    with np.errstate(over="ignore"):     # past the largest double: inf
+        values = rng.uniform(1, 10, exponent.size) * 10.0 ** scale * 10.0 ** (exponent - scale)
+    values *= rng.choice([-1.0, 1.0], values.size)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+    values = np.concatenate([values, bits.view(np.float64)])
+    assert values.size >= 1_000_000
+    assert same_csv_bytes_as_savetxt(values.reshape(-1, 50)) is None
 
 
 @settings(max_examples=200, deadline=None)
