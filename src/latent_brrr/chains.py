@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -61,15 +60,15 @@ class ChainData:
     """The datasets of a batch's chains, stacked along the chain axis.
 
     X, Y and the statistics each Dataset caches (X'X, its eigendecomposition,
-    X'Y, y'y) are stacked from the chains' Datasets, so fits that share a
-    Dataset share its statistics. Chains that share one Y (permutations of
-    X) read it through a broadcast view instead of copies. Each chain's
-    latent-noise variance, resolved from its own X, comes from its config:
-    ``sigma_omega_sq`` has shape (C,), or is None without latent noise.
+    X'Y, y'y) are stacked from the chains' Datasets when the ChainData is
+    built, so fits that share a Dataset share its statistics. Chains that
+    share one Y (permutations of X) read it through a broadcast view instead
+    of copies. Each chain's latent-noise variance, resolved from its own X,
+    comes from its config: ``sigma_omega_sq`` has shape (C,), or is None
+    without latent noise.
     """
 
     def __init__(self, datasets: Sequence[Dataset], configs: Sequence[ModelConfig]):
-        self.datasets = datasets
         self.sigma_omega_sq = None if configs[0].sigma_omega_sq is None else \
             np.array([c.sigma_omega_sq for c in configs])
         first = datasets[0]
@@ -79,23 +78,11 @@ class ChainData:
             self.Y = np.broadcast_to(first.Y, (len(datasets), *first.Y.shape))
         else:
             self.Y = stack_arrays([d.Y for d in datasets])
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return stack_arrays([d.gram for d in self.datasets])
-
-    @cached_property
-    def gram_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [d.gram_eig for d in self.datasets]
-        return stack_arrays([p[0] for p in pairs]), stack_arrays([p[1] for p in pairs])
-
-    @cached_property
-    def xty(self) -> np.ndarray:
-        return stack_arrays([d.xty for d in self.datasets])
-
-    @cached_property
-    def yty(self) -> np.ndarray:
-        return stack_arrays([d.yty for d in self.datasets])
+        self.gram = stack_arrays([d.gram for d in datasets])
+        eigs = [d.gram_eig for d in datasets]
+        self.gram_eig = stack_arrays([e[0] for e in eigs]), stack_arrays([e[1] for e in eigs])
+        self.xty = stack_arrays([d.xty for d in datasets])
+        self.yty = stack_arrays([d.yty for d in datasets])
 
     def set_targets(self, Y: np.ndarray) -> None:
         """New targets Y, stacked (C, N, K), with X'Y and y'y formed from them;

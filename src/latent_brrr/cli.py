@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -23,7 +24,14 @@ from latent_brrr import io as lio
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.evaluate import mse, permutation_test
 from latent_brrr.gibbs import RunStats, run_chain
-from latent_brrr.model import Dataset, Dims, ModelConfig, resolve_sigma_omega
+from latent_brrr.model import (
+    Dataset,
+    Dims,
+    ModelConfig,
+    check_number,
+    check_seed,
+    resolve_sigma_omega,
+)
 from latent_brrr.simulate import SimConfig, generate
 from latent_brrr.theory import (
     check_prop1,
@@ -50,49 +58,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"latent-brrr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--x", type=Path, required=True)
+    data.add_argument("--y", type=Path, required=True)
+    data.add_argument("--config", type=Path, required=True, help="model config JSON")
+    data.add_argument("--out-dir", type=Path, required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic train/test replicate")
-    sim.add_argument("--alpha", type=float, default=1.0)
-    sim.add_argument("--n-train", type=int, default=2000)
-    sim.add_argument("--n-test", type=int, default=15000)
-    sim.add_argument("--p", type=int, default=30, help="number of covariates")
-    sim.add_argument("--k", type=int, default=60, help="number of targets")
-    sim.add_argument("--rank", type=int, default=3)
-    sim.add_argument("--var-signal", type=float, default=0.03)
-    sim.add_argument("--var-diag", type=float, default=0.20)
-    sim.add_argument("--var-structured", type=float, default=0.77)
-    sim.add_argument("--seed", type=int, default=0)
+    short = {"n_covariates": ("--p", "number of covariates"),
+             "n_targets": ("--k", "number of targets")}
+    for field in dataclasses.fields(SimConfig):
+        flag, help_text = short.get(field.name, ("--" + field.name.replace("_", "-"), None))
+        sim.add_argument(flag, dest=field.name, type=type(field.default),
+                         default=field.default, help=help_text)
     sim.add_argument("--out-dir", type=Path, required=True)
+    sim.set_defaults(handler=cmd_simulate)
 
-    fit = sub.add_parser("fit", help="run the Gibbs sampler on a dataset")
-    fit.add_argument("--x", type=Path, required=True)
-    fit.add_argument("--y", type=Path, required=True)
-    fit.add_argument("--config", type=Path, required=True, help="model config JSON")
+    fit = sub.add_parser("fit", parents=[data], help="run the Gibbs sampler on a dataset")
     fit.add_argument("--samples", action="store_true",
                      help="also write raw retained states to samples.bin")
-    fit.add_argument("--out-dir", type=Path, required=True)
+    fit.set_defaults(handler=cmd_fit)
 
     pred = sub.add_parser("predict", help="mean predictions from a fitted summary")
     pred.add_argument("--x", type=Path, required=True)
     pred.add_argument("--model", type=Path, required=True, help="posterior_summary.json")
     pred.add_argument("--y", type=Path, default=None, help="targets for scoring (optional)")
     pred.add_argument("--out-dir", type=Path, required=True)
+    pred.set_defaults(handler=cmd_predict)
 
-    cv = sub.add_parser("cv", help="cross-validate the latent-SNR and rank grids")
-    cv.add_argument("--x", type=Path, required=True)
-    cv.add_argument("--y", type=Path, required=True)
-    cv.add_argument("--config", type=Path, required=True)
+    cv = sub.add_parser("cv", parents=[data], help="cross-validate the latent-SNR and rank grids")
     cv.add_argument("--plan", type=Path, required=True, help="CV plan JSON")
     cv.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
-    cv.add_argument("--out-dir", type=Path, required=True)
+    cv.set_defaults(handler=cmd_cv)
 
-    assoc = sub.add_parser("assoc", help="permutation association test (PTVE)")
-    assoc.add_argument("--x", type=Path, required=True)
-    assoc.add_argument("--y", type=Path, required=True)
-    assoc.add_argument("--config", type=Path, required=True)
+    assoc = sub.add_parser("assoc", parents=[data], help="permutation association test (PTVE)")
     assoc.add_argument("--n-perm", type=int, default=100)
     assoc.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
-    assoc.add_argument("--out-dir", type=Path, required=True)
+    assoc.set_defaults(handler=cmd_assoc)
 
     verify = sub.add_parser("verify", help="Monte-Carlo proposition and sampler checks")
     verify.add_argument("--prop1", action="store_true")
@@ -111,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--geweke-iters", type=int, default=100_000)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--out-dir", type=Path, required=True)
+    verify.set_defaults(handler=cmd_verify)
 
     return parser
 
@@ -122,33 +125,40 @@ def _require_file(path: Path) -> Path:
     return path
 
 
+def _read_matrix(path: Path) -> np.ndarray:
+    """The matrix of a CSV file, checked to be finite."""
+    matrix, names = lio.read_matrix_csv(_require_file(path))
+    lio.check_matrix_finite(matrix, path, names)
+    return matrix
+
+
 def _load_fit_inputs(args) -> tuple[Dataset, ModelConfig]:
     """The dataset of ``--x``/``--y`` and the model config of ``--config``."""
-    X, x_names = lio.read_matrix_csv(_require_file(args.x))
-    Y, y_names = lio.read_matrix_csv(_require_file(args.y))
-    lio.check_matrix_finite(X, args.x, x_names)
-    lio.check_matrix_finite(Y, args.y, y_names)
-    dataset = Dataset(X=X, Y=Y, x_names=tuple(x_names), y_names=tuple(y_names))
+    dataset = Dataset(X=_read_matrix(args.x), Y=_read_matrix(args.y))
     return dataset, lio.model_config_from_dict(lio.read_json(_require_file(args.config)))
 
 
-def _run_with_manifest(out_dir: Path, command: str, config_dict: dict,
-                       input_paths: dict[str, Path], worker) -> None:
-    """Write the manifest first, run the worker, then finalize the manifest."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    digests = {name: lio.file_digest(_require_file(path))
-               for name, path in input_paths.items()}
-    manifest = out_dir / "manifest.json"
-    lio.write_manifest(manifest, command, config_dict, digests, status="incomplete")
+def _run_with_manifest(args, config: dict, worker) -> None:
+    """Write the manifest to ``args.out_dir`` first, run the worker, then
+    finalize the manifest.
+
+    The manifest's inputs are the SHA-256 digests of the file flags given:
+    every Path argument but ``--out-dir``.
+    """
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    digests = {name: lio.file_digest(_require_file(path)) for name, path in vars(args).items()
+               if isinstance(path, Path) and name != "out_dir"}
+    manifest = args.out_dir / "manifest.json"
+    lio.write_manifest(manifest, args.command, config, digests, status="incomplete")
     start = time.perf_counter()
     try:
         extras = worker() or {}
     except BaseException as exc:
-        lio.write_manifest(manifest, command, config_dict, digests, status="failed",
+        lio.write_manifest(manifest, args.command, config, digests, status="failed",
                            wall_time_seconds=time.perf_counter() - start,
                            error=str(exc))
         raise
-    lio.write_manifest(manifest, command, config_dict, digests, status="ok",
+    lio.write_manifest(manifest, args.command, config, digests, status="ok",
                        wall_time_seconds=time.perf_counter() - start, extras=extras)
 
 
@@ -157,12 +167,8 @@ def _run_with_manifest(out_dir: Path, command: str, config_dict: dict,
 
 
 def cmd_simulate(args) -> None:
-    config = SimConfig(
-        alpha=args.alpha, n_train=args.n_train, n_test=args.n_test,
-        n_covariates=args.p, n_targets=args.k, rank=args.rank,
-        var_signal=args.var_signal, var_diag=args.var_diag,
-        var_structured=args.var_structured, seed=args.seed,
-    )
+    config = SimConfig(**{field.name: getattr(args, field.name)
+                          for field in dataclasses.fields(SimConfig)})
     out = args.out_dir
 
     def worker():
@@ -185,7 +191,7 @@ def cmd_simulate(args) -> None:
             "realized_fractions": list(truth.realized_fractions),
         })
 
-    _run_with_manifest(out, "simulate", vars(config).copy(), {}, worker)
+    _run_with_manifest(args, vars(config).copy(), worker)
 
 
 def _summarize(stack: np.ndarray) -> dict:
@@ -214,8 +220,7 @@ def cmd_fit(args) -> None:
             lio.write_samples(out / "samples.bin", samples)
         return {"wall_time_by_update": trace.wall_time_seconds}
 
-    _run_with_manifest(out, "fit", lio.model_config_to_dict(resolved),
-                       {"x": args.x, "y": args.y, "config": args.config}, worker)
+    _run_with_manifest(args, lio.model_config_to_dict(resolved), worker)
 
 
 def _read_theta(path: Path) -> np.ndarray:
@@ -231,8 +236,7 @@ def _read_theta(path: Path) -> np.ndarray:
 
 
 def cmd_predict(args) -> None:
-    X, x_names = lio.read_matrix_csv(_require_file(args.x))
-    lio.check_matrix_finite(X, args.x, x_names)
+    X = _read_matrix(args.x)
     theta = _read_theta(args.model)
     if X.shape[1] != theta.shape[0]:
         raise ConfigurationError(
@@ -240,12 +244,9 @@ def cmd_predict(args) -> None:
         )
     shape = (X.shape[0], theta.shape[1])
     out = args.out_dir
-    inputs = {"x": args.x, "model": args.model}
     Y = None
     if args.y is not None:
-        inputs["y"] = args.y
-        Y, y_names = lio.read_matrix_csv(_require_file(args.y))
-        lio.check_matrix_finite(Y, args.y, y_names)
+        Y = _read_matrix(args.y)
         if Y.shape != shape:
             raise ConfigurationError(f"{args.y} has shape {Y.shape}, predictions {shape}")
 
@@ -260,7 +261,7 @@ def cmd_predict(args) -> None:
             report["mse_per_target"] = per_target.tolist()
         lio.write_json(out / "eval.json", report)
 
-    _run_with_manifest(out, "predict", {"model": str(args.model)}, inputs, worker)
+    _run_with_manifest(args, {"model": str(args.model)}, worker)
 
 
 def cmd_cv(args) -> None:
@@ -288,9 +289,8 @@ def cmd_cv(args) -> None:
         ]}
 
     _run_with_manifest(
-        out, "cv",
-        {"model_config": lio.model_config_to_dict(config), "plan": vars(plan).copy()},
-        {"x": args.x, "y": args.y, "config": args.config, "plan": args.plan}, worker)
+        args, {"model_config": lio.model_config_to_dict(config), "plan": vars(plan).copy()},
+        worker)
 
 
 def cmd_assoc(args) -> None:
@@ -307,14 +307,16 @@ def cmd_assoc(args) -> None:
         return {**stats.as_dict(), "retried_fits": list(result.retried_fits)}
 
     _run_with_manifest(
-        out, "assoc",
-        {"model_config": lio.model_config_to_dict(config), "n_perm": args.n_perm},
-        {"x": args.x, "y": args.y, "config": args.config}, worker)
+        args, {"model_config": lio.model_config_to_dict(config), "n_perm": args.n_perm}, worker)
 
 
 def cmd_verify(args) -> None:
     if not (args.prop1 or args.prop2 or args.geweke):
         raise ConfigurationError("verify needs at least one of --prop1/--prop2/--geweke")
+    check_seed(args.seed)
+    check_number("prop1_tolerance", args.prop1_tolerance)
+    if args.prop1_tolerance < 0:
+        raise ConfigurationError("prop1_tolerance must be >= 0")
     out = args.out_dir
     config_echo = {
         "a1": args.a1, "a2": args.a2, "nu": args.nu, "p": args.p,
@@ -355,24 +357,13 @@ def cmd_verify(args) -> None:
             payload["passed"] = bool(report.fraction_within(4.0) >= 0.95)
             lio.write_json(out / "geweke.json", payload)
 
-    _run_with_manifest(out, "verify", config_echo, {}, worker)
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "cv": cmd_cv,
-    "assoc": cmd_assoc,
-    "verify": cmd_verify,
-}
+    _run_with_manifest(args, config_echo, worker)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.handler(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,7 +63,24 @@ def mse(predictions: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         )
     if y.shape[0] == 0:
         raise ConfigurationError("mse needs at least one row")
-    per_target = ((predictions - y) ** 2).mean(axis=0)
+    N, K = y.shape
+    if K == 1 or not (predictions.flags.c_contiguous and y.flags.c_contiguous):
+        # numpy sums a contiguous column pairwise, not row by row: one target,
+        # or squared errors it lays out column-major for column-major operands.
+        per_target = ((predictions - y) ** 2).mean(axis=0)
+        return float(per_target.mean()), per_target
+    # Square the errors 2048 rows at a time (under 1 MB at K = 60), not all
+    # N x K at once, which set predict's peak memory. Reducing the running sum
+    # stacked above each block adds the rows in the order the full
+    # expression's mean adds them, so the sums are the same bit for bit.
+    block = min(N, 2048)
+    squares = np.zeros((block + 1, K))
+    for start in range(0, N, block):
+        rows = squares[1:1 + min(block, N - start)]
+        np.subtract(predictions[start:start + len(rows)], y[start:start + len(rows)], out=rows)
+        np.square(rows, out=rows)
+        squares[0] = np.add.reduce(squares[:1 + len(rows)], axis=0)
+    per_target = squares[0] / N
     return float(per_target.mean()), per_target
 
 

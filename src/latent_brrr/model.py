@@ -227,8 +227,6 @@ class Dataset:
 
     X: np.ndarray
     Y: np.ndarray
-    x_names: tuple[str, ...] | None = None
-    y_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -247,10 +245,6 @@ class Dataset:
                 )
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        for attr, width in (("x_names", X.shape[1]), ("y_names", Y.shape[1])):
-            names = getattr(self, attr)
-            if names is not None and len(names) != width:
-                raise DimensionError(f"{attr} has {len(names)} entries for {width} columns")
 
     @property
     def n_samples(self) -> int:

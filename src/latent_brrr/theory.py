@@ -41,6 +41,7 @@ from latent_brrr.model import (
     ModelConfig,
     ModelState,
     Variant,
+    check_number,
     mean_coefficients,
     mean_design,
     sample_prior,
@@ -100,6 +101,8 @@ def prediction_variance_limit(a1: float, a2: float, nu: float,
                               var_x: float | np.ndarray,
                               n_covariates: int | None = None) -> float:
     """Prior variance of one predicted target under the infinite model."""
+    for name, value in (("a1", a1), ("a2", a2), ("nu", nu)):
+        check_number(name, value)
     if not a1 > 2 or not a2 > 3 or not nu > 2:
         raise ConfigurationError(
             "prediction variance diverges unless a1 > 2, a2 > 3 and nu > 2"
@@ -108,6 +111,9 @@ def prediction_variance_limit(a1: float, a2: float, nu: float,
     if not (np.isfinite(var_x).all() and (var_x >= 0).all()):
         raise ConfigurationError("var_x must be finite and non-negative")
     if n_covariates is not None:
+        check_number("n_covariates", n_covariates, integer=True)
+        if n_covariates < 0:
+            raise ConfigurationError("n_covariates must be >= 0")
         if var_x.size == 1:
             var_x = np.full(n_covariates, var_x[0]) if n_covariates else np.zeros(0)
         elif var_x.size != n_covariates:
@@ -119,6 +125,7 @@ def prediction_variance_limit(a1: float, a2: float, nu: float,
 
 def truncation_deficit(a2: float, rank: int) -> float:
     """Relative prediction-variance loss of a rank truncation: r(a2)^rank."""
+    check_number("a2", a2)
     if not a2 > 3:
         raise ConfigurationError("truncation deficit is defined for a2 > 3")
     if rank < 0:

@@ -1,15 +1,18 @@
 """End-to-end CLI tests: file formats, exit codes, determinism."""
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from latent_brrr import io as lio
-from latent_brrr.cli import main
+from latent_brrr.cli import build_parser, main
 from latent_brrr.errors import ConfigurationError
 from latent_brrr.gibbs import ChainsTrace, run_chain
 from latent_brrr.model import Dataset, ModelConfig, Variant
+from latent_brrr.simulate import SimConfig
 
 
 def run_cli(*argv):
@@ -105,6 +108,17 @@ def test_simulate_rejects_nan_fraction_naming_it(tmp_path, capsys):
     code = run_cli("simulate", "--var-signal", "nan", "--out-dir", tmp_path / "x")
     assert code == 2
     assert "var_signal must be" in capsys.readouterr().err
+
+
+def test_simulate_flags_default_to_sim_config(tmp_path):
+    parsed = vars(build_parser().parse_args(["simulate", "--out-dir", str(tmp_path)]))
+    # --p and --k set n_covariates and n_targets, whatever their dest is called.
+    parsed = {{"p": "n_covariates", "k": "n_targets"}.get(name, name): value
+              for name, value in parsed.items()}
+    for field in dataclasses.fields(SimConfig):
+        default = getattr(SimConfig(), field.name)
+        assert parsed[field.name] == default, field.name
+        assert type(parsed[field.name]) is type(default), field.name
 
 
 def test_simulate_is_byte_identical_across_reruns(tmp_path):
@@ -414,6 +428,32 @@ def test_assoc_writes_result(sim_dir, tmp_path):
     assert 0.0 <= result["rank_fraction"] <= 1.0
 
 
+def test_manifest_inputs_are_the_file_flags_with_their_digests(sim_dir, tmp_path):
+    config = write_config(tmp_path / "config.json", iterations=20, burn_in=5, thin=1)
+    plan = tmp_path / "plan.json"
+    lio.write_json(plan, {"beta_grid": [0.1], "rank_grid": [2], "n_folds": 2, "seed": 1})
+    data = {"x": sim_dir / "X_train.csv", "y": sim_dir / "Y_train.csv", "config": config}
+    fit_dir = tmp_path / "fit"
+    test = {"x": sim_dir / "X_test.csv", "model": fit_dir / "posterior_summary.json"}
+    runs = [  # fit first: predict reads its summary
+        ("fit", data, ()),
+        ("cv", {**data, "plan": plan}, ()),
+        ("assoc", data, ("--n-perm", 2)),
+        ("predict", test, ()),
+        ("predict", {**test, "y": sim_dir / "Y_test.csv"}, ()),
+        ("simulate", {}, ("--n-train", 10, "--n-test", 5, "--p", 2, "--k", 3, "--rank", 1)),
+        ("verify", {}, ("--prop2", "--prop2-ranks", 1, "--draws", 200)),
+    ]
+    for i, (command, files, flags) in enumerate(runs):
+        out = fit_dir if command == "fit" else tmp_path / f"{command}{i}"
+        file_flags = [arg for name, path in files.items() for arg in (f"--{name}", path)]
+        assert run_cli(command, *file_flags, *flags, "--out-dir", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["inputs"] == {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                                      for name, path in files.items()}, command
+
+
 def test_verify_prop_subcommand(tmp_path):
     out = tmp_path / "verify"
     code = run_cli("verify", "--prop1", "--prop2", "--a1", 3, "--a2", 4, "--nu", 3,
@@ -433,6 +473,23 @@ def test_verify_rejects_bad_var_x(tmp_path, capsys, var_x):
                    "--out-dir", tmp_path / "v")
     assert code == 2
     assert "var_x" in capsys.readouterr().err
+    assert not (tmp_path / "v" / "propositions.json").exists()
+
+
+@pytest.mark.parametrize("flags, field", [
+    (("--prop1", "--p", "-1"), "n_covariates"),
+    (("--prop1", "--seed", "-1"), "seed"),
+    (("--prop2", "--seed", "-2"), "seed"),
+    (("--prop1", "--nu", "inf"), "nu"),
+    (("--prop1", "--a1", "inf"), "a1"),
+    (("--prop2", "--a2", "inf"), "a2"),
+    (("--prop1", "--prop1-tolerance", "nan"), "prop1_tolerance"),
+    (("--prop1", "--prop1-tolerance", "-0.1"), "prop1_tolerance"),
+])
+def test_verify_rejects_bad_numeric_flags_naming_the_field(tmp_path, capsys, flags, field):
+    code = run_cli("verify", *flags, "--draws", 200, "--out-dir", tmp_path / "v")
+    assert code == 2
+    assert field in capsys.readouterr().err
     assert not (tmp_path / "v" / "propositions.json").exists()
 
 

@@ -34,6 +34,23 @@ def test_mse_hand_case():
     assert total == 5.0
 
 
+@pytest.mark.parametrize("shape, order", [
+    ((15000, 60), "C"), ((7, 3), "C"), ((3, 1000), "C"), ((4097, 5), "C"),
+    ((2049, 2), "C"), ((20000, 1), "C"), ((4097, 5), "F"),
+])
+def test_mse_equals_the_full_expression_bit_for_bit(shape, order):
+    # mse sums the squared errors by blocks of rows; the sums must be the
+    # ones the whole N x K expression gives, including N not a multiple of
+    # the block and layouts numpy reduces column by column.
+    rng = np.random.default_rng(shape[0])
+    pred = np.asarray(rng.standard_normal(shape) * 1e3, order=order)
+    y = np.asarray(rng.standard_normal(shape), order=order)
+    full = ((pred - y) ** 2).mean(axis=0)
+    total, per_target = mse(pred, y)
+    assert np.array_equal(per_target, full)
+    assert total == float(full.mean())
+
+
 def test_mse_of_null_prediction_is_column_variance():
     rng = np.random.default_rng(1)
     y = rng.standard_normal((500, 4)) * np.array([1.0, 2.0, 0.5, 3.0])
