@@ -2,7 +2,9 @@
 
 Each full conditional in ``gibbs`` updates a ``ModelState`` holding C >= 1
 chains along a leading axis (``ModelState.stack``), with their data in a
-``ChainData`` and their Generators in a ``ChainStreams``. Products are
+``ChainData`` and their Generators in a ``ChainStreams``. The ChainData
+forms every statistic of the data that the sweep reads (X'X, its
+eigendecomposition, X'Y, y'y), once per batch. Products are
 batched ``@``, transposes swap the last two axes, and sums run along axis -1
 or -2, so one sweep call advances all C chains together: one stacked
 Cholesky, eigendecomposition or solve per step. ``gibbs.run_chains`` stacks
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from latent_brrr.errors import NumericalError
 from latent_brrr.model import Dataset, Dims, ModelConfig, stack_arrays
 
 # Bytes of stacked per-chain arrays one batch of ``run_chains`` may hold
@@ -57,15 +60,15 @@ class ChainsTrace:
 
 
 class ChainData:
-    """The datasets of a batch's chains, stacked along the chain axis.
+    """The data of a batch's chains, stacked along the chain axis, and the
+    statistics the sweep reads of it.
 
-    X, Y and the statistics each Dataset caches (X'X, its eigendecomposition,
-    X'Y, y'y) are stacked from the chains' Datasets when the ChainData is
-    built, so fits that share a Dataset share its statistics. Chains that
-    share one Y (permutations of X) read it through a broadcast view instead
-    of copies. Each chain's latent-noise variance, resolved from its own X,
-    comes from its config: ``sigma_omega_sq`` has shape (C,), or is None
-    without latent noise.
+    X and Y are stacked from the chains' Datasets; chains that share one Y
+    (permutations of X) read it through a broadcast view instead of copies.
+    Building the ChainData forms X'X and its eigendecomposition, one
+    stacked ``eigh``, and ``set_targets`` forms X'Y and y'y. Each chain's
+    latent-noise variance, resolved from its own X, comes from its config:
+    ``sigma_omega_sq`` has shape (C,), or is None without latent noise.
     """
 
     def __init__(self, datasets: Sequence[Dataset], configs: Sequence[ModelConfig]):
@@ -74,22 +77,22 @@ class ChainData:
         first = datasets[0]
         self.n_samples = first.n_samples
         self.X = stack_arrays([d.X for d in datasets])
-        if all(d.Y is first.Y for d in datasets):
-            self.Y = np.broadcast_to(first.Y, (len(datasets), *first.Y.shape))
-        else:
-            self.Y = stack_arrays([d.Y for d in datasets])
-        self.gram = stack_arrays([d.gram for d in datasets])
-        eigs = [d.gram_eig for d in datasets]
-        self.gram_eig = stack_arrays([e[0] for e in eigs]), stack_arrays([e[1] for e in eigs])
-        self.xty = stack_arrays([d.xty for d in datasets])
-        self.yty = stack_arrays([d.yty for d in datasets])
+        self.gram = self.X.swapaxes(-1, -2) @ self.X
+        try:
+            self.gram_eig = np.linalg.eigh(self.gram)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("eigendecomposition of the Gram matrix X'X failed") from exc
+        shared = all(d.Y is first.Y for d in datasets)
+        self.set_targets(np.broadcast_to(first.Y, (len(datasets), *first.Y.shape)) if shared
+                         else stack_arrays([d.Y for d in datasets]))
 
     def set_targets(self, Y: np.ndarray) -> None:
         """New targets Y, stacked (C, N, K), with X'Y and y'y formed from them;
         X'X and its eigendecomposition stay."""
         self.Y = Y
         self.xty = self.X.swapaxes(-1, -2) @ Y
-        self.yty = (Y**2).sum(axis=-2)
+        # A sum of products, so a broadcast Y builds no (C, N, K) square.
+        self.yty = np.einsum("...nk,...nk->...k", Y, Y)
 
 
 class ChainStreams:

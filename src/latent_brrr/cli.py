@@ -318,12 +318,6 @@ def cmd_verify(args) -> None:
     if args.prop1_tolerance < 0:
         raise ConfigurationError("prop1_tolerance must be >= 0")
     out = args.out_dir
-    config_echo = {
-        "a1": args.a1, "a2": args.a2, "nu": args.nu, "p": args.p,
-        "var_x": args.var_x, "truncation": args.truncation, "draws": args.draws,
-        "prop2_ranks": args.prop2_ranks, "geweke_iters": args.geweke_iters,
-        "seed": args.seed,
-    }
 
     def worker():
         propositions = {}
@@ -357,7 +351,9 @@ def cmd_verify(args) -> None:
             payload["passed"] = bool(report.fraction_within(4.0) >= 0.95)
             lio.write_json(out / "geweke.json", payload)
 
-    _run_with_manifest(args, config_echo, worker)
+    flags = {name: value for name, value in vars(args).items()
+             if name not in ("command", "handler", "out_dir")}
+    _run_with_manifest(args, flags, worker)
 
 
 def main(argv=None) -> int:

@@ -31,11 +31,12 @@ plus matrix products.
 
 Every variant's mean is D B (``model.mean_design``, ``mean_coefficients``)
 with D = [X Psi (+ Omega) | H] and B = [Gamma; Lambda]; H and Lambda exist
-only for independent noise. The data enter through the statistics stacked
-on the ChainData (X'X, its eigendecomposition, X'Y, y'y) and one pass over
-X per sweep, forming X Psi after the Psi draw; independent noise adds X'H
-for its Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'. Omega and
-H form their linear term as B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)'.
+only for independent noise. The data enter through the statistics the
+ChainData forms when it is built (X'X, its eigendecomposition, X'Y, y'y)
+and one pass over X per sweep, forming X Psi after the Psi draw;
+independent noise adds X'H for its Psi linear term
+(X'Y - (X'H) Lambda) M^{-1} G'. Omega and H form their linear term as
+B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)'.
 The Gamma step forms D, D'D and D'Y, from which Gamma (Z'Y - (Z'H) Lambda,
 Z = X Psi (+ Omega)), Lambda (H'Y - (H'Z) Gamma) and sigma read, with target k's
 residual sum of squares

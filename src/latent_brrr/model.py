@@ -22,11 +22,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
-from latent_brrr.errors import ConfigurationError, DimensionError, NumericalError, StateError
+from latent_brrr.errors import ConfigurationError, DimensionError, StateError
 
 
 class Variant(Enum):
@@ -217,12 +216,11 @@ def stack_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Paired covariate matrix X (N, P) and target matrix Y (N, K).
+    """Paired covariate matrix X (N, P) and target matrix Y (N, K), checked
+    to be finite float matrices with one row per sample.
 
-    X and Y are treated as immutable: the data-only statistics ``gram``
-    (X'X), ``gram_eig`` (its eigendecomposition), ``xty`` (X'Y) and ``yty``
-    (per-target y'y) are computed on first use and cached, so every chain
-    on one dataset shares them.
+    The statistics a fit reads of them (X'X, X'Y, ...) are formed by
+    ``chains.ChainData`` when a batch of chains is set up.
     """
 
     X: np.ndarray
@@ -257,25 +255,6 @@ class Dataset:
     @property
     def n_targets(self) -> int:
         return self.Y.shape[1]
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return self.X.T @ self.X
-
-    @cached_property
-    def gram_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        try:
-            return np.linalg.eigh(self.gram)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("eigendecomposition of the Gram matrix X'X failed") from exc
-
-    @cached_property
-    def xty(self) -> np.ndarray:
-        return self.X.T @ self.Y
-
-    @cached_property
-    def yty(self) -> np.ndarray:
-        return (self.Y**2).sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,11 @@ def _chunked_se(values: np.ndarray, statistic, n_chunks: int = 50):
     return stats.std(ddof=1) / np.sqrt(len(stats))
 
 
+# Values in each (draws, truncation) array of one ``check_prop1`` batch: 1.6 MB
+# of float64, so memory stays flat in the truncation.
+_PROP1_BATCH_VALUES = 200_000
+
+
 def check_prop1(a1: float, a2: float, nu: float, n_covariates: int,
                 var_x: float = 1.0, truncation: int = 50,
                 n_draws: int = 1_000_000, rng: np.random.Generator | None = None,
@@ -191,6 +196,8 @@ def check_prop1(a1: float, a2: float, nu: float, n_covariates: int,
     The factors are independent, so every term of the sum has a finite
     second moment and the standard error is calibrated. Memory and time per
     draw are O(truncation), independent of the number of covariates.
+    ``batch_size`` is an upper bound on the draws per batch: a batch holds at
+    most ``_PROP1_BATCH_VALUES`` values per (draws, truncation) array.
     """
     analytic = prediction_variance_limit(a1, a2, nu, var_x, n_covariates)
     if n_covariates == 0:
@@ -200,6 +207,7 @@ def check_prop1(a1: float, a2: float, nu: float, n_covariates: int,
     rng = rng if rng is not None else np.random.default_rng()
     # Running mean and sum of squared deviations, merged batch by batch.
     mean, m2 = 0.0, 0.0
+    batch_size = min(batch_size, max(1, _PROP1_BATCH_VALUES // truncation))
     for start in range(0, n_draws, batch_size):
         b = min(batch_size, n_draws - start)
         norm_sq = var_x * rng.chisquare(n_covariates, size=b)
@@ -339,26 +347,21 @@ def _draw_response(state: ModelState, X: np.ndarray, config: ModelConfig,
     return mean + standard_normal(mean.shape) * np.sqrt(state.sigma_sq)[:, None, :]
 
 
-def _statistic_names(dims: Dims, noise_rank: int | None) -> list[str]:
-    names = [f"gamma[{h},{j}]" for h in range(dims.rank) for j in range(dims.n_targets)]
-    names += [f"psi[{j},{h}]" for j in range(dims.n_covariates) for h in range(dims.rank)]
-    names += [f"tau[{h}]" for h in range(dims.rank)]
-    names += [f"sigma_sq[{j}]" for j in range(dims.n_targets)]
-    names.append("y[0,0]")
-    if noise_rank is not None:
-        names += [f"lambda[{h},{j}]" for h in range(noise_rank) for j in range(dims.n_targets)]
-        names += [f"tau_noise[{h}]" for h in range(noise_rank)]
-    return names
+def _statistic_blocks(state: ModelState, Y: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """The monitored statistics of each draw of the stacked ``state`` and its
+    targets Y, as (label, values) pairs with the chain axis first; an entry
+    is named by its label and its index within the values."""
+    blocks = [("gamma", state.Gamma), ("psi", state.Psi), ("tau", state.tau),
+              ("sigma_sq", state.sigma_sq), ("y", Y[:, :1, :1])]
+    if state.Lambda is not None:
+        blocks += [("lambda", state.Lambda), ("tau_noise", state.tau_noise)]
+    return blocks
 
 
 def _statistics(state: ModelState, Y: np.ndarray) -> np.ndarray:
-    """The monitored statistics (C, S) of each draw of the stacked ``state``."""
-    n = len(Y)
-    stats = [state.Gamma.reshape(n, -1), state.Psi.reshape(n, -1), state.tau,
-             state.sigma_sq, Y[:, 0, :1]]
-    if state.Lambda is not None:
-        stats += [state.Lambda.reshape(n, -1), state.tau_noise]
-    return np.concatenate(stats, axis=1)
+    """The monitored statistics (C, S) of each draw, flattened block by block."""
+    return np.concatenate([values.reshape(len(Y), -1)
+                           for _, values in _statistic_blocks(state, Y)], axis=1)
 
 
 def _corrupted_delta_step(state, data, config, streams, shared):
@@ -413,13 +416,15 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
         raise ConfigurationError("geweke_test needs n_iter >= 1")
     n_chains = max(2, min(GEWEKE_CHAINS, n_iter))
     length = max(-(-n_iter // n_chains), min(n_iter, GEWEKE_MIN_SWEEPS))
-    names = _statistic_names(dims, config.noise_rank)
     X = rng.standard_normal((dims.n_samples, dims.n_covariates))
 
     generators = rng.spawn(n_chains)
     state = ModelState.stack([sample_prior(config, dims, g) for g in generators])
     dataset = Dataset(X=X, Y=np.zeros((dims.n_samples, dims.n_targets)))
     data = ChainData([dataset] * n_chains, [config] * n_chains)
+    names = [f"{label}[{','.join(map(str, index))}]"
+             for label, values in _statistic_blocks(state, data.Y)
+             for index in np.ndindex(values.shape[1:])]
     streams = ChainStreams(generators)
     delta_step = _corrupted_delta_step if corrupt_delta else None
     marginal = np.empty((length, n_chains, len(names)))

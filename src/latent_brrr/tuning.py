@@ -89,7 +89,7 @@ def cross_validate(dataset: Dataset, base_config: ModelConfig, plan: CvPlan,
             for beta in (plan.beta_grid if uses_beta else (None,))]
     seeds = iter(np.random.SeedSequence(base_config.seed).generate_state(
         len(grid) * plan.n_folds, dtype=np.uint64))
-    # One training Dataset per fold, shared by every grid point's fit on it.
+    # One training Dataset per fold; each fit's batch forms its own X'X from it.
     train = [Dataset(X=dataset.X[folds != fold], Y=dataset.Y[folds != fold])
              for fold in range(plan.n_folds)]
     fits = [(train[fold], grid_config(beta, rank, seed=int(next(seeds))))

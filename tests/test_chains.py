@@ -209,9 +209,46 @@ def test_set_targets_gives_the_statistics_of_new_data():
     data, other = problem(5), problem(6)
     configs = [ModelConfig(variant=Variant.NO_NOISE)]
     chained = ChainData([data], configs)
-    chained.gram_eig, chained.xty, chained.yty
     chained.set_targets(other.Y[None])
     fresh = ChainData([Dataset(X=data.X, Y=other.Y)], configs)
     for name in ("Y", "xty", "yty"):
         assert np.array_equal(getattr(chained, name), getattr(fresh, name)), name
     assert all(np.array_equal(a, b) for a, b in zip(chained.gram_eig, fresh.gram_eig))
+
+
+def assert_statistics_of(data, X, Y):
+    """ChainData's statistics equal each chain's 2-D formulas bit for bit."""
+    for c in range(len(X)):
+        gram = X[c].T @ X[c]
+        assert np.array_equal(data.gram[c], gram)
+        assert all(np.array_equal(a[c], b) for a, b in zip(data.gram_eig, np.linalg.eigh(gram)))
+        assert np.array_equal(data.xty[c], X[c].T @ Y[c])
+        assert np.array_equal(data.yty[c], (Y[c]**2).sum(axis=0))
+
+
+@pytest.mark.parametrize("shared_y", [False, True])
+def test_chain_data_forms_each_chains_statistics(shared_y):
+    # Distinct stacked X (permutations of one X when Y is shared, as in
+    # permutation_test), then new targets for every chain, as in geweke_test.
+    base = problem(7, N=200, P=15, K=6)
+    rng = np.random.default_rng(8)
+    if shared_y:
+        datasets = [Dataset(X=base.X[rng.permutation(200)], Y=base.Y) for _ in range(4)]
+    else:
+        datasets = [problem(seed, N=200, P=15, K=6) for seed in range(4)]
+    data = ChainData(datasets, [ModelConfig(variant=Variant.NO_NOISE)] * 4)
+    X = np.stack([d.X for d in datasets])
+    assert (data.Y.strides[0] == 0) == shared_y
+    assert_statistics_of(data, X, np.stack([d.Y for d in datasets]))
+    Y = rng.standard_normal((4, 200, 6))
+    data.set_targets(Y)
+    assert_statistics_of(data, X, Y)
+
+
+def test_chain_data_reports_a_failed_gram_eigendecomposition(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="Gram matrix X'X"):
+        ChainData([problem()], [ModelConfig(variant=Variant.NO_NOISE)])

@@ -493,6 +493,17 @@ def test_verify_rejects_bad_numeric_flags_naming_the_field(tmp_path, capsys, fla
     assert not (tmp_path / "v" / "propositions.json").exists()
 
 
+def test_verify_manifest_records_every_flag(tmp_path):
+    out = tmp_path / "v"
+    assert run_cli("verify", "--prop2", "--prop1-tolerance", "0.2", "--draws", 200,
+                   "--prop2-ranks", 1, "--out-dir", out) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["prop1_tolerance"] == 0.2
+    assert (config["prop1"], config["prop2"], config["geweke"]) == (False, True, False)
+    assert config["prop2_ranks"] == [1] and config["draws"] == 200
+    assert not {"command", "handler", "out_dir"} & set(config)
+
+
 def test_verify_geweke_smoke(tmp_path):
     out = tmp_path / "verify"
     code = run_cli("verify", "--geweke", "--geweke-iters", 3000, "--seed", 1,

@@ -667,10 +667,9 @@ class CountingMatmul(np.ndarray):
                                              (Variant.INDEPENDENT_NOISE, 2)])
 def test_sweep_multiplies_by_x_once(variant, passes):
     # Independent noise also forms X'H in the Psi step, because its target
-    # Y - H Lambda changes every sweep. The data-only statistics cached on the
-    # dataset are formed before counting starts, as run_chain does.
+    # Y - H Lambda changes every sweep. The ChainData forms the data-only
+    # statistics when it is built, before counting starts.
     state, dataset, config = sweep_problem(variant)
-    dataset.gram_eig, dataset.xty, dataset.yty
     object.__setattr__(dataset, "X", dataset.X.view(CountingMatmul))
     stacked, data = ModelState.stack([state]), ChainData([dataset], [config])
     streams = ChainStreams([np.random.default_rng(5)])

@@ -1,14 +1,13 @@
 """Tests for the proposition checks and the Geweke validation harness."""
 
 import tracemalloc
-from functools import cached_property
 
 import numpy as np
 import pytest
 
 import latent_brrr.gibbs as gibbs
 from latent_brrr.errors import ConfigurationError, NumericalError
-from latent_brrr.model import Dataset, Dims, ModelConfig, Variant
+from latent_brrr.model import Dims, ModelConfig, Variant
 from latent_brrr.theory import (
     GEWEKE_CHAINS,
     GEWEKE_MIN_SWEEPS,
@@ -107,6 +106,19 @@ def test_prop1_memory_does_not_grow_with_covariates():
         tracemalloc.stop()
     assert peak < 40e6
     assert report.analytic_value == pytest.approx(540.0, abs=1e-9)
+
+
+def test_prop1_memory_does_not_grow_with_truncation():
+    # 1,000 draws as one (1000, 5000) batch would hold 40 MB per array; the
+    # batch shrinks so each array holds at most 200,000 values.
+    tracemalloc.start()
+    try:
+        check_prop1(3.0, 4.0, 3.0, n_covariates=30, truncation=5000,
+                    n_draws=1000, rng=np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_prop1_zero_covariate_report():
@@ -240,19 +252,20 @@ def test_chain_mean_z_is_calibrated_on_autocorrelated_chains():
 
 
 def test_geweke_decomposes_the_gram_matrix_once(monkeypatch):
-    # X is fixed across the successive-conditional iterations, so X'X and
-    # its eigendecomposition are computed once, however many sweeps run.
+    # X is fixed across the successive-conditional iterations, so X'X is
+    # eigendecomposed once, however many sweeps run; the sweeps' own eigh
+    # calls take S1 x S1 matrices (S1 = 2 here, P = 3).
+    dims = small_dims()
     calls = []
-    decompose = Dataset.gram_eig.func
+    eigh = np.linalg.eigh
 
-    def counted(self):
-        calls.append(1)
-        return decompose(self)
+    def counted(a, *args, **kwargs):
+        if a.shape[-1] == dims.n_covariates:
+            calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
 
-    counted_property = cached_property(counted)
-    counted_property.__set_name__(Dataset, "gram_eig")
-    monkeypatch.setattr(Dataset, "gram_eig", counted_property)
-    geweke_test(default_geweke_config(), small_dims(), 50, np.random.default_rng(1))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    geweke_test(default_geweke_config(), dims, 50, np.random.default_rng(1))
     assert len(calls) == 1
 
 
