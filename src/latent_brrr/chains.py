@@ -4,7 +4,8 @@ Each full conditional in ``gibbs`` updates a ``ModelState`` holding C >= 1
 chains along a leading axis (``ModelState.stack``), with their data in a
 ``ChainData`` and their Generators in a ``ChainStreams``. The ChainData
 forms every statistic of the data that the sweep reads (X'X, its
-eigendecomposition, X'Y, y'y), once per batch. Products are
+eigendecomposition, X'Y, y'y and, for latent noise, the block factor the
+Omega step draws from), once per batch. Products are
 batched ``@``, transposes swap the last two axes, and sums run along axis -1
 or -2, so one sweep call advances all C chains together: one stacked
 Cholesky, eigendecomposition or solve per step. ``gibbs.run_chains`` stacks
@@ -38,15 +39,29 @@ from latent_brrr.model import Dataset, Dims, ModelConfig, stack_arrays
 _BATCH_BYTES = 32 * 2**20
 
 
+# Below this ratio of the smallest to the largest eigenvalue of X'X, the
+# columns of X count as collinear and the Omega step draws rows (see
+# ``ChainData``): the block factor's M = lam^{-1/2} U'X'Y would then carry
+# rounding error of order 1e-16 * (lam_max / lam_min)^{1/2} relative to Y.
+_FACTOR_RCOND = 1e-10
+
+
 @dataclass
 class RunStats:
-    """Wall time per update bucket and Gibbs sweep calls, summed over runs."""
+    """Wall time per update bucket, Gibbs sweep calls and numerical events,
+    summed over runs: ``omega_row_sweeps`` counts the latent-noise sweeps
+    whose Omega step drew N rows rather than statistics, and
+    ``rss_fallbacks`` the (chain, target) residual sums that update_sigma
+    recomputed directly."""
 
     wall_time_seconds: dict[str, float] = field(default_factory=dict)
     sweeps: int = 0
+    omega_row_sweeps: int = 0
+    rss_fallbacks: int = 0
 
     def as_dict(self) -> dict:
-        return {"wall_time_by_update": dict(self.wall_time_seconds), "sweeps": self.sweeps}
+        return {"wall_time_by_update": dict(self.wall_time_seconds), "sweeps": self.sweeps,
+                "omega_row_sweeps": self.omega_row_sweeps, "rss_fallbacks": self.rss_fallbacks}
 
 
 @dataclass(frozen=True)
@@ -69,6 +84,22 @@ class ChainData:
     stacked ``eigh``, and ``set_targets`` forms X'Y and y'y. Each chain's
     latent-noise variance, resolved from its own X, comes from its config:
     ``sigma_omega_sq`` has shape (C,), or is None without latent noise.
+
+    For latent noise ``set_targets`` also forms ``target_rows``, from which
+    the Omega step draws statistics in place of rows (``gibbs.update_omega``).
+    With A = [X Y] and X'X = U diag(lam) U', A'A = R'R for the block factor
+
+        R = [[lam^{1/2} U', M], [0, L_S']],   M = lam^{-1/2} U'X'Y,
+
+    where L_S is the lower Cholesky factor of the Schur complement
+    S = Y'Y - M'M. ``target_rows`` holds R's Y columns [M; L_S'], stacked
+    (C, P + K + S1, K) with S1 rows of zeros below; R's X columns are read
+    from the eigendecomposition. S is formed as E'E from the least-squares
+    residual E = Y - X (X'X)^{-1} X'Y, which keeps its small entries exact
+    to rounding where a target is fitted nearly exactly. ``target_rows``
+    is None, for the whole batch, where the factor is missing or unreliable:
+    N - P - K < S1 (which includes P + K >= N), collinear columns of X
+    (``_FACTOR_RCOND``), or S not positive definite.
     """
 
     def __init__(self, datasets: Sequence[Dataset], configs: Sequence[ModelConfig]):
@@ -82,17 +113,37 @@ class ChainData:
             self.gram_eig = np.linalg.eigh(self.gram)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("eigendecomposition of the Gram matrix X'X failed") from exc
+        lam = self.gram_eig[0]
+        self._rank = configs[0].rank
+        self._factored = self.sigma_omega_sq is not None and \
+            self.n_samples - first.n_covariates - first.n_targets >= self._rank and \
+            bool((lam[..., 0] > _FACTOR_RCOND * lam[..., -1]).all())
         shared = all(d.Y is first.Y for d in datasets)
         self.set_targets(np.broadcast_to(first.Y, (len(datasets), *first.Y.shape)) if shared
                          else stack_arrays([d.Y for d in datasets]))
 
     def set_targets(self, Y: np.ndarray) -> None:
-        """New targets Y, stacked (C, N, K), with X'Y and y'y formed from them;
-        X'X and its eigendecomposition stay."""
+        """New targets Y, stacked (C, N, K), with X'Y, y'y and the block
+        factor's ``target_rows`` formed from them; X'X and its
+        eigendecomposition stay."""
         self.Y = Y
         self.xty = self.X.swapaxes(-1, -2) @ Y
         # A sum of products, so a broadcast Y builds no (C, N, K) square.
         self.yty = np.einsum("...nk,...nk->...k", Y, Y)
+        self.target_rows = self._target_rows() if self._factored else None
+
+    def _target_rows(self) -> np.ndarray | None:
+        lam, U = self.gram_eig
+        isqrt = 1.0 / np.sqrt(lam)[..., :, None]
+        M = isqrt * (U.swapaxes(-1, -2) @ self.xty)
+        residual = self.X @ (U @ (isqrt * M))
+        np.subtract(self.Y, residual, out=residual)
+        try:
+            lower = np.linalg.cholesky(residual.swapaxes(-1, -2) @ residual)
+        except np.linalg.LinAlgError:
+            return None
+        zeros = np.zeros((*M.shape[:-2], self._rank, M.shape[-1]))
+        return np.concatenate([M, lower.swapaxes(-1, -2), zeros], axis=-2)
 
 
 class ChainStreams:

@@ -218,7 +218,7 @@ def cmd_fit(args) -> None:
         })
         if args.samples:
             lio.write_samples(out / "samples.bin", samples)
-        return {"wall_time_by_update": trace.wall_time_seconds}
+        return trace.stats.as_dict()
 
     _run_with_manifest(args, lio.model_config_to_dict(resolved), worker)
 

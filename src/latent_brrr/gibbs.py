@@ -32,14 +32,21 @@ plus matrix products.
 Every variant's mean is D B (``model.mean_design``, ``mean_coefficients``)
 with D = [X Psi (+ Omega) | H] and B = [Gamma; Lambda]; H and Lambda exist
 only for independent noise. The data enter through the statistics the
-ChainData forms when it is built (X'X, its eigendecomposition, X'Y, y'y)
-and one pass over X per sweep, forming X Psi after the Psi draw;
-independent noise adds X'H for its Psi linear term
-(X'Y - (X'H) Lambda) M^{-1} G'. Omega and H form their linear term as
-B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)'.
-The Gamma step forms D, D'D and D'Y, from which Gamma (Z'Y - (Z'H) Lambda,
-Z = X Psi (+ Omega)), Lambda (H'Y - (H'Z) Gamma) and sigma read, with target k's
-residual sum of squares
+ChainData forms when it is built (X'X, its eigendecomposition, X'Y, y'y,
+and for latent noise the block factor R of A'A, A = [X Y]). Omega and H
+are drawn as F = Y C_Y + (X Psi) C_Psi + Z C_Z, with small coefficients
+(``_factor_coefficients``) and Z standard normal. A latent-noise sweep
+reads Omega only through X'Omega, Y'Omega and Omega'Omega, so where the
+batch has R it draws Omega in P + K + S1 rows whose cross-products have
+the law those of the N rows have (``_compressed_rows``), and makes no pass
+over X or Y. It draws Omega's N rows, forming X Psi, on the sweeps whose
+states the schedule retains (``samples.bin`` stores Omega) and in batches
+without R (P + K + S1 > N, collinear X, a singular Schur complement).
+The other variants form X Psi every sweep, and independent noise X'H for
+its Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'.
+The Gamma step forms D, D'D and D'Y in the sweep's rows, from which Gamma
+(Z'Y - (Z'H) Lambda, Z = X Psi (+ Omega)), Lambda (H'Y - (H'Z) Gamma) and
+sigma read, with target k's residual sum of squares
 
     rss_k = y_k'y_k - 2 b_k' D'y_k + b_k' D'D b_k.
 
@@ -48,8 +55,9 @@ and the sum cancels it into rss_k, so the relative error grows like
 sqrt(N) * y_k'y_k / rss_k: measured against an 80-bit reference, at most
 about 2e-16 * sqrt(N) * y_k'y_k / rss_k. Where rss_k falls below
 1e-3 * y_k'y_k, that target's sum is recomputed from the residual
-y_k - D b_k itself (an N x S product). The bound keeps the relative
-error of the expanded sum below 1e-10 for N up to about 2e5 (measured:
+y_k - D b_k itself (an N x S product; in the P + K + S1 rows of a
+statistics sweep, the form given at ``update_sigma``). The bound keeps the
+relative error of the expanded sum below 1e-10 for N up to about 2e5 (measured:
 4e-12 at N = 5000, 1.5e-11 at N = 5e5); fits with rss_k that small are
 rare, and the recomputation is cheap.
 """
@@ -80,10 +88,15 @@ from latent_brrr.model import (
 
 @dataclass(frozen=True)
 class ChainTrace:
-    """Retained samples plus per-update cumulative wall time in seconds."""
+    """Retained samples plus the run's ``RunStats``: per-update cumulative
+    wall time in seconds, the sweep count and the numerical events."""
 
     samples: PosteriorSamples
-    wall_time_seconds: dict[str, float]
+    stats: RunStats
+
+    @property
+    def wall_time_seconds(self) -> dict[str, float]:
+        return self.stats.wall_time_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +172,18 @@ def _x_psi(state, data, shared: dict) -> np.ndarray:
     return shared["x_psi"]
 
 
+def _rows(state, data, shared: dict):
+    """X Psi, Y and Omega in the rows the sweep works in: the N data rows,
+    or, after a statistics Omega step, the P + K + S1 rows it drew in."""
+    compressed = shared.get("compressed")
+    if state.Omega is None and compressed is not None and compressed[0] is state.Psi:
+        return compressed[1:]
+    return _x_psi(state, data, shared), data.Y, state.Omega
+
+
 def _design(state, data, config: ModelConfig, shared: dict):
-    """The design D of ``model.mean_design`` and the cross-products D'D, D'Y.
+    """The design D of ``model.mean_design`` and the targets Y in the
+    sweep's rows (``_rows``), and the cross-products D'D, D'Y.
 
     They are formed once per design (X Psi, Omega, H): the Gamma step forms
     them and leaves them in ``shared``, and the Lambda and sigma steps, which
@@ -169,8 +192,9 @@ def _design(state, data, config: ModelConfig, shared: dict):
     key = (state.Psi, state.Omega, state.H)
     cached = shared.get("design")
     if cached is None or any(a is not b for a, b in zip(cached[0], key)):
-        D = mean_design(state, _x_psi(state, data, shared), config)
-        cached = shared["design"] = key, D, _T(D) @ D, _T(D) @ data.Y
+        x_psi, Y, omega = _rows(state, data, shared)
+        D = mean_design(replace(state, Omega=omega), x_psi, config)
+        cached = shared["design"] = key, D, Y, _T(D) @ D, _T(D) @ Y
     return cached[1:]
 
 
@@ -210,7 +234,7 @@ def _block_system(state, data, config, shared, block, prior_prec_cols, what):
     D_b'Y - (D_b'D_r) B_r over the other block r: Z'Y - (Z'H) Lambda for
     Gamma, with Z = D[:, :S1], and H'Y - (H'Z) Gamma for Lambda.
     """
-    _, dtd, dty = _design(state, data, config, shared)
+    *_, dtd, dty = _design(state, data, config, shared)
     S1 = state.Gamma.shape[-2]
     rows, rest = slice(None, S1), slice(S1, None)
     if block:
@@ -358,44 +382,133 @@ def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelCo
 # latent factor updates
 
 
-def _factor_rows_system(loadings, prior_prec, state, data, shared):
-    """Shared precision (S, S) and linear terms (S, N) of the factor rows F in
+def _factor_coefficients(loadings, prior_prec, state, what):
+    """Coefficients (C_Y, C_Psi, C_Z) of the factor rows F in
     Y - X Psi Gamma = F B + E, B = ``loadings`` (S, K), F rows ~ N(0, diag(1/prior_prec)).
 
-    The linear term B Sigma^{-1} (Y - X Psi Gamma)' is formed as
-    B Sigma^{-1} Y' - (B Sigma^{-1} Gamma') (X Psi)', so no N x K residual is built.
+    Given the rest, F's rows are independent with one precision
+    B Sigma^{-1} B' + diag(prior_prec), of lower Cholesky factor L, and
+    linear terms B Sigma^{-1} (Y - X Psi Gamma)'. So a draw is
+
+        F = Y C_Y + (X Psi) C_Psi + Z C_Z,   Z rows iid N(0, I_S),
+
+    with V = L^{-T} L^{-1} the rows' covariance, C_Y = Sigma^{-1} B' V,
+    C_Psi = -(Gamma Sigma^{-1} B') V and C_Z = L^{-1}; its mean is the part
+    without Z. The draw of rows, the draw of statistics and the moment
+    oracle all use these coefficients.
     """
     bs = loadings * (1.0 / state.sigma_sq)[..., None, :]    # B Sigma^{-1}
     prec = bs @ _T(loadings)
     idx = np.arange(prior_prec.shape[-1])
     prec[..., idx, idx] += prior_prec
-    lin = bs @ _T(data.Y)
-    lin -= (bs @ _T(state.Gamma)) @ _T(_x_psi(state, data, shared))
-    return prec, lin
+    inv_lower, inv_upper = _inverse_factor(_chol(prec, what))
+    cov = inv_upper @ inv_lower
+    return _T(bs) @ cov, -(state.Gamma @ _T(bs)) @ cov, inv_lower
 
 
-def _omega_system(state, data, shared):
-    return _factor_rows_system(state.Gamma, state.tau / data.sigma_omega_sq[..., None],
-                               state, data, shared)
+def _factor_rows(coefficients, x_psi, Y, Z):
+    c_y, c_psi, c_z = coefficients
+    return Y @ c_y + x_psi @ c_psi + Z @ c_z
+
+
+def _row_normals(state, data, streams, S: int) -> np.ndarray:
+    """Z (C, N, S) iid N(0, 1) for a draw of factor rows."""
+    return _T(streams.standard_normal((*state.Psi.shape[:-2], S, data.n_samples)))
+
+
+def _omega_coefficients(state, data, what):
+    return _factor_coefficients(state.Gamma, state.tau / data.sigma_omega_sq[..., None],
+                                state, what)
+
+
+# A statistics sweep draws the S1 chi^2(dof) variates of its Bartlett
+# diagonal as sums of squared normals while dof * S1 is at most this: below
+# it the extra normals cost less than a second Generator call per chain
+# (about 3 us against 4 ns per normal, numpy 2.4).
+_CHI2_BY_NORMALS = 512
+
+
+def _compressed_rows(state, data, streams):
+    """X Psi and a draw of Z in the P + K + S1 rows of a statistics sweep.
+
+    With A = [X Y] and R the block factor of A'A (``ChainData``), take the
+    rows A~ = [R; 0] and Z~ = [G; L_W'], with G (P + K, S1) standard
+    normal and W = L_W L_W' ~ Wishart_S1(N - P - K, I) by Bartlett's
+    decomposition: L_W is lower triangular with N(0, 1) entries below the
+    diagonal and (L_W)_ii^2 ~ chi^2(N - P - K - i), i = 0, ..., S1 - 1
+    (Odell & Feiveson, JASA 1966). Each (L_W)_ii^2 is drawn as a
+    chi^2(N - P - K - S1 + 1) variate plus S1 - 1 - i squared N(0, 1)
+    variates: one Gamma shape for all S1, which a Generator draws several
+    times faster than S1 shapes in one call. Then A~'A~ = A'A, and (A~'Z~, Z~'Z~) =
+    (R'G, G'G + W) has the law of (A'Z, Z'Z) for Z (N, S1) iid N(0, 1): G is
+    Z's part along A, rotated into R's coordinates, and W the Gram matrix of
+    its independent remainder. Every cross-product of columns A c + Z d the
+    sweep reads (D'D, D'Y, Omega'Omega, and a residual's sum of squares) so
+    has its law over N rows. A~ Psi is [lam^{1/2} U' Psi; 0], and A~'s Y
+    columns are ``data.target_rows``. Each chain draws its normals in one
+    ``standard_normal`` call: G, a block whose part above the diagonal gives
+    L_W', and a block whose part above the diagonal gives the squares. The
+    S1 chi^2 variates of one shape take one Gamma call, or, where
+    ``_CHI2_BY_NORMALS`` allows, come as sums of squares of a last block of
+    normals in the same call.
+    """
+    lam, U = data.gram_eig
+    lead, (P, S1) = state.Psi.shape[:-2], state.Psi.shape[-2:]
+    rows = data.target_rows.shape[-2]
+    m = rows - S1
+    dof = data.n_samples - m - S1 + 1
+    by_normals = dof * S1 <= _CHI2_BY_NORMALS
+    z = streams.standard_normal((*lead, m + 2 * S1 + dof * by_normals, S1))
+    Z = z[..., :rows, :]
+    # Row j of the next S1 x S1 block has S1 - 1 - j entries above the diagonal.
+    extra = (np.triu(z[..., rows:rows + S1, :], 1) ** 2).sum(axis=-1)
+    if by_normals:
+        chi2 = (z[..., rows + S1:, :] ** 2).sum(axis=-2)
+    else:
+        chi2 = streams.gamma(0.5 * dof, np.full((*lead, S1), 2.0))
+    Z[..., m:, :] = np.triu(Z[..., m:, :], 1)
+    diag = np.arange(S1)
+    Z[..., m + diag, diag] = np.sqrt(chi2 + extra)
+    x_psi = np.zeros((*lead, rows, S1))
+    x_psi[..., :P, :] = np.sqrt(lam)[..., :, None] * (_T(U) @ state.Psi)
+    return x_psi, Z
 
 
 def update_omega(state, data, config: ModelConfig, streams, shared: dict):
-    """Draw the latent-noise rows; all rows share one S1 x S1 posterior covariance."""
+    """Draw the latent noise Omega = Y C_Y + (X Psi) C_Psi + Z C_Z
+    (``_factor_coefficients``), as N rows or as statistics.
+
+    When ``shared["omega_rows"]`` is false (``gibbs_sweep`` sets it) and the
+    batch has the block factor (``ChainData.target_rows``), the draw is made
+    in the P + K + S1 rows of ``_compressed_rows``, which give everything
+    the rest of the sweep reads of Omega (X'Omega, Y'Omega, Omega'Omega) its
+    law, without a pass over X or Y. Those rows are left in ``shared``
+    (``_rows`` reads them) and ``state.Omega`` becomes None. Otherwise, and
+    when called with a ``shared`` lacking the key, Omega's N rows are drawn.
+    ``shared["omega_rows"]`` then records which was done.
+    """
     if config.variant is not Variant.LATENT_NOISE:
         raise ConfigurationError("omega update applies to the latent-noise variant")
     if not config.sigma_omega_sq or config.sigma_omega_sq <= 0:
         raise ConfigurationError("sampling Omega requires sigma_omega_sq > 0")
-    prec, lin = _omega_system(state, data, shared)
-    draws = _draw_from_precision(_chol(prec, "omega update"), lin, streams)
-    state.Omega = _T(draws)
+    coefficients = _omega_coefficients(state, data, "omega update")
+    rows = shared["omega_rows"] = shared.get("omega_rows", True) or data.target_rows is None
+    if rows:
+        state.Omega = _factor_rows(coefficients, _x_psi(state, data, shared), data.Y,
+                                   _row_normals(state, data, streams, state.Gamma.shape[-2]))
+    else:
+        x_psi, Z = _compressed_rows(state, data, streams)
+        omega = _factor_rows(coefficients, x_psi, data.target_rows, Z)
+        shared["compressed"] = state.Psi, x_psi, data.target_rows, omega
+        state.Omega = None
 
 
 def omega_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (N, S1) and shared covariance (S1, S1) of the Omega rows."""
     state, data, shared = _one_chain(state, dataset, config)
-    prec, lin = _omega_system(state, data, shared)
-    mean, cov = _precision_moments(_chol(prec, "omega moments"), lin)
-    return mean[0].T, cov[0]
+    c_y, c_psi, c_z = _omega_coefficients(state, data, "omega moments")
+    mean = data.Y @ c_y + _x_psi(state, data, shared) @ c_psi
+    return mean[0], (_T(c_z) @ c_z)[0]
 
 
 def update_h(state, data, config: ModelConfig, streams, shared: dict):
@@ -403,9 +516,9 @@ def update_h(state, data, config: ModelConfig, streams, shared: dict):
 
     A state without the noise stack raises StateError (via ``tau_noise``).
     """
-    prec, lin = _factor_rows_system(state.Lambda, state.tau_noise, state, data, shared)
-    draws = _draw_from_precision(_chol(prec, "H update"), lin, streams)
-    state.H = _T(draws)
+    coefficients = _factor_coefficients(state.Lambda, state.tau_noise, state, "H update")
+    state.H = _factor_rows(coefficients, _x_psi(state, data, shared), data.Y,
+                           _row_normals(state, data, streams, state.Lambda.shape[-2]))
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +561,21 @@ def _draw_mgp_delta(delta: np.ndarray, quads: np.ndarray, count: int,
     return delta
 
 
-def _delta_quads(state, data, config: ModelConfig):
-    """Quadratic forms and entry count entering the delta conditional."""
+def _delta_quads(state, data, config: ModelConfig, shared: dict):
+    """Quadratic forms and entry count entering the delta conditional; a
+    statistics sweep's diag(Omega'Omega) comes from its rows (``_rows``)."""
     quads = (state.phi_gamma * state.Gamma**2).sum(axis=-1) + (state.Psi**2).sum(axis=-2)
     count = state.Gamma.shape[-1] + state.Psi.shape[-2]
     if config.variant is Variant.LATENT_NOISE:
-        quads = quads + (state.Omega**2).sum(axis=-2) / data.sigma_omega_sq[..., None]
-        count += state.Omega.shape[-2]
+        omega = state.Omega if state.Omega is not None else _rows(state, data, shared)[2]
+        quads = quads + (omega**2).sum(axis=-2) / data.sigma_omega_sq[..., None]
+        count += data.n_samples
     return quads, count
 
 
 def update_delta(state, data, config: ModelConfig, streams, shared: dict):
     """Global shrinkage increments for the Gamma/Psi(/Omega) stack."""
-    quads, count = _delta_quads(state, data, config)
+    quads, count = _delta_quads(state, data, config, shared)
     state.delta = _draw_mgp_delta(state.delta, quads, count, config.a1, config.a2, streams)
 
 
@@ -479,8 +594,16 @@ _RSS_FALLBACK_RATIO = 1e-3
 
 def update_sigma(state, data, config: ModelConfig, streams, shared: dict):
     """Conjugate update of the target-specific noise precisions, with each
-    residual sum of squares of Y - D B taken from D'D and D'Y."""
-    D, dtd, dty = _design(state, data, config, shared)
+    residual sum of squares of Y - D B taken from D'D and D'Y.
+
+    A small sum is recomputed from the residual in the sweep's rows
+    (``_rows``). In the rows of a statistics sweep, target k's residual
+    A u_k - Z v_k becomes R u_k - G v_k stacked over L_W' v_k, so its sum of
+    squares is ||R u_k - G v_k||^2 + v_k' W v_k: no Omega rows are needed,
+    and no term cancels. ``shared["rss_fallbacks"]`` counts the recomputed
+    (chain, target) sums.
+    """
+    D, Y, dtd, dty = _design(state, data, config, shared)
     B = mean_coefficients(state, config)
     yty = data.yty
     rss = yty - 2.0 * (B * dty).sum(axis=-2) + (B * (dtd @ B)).sum(axis=-2)
@@ -488,7 +611,8 @@ def update_sigma(state, data, config: ModelConfig, streams, shared: dict):
     if low.any():
         for c in np.ndindex(low.shape[:-1]):
             k = np.flatnonzero(low[c])
-            rss[c][k] = ((data.Y[c][:, k] - D[c] @ B[c][:, k])**2).sum(axis=0)
+            rss[c][k] = ((Y[c][:, k] - D[c] @ B[c][:, k])**2).sum(axis=0)
+        shared["rss_fallbacks"] = int(low.sum())
     rate = config.b_sigma + 0.5 * rss
     precision = streams.gamma(config.a_sigma + 0.5 * data.n_samples, 1.0 / rate)
     state.sigma_sq = 1.0 / precision
@@ -504,24 +628,32 @@ def _accumulate(timings, name, t0):
 
 
 def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
-                streams: ChainStreams, *, delta_step=None, timings=None) -> None:
+                streams: ChainStreams, *, delta_step=None, stats: RunStats | None = None,
+                omega_rows: bool = False) -> None:
     """One full update cycle of every chain in ``state``, in a fixed order.
 
     ``state`` holds C >= 1 chains along its leading axis, ``data`` their
     data and ``streams`` their Generators. The variant's cycle is a list of
     (timing bucket, update) steps, each called with the sweep's signature
-    ``(state, data, config, streams, shared)`` in one loop that adds its
-    wall time to its bucket; the null variant's list is empty. The list is
-    built on each call from this module's global names, so a caller that
-    replaces ``update_*`` here (fault injection, tracing) changes what the
-    sweep calls. The updates share X Psi and the Gamma step's D'D and D'Y
+    ``(state, data, config, streams, shared)`` in one loop; the null
+    variant's list is empty. The list is built on each call from this
+    module's global names, so a caller that replaces ``update_*`` here
+    (fault injection, tracing) changes what the sweep calls. The updates
+    share X Psi, the Omega step's draw and the Gamma step's D'D and D'Y
     through one per-sweep dict. ``delta_step`` replaces the delta update
     when given (used by the sampler-validation harness for fault injection).
+    The latent-noise Omega step draws statistics where it can, leaving
+    ``state.Omega`` None, and N rows with ``omega_rows`` (``update_omega``).
+    With ``stats``, the sweep is counted, each step's wall time is added to
+    its bucket, and the Omega rows and residual fallbacks are counted.
 
     A numerical failure on any chain raises NumericalError from the step
     where it occurs, and ``state`` is then part-way through the sweep.
     """
-    shared: dict = {}
+    timings = None if stats is None else stats.wall_time_seconds
+    if stats is not None:
+        stats.sweeps += 1
+    shared: dict = {"omega_rows": omega_rows}
     psi = ("psi", update_psi_naive if config.psi_update == "naive" else update_psi_fast)
     gamma, phi = ("gamma", update_gamma), ("phi", update_phi_gamma)
     delta, sigma = ("delta", delta_step or update_delta), ("sigma", update_sigma)
@@ -538,6 +670,10 @@ def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
         t0 = time.perf_counter()
         update(state, data, config, streams, shared)
         _accumulate(timings, bucket, t0)
+    if stats is not None:
+        stats.omega_row_sweeps += bool(config.variant is Variant.LATENT_NOISE
+                                       and shared["omega_rows"])
+        stats.rss_fallbacks += shared.get("rss_fallbacks", 0)
 
 
 def _resolved(dataset: Dataset, config: ModelConfig) -> ModelConfig:
@@ -558,7 +694,12 @@ def _advance(datasets: Sequence[Dataset], configs: Sequence[ModelConfig],
     Returns each chain's posterior mean of Theta and, with ``retain``, the
     first chain's retained states. A numerical failure on any chain is
     raised again as NumericalError with the iteration attached. Adds the
-    wall time per update bucket and the sweep count to ``stats``.
+    wall time per update bucket, the sweep count and the numerical events
+    to ``stats``.
+
+    The sweeps whose states the schedule retains draw Omega's rows, whether
+    or not ``retain`` keeps them, so a chain draws the same variates in
+    ``run_chain`` (whose retained states carry Omega) as in ``run_chains``.
     """
     config = configs[0]
     first = datasets[0]
@@ -582,12 +723,12 @@ def _advance(datasets: Sequence[Dataset], configs: Sequence[ModelConfig],
     theta_sum = np.zeros((len(configs), P, K))
     retained: list[ModelState] = []
     for it in range(1, config.iterations + 1):
-        stats.sweeps += 1
+        kept = it > config.burn_in and (it - config.burn_in) % config.thin == 0
         try:
-            gibbs_sweep(state, data, config, streams, timings=timings)
+            gibbs_sweep(state, data, config, streams, stats=stats, omega_rows=kept)
         except NumericalError as exc:
             raise NumericalError(f"{exc} (iteration {it})") from exc
-        if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
+        if kept:
             theta_sum += state.theta
             if retain:
                 retained.append(state.chain(0))
@@ -606,7 +747,7 @@ def run_chain(dataset: Dataset, config: ModelConfig) -> ChainTrace:
     stats = RunStats()
     theta_means, retained = _advance([dataset], [config], stats, retain=True)
     samples = PosteriorSamples(states=retained, theta_mean=theta_means[0], config=config)
-    return ChainTrace(samples=samples, wall_time_seconds=stats.wall_time_seconds)
+    return ChainTrace(samples=samples, stats=stats)
 
 
 def run_chains(fits: Sequence[tuple[Dataset, ModelConfig]],

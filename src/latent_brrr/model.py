@@ -351,6 +351,8 @@ def mean_design(state: ModelState, x_psi: np.ndarray, config: ModelConfig) -> np
     and Gamma = 0, so its D B is zero.
     """
     if config.variant is Variant.LATENT_NOISE:
+        if state.Omega is None:
+            raise StateError("latent-noise state has no Omega rows")
         return x_psi + state.Omega
     if config.variant is Variant.INDEPENDENT_NOISE:
         return np.concatenate([x_psi, state.H], axis=-1)

@@ -28,7 +28,7 @@ disagreement shows up as large two-sample z-scores.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -342,9 +342,23 @@ def default_geweke_config(rank: int = 2) -> ModelConfig:
 
 def _draw_response(state: ModelState, X: np.ndarray, config: ModelConfig,
                    standard_normal) -> np.ndarray:
-    """Y (C, N, K) given each stacked draw, noise from ``standard_normal``."""
+    """Y (C, N, K) given each stacked draw, noise from ``standard_normal``.
+
+    A latent-noise draw without Omega rows (a statistics sweep draws none)
+    takes fresh rows from their prior N(0, sigma_omega_sq / tau_h) given
+    tau, in the same call as the noise. That draws Y given the rest of the
+    state, which is all the next sweep reads: its Psi step integrates Omega
+    out.
+    """
+    (C, S1, K), N = state.Gamma.shape, X.shape[0]
+    if config.variant is Variant.LATENT_NOISE and state.Omega is None:
+        z = standard_normal((C, N, S1 + K))
+        omega = z[..., :S1] * np.sqrt(config.sigma_omega_sq / state.tau)[:, None, :]
+        state, noise = replace(state, Omega=omega), z[..., S1:]
+    else:
+        noise = standard_normal((C, N, K))
     mean = mean_design(state, X @ state.Psi, config) @ mean_coefficients(state, config)
-    return mean + standard_normal(mean.shape) * np.sqrt(state.sigma_sq)[:, None, :]
+    return mean + noise * np.sqrt(state.sigma_sq)[:, None, :]
 
 
 def _statistic_blocks(state: ModelState, Y: np.ndarray) -> list[tuple[str, np.ndarray]]:
@@ -367,7 +381,7 @@ def _statistics(state: ModelState, Y: np.ndarray) -> np.ndarray:
 def _corrupted_delta_step(state, data, config, streams, shared):
     # Fault injection: the shape parameter forgets the Omega entries while
     # the rate keeps them, a realistic wrong-shape bug.
-    quads, _ = gibbs._delta_quads(state, data, config)
+    quads, _ = gibbs._delta_quads(state, data, config, shared)
     wrong_count = state.Gamma.shape[-1] + state.Psi.shape[-2]
     state.delta = gibbs._draw_mgp_delta(state.delta, quads, wrong_count,
                                         config.a1, config.a2, streams)

@@ -221,6 +221,40 @@ def test_fit_on_awkward_data_gives_a_finite_fit_or_a_clean_exit(tmp_path, capsys
         assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize("case, row_sweeps", [("p_above_n", 60), ("duplicate_columns", 60),
+                                              ("single_target", 10)])
+def test_latent_noise_fit_draws_omega_rows_only_where_it_must(tmp_path, case, row_sweeps):
+    # P + K + rank > N and collinear columns leave no block factor, so every
+    # sweep draws Omega's rows; otherwise only the 10 retained sweeps do.
+    X, Y, rank = awkward_data(case)
+    lio.write_matrix_csv(tmp_path / "X.csv", X, [f"x{j}" for j in range(X.shape[1])])
+    lio.write_matrix_csv(tmp_path / "Y.csv", Y, [f"y{j}" for j in range(Y.shape[1])])
+    config = write_config(tmp_path / "config.json", rank=rank, latent_snr=0.5)
+    assert run_cli("fit", "--x", tmp_path / "X.csv", "--y", tmp_path / "Y.csv",
+                   "--config", config, "--out-dir", tmp_path / "fit") == 0
+    summary = json.loads((tmp_path / "fit" / "posterior_summary.json").read_text())
+    assert np.isfinite(np.asarray(summary["theta_mean"], dtype=float)).all()
+    manifest = json.loads((tmp_path / "fit" / "manifest.json").read_text())
+    assert manifest["sweeps"] == 60 and manifest["omega_row_sweeps"] == row_sweeps
+    assert manifest["rss_fallbacks"] == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x0,x1\n1.5,2.5\n3.5,abc\n", "malformed numeric data in"),
+    ("x0,x1\n1.5,2.5\n3.5\n", "malformed numeric data in"),
+    ("x0,x1,x2\n1.5,2.5\n3.5,4.5\n", "header has 3 columns, data has 2"),
+])
+def test_malformed_csv_exits_2_naming_the_file(sim_dir, tmp_path, capsys, text, message):
+    # A non-numeric token, a ragged row and a header with a name too many.
+    bad = tmp_path / "X_bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    code = run_cli("fit", "--x", bad, "--y", sim_dir / "Y_train.csv",
+                   "--config", write_config(tmp_path / "c.json"), "--out-dir", tmp_path / "fit")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+
+
 def test_fit_missing_y_exits_2_with_path(sim_dir, tmp_path, capsys):
     config = write_config(tmp_path / "config.json")
     code = run_cli("fit", "--x", sim_dir / "X_train.csv", "--y", sim_dir / "nope.csv",

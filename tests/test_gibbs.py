@@ -619,27 +619,39 @@ def test_every_update_takes_the_sweep_signature():
             ["state", "data", "config", "streams", "shared"], update.__name__
 
 
-@pytest.mark.parametrize("variant", list(VARIANT_CONFIGS))
-def test_sweep_matches_updates_called_one_by_one(variant):
+@pytest.mark.parametrize("variant, omega_rows", [
+    (Variant.LATENT_NOISE, True), (Variant.LATENT_NOISE, False),
+    (Variant.INDEPENDENT_NOISE, False), (Variant.NO_NOISE, False)])
+def test_sweep_matches_updates_called_one_by_one(variant, omega_rows):
+    # Called alone, each row-path update takes a fresh ChainData and shared
+    # dict. The statistics path passes the Omega step's draw on through the
+    # sweep's shared dict, so its updates share one.
     state, dataset, config = sweep_problem(variant)
-    swept = solo(gibbs.gibbs_sweep, state, dataset, config, np.random.default_rng(5))
+    stacked, data = ModelState.stack([state]), ChainData([dataset], [config])
+    gibbs.gibbs_sweep(stacked, data, config, ChainStreams([np.random.default_rng(5)]),
+                      omega_rows=omega_rows)
+    swept = stacked.chain(0)
 
+    updates = [update_psi_fast]
+    updates += {Variant.LATENT_NOISE: [update_omega],
+                Variant.INDEPENDENT_NOISE: [gibbs.update_h]}.get(variant, [])
+    updates += [update_gamma]
+    if variant is Variant.INDEPENDENT_NOISE:
+        updates += [gibbs.update_lambda, update_phi_gamma, gibbs.update_phi_lambda,
+                    update_delta, gibbs.update_delta_noise]
+    else:
+        updates += [update_phi_gamma, update_delta]
+    updates += [update_sigma]
     rng = np.random.default_rng(5)
-    s = solo(update_psi_fast, state, dataset, config, rng)
-    if variant is Variant.LATENT_NOISE:
-        s = solo(update_omega, s, dataset, config, rng)
-    if variant is Variant.INDEPENDENT_NOISE:
-        s = solo(gibbs.update_h, s, dataset, config, rng)
-    s = solo(update_gamma, s, dataset, config, rng)
-    if variant is Variant.INDEPENDENT_NOISE:
-        s = solo(gibbs.update_lambda, s, dataset, config, rng)
-    s = solo(update_phi_gamma, s, dataset, config, rng)
-    if variant is Variant.INDEPENDENT_NOISE:
-        s = solo(gibbs.update_phi_lambda, s, dataset, config, rng)
-    s = solo(update_delta, s, dataset, config, rng)
-    if variant is Variant.INDEPENDENT_NOISE:
-        s = solo(gibbs.update_delta_noise, s, dataset, config, rng)
-    s = solo(update_sigma, s, dataset, config, rng)
+    if omega_rows:
+        s = state
+        for update in updates:
+            s = solo(update, s, dataset, config, rng)
+    else:
+        stacked, shared = ModelState.stack([state]), {"omega_rows": False}
+        for update in updates:
+            update(stacked, data, config, ChainStreams([rng]), shared)
+        s = stacked.chain(0)
 
     for name in ("Psi", "Omega", "H", "Gamma", "Lambda", "phi_gamma", "delta", "sigma_sq"):
         got, want = getattr(swept, name), getattr(s, name)
@@ -662,21 +674,200 @@ class CountingMatmul(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-@pytest.mark.parametrize("variant, passes", [(Variant.LATENT_NOISE, 1),
-                                             (Variant.NO_NOISE, 1),
-                                             (Variant.INDEPENDENT_NOISE, 2)])
-def test_sweep_multiplies_by_x_once(variant, passes):
+@pytest.mark.parametrize("variant, omega_rows, passes", [
+    (Variant.LATENT_NOISE, False, 0), (Variant.LATENT_NOISE, True, 1),
+    (Variant.NO_NOISE, False, 1), (Variant.INDEPENDENT_NOISE, False, 2)])
+def test_sweep_multiplies_by_x_once(variant, omega_rows, passes):
+    # A latent-noise sweep that draws Omega's statistics reads X only
+    # through the ChainData's statistics, which it forms when it is built,
+    # before counting starts; one that draws Omega's rows forms X Psi.
     # Independent noise also forms X'H in the Psi step, because its target
-    # Y - H Lambda changes every sweep. The ChainData forms the data-only
-    # statistics when it is built, before counting starts.
+    # Y - H Lambda changes every sweep.
     state, dataset, config = sweep_problem(variant)
     object.__setattr__(dataset, "X", dataset.X.view(CountingMatmul))
     stacked, data = ModelState.stack([state]), ChainData([dataset], [config])
     streams = ChainStreams([np.random.default_rng(5)])
     for _ in range(3):
         CountingMatmul.calls = 0
-        gibbs.gibbs_sweep(stacked, data, config, streams)
+        gibbs.gibbs_sweep(stacked, data, config, streams, omega_rows=omega_rows)
         assert CountingMatmul.calls == passes
+        if variant is Variant.LATENT_NOISE:
+            assert (stacked.Omega is None) == (not omega_rows)
+
+
+class CountingGenerator:
+    """Wraps a Generator and counts the calls made to it."""
+
+    def __init__(self, generator):
+        self.generator, self.calls = generator, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.generator, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("omega_rows", [False, True])
+def test_geweke_size_sweep_makes_seven_generator_calls_per_chain(omega_rows):
+    # psi, Omega, gamma, phi and sigma one each, and delta one per increment.
+    # At N - P - K = 13 a statistics draw takes its chi^2 variates from the
+    # normals of its one call.
+    config = theory.default_geweke_config(rank=2)
+    rng = np.random.default_rng(3)
+    dims = Dims(20, 3, 4, 2)
+    X = rng.standard_normal((20, 3))
+    states = [sample_prior(config, dims, rng) for _ in range(4)]
+    datasets = [Dataset(X=X, Y=(X @ s.Psi + s.Omega) @ s.Gamma + rng.standard_normal((20, 4)))
+                for s in states]
+    generators = [CountingGenerator(g) for g in rng.spawn(4)]
+    stacked, data = ModelState.stack(states), ChainData(datasets, [config] * 4)
+    gibbs.gibbs_sweep(stacked, data, config, ChainStreams(generators), omega_rows=omega_rows)
+    assert [g.calls for g in generators] == [7] * 4
+
+
+def statistics_sweep_problem(seed, N=40, P=4, K=3, S1=2):
+    """A latent-noise problem whose ChainData has the block factor."""
+    state, dataset, config = sweep_problem(Variant.LATENT_NOISE, seed=seed, N=N, P=P,
+                                           K=K, S1=S1)
+    assert ChainData([dataset], [config]).target_rows is not None
+    return state, dataset, config
+
+
+def draw_omega_statistics(state, data, config, rng, monkeypatch):
+    """Run the statistics Omega step on the stacked ``state``; returns its
+    shared dict and its compressed normals Z~ = [G; L_W']."""
+    drawn = {}
+    real = gibbs._compressed_rows
+
+    def capture(*args):
+        drawn["x_psi"], drawn["Z"] = real(*args)
+        return drawn["x_psi"], drawn["Z"]
+
+    monkeypatch.setattr(gibbs, "_compressed_rows", capture)
+    shared = {"omega_rows": False}
+    update_omega(state, data, config, ChainStreams([rng]), shared)
+    assert state.Omega is None and not shared["omega_rows"]
+    return shared, drawn["Z"]
+
+
+def consistent_rows(dataset, data, Z_compressed, rng):
+    """N rows of Z whose statistics are those of a statistics draw.
+
+    With A = [X Y] = Q_A R (R the ChainData's block factor, so Q_A has
+    orthonormal columns) and Z~ = [G; L_W'], the rows Z = Q_A G + Q_perp L_W',
+    with Q_perp orthonormal columns orthogonal to A, give A'Z = R'G and
+    Z'Z = G'G + L_W L_W'.
+    """
+    X, Y = dataset.X, dataset.Y
+    P, m = X.shape[1], X.shape[1] + Y.shape[1]
+    lam, U = data.gram_eig[0][0], data.gram_eig[1][0]
+    R = np.zeros((m, m))
+    R[:P, :P] = np.sqrt(lam)[:, None] * U.T
+    R[:, P:] = data.target_rows[0][:m]
+    A = np.hstack([X, Y])
+    assert np.allclose(R.T @ R, A.T @ A, rtol=1e-12, atol=1e-12 * np.abs(A.T @ A).max())
+    q = np.linalg.qr(np.hstack([A, rng.standard_normal((len(A), Z_compressed.shape[-1]))]))[0]
+    return np.linalg.solve(R.T, A.T).T @ Z_compressed[0][:m] + q[:, m:] @ Z_compressed[0][m:]
+
+
+def row_draw(state, data, config, Z):
+    """Omega's row draw (stacked state, fresh shared dict) with the normals Z."""
+    shared = {"omega_rows": True}
+    update_omega(state, data, config, ScriptedNormal(lambda shape: Z.T[None].copy()), shared)
+    assert shared["omega_rows"]
+    return shared
+
+
+def test_statistics_draw_equals_row_draw_on_consistent_rows(monkeypatch):
+    # In exact arithmetic the statistics path is the row path on any rows Z
+    # with its A'Z and Z'Z, so X'Omega, Y'Omega, Omega'Omega, D'D and D'Y agree.
+    state, dataset, config = statistics_sweep_problem(50)
+    data = ChainData([dataset], [config])
+    by_stats = ModelState.stack([state])
+    shared, Z = draw_omega_statistics(by_stats, data, config, np.random.default_rng(1),
+                                      monkeypatch)
+    by_rows = ModelState.stack([state])
+    row_shared = row_draw(by_rows, data, config,
+                          consistent_rows(dataset, data, Z, np.random.default_rng(2)))
+    omega = by_rows.Omega[0]
+    _, _, target_rows, compressed = shared["compressed"]
+    lam, U = data.gram_eig[0][0], data.gram_eig[1][0]
+    P = dataset.n_covariates
+    pairs = [(dataset.X.T @ omega, U @ (np.sqrt(lam)[:, None] * compressed[0][:P])),
+             (dataset.Y.T @ omega, target_rows[0].T @ compressed[0]),
+             (omega.T @ omega, compressed[0].T @ compressed[0])]
+    pairs += [(a[0], b[0]) for a, b in zip(gibbs._design(by_rows, data, config, row_shared)[2:],
+                                           gibbs._design(by_stats, data, config, shared)[2:])]
+    for rows, stats in pairs:
+        assert np.allclose(stats, rows, rtol=0.0, atol=1e-11 * np.abs(rows).max())
+
+
+def omega_statistics(state, data, shared):
+    """X'Omega, Y'Omega and Omega'Omega of each chain, from Omega's rows or
+    from a statistics draw's compressed rows."""
+    if state.Omega is not None:
+        omega = state.Omega
+        return _T(data.X) @ omega, _T(data.Y) @ omega, _T(omega) @ omega
+    _, _, target_rows, omega = shared["compressed"]
+    lam, U = data.gram_eig
+    P = data.X.shape[-1]
+    return (U @ (np.sqrt(lam)[..., :, None] * omega[..., :P, :]), _T(target_rows) @ omega,
+            _T(omega) @ omega)
+
+
+def _T(a):
+    return a.swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("chi2_by_normals", [512, 0])
+def test_statistics_path_matches_row_path_in_distribution(monkeypatch, chi2_by_normals):
+    # 20,000 stacked copies of one state draw Omega by each path. Every
+    # entry of X'Omega, Y'Omega and Omega'Omega agrees in mean and variance
+    # (two-sample z below 4.5). N - P - K = 5, so the Bartlett draw of W
+    # has few degrees of freedom; its chi^2 variates come from normals or,
+    # with the threshold at 0, from a Gamma draw.
+    monkeypatch.setattr(gibbs, "_CHI2_BY_NORMALS", chi2_by_normals)
+    state, dataset, config = statistics_sweep_problem(51, N=10, P=3, K=2, S1=2)
+    C = 20_000
+    data = ChainData([dataset] * C, [config] * C)
+    draws = []
+    for seed, omega_rows in ((1, True), (2, False)):
+        stacked, shared = ModelState.stack([state] * C), {"omega_rows": omega_rows}
+        update_omega(stacked, data, config,
+                     ChainStreams(np.random.default_rng(seed).spawn(C)), shared)
+        assert shared["omega_rows"] == omega_rows
+        draws.append(np.concatenate([s.reshape(C, -1)
+                                     for s in omega_statistics(stacked, data, shared)], axis=1))
+    rows, stats = draws
+    for values in (lambda d: d, lambda d: (d - d.mean(axis=0))**2):
+        a, b = values(rows), values(stats)
+        z = (a.mean(axis=0) - b.mean(axis=0)) / np.sqrt((a.var(axis=0) + b.var(axis=0)) / C)
+        assert np.max(np.abs(z)) < 4.5, z
+
+
+@pytest.mark.parametrize("case", ["p_above_n", "few_rows", "duplicate_columns",
+                                  "duplicate_targets", "no_latent_noise"])
+def test_chain_data_has_no_factor_where_it_would_fail(case):
+    # N - P - K < S1 (P > N included), collinear columns of X and a
+    # singular Schur complement leave target_rows None, so the Omega step
+    # draws rows; only latent noise forms the factor.
+    variant = Variant.NO_NOISE if case == "no_latent_noise" else Variant.LATENT_NOISE
+    N, P = {"p_above_n": (12, 20), "few_rows": (9, 4)}.get(case, (40, 4))
+    state, dataset, config = sweep_problem(variant, seed=52, N=N, P=P, K=4)
+    X, Y = dataset.X.copy(), dataset.Y.copy()
+    if case == "duplicate_columns":
+        X[:, 1] = X[:, 0]
+    if case == "duplicate_targets":
+        Y[:, 1] = Y[:, 0]
+    data = ChainData([Dataset(X=X, Y=Y)], [config])
+    assert data.target_rows is None
+    if variant is Variant.LATENT_NOISE:
+        stacked, shared = ModelState.stack([state]), {"omega_rows": False}
+        update_omega(stacked, data, config, ChainStreams([np.random.default_rng(0)]), shared)
+        assert shared["omega_rows"] and stacked.Omega.shape == (1, N, 2)
 
 
 def design_and_coefficients(state, dataset, variant):
@@ -721,6 +912,46 @@ def test_sigma_falls_back_to_direct_residual_when_fit_is_near_exact():
         precision = np.random.default_rng(7).gamma(config.a_sigma + 0.5 * dataset.n_samples,
                                                     1.0 / rate)
         assert np.allclose(drawn.sigma_sq, 1.0 / precision, rtol=1e-10, atol=0.0), variant
+        assert shared["rss_fallbacks"] == 2
+
+
+def test_sigma_falls_back_without_omega_rows_on_a_statistics_sweep(monkeypatch):
+    # The same near-exact fit, with Omega drawn as statistics: the small
+    # sums come from the compressed residual ||R u_k - G v_k||^2 + v_k' W v_k,
+    # checked against the residual over rows Z consistent with the draw.
+    state, dataset, config = statistics_sweep_problem(53, N=200, K=4)
+    # A negligible b_sigma makes the drawn rate half the sum of squares itself.
+    config = replace(config, b_sigma=1e-30)
+    rng = np.random.default_rng(31)
+    D, B = design_and_coefficients(state, dataset, Variant.LATENT_NOISE)
+    noise_sd = np.array([1e-7, 1e-7, 1.0, 1.0])
+    dataset = Dataset(X=dataset.X, Y=D @ B + rng.standard_normal(dataset.Y.shape) * noise_sd)
+    state = replace(state, sigma_sq=noise_sd**2)
+    data = ChainData([dataset], [config])
+    assert data.target_rows is not None
+
+    stacked = ModelState.stack([state])
+    shared, Z = draw_omega_statistics(stacked, data, config, np.random.default_rng(5),
+                                      monkeypatch)
+    update_gamma(stacked, data, config, ChainStreams([np.random.default_rng(6)]), shared)
+    rows = ModelState.stack([state])
+    row_draw(rows, data, config, consistent_rows(dataset, data, Z, np.random.default_rng(2)))
+    D = dataset.X @ state.Psi + rows.Omega[0]
+    B, Y = stacked.Gamma[0], dataset.Y
+    yty = (Y**2).sum(axis=0)
+    direct = ((Y - D @ B)**2).sum(axis=0)
+    _, _, dtd, dty = gibbs._design(stacked, data, config, shared)
+    expanded = yty - 2.0 * (B * dty[0]).sum(axis=0) + (B * (dtd[0] @ B)).sum(axis=0)
+    rel = np.abs(expanded - direct) / direct
+    assert np.all(rel[:2] > 1e-6) and np.all(rel[2:] < 1e-10)
+    assert np.all(direct[:2] < gibbs._RSS_FALLBACK_RATIO * yty[:2])
+
+    # Both sums carry rounding error of about 1e-16 * |D| |b| / 1e-7 relative
+    # per residual entry (measured: below 2e-9 on seeds 53-59), against
+    # more than 1e-6 for the expanded sum.
+    update_sigma(stacked, data, config, ScriptedGamma(), shared)
+    assert shared["rss_fallbacks"] == 2
+    assert np.allclose(stacked.sigma_sq[0], config.b_sigma + 0.5 * direct, rtol=1e-8, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
