@@ -44,6 +44,9 @@ _BATCH_BYTES = 32 * 2**20
 # ``ChainData``): the block factor's M = lam^{-1/2} U'X'Y would then carry
 # rounding error of order 1e-16 * (lam_max / lam_min)^{1/2} relative to Y.
 _FACTOR_RCOND = 1e-10
+# Values in one block of the least-squares residual that ``ChainData``
+# forms a batch's Schur complement from, so it holds no (C, N, K) array.
+_RESIDUAL_BLOCK_VALUES = 2**16
 
 
 @dataclass
@@ -136,13 +139,20 @@ class ChainData:
         lam, U = self.gram_eig
         isqrt = 1.0 / np.sqrt(lam)[..., :, None]
         M = isqrt * (U.swapaxes(-1, -2) @ self.xty)
-        residual = self.X @ (U @ (isqrt * M))
-        np.subtract(self.Y, residual, out=residual)
+        coef = U @ (isqrt * M)                       # (X'X)^{-1} X'Y
+        C, N, K = self.Y.shape
+        schur = np.zeros((C, K, K))
+        step = max(1, _RESIDUAL_BLOCK_VALUES // (C * K))
+        for start in range(0, N, step):
+            rows = slice(start, start + step)
+            residual = self.X[:, rows] @ coef
+            np.subtract(self.Y[:, rows], residual, out=residual)
+            schur += residual.swapaxes(-1, -2) @ residual
         try:
-            lower = np.linalg.cholesky(residual.swapaxes(-1, -2) @ residual)
+            lower = np.linalg.cholesky(schur)
         except np.linalg.LinAlgError:
             return None
-        zeros = np.zeros((*M.shape[:-2], self._rank, M.shape[-1]))
+        zeros = np.zeros((C, self._rank, K))
         return np.concatenate([M, lower.swapaxes(-1, -2), zeros], axis=-2)
 
 

@@ -436,20 +436,20 @@ def _compressed_rows(state, data, streams):
     normal and W = L_W L_W' ~ Wishart_S1(N - P - K, I) by Bartlett's
     decomposition: L_W is lower triangular with N(0, 1) entries below the
     diagonal and (L_W)_ii^2 ~ chi^2(N - P - K - i), i = 0, ..., S1 - 1
-    (Odell & Feiveson, JASA 1966). Each (L_W)_ii^2 is drawn as a
-    chi^2(N - P - K - S1 + 1) variate plus S1 - 1 - i squared N(0, 1)
-    variates: one Gamma shape for all S1, which a Generator draws several
-    times faster than S1 shapes in one call. Then A~'A~ = A'A, and (A~'Z~, Z~'Z~) =
+    (Odell & Feiveson, JASA 1966). Then A~'A~ = A'A, and (A~'Z~, Z~'Z~) =
     (R'G, G'G + W) has the law of (A'Z, Z'Z) for Z (N, S1) iid N(0, 1): G is
     Z's part along A, rotated into R's coordinates, and W the Gram matrix of
     its independent remainder. Every cross-product of columns A c + Z d the
     sweep reads (D'D, D'Y, Omega'Omega, and a residual's sum of squares) so
     has its law over N rows. A~ Psi is [lam^{1/2} U' Psi; 0], and A~'s Y
-    columns are ``data.target_rows``. Each chain draws its normals in one
-    ``standard_normal`` call: G, a block whose part above the diagonal gives
-    L_W', and a block whose part above the diagonal gives the squares. The
-    S1 chi^2 variates of one shape take one Gamma call, or, where
-    ``_CHI2_BY_NORMALS`` allows, come as sums of squares of a last block of
+    columns are ``data.target_rows``.
+
+    Each chain draws its normals in one ``standard_normal`` call: G, an
+    S1 x S1 block whose part above the diagonal gives L_W', and one whose
+    part above the diagonal adds S1 - 1 - i squares to (L_W)_ii^2. What is
+    left, chi^2(N - P - K - S1 + 1) for every i, is one Gamma call of one
+    shape (several times faster than a call with S1 shapes) or, where
+    ``_CHI2_BY_NORMALS`` allows, the sum of squares of a last block of
     normals in the same call.
     """
     lam, U = data.gram_eig

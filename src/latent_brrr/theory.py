@@ -417,8 +417,10 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     chains, at least two, of ceil(n_iter / C) sweeps, but no fewer than
     min(n_iter, GEWEKE_MIN_SWEEPS), on one chain axis, each on a Generator
     spawned from ``rng`` and started from an exact prior draw; each
-    iteration redraws every chain's Y given its draw (X stays fixed), then
-    sweeps. A correct sweep leaves the joint distribution
+    iteration redraws every chain's Y given its draw (X stays fixed; a
+    latent-noise draw without Omega rows takes fresh ones from their prior,
+    ``_draw_response``), then sweeps, so the sweeps draw Omega's statistics
+    where they can. A correct sweep leaves the joint distribution
     invariant, so each chain is stationary from its first step and the C
     chain means of any g are iid: their spread is the standard error
     (``_chain_mean_z``). The marginal side draws as many iid (prior, Y)

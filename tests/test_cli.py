@@ -579,10 +579,13 @@ def test_cv_and_assoc_manifests_record_update_timings_and_sweeps(sim_dir, tmp_pa
     data = ("--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv", "--config", config)
     assert run_cli("cv", *data, "--plan", plan, "--out-dir", tmp_path / "cv") == 0
     assert run_cli("assoc", *data, "--n-perm", 3, "--out-dir", tmp_path / "assoc") == 0
+    # Each batch draws Omega's rows on the 10 sweeps its schedule retains.
     buckets = {"setup", "psi", "omega", "gamma", "phi", "delta", "sigma"}
     for command, sweeps in (("cv", 60), ("assoc", 30)):
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
         assert manifest["sweeps"] == sweeps
+        assert manifest["omega_row_sweeps"] == sweeps // 3
+        assert manifest["rss_fallbacks"] == 0
         assert set(manifest["wall_time_by_update"]) == buckets
         assert all(t > 0 for t in manifest["wall_time_by_update"].values())
 

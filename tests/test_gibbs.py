@@ -885,8 +885,10 @@ def test_sigma_falls_back_to_direct_residual_when_fit_is_near_exact():
     # loses most digits to cancellation; targets 2 and 3 keep unit noise.
     # The design D is X Psi + Omega for latent noise and [X Psi | H] for
     # independent noise.
+    # A negligible b_sigma makes the drawn rate half the sum of squares itself.
     for variant in (Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE):
         state, dataset, config = sweep_problem(variant, N=200, K=4)
+        config = replace(config, b_sigma=1e-30)
         rng = np.random.default_rng(31)
         D, B = design_and_coefficients(state, dataset, variant)
         noise_sd = np.array([1e-7, 1e-7, 1.0, 1.0])
