@@ -43,6 +43,8 @@ _BATCH_BYTES = 32 * 2**20
 # columns of X count as collinear and the Omega step draws rows (see
 # ``ChainData``): the block factor's M = lam^{-1/2} U'X'Y would then carry
 # rounding error of order 1e-16 * (lam_max / lam_min)^{1/2} relative to Y.
+# A squared Cholesky pivot of the Schur complement S below this fraction of
+# its diagonal entry counts S as singular.
 _FACTOR_RCOND = 1e-10
 # Values in one block of the least-squares residual that ``ChainData``
 # forms a batch's Schur complement from, so it holds no (C, N, K) array.
@@ -101,8 +103,8 @@ class ChainData:
     residual E = Y - X (X'X)^{-1} X'Y, which keeps its small entries exact
     to rounding where a target is fitted nearly exactly. ``target_rows``
     is None, for the whole batch, where the factor is missing or unreliable:
-    N - P - K < S1 (which includes P + K >= N), collinear columns of X
-    (``_FACTOR_RCOND``), or S not positive definite.
+    N - P - K < S1 (which includes P + K >= N), collinear columns of X, or
+    S singular (both judged by ``_FACTOR_RCOND``).
     """
 
     def __init__(self, datasets: Sequence[Dataset], configs: Sequence[ModelConfig]):
@@ -151,6 +153,10 @@ class ChainData:
         try:
             lower = np.linalg.cholesky(schur)
         except np.linalg.LinAlgError:
+            return None
+        # A pivot lost to rounding: S is singular, as for a repeated target.
+        pivots, diagonal = np.diagonal(lower, 0, -2, -1), np.diagonal(schur, 0, -2, -1)
+        if not (pivots**2 > _FACTOR_RCOND * diagonal).all():
             return None
         zeros = np.zeros((C, self._rank, K))
         return np.concatenate([M, lower.swapaxes(-1, -2), zeros], axis=-2)
