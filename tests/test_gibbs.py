@@ -441,6 +441,32 @@ def test_draw_helper_factor_rows_at_extreme_scales(S, loading_scale):
         assert_draw_helper_matches_solves(prec, lin)
 
 
+@pytest.mark.parametrize("S", [1, 2, 3])
+@pytest.mark.parametrize("loading_scale", [1e-4, 1.0, 1e4])
+def test_factor_coefficients_at_extreme_scales(S, loading_scale):
+    # The Omega/H rows' mean Y C_Y + (X Psi) C_Psi and covariance C_Z' C_Z
+    # against dense solves of their system, diag(prior) + B Sigma^{-1} B',
+    # within the helper test's bound 10 n eps cond(P).
+    rng = np.random.default_rng(S)
+    N, K = 40, 6
+    for prior in np.array(np.meshgrid(*[[1e-4, 1.0, 1e4]] * S)).reshape(S, -1).T:
+        B = rng.standard_normal((S, K)) * loading_scale
+        state = ModelState(Psi=rng.standard_normal((3, 2)), Gamma=rng.standard_normal((2, K)),
+                           phi_gamma=np.ones((2, K)), delta=np.ones(2),
+                           sigma_sq=rng.gamma(2.0, 1.0, K))
+        Y, x_psi = rng.standard_normal((N, K)), rng.standard_normal((N, 2))
+        prec = np.diag(prior) + (B / state.sigma_sq) @ B.T
+        lin = (B / state.sigma_sq) @ (Y - x_psi @ state.Gamma).T
+        tol = 10 * S * np.finfo(float).eps * np.linalg.cond(prec)
+        c_y, c_psi, c_z = gibbs._factor_coefficients(B, prior, state, "test")
+        mean = Y @ c_y + x_psi @ c_psi
+        want = np.linalg.solve(prec, lin).T
+        scale = np.linalg.norm(Y @ c_y) + np.linalg.norm(x_psi @ c_psi)
+        assert np.linalg.norm(mean - want) <= tol * scale
+        cov = np.linalg.inv(prec)
+        assert np.linalg.norm(c_z.T @ c_z - cov) <= tol * np.linalg.norm(cov)
+
+
 @pytest.mark.parametrize("x_scale", [1e-2, 1.0, 1e2])
 def test_draw_helper_dense_psi_system(x_scale):
     # The naive Psi system, (P*S1, P*S1) with tau spanning 1e-4 .. 1e4.
