@@ -42,8 +42,12 @@ the law those of the N rows have (``_compressed_rows``), and makes no pass
 over X or Y. It draws Omega's N rows, forming X Psi, on the sweeps whose
 states the schedule retains (``samples.bin`` stores Omega) and in batches
 without R (P + K + S1 > N, collinear X, a singular Schur complement).
-The other variants form X Psi every sweep, and independent noise X'H for
-its Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'.
+Drawing statistics changes which normals a fit draws, not the law it
+samples: latent-noise posterior means differ from those of versions that
+drew rows on every sweep by Monte-Carlo error, beyond rounding, and
+``samples.bin`` is unchanged. The other variants form X Psi every sweep,
+and independent noise X'H for its Psi linear term
+(X'Y - (X'H) Lambda) M^{-1} G'.
 The Gamma step forms D, D'D and D'Y in the sweep's rows, from which Gamma
 (Z'Y - (Z'H) Lambda, Z = X Psi (+ Omega)), Lambda (H'Y - (H'Z) Gamma) and
 sigma read, with target k's residual sum of squares

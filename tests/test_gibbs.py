@@ -831,6 +831,10 @@ def test_statistics_draw_equals_row_draw_on_consistent_rows(monkeypatch):
         assert np.allclose(stats, rows, rtol=0.0, atol=1e-11 * np.abs(rows).max())
 
 
+def _T(a):
+    return a.swapaxes(-1, -2)
+
+
 def omega_statistics(state, data, shared):
     """X'Omega, Y'Omega and Omega'Omega of each chain, from Omega's rows or
     from a statistics draw's compressed rows."""
@@ -842,10 +846,6 @@ def omega_statistics(state, data, shared):
     P = data.X.shape[-1]
     return (U @ (np.sqrt(lam)[..., :, None] * omega[..., :P, :]), _T(target_rows) @ omega,
             _T(omega) @ omega)
-
-
-def _T(a):
-    return a.swapaxes(-1, -2)
 
 
 @pytest.mark.parametrize("chi2_by_normals", [512, 0])
