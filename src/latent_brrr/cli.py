@@ -28,6 +28,7 @@ from latent_brrr.model import (
     Dataset,
     Dims,
     ModelConfig,
+    check_finite,
     check_number,
     check_seed,
     resolve_sigma_omega,
@@ -128,7 +129,7 @@ def _require_file(path: Path) -> Path:
 def _read_matrix(path: Path) -> np.ndarray:
     """The matrix of a CSV file, checked to be finite."""
     matrix, names = lio.read_matrix_csv(_require_file(path))
-    lio.check_matrix_finite(matrix, path, names)
+    check_finite(matrix, path, names)
     return matrix
 
 

@@ -33,15 +33,24 @@ Every variant's mean is D B (``model.mean_design``, ``mean_coefficients``)
 with D = [X Psi (+ Omega) | H] and B = [Gamma; Lambda]; H and Lambda exist
 only for independent noise. The data enter through the statistics the
 ChainData forms when it is built (X'X, its eigendecomposition, X'Y, y'y,
-and for latent noise the block factor R of A'A, A = [X Y]). Omega and H
-are drawn as F = Y C_Y + (X Psi) C_Psi + Z C_Z, with small coefficients
-(``_factor_coefficients``) and Z standard normal. A latent-noise sweep
-reads Omega only through X'Omega, Y'Omega and Omega'Omega, so where the
-batch has R it draws Omega in P + K + S1 rows whose cross-products have
-the law those of the N rows have (``_compressed_rows``), and makes no pass
-over X or Y. It draws Omega's N rows, forming X Psi, on the sweeps whose
-states the schedule retains (``samples.bin`` stores Omega) and in batches
-without R (P + K + S1 > N, collinear X, a singular Schur complement).
+and for latent noise the block factor R of A'A, A = [X Y]).
+
+The Gaussian steps other than fast Psi (naive Psi, Gamma, Lambda, Omega
+and H) and their moment oracles factor each precision through one kernel,
+``_factor``, which checks that it is finite and returns the inverse
+Cholesky factor; the steps draw through ``_draw_from_precision`` and the
+oracles read ``_precision_moments``, so a non-finite precision is reported
+by the step where it appears. Omega and H are drawn as
+F = Y C_Y + (X Psi) C_Psi + Z C_Z with Z standard normal
+(``_factor_rows_system``).
+
+A latent-noise sweep reads Omega only through X'Omega, Y'Omega and
+Omega'Omega, so where the batch has R it draws Omega in P + K + S1 rows
+whose cross-products have the law those of the N rows have
+(``_compressed_rows``), and makes no pass over X or Y. It draws Omega's
+N rows, forming X Psi, on the sweeps whose states the schedule retains
+(``samples.bin`` stores Omega) and in batches without R (P + K + S1 > N,
+collinear X, a singular Schur complement).
 Drawing statistics changes which normals a fit draws, not the law it
 samples: latent-noise posterior means differ from those of versions that
 drew rows on every sweep by Monte-Carlo error, beyond rounding, and
@@ -71,6 +80,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -119,44 +129,47 @@ def _checked(fn, message: str, *args):
         raise NumericalError(message) from exc
 
 
-def _chol(matrix: np.ndarray, what: str) -> np.ndarray:
-    return _checked(np.linalg.cholesky, f"Cholesky factorization failed in {what}", matrix)
+def _factor(prec: np.ndarray, prior_diag: np.ndarray, what: str) -> np.ndarray:
+    """L^{-1} for the lower Cholesky factor L of ``prec`` + diag(``prior_diag``),
+    or of a stack of them; ``prec`` is overwritten with the sum.
 
-
-def _eigh(matrix: np.ndarray, what: str):
-    return _checked(np.linalg.eigh, f"eigendecomposition failed in {what}", matrix)
-
-
-def _inverse_factor(chol_lower: np.ndarray):
-    """L^{-1} and L^{-T} for the lower Cholesky factor L of a precision (or a
-    stack of factors).
-
-    At the S1 x S1 sizes of the Omega and H steps one small inverse and two
-    products cost less than two triangular solves would. For the naive Psi
-    step's dense (P*S1, P*S1) factor the inverse costs several times the
-    Cholesky factorization, still within that step's O(P^3 S1^3).
+    The Gaussian full conditionals here other than fast Psi's, and their
+    moment oracles, factor their precisions through this one kernel. A
+    non-finite entry raises NumericalError("non-finite precision in
+    <what>"): numpy's ``cholesky`` returns NaN for it without raising, so
+    the failure would otherwise surface in a later step under that step's
+    name. At the S1 x S1 sizes of the Omega and H steps one small inverse
+    and two products cost less than two triangular solves would; for the
+    stacked (C, K, S1, S1) systems of the Gamma and Lambda steps the two
+    differ by about 10 us a step either way (numpy 2.4, one BLAS thread).
+    For the naive Psi step's dense (P*S1, P*S1) factor the inverse costs
+    several times the factorization, still within that step's O(P^3 S1^3).
     """
-    inv_lower = np.linalg.inv(chol_lower)
-    return inv_lower, _T(inv_lower)
+    idx = np.arange(prior_diag.shape[-1])
+    prec[..., idx, idx] += prior_diag
+    if not np.isfinite(prec).all():
+        raise NumericalError(f"non-finite precision in {what}")
+    return np.linalg.inv(_checked(np.linalg.cholesky,
+                                  f"Cholesky factorization failed in {what}", prec))
 
 
-def _draw_from_precision(chol_lower: np.ndarray, lin: np.ndarray, rng) -> np.ndarray:
-    """Draw L^{-T} (L^{-1} lin + z) ~ N(P^{-1} lin, P^{-1}) given the lower
-    Cholesky factor L of P.
+def _draw_from_precision(inv_lower: np.ndarray, lin: np.ndarray, streams) -> np.ndarray:
+    """Draw L^{-T} (L^{-1} lin + z) ~ N(P^{-1} lin, P^{-1}) given L^{-1}
+    (``_factor``) for the lower Cholesky factor L of P, with
+    z = ``streams.standard_normal(lin.shape)``.
 
     ``lin`` may carry multiple right-hand sides as columns; each column gets
     an independent draw.
     """
-    inv_lower, inv_upper = _inverse_factor(chol_lower)
     w = inv_lower @ lin
-    w += rng.standard_normal(lin.shape)
-    return inv_upper @ w
+    w += streams.standard_normal(lin.shape)
+    return _T(inv_lower) @ w
 
 
-def _precision_moments(chol_lower: np.ndarray, lin: np.ndarray):
+def _precision_moments(inv_lower: np.ndarray, lin: np.ndarray):
     """Mean P^{-1} lin and covariance P^{-1} = L^{-T} L^{-1} of N(P^{-1} lin, P^{-1}),
-    given the lower Cholesky factor L of P (or a stack of factors)."""
-    inv_lower, inv_upper = _inverse_factor(chol_lower)
+    given L^{-1} (``_factor``) for the lower Cholesky factor L of P."""
+    inv_upper = _T(inv_lower)
     return inv_upper @ (inv_lower @ lin), inv_upper @ inv_lower
 
 
@@ -211,23 +224,13 @@ def _ridge_system(gram, lin_all, prior_prec_cols, sigma_sq, what):
 
     With design X* and targets y_i, ``gram`` = X*'X* and column i of
     ``lin_all`` = X*'y_i. Column i follows N(S_i X*'y_i / s_i, S_i) with
-    S_i^{-1} = diag(prior_prec_cols[:, i]) + X*'X* / s_i. Returns the lower
-    Cholesky factors of all S_i^{-1} from one batched call, stacked
+    S_i^{-1} = diag(prior_prec_cols[:, i]) + X*'X* / s_i. Returns L^{-1}
+    (``_factor``) for all S_i^{-1} from one batched call, stacked
     (C, K, S1, S1), and the linear terms X*'y_i / s_i, stacked (C, K, S1, 1).
     """
-    S1 = prior_prec_cols.shape[-2]
     prec = gram[..., None, :, :] / sigma_sq[..., :, None, None]
-    idx = np.arange(S1)
-    prec[..., idx, idx] += _T(prior_prec_cols)
-    if not np.isfinite(prec).all():
-        raise NumericalError(f"non-finite precision in {what}")
-    return _chol(prec, what), _T(lin_all / sigma_sq[..., None, :])[..., None]
-
-
-def _draw_ridge_columns(L, lin, streams):
-    """Draw every column of a ``_ridge_system`` as L^{-T} (L^{-1} lin + z); (C, S1, K)."""
-    w = np.linalg.solve(L, lin) + streams.standard_normal(lin.shape)
-    return _T(np.linalg.solve(_T(L), w)[..., 0])
+    return (_factor(prec, _T(prior_prec_cols), what),
+            _T(lin_all / sigma_sq[..., None, :])[..., None])
 
 
 def _block_system(state, data, config, shared, block, prior_prec_cols, what):
@@ -254,9 +257,9 @@ def update_gamma(state, data, config: ModelConfig, streams, shared: dict):
     X Psi is taken from ``shared``, and the design's D'D and D'Y are left
     there for update_lambda and update_sigma.
     """
-    state.Gamma = _draw_ridge_columns(*_block_system(
+    state.Gamma = _T(_draw_from_precision(*_block_system(
         state, data, config, shared, 0, state.phi_gamma * state.tau[..., :, None],
-        "gamma update"), streams)
+        "gamma update"), streams)[..., 0])
 
 
 def gamma_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
@@ -273,9 +276,9 @@ def update_lambda(state, data, config: ModelConfig, streams, shared: dict):
 
     A state without the noise stack raises StateError (via ``tau_noise``).
     """
-    state.Lambda = _draw_ridge_columns(*_block_system(
+    state.Lambda = _T(_draw_from_precision(*_block_system(
         state, data, config, shared, 1, state.phi_lambda * state.tau_noise[..., :, None],
-        "lambda update"), streams)
+        "lambda update"), streams)[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +313,7 @@ def _psi_linear_terms(state, data, config):
 
 
 def _psi_naive_system(state, data, config):
-    """Lower Cholesky factor of the dense (P*S1, P*S1) Psi precision
+    """L^{-1} (``_factor``) for the dense (P*S1, P*S1) Psi precision
     diag_h(tau_h I_P) + A (x) X'X, and the linear term vec(X' Y M^{-1} G')
     as a column."""
     A, lin = _psi_linear_terms(state, data, config)
@@ -318,9 +321,8 @@ def _psi_naive_system(state, data, config):
     lead = A.shape[:-2]
     prec = (A[..., :, None, :, None] * data.gram[..., None, :, None, :]).reshape(
         *lead, S1 * P, S1 * P)
-    idx = np.arange(S1 * P)
-    prec[..., idx, idx] += np.repeat(state.tau, P, axis=-1)
-    return _chol(prec, "psi update (naive)"), _T(lin).reshape(*lead, S1 * P, 1)
+    return (_factor(prec, np.repeat(state.tau, P, axis=-1), "psi update (naive)"),
+            _T(lin).reshape(*lead, S1 * P, 1))
 
 
 def _unvec(column: np.ndarray, P: int) -> np.ndarray:
@@ -347,7 +349,8 @@ def _psi_fast_system(state, data, config):
     A, lin = _psi_linear_terms(state, data, config)
     t_isqrt = 1.0 / np.sqrt(state.tau)
     A_tilde = A * (t_isqrt[..., :, None] * t_isqrt[..., None, :])
-    lam_a, U_a = _eigh(A_tilde, "psi update (coupling matrix)")
+    lam_a, U_a = _checked(np.linalg.eigh,
+                          "eigendecomposition failed in psi update (coupling matrix)", A_tilde)
     lam_x, U_x = data.gram_eig
     # Both matrices are PSD; clip eigenvalue noise so the diagonal stays >= 1.
     denom = 1.0 + np.maximum(lam_x, 0.0)[..., :, None] * np.maximum(lam_a, 0.0)[..., None, :]
@@ -386,43 +389,28 @@ def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelCo
 # latent factor updates
 
 
-def _factor_coefficients(loadings, prior_prec, state, what):
-    """Coefficients (C_Y, C_Psi, C_Z) of the factor rows F in
-    Y - X Psi Gamma = F B + E, B = ``loadings`` (S, K), F rows ~ N(0, diag(1/prior_prec)).
+def _factor_rows_system(loadings, prior_prec, state, x_psi, Y, what):
+    """L^{-1} (``_factor``) and linear terms, one column per row, of the factor
+    rows F in Y - X Psi Gamma = F B + E, B = ``loadings`` (S, K), F rows ~
+    N(0, diag(1/prior_prec)).
 
     Given the rest, F's rows are independent with one precision
-    B Sigma^{-1} B' + diag(prior_prec), of lower Cholesky factor L, and
-    linear terms B Sigma^{-1} (Y - X Psi Gamma)'. So a draw is
-
-        F = Y C_Y + (X Psi) C_Psi + Z C_Z,   Z rows iid N(0, I_S),
-
-    with V = L^{-T} L^{-1} the rows' covariance, C_Y = Sigma^{-1} B' V,
-    C_Psi = -(Gamma Sigma^{-1} B') V and C_Z = L^{-1}; its mean is the part
-    without Z. The draw of rows, the draw of statistics and the moment
-    oracle all use these coefficients.
+    B Sigma^{-1} B' + diag(prior_prec), and F' has linear terms
+    B Sigma^{-1} (Y - X Psi Gamma)', formed as (B Sigma^{-1}) Y' minus
+    (B Sigma^{-1} Gamma') (X Psi)' without an N x K residual.
+    ``_draw_from_precision`` then gives F = Y C_Y + (X Psi) C_Psi + Z L^{-1},
+    Z rows iid N(0, I_S), and ``_precision_moments`` its mean and covariance.
+    ``x_psi`` and ``Y`` are the N data rows or the compressed rows of a
+    statistics sweep (``_compressed_rows``).
     """
     bs = loadings * (1.0 / state.sigma_sq)[..., None, :]    # B Sigma^{-1}
-    prec = bs @ _T(loadings)
-    idx = np.arange(prior_prec.shape[-1])
-    prec[..., idx, idx] += prior_prec
-    inv_lower, inv_upper = _inverse_factor(_chol(prec, what))
-    cov = inv_upper @ inv_lower
-    return _T(bs) @ cov, -(state.Gamma @ _T(bs)) @ cov, inv_lower
+    lin = bs @ _T(Y) - (bs @ _T(state.Gamma)) @ _T(x_psi)
+    return _factor(bs @ _T(loadings), prior_prec, what), lin
 
 
-def _factor_rows(coefficients, x_psi, Y, Z):
-    c_y, c_psi, c_z = coefficients
-    return Y @ c_y + x_psi @ c_psi + Z @ c_z
-
-
-def _row_normals(state, data, streams, S: int) -> np.ndarray:
-    """Z (C, N, S) iid N(0, 1) for a draw of factor rows."""
-    return _T(streams.standard_normal((*state.Psi.shape[:-2], S, data.n_samples)))
-
-
-def _omega_coefficients(state, data, what):
-    return _factor_coefficients(state.Gamma, state.tau / data.sigma_omega_sq[..., None],
-                                state, what)
+def _omega_system(state, data, x_psi, Y, what):
+    return _factor_rows_system(state.Gamma, state.tau / data.sigma_omega_sq[..., None],
+                               state, x_psi, Y, what)
 
 
 # A statistics sweep draws the S1 chi^2(dof) variates of its Bartlett
@@ -479,8 +467,8 @@ def _compressed_rows(state, data, streams):
 
 
 def update_omega(state, data, config: ModelConfig, streams, shared: dict):
-    """Draw the latent noise Omega = Y C_Y + (X Psi) C_Psi + Z C_Z
-    (``_factor_coefficients``), as N rows or as statistics.
+    """Draw the latent noise Omega (``_factor_rows_system``), as N rows or as
+    statistics.
 
     When ``shared["omega_rows"]`` is false (``gibbs_sweep`` sets it) and the
     batch has the block factor (``ChainData.target_rows``), the draw is made
@@ -495,24 +483,28 @@ def update_omega(state, data, config: ModelConfig, streams, shared: dict):
         raise ConfigurationError("omega update applies to the latent-noise variant")
     if not config.sigma_omega_sq or config.sigma_omega_sq <= 0:
         raise ConfigurationError("sampling Omega requires sigma_omega_sq > 0")
-    coefficients = _omega_coefficients(state, data, "omega update")
     rows = shared["omega_rows"] = shared.get("omega_rows", True) or data.target_rows is None
     if rows:
-        state.Omega = _factor_rows(coefficients, _x_psi(state, data, shared), data.Y,
-                                   _row_normals(state, data, streams, state.Gamma.shape[-2]))
+        x_psi, Y, normals = _x_psi(state, data, shared), data.Y, streams
     else:
+        # The compressed rows' normals Z~ = [G; L_W'] are drawn already.
         x_psi, Z = _compressed_rows(state, data, streams)
-        omega = _factor_rows(coefficients, x_psi, data.target_rows, Z)
-        shared["compressed"] = state.Psi, x_psi, data.target_rows, omega
+        Y, normals = data.target_rows, SimpleNamespace(standard_normal=lambda shape: _T(Z))
+    omega = _T(_draw_from_precision(*_omega_system(state, data, x_psi, Y, "omega update"),
+                                    normals))
+    if rows:
+        state.Omega = omega
+    else:
+        shared["compressed"] = state.Psi, x_psi, Y, omega
         state.Omega = None
 
 
 def omega_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (N, S1) and shared covariance (S1, S1) of the Omega rows."""
     state, data, shared = _one_chain(state, dataset, config)
-    c_y, c_psi, c_z = _omega_coefficients(state, data, "omega moments")
-    mean = data.Y @ c_y + _x_psi(state, data, shared) @ c_psi
-    return mean[0], (_T(c_z) @ c_z)[0]
+    mean, cov = _precision_moments(*_omega_system(
+        state, data, _x_psi(state, data, shared), data.Y, "omega moments"))
+    return _T(mean)[0], cov[0]
 
 
 def update_h(state, data, config: ModelConfig, streams, shared: dict):
@@ -520,9 +512,9 @@ def update_h(state, data, config: ModelConfig, streams, shared: dict):
 
     A state without the noise stack raises StateError (via ``tau_noise``).
     """
-    coefficients = _factor_coefficients(state.Lambda, state.tau_noise, state, "H update")
-    state.H = _factor_rows(coefficients, _x_psi(state, data, shared), data.Y,
-                           _row_normals(state, data, streams, state.Lambda.shape[-2]))
+    state.H = _T(_draw_from_precision(*_factor_rows_system(
+        state.Lambda, state.tau_noise, state, _x_psi(state, data, shared), data.Y, "H update"),
+        streams))
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +619,7 @@ def update_sigma(state, data, config: ModelConfig, streams, shared: dict):
 
 
 def _accumulate(timings, name, t0):
-    if timings is not None:
-        timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0)
+    timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0)
 
 
 def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
@@ -648,15 +639,15 @@ def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
     when given (used by the sampler-validation harness for fault injection).
     The latent-noise Omega step draws statistics where it can, leaving
     ``state.Omega`` None, and N rows with ``omega_rows`` (``update_omega``).
-    With ``stats``, the sweep is counted, each step's wall time is added to
-    its bucket, and the Omega rows and residual fallbacks are counted.
+    The sweep, each step's wall time (added to its bucket), the Omega rows
+    and the residual fallbacks are counted in ``stats``, or in a fresh
+    RunStats that is dropped when none is given.
 
     A numerical failure on any chain raises NumericalError from the step
     where it occurs, and ``state`` is then part-way through the sweep.
     """
-    timings = None if stats is None else stats.wall_time_seconds
-    if stats is not None:
-        stats.sweeps += 1
+    stats = RunStats() if stats is None else stats
+    stats.sweeps += 1
     shared: dict = {"omega_rows": omega_rows}
     psi = ("psi", update_psi_naive if config.psi_update == "naive" else update_psi_fast)
     gamma, phi = ("gamma", update_gamma), ("phi", update_phi_gamma)
@@ -673,11 +664,10 @@ def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
     for bucket, update in steps:
         t0 = time.perf_counter()
         update(state, data, config, streams, shared)
-        _accumulate(timings, bucket, t0)
-    if stats is not None:
-        stats.omega_row_sweeps += bool(config.variant is Variant.LATENT_NOISE
-                                       and shared["omega_rows"])
-        stats.rss_fallbacks += shared.get("rss_fallbacks", 0)
+        _accumulate(stats.wall_time_seconds, bucket, t0)
+    stats.omega_row_sweeps += bool(config.variant is Variant.LATENT_NOISE
+                                   and shared["omega_rows"])
+    stats.rss_fallbacks += shared.get("rss_fallbacks", 0)
 
 
 def _resolved(dataset: Dataset, config: ModelConfig) -> ModelConfig:
@@ -717,10 +707,9 @@ def _advance(datasets: Sequence[Dataset], configs: Sequence[ModelConfig],
 
     # Building the ChainData forms the data-only statistics; timing it apart
     # keeps their one-time cost out of the per-sweep buckets.
-    timings = stats.wall_time_seconds
     t0 = time.perf_counter()
     data = ChainData(datasets, configs)
-    _accumulate(timings, "setup", t0)
+    _accumulate(stats.wall_time_seconds, "setup", t0)
 
     state = ModelState.stack(states)
     streams = ChainStreams(generators)

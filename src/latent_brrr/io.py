@@ -68,9 +68,11 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     path = Path(path)
     with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        header = fh.readline().rstrip("\n")
         try:
+            header = fh.readline().rstrip("\n")
             matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from exc
         except ValueError as exc:
             raise ConfigurationError(f"malformed numeric data in {path}: {exc}") from exc
     if matrix.size == 0:
@@ -81,17 +83,6 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
             f"{path}: header has {len(names)} columns, data has {matrix.shape[1]}"
         )
     return matrix, names
-
-
-def check_matrix_finite(matrix: np.ndarray, path, names: list[str] | None = None) -> None:
-    """Reject non-finite entries, naming the first offending row and column."""
-    bad = ~np.isfinite(matrix)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        column = names[c] if names and c < len(names) else str(c)
-        raise ConfigurationError(
-            f"non-finite value in {path} at row {r}, column {column}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +99,8 @@ def read_json(path):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"invalid JSON in {path}: {exc}") from exc
 

@@ -65,6 +65,16 @@ def check_number(name: str, value, integer: bool = False) -> None:
         raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
 
 
+def check_finite(matrix: np.ndarray, where, names: list[str] | None = None) -> None:
+    """Raise ConfigurationError naming the first non-finite entry of
+    ``matrix`` in ``where`` by row and column (by name where ``names`` has it)."""
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        column = names[c] if names and c < len(names) else str(c)
+        raise ConfigurationError(f"non-finite value in {where} at row {r}, column {column}")
+
+
 def check_seed(value) -> None:
     """Raise ConfigurationError unless ``value`` is an unsigned 64-bit integer."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or \
@@ -235,12 +245,8 @@ class Dataset:
             raise DimensionError(
                 f"X has {X.shape[0]} rows but Y has {Y.shape[0]}"
             )
-        for name, M in (("X", X), ("Y", Y)):
-            if not np.isfinite(M).all():
-                r, c = np.argwhere(~np.isfinite(M))[0]
-                raise ConfigurationError(
-                    f"non-finite value in {name} at row {r}, column {c}"
-                )
+        check_finite(X, "X")
+        check_finite(Y, "Y")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 

@@ -255,6 +255,27 @@ def test_malformed_csv_exits_2_naming_the_file(sim_dir, tmp_path, capsys, text, 
     assert str(bad) in err and message in err
 
 
+@pytest.mark.parametrize("bad_input", ["config", "plan", "csv_header"])
+def test_non_utf8_input_exits_2_naming_the_file(sim_dir, tmp_path, capsys, bad_input):
+    # Byte 0xff never occurs in UTF-8 text; it leads a config for fit, a CV
+    # plan for cv and the header of predict's --x.
+    config = write_config(tmp_path / "config.json")
+    plan = tmp_path / "plan.json"
+    lio.write_json(plan, {"beta_grid": [0.1], "rank_grid": [2], "n_folds": 2, "seed": 1})
+    good = {"config": config, "plan": plan, "csv_header": sim_dir / "X_test.csv"}[bad_input]
+    bad = tmp_path / f"bad_{bad_input}"
+    bad.write_bytes(b"\xff" + good.read_bytes())
+    data = ("--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv")
+    argv = {"config": ("fit", *data, "--config", bad),
+            "plan": ("cv", *data, "--config", config, "--plan", bad),
+            "csv_header": ("predict", "--x", bad,
+                           "--model", write_summary(tmp_path / "posterior_summary.json"))}
+    code = run_cli(*argv[bad_input], "--out-dir", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "is not UTF-8 text" in err
+
+
 def test_fit_missing_y_exits_2_with_path(sim_dir, tmp_path, capsys):
     config = write_config(tmp_path / "config.json")
     code = run_cli("fit", "--x", sim_dir / "X_train.csv", "--y", sim_dir / "nope.csv",

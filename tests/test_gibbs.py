@@ -1,6 +1,7 @@
 """Gibbs update tests against brute-force dense oracles, plus chain driver."""
 
 import inspect
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -312,6 +313,30 @@ def test_moment_oracles_raise_on_a_non_pd_system():
         omega_conditional_moments(negative_tau, dataset, config)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("variant, psi_update, omega_rows, step", [
+    (Variant.LATENT_NOISE, "fast", True, "omega update"),
+    (Variant.LATENT_NOISE, "fast", False, "omega update"),
+    (Variant.LATENT_NOISE, "naive", False, "psi update (naive)"),
+    (Variant.INDEPENDENT_NOISE, "fast", False, "H update")])
+def test_sweep_names_the_step_whose_precision_is_not_finite(variant, psi_update, omega_rows,
+                                                            step):
+    # Increments of 1e308 overflow tau_2 (tau_noise's for independent noise)
+    # to inf. numpy's cholesky returns NaN for such a precision without
+    # raising, so the first step whose precision holds it must raise: naive
+    # Psi's, or Omega's (on the row and the statistics path) after fast Psi
+    # has drawn column 2 as 0, or H's.
+    state, dataset, config = sweep_problem(variant)
+    config = replace(config, psi_update=psi_update)
+    noise = "delta_noise" if variant is Variant.INDEPENDENT_NOISE else "delta"
+    stacked = ModelState.stack([replace(state, **{noise: np.full(2, 1e308)})])
+    data = ChainData([dataset], [config])
+    assert (data.target_rows is None) == (variant is not Variant.LATENT_NOISE)
+    with pytest.raises(NumericalError, match=f"^non-finite precision in {re.escape(step)}$"):
+        gibbs.gibbs_sweep(stacked, data, config, ChainStreams([np.random.default_rng(0)]),
+                          omega_rows=omega_rows)
+
+
 # ---------------------------------------------------------------------------
 # independent-noise H and Lambda updates
 
@@ -400,7 +425,8 @@ def test_lambda_update_matches_dense_oracle():
 
 
 def assert_draw_helper_matches_solves(prec, lin):
-    """Compare _draw_from_precision's mean and L^{-T} against dense and triangular solves.
+    """Compare _draw_from_precision's mean and L^{-T}, given L^{-1} from
+    _factor, against dense and triangular solves.
 
     Each reference is a backward-stable solve, whose relative forward error
     is at most about n * eps * cond(P), and the helper's is of the same
@@ -413,8 +439,9 @@ def assert_draw_helper_matches_solves(prec, lin):
     n = prec.shape[0]
     tol = 10 * n * np.finfo(float).eps * np.linalg.cond(prec)
     L = np.linalg.cholesky(prec)
-    mean = gibbs._draw_from_precision(L, lin, ScriptedNormal(np.zeros))
-    inv_upper = gibbs._draw_from_precision(L, np.zeros((n, n)),
+    inv_lower = gibbs._factor(prec.copy(), np.zeros(n), "test")
+    mean = gibbs._draw_from_precision(inv_lower, lin, ScriptedNormal(np.zeros))
+    inv_upper = gibbs._draw_from_precision(inv_lower, np.zeros((n, n)),
                                           ScriptedNormal(lambda shape: np.eye(*shape)))
 
     def rel_err(got, want):
@@ -444,9 +471,10 @@ def test_draw_helper_factor_rows_at_extreme_scales(S, loading_scale):
 @pytest.mark.parametrize("S", [1, 2, 3])
 @pytest.mark.parametrize("loading_scale", [1e-4, 1.0, 1e4])
 def test_factor_coefficients_at_extreme_scales(S, loading_scale):
-    # The Omega/H rows' mean Y C_Y + (X Psi) C_Psi and covariance C_Z' C_Z
-    # against dense solves of their system, diag(prior) + B Sigma^{-1} B',
-    # within the helper test's bound 10 n eps cond(P).
+    # The Omega/H rows' mean and covariance from their factored system
+    # against dense solves of diag(prior) + B Sigma^{-1} B' with linear
+    # terms B Sigma^{-1} (Y - X Psi Gamma)', within the helper test's bound
+    # 10 n eps cond(P).
     rng = np.random.default_rng(S)
     N, K = 40, 6
     for prior in np.array(np.meshgrid(*[[1e-4, 1.0, 1e4]] * S)).reshape(S, -1).T:
@@ -458,13 +486,13 @@ def test_factor_coefficients_at_extreme_scales(S, loading_scale):
         prec = np.diag(prior) + (B / state.sigma_sq) @ B.T
         lin = (B / state.sigma_sq) @ (Y - x_psi @ state.Gamma).T
         tol = 10 * S * np.finfo(float).eps * np.linalg.cond(prec)
-        c_y, c_psi, c_z = gibbs._factor_coefficients(B, prior, state, "test")
-        mean = Y @ c_y + x_psi @ c_psi
-        want = np.linalg.solve(prec, lin).T
-        scale = np.linalg.norm(Y @ c_y) + np.linalg.norm(x_psi @ c_psi)
-        assert np.linalg.norm(mean - want) <= tol * scale
+        inv_lower, got_lin = gibbs._factor_rows_system(B, prior, state, x_psi, Y, "test")
+        assert np.allclose(got_lin, lin, rtol=1e-13, atol=1e-13 * np.abs(lin).max())
+        mean, got_cov = gibbs._precision_moments(inv_lower, got_lin)
+        want = np.linalg.solve(prec, got_lin)
+        assert np.linalg.norm(mean - want) <= tol * np.linalg.norm(want)
         cov = np.linalg.inv(prec)
-        assert np.linalg.norm(c_z.T @ c_z - cov) <= tol * np.linalg.norm(cov)
+        assert np.linalg.norm(got_cov - cov) <= tol * np.linalg.norm(cov)
 
 
 @pytest.mark.parametrize("x_scale", [1e-2, 1.0, 1e2])
@@ -473,9 +501,10 @@ def test_draw_helper_dense_psi_system(x_scale):
     state, dataset, config, _ = make_problem(13, N=60, P=20, K=5, S1=3)
     state = replace(state, delta=np.array([1e-4, 1e4, 1e4]))
     scaled = Dataset(X=dataset.X * x_scale, Y=dataset.Y)
-    L, lin = gibbs._psi_naive_system(ModelState.stack([state]), ChainData([scaled], [config]),
-                                     config)
-    assert_draw_helper_matches_solves(L[0] @ L[0].T, lin[0])
+    inv_lower, lin = gibbs._psi_naive_system(ModelState.stack([state]),
+                                             ChainData([scaled], [config]), config)
+    L = np.linalg.inv(inv_lower[0])
+    assert_draw_helper_matches_solves(L @ L.T, lin[0])
 
 
 # ---------------------------------------------------------------------------
