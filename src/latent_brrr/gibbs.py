@@ -80,7 +80,6 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -153,17 +152,25 @@ def _factor(prec: np.ndarray, prior_diag: np.ndarray, what: str) -> np.ndarray:
                                   f"Cholesky factorization failed in {what}", prec))
 
 
-def _draw_from_precision(inv_lower: np.ndarray, lin: np.ndarray, streams) -> np.ndarray:
+def _draw_from_precision(inv_lower: np.ndarray, lin: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Draw L^{-T} (L^{-1} lin + z) ~ N(P^{-1} lin, P^{-1}) given L^{-1}
-    (``_factor``) for the lower Cholesky factor L of P, with
-    z = ``streams.standard_normal(lin.shape)``.
+    (``_factor``) for the lower Cholesky factor L of P and standard normals
+    z of ``lin``'s shape.
 
     ``lin`` may carry multiple right-hand sides as columns; each column gets
     an independent draw.
     """
+    if z.shape != lin.shape:
+        raise ValueError(f"normals of shape {z.shape} for linear terms of shape {lin.shape}")
     w = inv_lower @ lin
-    w += streams.standard_normal(lin.shape)
+    w += z
     return _T(inv_lower) @ w
+
+
+def _draw(system, streams) -> np.ndarray:
+    """``_draw_from_precision`` of a (L^{-1}, lin) ``system`` with fresh normals."""
+    inv_lower, lin = system
+    return _draw_from_precision(inv_lower, lin, streams.standard_normal(lin.shape))
 
 
 def _precision_moments(inv_lower: np.ndarray, lin: np.ndarray):
@@ -257,7 +264,7 @@ def update_gamma(state, data, config: ModelConfig, streams, shared: dict):
     X Psi is taken from ``shared``, and the design's D'D and D'Y are left
     there for update_lambda and update_sigma.
     """
-    state.Gamma = _T(_draw_from_precision(*_block_system(
+    state.Gamma = _T(_draw(_block_system(
         state, data, config, shared, 0, state.phi_gamma * state.tau[..., :, None],
         "gamma update"), streams)[..., 0])
 
@@ -276,7 +283,7 @@ def update_lambda(state, data, config: ModelConfig, streams, shared: dict):
 
     A state without the noise stack raises StateError (via ``tau_noise``).
     """
-    state.Lambda = _T(_draw_from_precision(*_block_system(
+    state.Lambda = _T(_draw(_block_system(
         state, data, config, shared, 1, state.phi_lambda * state.tau_noise[..., :, None],
         "lambda update"), streams)[..., 0])
 
@@ -332,7 +339,7 @@ def _unvec(column: np.ndarray, P: int) -> np.ndarray:
 
 def update_psi_naive(state, data, config: ModelConfig, streams, shared: dict):
     """Draw vec(Psi) from one dense (P*S1, P*S1) Gaussian system."""
-    draw = _draw_from_precision(*_psi_naive_system(state, data, config), streams)
+    draw = _draw(_psi_naive_system(state, data, config), streams)
     state.Psi = _unvec(draw, state.Psi.shape[-2])
 
 
@@ -483,19 +490,16 @@ def update_omega(state, data, config: ModelConfig, streams, shared: dict):
         raise ConfigurationError("omega update applies to the latent-noise variant")
     if not config.sigma_omega_sq or config.sigma_omega_sq <= 0:
         raise ConfigurationError("sampling Omega requires sigma_omega_sq > 0")
-    rows = shared["omega_rows"] = shared.get("omega_rows", True) or data.target_rows is None
-    if rows:
-        x_psi, Y, normals = _x_psi(state, data, shared), data.Y, streams
+    shared["omega_rows"] = shared.get("omega_rows", True) or data.target_rows is None
+    if shared["omega_rows"]:
+        state.Omega = _T(_draw(_omega_system(
+            state, data, _x_psi(state, data, shared), data.Y, "omega update"), streams))
     else:
-        # The compressed rows' normals Z~ = [G; L_W'] are drawn already.
+        # The compressed rows' normals Z~ = [G; L_W'] are drawn with them.
         x_psi, Z = _compressed_rows(state, data, streams)
-        Y, normals = data.target_rows, SimpleNamespace(standard_normal=lambda shape: _T(Z))
-    omega = _T(_draw_from_precision(*_omega_system(state, data, x_psi, Y, "omega update"),
-                                    normals))
-    if rows:
-        state.Omega = omega
-    else:
-        shared["compressed"] = state.Psi, x_psi, Y, omega
+        omega = _T(_draw_from_precision(*_omega_system(
+            state, data, x_psi, data.target_rows, "omega update"), _T(Z)))
+        shared["compressed"] = state.Psi, x_psi, data.target_rows, omega
         state.Omega = None
 
 
@@ -512,7 +516,7 @@ def update_h(state, data, config: ModelConfig, streams, shared: dict):
 
     A state without the noise stack raises StateError (via ``tau_noise``).
     """
-    state.H = _T(_draw_from_precision(*_factor_rows_system(
+    state.H = _T(_draw(_factor_rows_system(
         state.Lambda, state.tau_noise, state, _x_psi(state, data, shared), data.Y, "H update"),
         streams))
 

@@ -240,14 +240,16 @@ def test_latent_noise_fit_draws_omega_rows_only_where_it_must(tmp_path, case, ro
 
 
 @pytest.mark.parametrize("text, message", [
-    ("x0,x1\n1.5,2.5\n3.5,abc\n", "malformed numeric data in"),
-    ("x0,x1\n1.5,2.5\n3.5\n", "malformed numeric data in"),
-    ("x0,x1,x2\n1.5,2.5\n3.5,4.5\n", "header has 3 columns, data has 2"),
+    (b"x0,x1\n1.5,2.5\n3.5,abc\n", "malformed numeric data in"),
+    (b"x0,x1\n1.5,2.5\n3.5\n", "malformed numeric data in"),
+    (b"x0,x1,x2\n1.5,2.5\n3.5,4.5\n", "header has 3 columns, data has 2"),
+    (b"\xffx0,x1\n1.5,2.5\n3.5,4.5\n", "is not UTF-8 text"),
 ])
 def test_malformed_csv_exits_2_naming_the_file(sim_dir, tmp_path, capsys, text, message):
-    # A non-numeric token, a ragged row and a header with a name too many.
+    # A non-numeric token, a ragged row, a header with a name too many and a
+    # header led by byte 0xff, which never occurs in UTF-8 text.
     bad = tmp_path / "X_bad.csv"
-    bad.write_text(text, encoding="utf-8")
+    bad.write_bytes(text)
     code = run_cli("fit", "--x", bad, "--y", sim_dir / "Y_train.csv",
                    "--config", write_config(tmp_path / "c.json"), "--out-dir", tmp_path / "fit")
     assert code == 2
@@ -255,21 +257,18 @@ def test_malformed_csv_exits_2_naming_the_file(sim_dir, tmp_path, capsys, text, 
     assert str(bad) in err and message in err
 
 
-@pytest.mark.parametrize("bad_input", ["config", "plan", "csv_header"])
+@pytest.mark.parametrize("bad_input", ["config", "plan"])
 def test_non_utf8_input_exits_2_naming_the_file(sim_dir, tmp_path, capsys, bad_input):
-    # Byte 0xff never occurs in UTF-8 text; it leads a config for fit, a CV
-    # plan for cv and the header of predict's --x.
+    # Byte 0xff never occurs in UTF-8 text; it leads a config for fit and a
+    # CV plan for cv (a CSV header: test_malformed_csv_exits_2_naming_the_file).
     config = write_config(tmp_path / "config.json")
     plan = tmp_path / "plan.json"
     lio.write_json(plan, {"beta_grid": [0.1], "rank_grid": [2], "n_folds": 2, "seed": 1})
-    good = {"config": config, "plan": plan, "csv_header": sim_dir / "X_test.csv"}[bad_input]
     bad = tmp_path / f"bad_{bad_input}"
-    bad.write_bytes(b"\xff" + good.read_bytes())
+    bad.write_bytes(b"\xff" + {"config": config, "plan": plan}[bad_input].read_bytes())
     data = ("--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv")
     argv = {"config": ("fit", *data, "--config", bad),
-            "plan": ("cv", *data, "--config", config, "--plan", bad),
-            "csv_header": ("predict", "--x", bad,
-                           "--model", write_summary(tmp_path / "posterior_summary.json"))}
+            "plan": ("cv", *data, "--config", config, "--plan", bad)}
     code = run_cli(*argv[bad_input], "--out-dir", tmp_path / "out")
     assert code == 2
     err = capsys.readouterr().err

@@ -440,9 +440,8 @@ def assert_draw_helper_matches_solves(prec, lin):
     tol = 10 * n * np.finfo(float).eps * np.linalg.cond(prec)
     L = np.linalg.cholesky(prec)
     inv_lower = gibbs._factor(prec.copy(), np.zeros(n), "test")
-    mean = gibbs._draw_from_precision(inv_lower, lin, ScriptedNormal(np.zeros))
-    inv_upper = gibbs._draw_from_precision(inv_lower, np.zeros((n, n)),
-                                          ScriptedNormal(lambda shape: np.eye(*shape)))
+    mean = gibbs._draw_from_precision(inv_lower, lin, np.zeros(lin.shape))
+    inv_upper = gibbs._draw_from_precision(inv_lower, np.zeros((n, n)), np.eye(n))
 
     def rel_err(got, want):
         return np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -474,7 +473,7 @@ def test_factor_coefficients_at_extreme_scales(S, loading_scale):
     # The Omega/H rows' mean and covariance from their factored system
     # against dense solves of diag(prior) + B Sigma^{-1} B' with linear
     # terms B Sigma^{-1} (Y - X Psi Gamma)', within the helper test's bound
-    # 10 n eps cond(P).
+    # 10 n eps cond(P) of the mean's two parts, the Y part and the X Psi part.
     rng = np.random.default_rng(S)
     N, K = 40, 6
     for prior in np.array(np.meshgrid(*[[1e-4, 1.0, 1e4]] * S)).reshape(S, -1).T:
@@ -483,14 +482,16 @@ def test_factor_coefficients_at_extreme_scales(S, loading_scale):
                            phi_gamma=np.ones((2, K)), delta=np.ones(2),
                            sigma_sq=rng.gamma(2.0, 1.0, K))
         Y, x_psi = rng.standard_normal((N, K)), rng.standard_normal((N, 2))
-        prec = np.diag(prior) + (B / state.sigma_sq) @ B.T
-        lin = (B / state.sigma_sq) @ (Y - x_psi @ state.Gamma).T
+        bs = B / state.sigma_sq
+        prec = np.diag(prior) + bs @ B.T
+        lin = bs @ (Y - x_psi @ state.Gamma).T
         tol = 10 * S * np.finfo(float).eps * np.linalg.cond(prec)
-        inv_lower, got_lin = gibbs._factor_rows_system(B, prior, state, x_psi, Y, "test")
-        assert np.allclose(got_lin, lin, rtol=1e-13, atol=1e-13 * np.abs(lin).max())
-        mean, got_cov = gibbs._precision_moments(inv_lower, got_lin)
-        want = np.linalg.solve(prec, got_lin)
-        assert np.linalg.norm(mean - want) <= tol * np.linalg.norm(want)
+        mean, got_cov = gibbs._precision_moments(
+            *gibbs._factor_rows_system(B, prior, state, x_psi, Y, "test"))
+        want = np.linalg.solve(prec, lin)
+        scale = (np.linalg.norm(np.linalg.solve(prec, bs @ Y.T))
+                 + np.linalg.norm(np.linalg.solve(prec, (bs @ state.Gamma.T) @ x_psi.T)))
+        assert np.linalg.norm(mean - want) <= tol * scale
         cov = np.linalg.inv(prec)
         assert np.linalg.norm(got_cov - cov) <= tol * np.linalg.norm(cov)
 
