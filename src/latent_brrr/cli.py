@@ -196,8 +196,9 @@ def cmd_simulate(args) -> None:
 
 
 def _summarize(stack: np.ndarray) -> dict:
+    """Mean and sample sd over the retained states; a single state has no sd."""
     return {"mean": stack.mean(axis=0).tolist(),
-            "sd": stack.std(axis=0, ddof=1).tolist()}
+            "sd": stack.std(axis=0, ddof=1).tolist() if len(stack) > 1 else None}
 
 
 def cmd_fit(args) -> None:
@@ -225,14 +226,15 @@ def cmd_fit(args) -> None:
 
 
 def _read_theta(path: Path) -> np.ndarray:
-    """The finite P x K ``theta_mean`` matrix of a posterior summary file."""
+    """The finite P x K ``theta_mean`` matrix, P, K >= 1, of a posterior summary file."""
     summary = lio.read_json(_require_file(path))
     try:
         theta = np.asarray(summary["theta_mean"], dtype=float)
     except (KeyError, TypeError, ValueError):
         theta = None
-    if theta is None or theta.ndim != 2 or not np.isfinite(theta).all():
-        raise ConfigurationError(f"{path}: theta_mean must be a matrix of finite numbers")
+    if theta is None or theta.ndim != 2 or 0 in theta.shape or not np.isfinite(theta).all():
+        raise ConfigurationError(
+            f"{path}: theta_mean must be a non-empty matrix of finite numbers")
     return theta
 
 

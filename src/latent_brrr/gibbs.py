@@ -51,12 +51,8 @@ whose cross-products have the law those of the N rows have
 N rows, forming X Psi, on the sweeps whose states the schedule retains
 (``samples.bin`` stores Omega) and in batches without R (P + K + S1 > N,
 collinear X, a singular Schur complement).
-Drawing statistics changes which normals a fit draws, not the law it
-samples: latent-noise posterior means differ from those of versions that
-drew rows on every sweep by Monte-Carlo error, beyond rounding, and
-``samples.bin`` is unchanged. The other variants form X Psi every sweep,
-and independent noise X'H for its Psi linear term
-(X'Y - (X'H) Lambda) M^{-1} G'.
+The other variants form X Psi every sweep, and independent noise X'H for
+its Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'.
 The Gamma step forms D, D'D and D'Y in the sweep's rows, from which Gamma
 (Z'Y - (Z'H) Lambda, Z = X Psi (+ Omega)), Lambda (H'Y - (H'Z) Gamma) and
 sigma read, with target k's residual sum of squares
@@ -189,20 +185,19 @@ def _one_chain(state: ModelState, dataset: Dataset, config: ModelConfig):
 # products shared within a sweep
 
 
-def _x_psi(state, data, shared: dict) -> np.ndarray:
-    """X Psi, formed once per Psi draw and kept in ``shared``."""
-    if shared.get("psi") is not state.Psi:
-        shared["psi"], shared["x_psi"] = state.Psi, data.X @ state.Psi
-    return shared["x_psi"]
-
-
 def _rows(state, data, shared: dict):
     """X Psi, Y and Omega in the rows the sweep works in: the N data rows,
-    or, after a statistics Omega step, the P + K + S1 rows it drew in."""
-    compressed = shared.get("compressed")
-    if state.Omega is None and compressed is not None and compressed[0] is state.Psi:
-        return compressed[1:]
-    return _x_psi(state, data, shared), data.Y, state.Omega
+    or, after a statistics Omega step, the P + K + S1 rows it drew in.
+
+    They are kept in ``shared["rows"]`` as (Psi, Omega, X Psi, Y, Omega
+    rows), formed from the N data rows when ``state.Psi`` or ``state.Omega``
+    is not the one recorded, and overwritten by the Omega step.
+    """
+    cached = shared.get("rows")
+    if cached is None or cached[0] is not state.Psi or cached[1] is not state.Omega:
+        cached = shared["rows"] = (state.Psi, state.Omega, data.X @ state.Psi, data.Y,
+                                   state.Omega)
+    return cached[2:]
 
 
 def _design(state, data, config: ModelConfig, shared: dict):
@@ -481,33 +476,33 @@ def update_omega(state, data, config: ModelConfig, streams, shared: dict):
     batch has the block factor (``ChainData.target_rows``), the draw is made
     in the P + K + S1 rows of ``_compressed_rows``, which give everything
     the rest of the sweep reads of Omega (X'Omega, Y'Omega, Omega'Omega) its
-    law, without a pass over X or Y. Those rows are left in ``shared``
-    (``_rows`` reads them) and ``state.Omega`` becomes None. Otherwise, and
-    when called with a ``shared`` lacking the key, Omega's N rows are drawn.
-    ``shared["omega_rows"]`` then records which was done.
+    law, without a pass over X or Y, and ``state.Omega`` becomes None.
+    Otherwise, and when called with a ``shared`` lacking the key, Omega's N
+    rows are drawn. Either way the rows drawn in are left in ``shared`` for
+    ``_rows``.
     """
     if config.variant is not Variant.LATENT_NOISE:
         raise ConfigurationError("omega update applies to the latent-noise variant")
     if not config.sigma_omega_sq or config.sigma_omega_sq <= 0:
         raise ConfigurationError("sampling Omega requires sigma_omega_sq > 0")
-    shared["omega_rows"] = shared.get("omega_rows", True) or data.target_rows is None
-    if shared["omega_rows"]:
-        state.Omega = _T(_draw(_omega_system(
-            state, data, _x_psi(state, data, shared), data.Y, "omega update"), streams))
+    if shared.get("omega_rows", True) or data.target_rows is None:
+        x_psi, Y, _ = _rows(state, data, shared)
+        state.Omega = omega = _T(_draw(_omega_system(state, data, x_psi, Y, "omega update"),
+                                       streams))
     else:
         # The compressed rows' normals Z~ = [G; L_W'] are drawn with them.
         x_psi, Z = _compressed_rows(state, data, streams)
-        omega = _T(_draw_from_precision(*_omega_system(
-            state, data, x_psi, data.target_rows, "omega update"), _T(Z)))
-        shared["compressed"] = state.Psi, x_psi, data.target_rows, omega
-        state.Omega = None
+        Y, state.Omega = data.target_rows, None
+        omega = _T(_draw_from_precision(*_omega_system(state, data, x_psi, Y, "omega update"),
+                                        _T(Z)))
+    shared["rows"] = state.Psi, state.Omega, x_psi, Y, omega
 
 
 def omega_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (N, S1) and shared covariance (S1, S1) of the Omega rows."""
     state, data, shared = _one_chain(state, dataset, config)
-    mean, cov = _precision_moments(*_omega_system(
-        state, data, _x_psi(state, data, shared), data.Y, "omega moments"))
+    x_psi, Y, _ = _rows(state, data, shared)
+    mean, cov = _precision_moments(*_omega_system(state, data, x_psi, Y, "omega moments"))
     return _T(mean)[0], cov[0]
 
 
@@ -516,9 +511,9 @@ def update_h(state, data, config: ModelConfig, streams, shared: dict):
 
     A state without the noise stack raises StateError (via ``tau_noise``).
     """
-    state.H = _T(_draw(_factor_rows_system(
-        state.Lambda, state.tau_noise, state, _x_psi(state, data, shared), data.Y, "H update"),
-        streams))
+    x_psi, Y, _ = _rows(state, data, shared)
+    state.H = _T(_draw(_factor_rows_system(state.Lambda, state.tau_noise, state, x_psi, Y,
+                                           "H update"), streams))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +562,7 @@ def _delta_quads(state, data, config: ModelConfig, shared: dict):
     quads = (state.phi_gamma * state.Gamma**2).sum(axis=-1) + (state.Psi**2).sum(axis=-2)
     count = state.Gamma.shape[-1] + state.Psi.shape[-2]
     if config.variant is Variant.LATENT_NOISE:
-        omega = state.Omega if state.Omega is not None else _rows(state, data, shared)[2]
+        omega = _rows(state, data, shared)[2]
         quads = quads + (omega**2).sum(axis=-2) / data.sigma_omega_sq[..., None]
         count += data.n_samples
     return quads, count
@@ -638,14 +633,14 @@ def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
     variant's list is empty. The list is built on each call from this
     module's global names, so a caller that replaces ``update_*`` here
     (fault injection, tracing) changes what the sweep calls. The updates
-    share X Psi, the Omega step's draw and the Gamma step's D'D and D'Y
+    share the sweep's rows (``_rows``) and the Gamma step's D'D and D'Y
     through one per-sweep dict. ``delta_step`` replaces the delta update
     when given (used by the sampler-validation harness for fault injection).
     The latent-noise Omega step draws statistics where it can, leaving
     ``state.Omega`` None, and N rows with ``omega_rows`` (``update_omega``).
-    The sweep, each step's wall time (added to its bucket), the Omega rows
-    and the residual fallbacks are counted in ``stats``, or in a fresh
-    RunStats that is dropped when none is given.
+    The sweep, each step's wall time (added to its bucket), a sweep that
+    leaves Omega's rows in ``state`` and the residual fallbacks are counted
+    in ``stats``, or in a fresh RunStats that is dropped when none is given.
 
     A numerical failure on any chain raises NumericalError from the step
     where it occurs, and ``state`` is then part-way through the sweep.
@@ -669,8 +664,7 @@ def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
         t0 = time.perf_counter()
         update(state, data, config, streams, shared)
         _accumulate(stats.wall_time_seconds, bucket, t0)
-    stats.omega_row_sweeps += bool(config.variant is Variant.LATENT_NOISE
-                                   and shared["omega_rows"])
+    stats.omega_row_sweeps += state.Omega is not None
     stats.rss_fallbacks += shared.get("rss_fallbacks", 0)
 
 

@@ -172,6 +172,28 @@ def test_fit_predict_pipeline(sim_dir, tmp_path):
     assert len(report["mse_per_target"]) == 5
 
 
+def test_fit_retaining_one_state_writes_strict_json_with_null_sd(sim_dir, tmp_path, recwarn):
+    # One retained state has no sample sd: the summary says null, not NaN.
+    config = write_config(tmp_path / "config.json", iterations=10, burn_in=5, thin=5)
+    fit_dir = tmp_path / "fit"
+    assert run_cli("fit", "--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv",
+                   "--config", config, "--out-dir", fit_dir) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    summary = json.loads((fit_dir / "posterior_summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["n_retained"] == 1
+    for name, entry in summary["parameter_summaries"].items():
+        assert entry["sd"] is None and entry["mean"] is not None, name
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert run_cli("predict", "--x", sim_dir / "X_test.csv",
+                   "--model", fit_dir / "posterior_summary.json",
+                   "--out-dir", tmp_path / "pred") == 0
+    assert lio.read_matrix_csv(tmp_path / "pred" / "Y_pred.csv")[0].shape == (40, 5)
+
+
 def awkward_data(case):
     """X, Y and rank of one awkward but valid data set: P > N, K = 1, a
     constant column, two equal columns, X or Y scaled by 1e8 or 1e-8, or a
@@ -644,7 +666,8 @@ def test_cv_and_assoc_ignore_threads_flag_and_environment(sim_dir, tmp_path, mon
     {"theta_mean": [[0.0] * 5] * 3 + [["x"] * 5]},           # not numbers
     [[0.0] * 5] * 4,                                          # not a JSON object
     {"theta_mean": [[0.0] * 5] * 3 + [[0.0] * 4 + [float("nan")]]},  # NaN entry
-], ids=["ragged", "non_numeric", "not_object", "nan"])
+    {"theta_mean": [[]] * 4},                                 # no targets
+], ids=["ragged", "non_numeric", "not_object", "nan", "no_targets"])
 def test_predict_malformed_model_exits_2_with_path(sim_dir, tmp_path, capsys, summary):
     model = tmp_path / "posterior_summary.json"
     lio.write_json(model, summary)
@@ -654,3 +677,58 @@ def test_predict_malformed_model_exits_2_with_path(sim_dir, tmp_path, capsys, su
     assert code == 2
     assert str(model) in capsys.readouterr().err
     assert not (out / "Y_pred.csv").exists()
+
+
+def test_predict_covariate_mismatch_exits_2(sim_dir, tmp_path, capsys):
+    model = tmp_path / "posterior_summary.json"
+    lio.write_json(model, {"theta_mean": [[0.0] * 5] * 3})
+    out = tmp_path / "pred"
+    code = run_cli("predict", "--x", sim_dir / "X_test.csv", "--model", model,
+                   "--out-dir", out)
+    assert code == 2
+    assert "model expects 3 covariates, X has 4 columns" in capsys.readouterr().err
+    assert not (out / "Y_pred.csv").exists()
+
+
+def test_out_dir_below_a_regular_file_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "not_a_directory"
+    blocker.write_text("", encoding="utf-8")
+    code = run_cli("simulate", "--n-train", 20, "--n-test", 10, "--out-dir", blocker / "out")
+    assert code == 4
+    assert capsys.readouterr().err.startswith("i/o failure: ")
+
+
+def fail_every_gamma_step(monkeypatch):
+    """Make every Gibbs sweep raise NumericalError in its Gamma step."""
+    import latent_brrr.gibbs as gibbs
+    from latent_brrr.errors import NumericalError
+
+    def fail(state, data, config, streams, shared):
+        raise NumericalError("synthetic failure in gamma update")
+
+    monkeypatch.setattr(gibbs, "update_gamma", fail)
+
+
+def test_cv_exits_3_when_every_grid_point_fails(sim_dir, tmp_path, capsys, monkeypatch):
+    fail_every_gamma_step(monkeypatch)
+    config = write_config(tmp_path / "config.json", iterations=20, burn_in=5, thin=1)
+    plan = tmp_path / "plan.json"
+    lio.write_json(plan, {"beta_grid": [0.1, 0.2], "rank_grid": [2], "n_folds": 2, "seed": 1})
+    out = tmp_path / "cv"
+    code = run_cli("cv", "--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv",
+                   "--config", config, "--plan", plan, "--out-dir", out)
+    assert code == 3
+    assert "every grid point failed" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_assoc_exits_3_when_a_fit_fails_on_both_seeds(sim_dir, tmp_path, capsys, monkeypatch):
+    fail_every_gamma_step(monkeypatch)
+    config = write_config(tmp_path / "config.json", iterations=20, burn_in=5, thin=1)
+    out = tmp_path / "assoc"
+    code = run_cli("assoc", "--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv",
+                   "--config", config, "--n-perm", 2, "--out-dir", out)
+    assert code == 3
+    assert "synthetic failure in gamma update (iteration 1)" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert not (out / "assoc.json").exists()
