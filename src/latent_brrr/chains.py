@@ -4,8 +4,8 @@ Each full conditional in ``gibbs`` updates a ``ModelState`` holding C >= 1
 chains along a leading axis (``ModelState.stack``), with their data in a
 ``ChainData`` and their Generators in a ``ChainStreams``. The ChainData
 forms every statistic of the data that the sweep reads (X'X, its
-eigendecomposition, X'Y, y'y and, for latent noise, the block factor the
-Omega step draws from), once per batch. Products are
+eigendecomposition, X'Y, y'y and the block factor a statistics sweep works
+in), once per batch. Products are
 batched ``@``, transposes swap the last two axes, and sums run along axis -1
 or -2, so one sweep call advances all C chains together: one stacked
 Cholesky, eigendecomposition or solve per step. ``gibbs.run_chains`` stacks
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from latent_brrr.errors import NumericalError
-from latent_brrr.model import Dataset, Dims, ModelConfig, stack_arrays
+from latent_brrr.model import FACTOR_ROWS, Dataset, Dims, ModelConfig, stack_arrays
 
 # Bytes of stacked per-chain arrays one batch of ``run_chains`` may hold
 # (counted by ``_chain_bytes``); more fits of one shape run in further batches.
@@ -40,8 +40,8 @@ _BATCH_BYTES = 32 * 2**20
 
 
 # Below this ratio of the smallest to the largest eigenvalue of X'X, the
-# columns of X count as collinear and the Omega step draws rows (see
-# ``ChainData``): the block factor's M = lam^{-1/2} U'X'Y would then carry
+# columns of X count as collinear and every sweep works in the N data rows
+# (see ``ChainData``): the block factor's M = lam^{-1/2} U'X'Y would then carry
 # rounding error of order 1e-16 * (lam_max / lam_min)^{1/2} relative to Y.
 # A squared Cholesky pivot of the Schur complement S below this fraction of
 # its diagonal entry counts S as singular.
@@ -54,10 +54,11 @@ _RESIDUAL_BLOCK_VALUES = 2**16
 @dataclass
 class RunStats:
     """Wall time per update bucket, Gibbs sweep calls and numerical events,
-    summed over runs: ``omega_row_sweeps`` counts the latent-noise sweeps
-    whose Omega step drew N rows rather than statistics, and
-    ``rss_fallbacks`` the (chain, target) residual sums that update_sigma
-    recomputed directly."""
+    summed over runs: ``omega_row_sweeps`` counts the sweeps, of every
+    variant, that worked in the N data rows rather than in the compressed
+    rows of a statistics sweep (the name is kept from when only latent noise
+    had the choice), and ``rss_fallbacks`` the (chain, target) residual sums
+    that update_sigma recomputed directly."""
 
     wall_time_seconds: dict[str, float] = field(default_factory=dict)
     sweeps: int = 0
@@ -90,21 +91,27 @@ class ChainData:
     latent-noise variance, resolved from its own X, comes from its config:
     ``sigma_omega_sq`` has shape (C,), or is None without latent noise.
 
-    For latent noise ``set_targets`` also forms ``target_rows``, from which
-    the Omega step draws statistics in place of rows (``gibbs.update_omega``).
+    ``set_targets`` also forms ``target_rows``, the Y columns of the rows a
+    statistics sweep works in (``gibbs._rows``) in place of the N data rows.
     With A = [X Y] and X'X = U diag(lam) U', A'A = R'R for the block factor
 
         R = [[lam^{1/2} U', M], [0, L_S']],   M = lam^{-1/2} U'X'Y,
 
     where L_S is the lower Cholesky factor of the Schur complement
     S = Y'Y - M'M. ``target_rows`` holds R's Y columns [M; L_S'], stacked
-    (C, P + K + S1, K) with S1 rows of zeros below; R's X columns are read
-    from the eigendecomposition. S is formed as E'E from the least-squares
+    (C, P + K + S, K) with S rows of zeros below for the variant's factor
+    rows (S1 for latent noise, S2 for independent noise, none for no
+    noise); R's X columns are read from the eigendecomposition. S is formed
+    as E'E from the least-squares
     residual E = Y - X (X'X)^{-1} X'Y, which keeps its small entries exact
     to rounding where a target is fitted nearly exactly. ``target_rows``
     is None, for the whole batch, where the factor is missing or unreliable:
-    N - P - K < S1 (which includes P + K >= N), collinear columns of X, or
+    N - P - K < S (which includes P + K > N), collinear columns of X, or
     S singular (both judged by ``_FACTOR_RCOND``).
+
+    ``x_psi`` is where ``gibbs._rows`` keeps X Psi between sweeps, in the
+    rows the batch's last sweep worked in, so a sweep that starts from the
+    last one's Psi in the same rows forms no product with X.
     """
 
     def __init__(self, datasets: Sequence[Dataset], configs: Sequence[ModelConfig]):
@@ -118,11 +125,11 @@ class ChainData:
             self.gram_eig = np.linalg.eigh(self.gram)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("eigendecomposition of the Gram matrix X'X failed") from exc
-        lam = self.gram_eig[0]
-        self._rank = configs[0].rank
-        self._factored = self.sigma_omega_sq is not None and \
-            self.n_samples - first.n_covariates - first.n_targets >= self._rank and \
-            bool((lam[..., 0] > _FACTOR_RCOND * lam[..., -1]).all())
+        # The rank of the variant's factor rows: rank for latent noise, noise_rank
+        # for independent noise (noise_rank is None otherwise), none for no noise.
+        config = configs[0]
+        self._pad = (config.noise_rank or config.rank) if config.variant in FACTOR_ROWS else 0
+        self.x_psi = None
         shared = all(d.Y is first.Y for d in datasets)
         self.set_targets(np.broadcast_to(first.Y, (len(datasets), *first.Y.shape)) if shared
                          else stack_arrays([d.Y for d in datasets]))
@@ -135,14 +142,17 @@ class ChainData:
         self.xty = self.X.swapaxes(-1, -2) @ Y
         # A sum of products, so a broadcast Y builds no (C, N, K) square.
         self.yty = np.einsum("...nk,...nk->...k", Y, Y)
-        self.target_rows = self._target_rows() if self._factored else None
+        self.target_rows = self._target_rows()
 
     def _target_rows(self) -> np.ndarray | None:
         lam, U = self.gram_eig
+        C, N, K = self.Y.shape
+        if N - lam.shape[-1] - K < self._pad or \
+                not (lam[..., 0] > _FACTOR_RCOND * lam[..., -1]).all():
+            return None
         isqrt = 1.0 / np.sqrt(lam)[..., :, None]
         M = isqrt * (U.swapaxes(-1, -2) @ self.xty)
         coef = U @ (isqrt * M)                       # (X'X)^{-1} X'Y
-        C, N, K = self.Y.shape
         schur = np.zeros((C, K, K))
         step = max(1, _RESIDUAL_BLOCK_VALUES // (C * K))
         for start in range(0, N, step):
@@ -158,8 +168,7 @@ class ChainData:
         pivots, diagonal = np.diagonal(lower, 0, -2, -1), np.diagonal(schur, 0, -2, -1)
         if not (pivots**2 > _FACTOR_RCOND * diagonal).all():
             return None
-        zeros = np.zeros((C, self._rank, K))
-        return np.concatenate([M, lower.swapaxes(-1, -2), zeros], axis=-2)
+        return np.concatenate([M, lower.swapaxes(-1, -2), np.zeros((C, self._pad, K))], axis=-2)
 
 
 class ChainStreams:

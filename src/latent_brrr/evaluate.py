@@ -1,4 +1,4 @@
-"""Scoring utilities: test MSE, null-model comparison, PTVE, permutation test."""
+"""Scoring utilities: test MSE, PTVE, permutation test."""
 
 from __future__ import annotations
 
@@ -10,24 +10,6 @@ from latent_brrr.errors import ConfigurationError, NumericalError
 # run_chain stays bound here for callers and tracers that patch it by module.
 from latent_brrr.gibbs import RunStats, batch_width, run_chain, run_chains  # noqa: F401
 from latent_brrr.model import Dataset, ModelConfig, PosteriorSamples, total_variance
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-target and aggregate prediction scores against the null model."""
-
-    mse_total: float
-    mse_per_target: np.ndarray
-    n_better_than_null: int
-    mse_predictable: float
-
-    def as_dict(self) -> dict:
-        return {
-            "mse_total": self.mse_total,
-            "mse_per_target": self.mse_per_target.tolist(),
-            "n_better_than_null": self.n_better_than_null,
-            "mse_predictable": self.mse_predictable,
-        }
 
 
 @dataclass(frozen=True)
@@ -82,45 +64,6 @@ def mse(predictions: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         squares[0] = np.add.reduce(squares[:1 + len(rows)], axis=0)
     per_target = squares[0] / N
     return float(per_target.mean()), per_target
-
-
-def null_model(y_train: np.ndarray) -> np.ndarray:
-    """Constant predictor at the training column means."""
-    y_train = np.asarray(y_train, dtype=float)
-    if y_train.ndim != 2 or y_train.shape[0] == 0:
-        raise ConfigurationError("null model needs a non-empty training matrix")
-    return y_train.mean(axis=0)
-
-
-def null_predictions(y_train: np.ndarray, n_rows: int) -> np.ndarray:
-    return np.tile(null_model(y_train), (n_rows, 1))
-
-
-def eval_report(predictions: np.ndarray, y_test: np.ndarray,
-                null_prediction: np.ndarray,
-                comparison_predictions: tuple[np.ndarray, ...] = ()) -> EvalReport:
-    """Score predictions against targets and the null model.
-
-    ``n_better_than_null`` counts targets this method predicts better than
-    the null; ``mse_predictable`` is this method's MSE over the targets that
-    at least one of the supplied methods (this one or any comparison)
-    predicts better than the null.
-    """
-    total, per_target = mse(predictions, y_test)
-    null_pred = np.broadcast_to(np.asarray(null_prediction, float), y_test.shape)
-    _, null_per_target = mse(np.array(null_pred), y_test)
-    better = per_target < null_per_target
-    predictable = better.copy()
-    for other in comparison_predictions:
-        _, other_per_target = mse(other, y_test)
-        predictable |= other_per_target < null_per_target
-    mse_predictable = float(per_target[predictable].mean()) if predictable.any() else float("nan")
-    return EvalReport(
-        mse_total=total,
-        mse_per_target=per_target,
-        n_better_than_null=int(better.sum()),
-        mse_predictable=mse_predictable,
-    )
 
 
 def ptve(samples: PosteriorSamples, dataset: Dataset) -> float:

@@ -6,8 +6,16 @@ pair (Psi, Omega) is a valid blocked update. The fixed cycle is
 
     Psi (Omega marginalized) -> Omega -> Gamma -> phi_gamma -> delta -> sigma_sq
 
-Independent noise draws H in Omega's place and Lambda after Gamma, with its
-own phi and delta; no noise has neither Omega nor H. ``gibbs_sweep`` writes
+Independent noise draws its factor rows H first and Lambda after Gamma,
+with its own phi and delta:
+
+    H -> Psi -> Gamma -> Lambda -> phi_gamma -> phi_lambda -> delta
+      -> delta_noise -> sigma_sq
+
+a rotation of a systematic scan, so no step reads an H left over from the
+previous sweep. (Omega cannot lead its cycle the same way: the Psi step is
+partially collapsed over Omega, so Omega must follow it directly; van Dyk &
+Park, JASA 2008.) No noise has neither Omega nor H. ``gibbs_sweep`` writes
 each variant's cycle once, as a list of (timing bucket, update) steps run
 in one timed loop. It builds the list on each call from this module's
 ``update_*`` names, so fault injection and tracing that replace one of them
@@ -33,26 +41,30 @@ Every variant's mean is D B (``model.mean_design``, ``mean_coefficients``)
 with D = [X Psi (+ Omega) | H] and B = [Gamma; Lambda]; H and Lambda exist
 only for independent noise. The data enter through the statistics the
 ChainData forms when it is built (X'X, its eigendecomposition, X'Y, y'y,
-and for latent noise the block factor R of A'A, A = [X Y]).
+and the block factor R of A'A, A = [X Y]).
 
 The Gaussian steps other than fast Psi (naive Psi, Gamma, Lambda, Omega
 and H) and their moment oracles factor each precision through one kernel,
 ``_factor``, which checks that it is finite and returns the inverse
 Cholesky factor; the steps draw through ``_draw_from_precision`` and the
 oracles read ``_precision_moments``, so a non-finite precision is reported
-by the step where it appears. Omega and H are drawn as
+by the step where it appears. Omega and H, the factor rows F of their
+variant, are drawn by one body (``_update_factor_rows``) as
 F = Y C_Y + (X Psi) C_Psi + Z C_Z with Z standard normal
 (``_factor_rows_system``).
 
-A latent-noise sweep reads Omega only through X'Omega, Y'Omega and
-Omega'Omega, so where the batch has R it draws Omega in P + K + S1 rows
-whose cross-products have the law those of the N rows have
-(``_compressed_rows``), and makes no pass over X or Y. It draws Omega's
-N rows, forming X Psi, on the sweeps whose states the schedule retains
-(``samples.bin`` stores Omega) and in batches without R (P + K + S1 > N,
-collinear X, a singular Schur complement).
-The other variants form X Psi every sweep, and independent noise X'H for
-its Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'.
+Every variant takes its rows from one source, ``_rows``. A sweep reads the
+data and F only through cross-products (X'F, Y'F, F'F, D'D, D'Y), so where
+the batch has R a statistics sweep works in P + K + S rows, S the rank of
+F (none for no noise), whose cross-products have the law those of the N
+rows have (``_compressed_rows``), and makes no pass over X or Y. For no
+noise these rows give D'D = Psi'X'X Psi and D'Y = Psi'X'Y up to rounding.
+A sweep works in the N data rows, forming X Psi (and X'H for independent
+noise's Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'), where the
+schedule retains its state (``samples.bin`` stores Omega and H) and in
+batches without R (P + K + S > N, collinear X, a singular Schur
+complement). X Psi is kept from one sweep to the next, so the H step of
+a row sweep that follows one reads X Psi without a pass over X.
 The Gamma step forms D, D'D and D'Y in the sweep's rows, from which Gamma
 (Z'Y - (Z'H) Lambda, Z = X Psi (+ Omega)), Lambda (H'Y - (H'Z) Gamma) and
 sigma read, with target k's residual sum of squares
@@ -64,7 +76,7 @@ and the sum cancels it into rss_k, so the relative error grows like
 sqrt(N) * y_k'y_k / rss_k: measured against an 80-bit reference, at most
 about 2e-16 * sqrt(N) * y_k'y_k / rss_k. Where rss_k falls below
 1e-3 * y_k'y_k, that target's sum is recomputed from the residual
-y_k - D b_k itself (an N x S product; in the P + K + S1 rows of a
+y_k - D b_k itself (an N x S product; in the P + K + S rows of a
 statistics sweep, the form given at ``update_sigma``). The bound keeps the
 relative error of the expanded sum below 1e-10 for N up to about 2e5 (measured:
 4e-12 at N = 5000, 1.5e-11 at N = 5e5); fits with rss_k that small are
@@ -82,6 +94,7 @@ import numpy as np
 from latent_brrr.chains import ChainData, ChainStreams, ChainsTrace, RunStats, batch_width
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import (
+    FACTOR_ROWS,
     Dataset,
     Dims,
     ModelConfig,
@@ -163,10 +176,12 @@ def _draw_from_precision(inv_lower: np.ndarray, lin: np.ndarray, z: np.ndarray) 
     return _T(inv_lower) @ w
 
 
-def _draw(system, streams) -> np.ndarray:
-    """``_draw_from_precision`` of a (L^{-1}, lin) ``system`` with fresh normals."""
+def _draw(system, streams, z: np.ndarray | None = None) -> np.ndarray:
+    """``_draw_from_precision`` of a (L^{-1}, lin) ``system`` with the normals
+    ``z``, or fresh ones."""
     inv_lower, lin = system
-    return _draw_from_precision(inv_lower, lin, streams.standard_normal(lin.shape))
+    return _draw_from_precision(inv_lower, lin, streams.standard_normal(lin.shape)
+                                if z is None else z)
 
 
 def _precision_moments(inv_lower: np.ndarray, lin: np.ndarray):
@@ -182,66 +197,68 @@ def _one_chain(state: ModelState, dataset: Dataset, config: ModelConfig):
 
 
 # ---------------------------------------------------------------------------
-# products shared within a sweep
+# the rows a sweep works in
 
 
-def _rows(state, data, shared: dict):
-    """X Psi, Y and Omega in the rows the sweep works in: the N data rows,
-    or, after a statistics Omega step, the P + K + S1 rows it drew in.
+def _rows(state, data, config: ModelConfig, shared: dict):
+    """X Psi, Y and the variant's factor rows F (Omega's or H's,
+    ``model.FACTOR_ROWS``; None for no noise) in the rows the sweep works
+    in: the N data rows, with the state's F, or, where
+    ``shared["compressed"]`` (``gibbs_sweep`` sets it), the P + K + S rows
+    A~ = [R; 0] of a statistics sweep (``_compressed_rows``), where X Psi is
+    [lam^{1/2} U' Psi; 0], Y is ``data.target_rows`` and F is what the
+    sweep's factor step drew (``shared["factor_rows"]``).
 
-    They are kept in ``shared["rows"]`` as (Psi, Omega, X Psi, Y, Omega
-    rows), formed from the N data rows when ``state.Psi`` or ``state.Omega``
-    is not the one recorded, and overwritten by the Omega step.
+    X Psi is kept in ``data.x_psi`` with the Psi and the rows it was formed
+    for, and formed again when either differs.
     """
-    cached = shared.get("rows")
-    if cached is None or cached[0] is not state.Psi or cached[1] is not state.Omega:
-        cached = shared["rows"] = (state.Psi, state.Omega, data.X @ state.Psi, data.Y,
-                                   state.Omega)
-    return cached[2:]
+    compressed = shared.get("compressed", False)
+    kept = data.x_psi
+    if kept is None or kept[0] is not state.Psi or kept[1] != compressed:
+        if compressed:
+            lam, U = data.gram_eig
+            x_psi = np.zeros((*data.target_rows.shape[:-1], state.Psi.shape[-1]))
+            x_psi[..., :lam.shape[-1], :] = np.sqrt(lam)[..., :, None] * (_T(U) @ state.Psi)
+        else:
+            x_psi = data.X @ state.Psi
+        kept = data.x_psi = state.Psi, compressed, x_psi
+    if compressed:
+        return kept[2], data.target_rows, shared.get("factor_rows")
+    return kept[2], data.Y, vars(state).get(FACTOR_ROWS.get(config.variant))
 
 
 def _design(state, data, config: ModelConfig, shared: dict):
     """The design D of ``model.mean_design`` and the targets Y in the
     sweep's rows (``_rows``), and the cross-products D'D, D'Y.
 
-    They are formed once per design (X Psi, Omega, H): the Gamma step forms
-    them and leaves them in ``shared``, and the Lambda and sigma steps, which
-    change no column of D, read them from there.
+    They are formed once per design (X Psi and the factor rows): the Gamma
+    step forms them and leaves them in ``shared``, and the Lambda and sigma
+    steps, which change no column of D, read them from there.
     """
-    key = (state.Psi, state.Omega, state.H)
+    x_psi, Y, F = _rows(state, data, config, shared)
     cached = shared.get("design")
-    if cached is None or any(a is not b for a, b in zip(cached[0], key)):
-        x_psi, Y, omega = _rows(state, data, shared)
-        D = mean_design(replace(state, Omega=omega), x_psi, config)
-        cached = shared["design"] = key, D, Y, _T(D) @ D, _T(D) @ Y
-    return cached[1:]
+    if cached is None or cached[0] is not x_psi or cached[1] is not F:
+        D = mean_design(x_psi, F, config)
+        cached = shared["design"] = x_psi, F, D, Y, _T(D) @ D, _T(D) @ Y
+    return cached[2:]
 
 
 # ---------------------------------------------------------------------------
 # Gamma (and Lambda) updates
 
 
-def _ridge_system(gram, lin_all, prior_prec_cols, sigma_sq, what):
-    """Factored Gaussian full conditionals of independent regression columns.
-
-    With design X* and targets y_i, ``gram`` = X*'X* and column i of
-    ``lin_all`` = X*'y_i. Column i follows N(S_i X*'y_i / s_i, S_i) with
-    S_i^{-1} = diag(prior_prec_cols[:, i]) + X*'X* / s_i. Returns L^{-1}
-    (``_factor``) for all S_i^{-1} from one batched call, stacked
-    (C, K, S1, S1), and the linear terms X*'y_i / s_i, stacked (C, K, S1, 1).
-    """
-    prec = gram[..., None, :, :] / sigma_sq[..., :, None, None]
-    return (_factor(prec, _T(prior_prec_cols), what),
-            _T(lin_all / sigma_sq[..., None, :])[..., None])
-
-
 def _block_system(state, data, config, shared, block, prior_prec_cols, what):
-    """Ridge system of one block of B's rows given the other: Gamma (block 0,
-    rows :S1) or Lambda (block 1, rows S1:).
+    """Factored Gaussian full conditionals of one block of B's rows given
+    the other, one independent regression per target: Gamma (block 0, rows
+    :S1) or Lambda (block 1, rows S1:).
 
     Its design is the block's columns D_b of D, and its linear term
-    D_b'Y - (D_b'D_r) B_r over the other block r: Z'Y - (Z'H) Lambda for
-    Gamma, with Z = D[:, :S1], and H'Y - (H'Z) Gamma for Lambda.
+    D_b'y_i - (D_b'D_r) b_ri over the other block r: Z'Y - (Z'H) Lambda for
+    Gamma, with Z = D[:, :S1], and H'Y - (H'Z) Gamma for Lambda. Column i
+    follows N(S_i lin_i / s_i, S_i) with S_i^{-1} = diag(prior_prec_cols[:, i])
+    + D_b'D_b / s_i. Returns L^{-1} (``_factor``) for all S_i^{-1} from one
+    batched call, stacked (C, K, S, S), and the linear terms lin_i / s_i,
+    stacked (C, K, S, 1).
     """
     *_, dtd, dty = _design(state, data, config, shared)
     S1 = state.Gamma.shape[-2]
@@ -250,7 +267,9 @@ def _block_system(state, data, config, shared, block, prior_prec_cols, what):
         rows, rest = rest, rows
     B = mean_coefficients(state, config)
     lin = dty[..., rows, :] - dtd[..., rows, rest] @ B[..., rest, :]
-    return _ridge_system(dtd[..., rows, rows], lin, prior_prec_cols, state.sigma_sq, what)
+    prec = dtd[..., rows, rows][..., None, :, :] / state.sigma_sq[..., :, None, None]
+    return (_factor(prec, _T(prior_prec_cols), what),
+            _T(lin / state.sigma_sq[..., None, :])[..., None])
 
 
 def update_gamma(state, data, config: ModelConfig, streams, shared: dict):
@@ -287,7 +306,7 @@ def update_lambda(state, data, config: ModelConfig, streams, shared: dict):
 # Psi updates (naive dense and fast reparameterized)
 
 
-def _psi_linear_terms(state, data, config):
+def _psi_linear_terms(state, data, config, shared):
     """Coupling matrix A = G M^{-1} G' and linear term (X'Y - (X'H) Lambda) M^{-1} G'.
 
     M is the K x K noise covariance of the Psi regression, D = diag(sigma_sq).
@@ -298,7 +317,9 @@ def _psi_linear_terms(state, data, config):
     covariates of large units) M itself is numerically singular, while the
     S1 x S1 system keeps its conditioning. The regression target is Y, less
     H Lambda for independent noise; with X'Y cached on the data the linear
-    term costs O(P K S1), plus the N x S2 product X'H for independent noise.
+    term costs O(P K S1), plus X'H in the sweep's rows for independent
+    noise: U lam^{1/2} H[:P] in the compressed rows, whose X columns are
+    [lam^{1/2} U'; 0].
     """
     minv_gt = _T(state.Gamma) / state.sigma_sq[..., :, None]     # D^{-1} G', (K, S1)
     if config.variant is Variant.LATENT_NOISE:
@@ -310,15 +331,18 @@ def _psi_linear_terms(state, data, config):
     A = 0.5 * (A + _T(A))
     xty = data.xty
     if config.variant is Variant.INDEPENDENT_NOISE:
-        xty = xty - (_T(data.X) @ state.H) @ state.Lambda
+        H = _rows(state, data, config, shared)[2]
+        lam, U = data.gram_eig
+        xty = xty - (U @ (np.sqrt(lam)[..., :, None] * H[..., :lam.shape[-1], :])
+                     if shared.get("compressed") else _T(data.X) @ H) @ state.Lambda
     return A, xty @ minv_gt                                        # (P, S1)
 
 
-def _psi_naive_system(state, data, config):
+def _psi_naive_system(state, data, config, shared):
     """L^{-1} (``_factor``) for the dense (P*S1, P*S1) Psi precision
     diag_h(tau_h I_P) + A (x) X'X, and the linear term vec(X' Y M^{-1} G')
     as a column."""
-    A, lin = _psi_linear_terms(state, data, config)
+    A, lin = _psi_linear_terms(state, data, config, shared)
     P, S1 = state.Psi.shape[-2:]
     lead = A.shape[:-2]
     prec = (A[..., :, None, :, None] * data.gram[..., None, :, None, :]).reshape(
@@ -334,11 +358,11 @@ def _unvec(column: np.ndarray, P: int) -> np.ndarray:
 
 def update_psi_naive(state, data, config: ModelConfig, streams, shared: dict):
     """Draw vec(Psi) from one dense (P*S1, P*S1) Gaussian system."""
-    draw = _draw(_psi_naive_system(state, data, config), streams)
+    draw = _draw(_psi_naive_system(state, data, config, shared), streams)
     state.Psi = _unvec(draw, state.Psi.shape[-2])
 
 
-def _psi_fast_system(state, data, config):
+def _psi_fast_system(state, data, config, shared):
     """The prior-whitened, doubly-diagonalized Psi system.
 
     After scaling column h of Psi by tau_h^{1/2} the joint precision is
@@ -348,7 +372,7 @@ def _psi_fast_system(state, data, config):
     has independent entries N(C / denom, 1 / denom). Returns
     (U_x, U_a, tau^{-1/2}, denom, C).
     """
-    A, lin = _psi_linear_terms(state, data, config)
+    A, lin = _psi_linear_terms(state, data, config, shared)
     t_isqrt = 1.0 / np.sqrt(state.tau)
     A_tilde = A * (t_isqrt[..., :, None] * t_isqrt[..., None, :])
     lam_a, U_a = _checked(np.linalg.eigh,
@@ -362,7 +386,7 @@ def _psi_fast_system(state, data, config):
 
 def update_psi_fast(state, data, config: ModelConfig, streams, shared: dict):
     """Draw Psi through the prior-whitened, doubly-diagonalized system."""
-    U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, data, config)
+    U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, data, config, shared)
     W = C / denom + streams.standard_normal(denom.shape) / np.sqrt(denom)
     state.Psi = (U_x @ W @ _T(U_a)) * t_isqrt[..., None, :]
 
@@ -374,13 +398,13 @@ def psi_conditional_moments(state: ModelState, dataset: Dataset, config: ModelCo
     Both methods target the identical distribution and use the same system
     as the matching update; this is the hook the equivalence tests use.
     """
-    state, data, _ = _one_chain(state, dataset, config)
+    state, data, shared = _one_chain(state, dataset, config)
     P = state.Psi.shape[-2]
     if method == "naive":
-        mean, cov = _precision_moments(*_psi_naive_system(state, data, config))
+        mean, cov = _precision_moments(*_psi_naive_system(state, data, config, shared))
         return _unvec(mean[0], P), _unvec(np.diag(cov[0])[:, None], P)
     if method == "fast":
-        U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, data, config)
+        U_x, U_a, t_isqrt, denom, C = _psi_fast_system(state, data, config, shared)
         mean = (U_x @ (C / denom) @ _T(U_a)) * t_isqrt[..., None, :]
         var = ((U_x**2) @ (1.0 / denom) @ _T(U_a**2)) * (t_isqrt**2)[..., None, :]
         return mean[0], var[0]
@@ -402,118 +426,108 @@ def _factor_rows_system(loadings, prior_prec, state, x_psi, Y, what):
     (B Sigma^{-1} Gamma') (X Psi)' without an N x K residual.
     ``_draw_from_precision`` then gives F = Y C_Y + (X Psi) C_Psi + Z L^{-1},
     Z rows iid N(0, I_S), and ``_precision_moments`` its mean and covariance.
-    ``x_psi`` and ``Y`` are the N data rows or the compressed rows of a
-    statistics sweep (``_compressed_rows``).
+    ``x_psi`` and ``Y`` are in the sweep's rows (``_rows``).
     """
     bs = loadings * (1.0 / state.sigma_sq)[..., None, :]    # B Sigma^{-1}
     lin = bs @ _T(Y) - (bs @ _T(state.Gamma)) @ _T(x_psi)
     return _factor(bs @ _T(loadings), prior_prec, what), lin
 
 
-def _omega_system(state, data, x_psi, Y, what):
-    return _factor_rows_system(state.Gamma, state.tau / data.sigma_omega_sq[..., None],
-                               state, x_psi, Y, what)
-
-
-# A statistics sweep draws the S1 chi^2(dof) variates of its Bartlett
-# diagonal as sums of squared normals while dof * S1 is at most this: below
+# A statistics sweep draws the S chi^2(dof) variates of its Bartlett
+# diagonal as sums of squared normals while dof * S is at most this: below
 # it the extra normals cost less than a second Generator call per chain
 # (about 3 us against 4 ns per normal, numpy 2.4).
 _CHI2_BY_NORMALS = 512
 
 
-def _compressed_rows(state, data, streams):
-    """X Psi and a draw of Z in the P + K + S1 rows of a statistics sweep.
+def _compressed_rows(data, streams, S: int) -> np.ndarray:
+    """A draw of the normals Z~ in the P + K + S rows of a statistics sweep,
+    returned as Z~' (S, P + K + S) for ``_draw_from_precision``.
 
     With A = [X Y] and R the block factor of A'A (``ChainData``), take the
-    rows A~ = [R; 0] and Z~ = [G; L_W'], with G (P + K, S1) standard
-    normal and W = L_W L_W' ~ Wishart_S1(N - P - K, I) by Bartlett's
+    rows A~ = [R; 0] and Z~ = [G; L_W'], with G (P + K, S) standard
+    normal and W = L_W L_W' ~ Wishart_S(N - P - K, I) by Bartlett's
     decomposition: L_W is lower triangular with N(0, 1) entries below the
-    diagonal and (L_W)_ii^2 ~ chi^2(N - P - K - i), i = 0, ..., S1 - 1
+    diagonal and (L_W)_ii^2 ~ chi^2(N - P - K - i), i = 0, ..., S - 1
     (Odell & Feiveson, JASA 1966). Then A~'A~ = A'A, and (A~'Z~, Z~'Z~) =
-    (R'G, G'G + W) has the law of (A'Z, Z'Z) for Z (N, S1) iid N(0, 1): G is
+    (R'G, G'G + W) has the law of (A'Z, Z'Z) for Z (N, S) iid N(0, 1): G is
     Z's part along A, rotated into R's coordinates, and W the Gram matrix of
     its independent remainder. Every cross-product of columns A c + Z d the
-    sweep reads (D'D, D'Y, Omega'Omega, and a residual's sum of squares) so
-    has its law over N rows. A~ Psi is [lam^{1/2} U' Psi; 0], and A~'s Y
-    columns are ``data.target_rows``.
+    sweep reads (D'D, D'Y, F'F, X'F and a residual's sum of squares) so has
+    its law over N rows. A~ Psi is [lam^{1/2} U' Psi; 0], and A~'s Y columns
+    are ``data.target_rows`` (``_rows``).
 
     Each chain draws its normals in one ``standard_normal`` call: G, an
-    S1 x S1 block whose part above the diagonal gives L_W', and one whose
-    part above the diagonal adds S1 - 1 - i squares to (L_W)_ii^2. What is
-    left, chi^2(N - P - K - S1 + 1) for every i, is one Gamma call of one
-    shape (several times faster than a call with S1 shapes) or, where
+    S x S block whose part above the diagonal gives L_W', and one whose
+    part above the diagonal adds S - 1 - i squares to (L_W)_ii^2. What is
+    left, chi^2(N - P - K - S + 1) for every i, is one Gamma call of one
+    shape (several times faster than a call with S shapes) or, where
     ``_CHI2_BY_NORMALS`` allows, the sum of squares of a last block of
     normals in the same call.
     """
-    lam, U = data.gram_eig
-    lead, (P, S1) = state.Psi.shape[:-2], state.Psi.shape[-2:]
-    rows = data.target_rows.shape[-2]
-    m = rows - S1
-    dof = data.n_samples - m - S1 + 1
-    by_normals = dof * S1 <= _CHI2_BY_NORMALS
-    z = streams.standard_normal((*lead, m + 2 * S1 + dof * by_normals, S1))
-    Z = z[..., :rows, :]
-    # Row j of the next S1 x S1 block has S1 - 1 - j entries above the diagonal.
-    extra = (np.triu(z[..., rows:rows + S1, :], 1) ** 2).sum(axis=-1)
+    lead, rows = data.target_rows.shape[:-2], data.target_rows.shape[-2]
+    m = rows - S
+    dof = data.n_samples - m - S + 1
+    by_normals = dof * S <= _CHI2_BY_NORMALS
+    z = streams.standard_normal((*lead, m + 2 * S + dof * by_normals, S))
+    # Row i of each S x S block has S - 1 - i entries above the diagonal.
+    upper = np.arange(S) > np.arange(S)[:, None]
+    extra = ((z[..., rows:rows + S, :] * upper) ** 2).sum(axis=-1)
     if by_normals:
-        chi2 = (z[..., rows + S1:, :] ** 2).sum(axis=-2)
+        chi2 = (z[..., rows + S:, :] ** 2).sum(axis=-2)
     else:
-        chi2 = streams.gamma(0.5 * dof, np.full((*lead, S1), 2.0))
-    Z[..., m:, :] = np.triu(Z[..., m:, :], 1)
-    diag = np.arange(S1)
-    Z[..., m + diag, diag] = np.sqrt(chi2 + extra)
-    x_psi = np.zeros((*lead, rows, S1))
-    x_psi[..., :P, :] = np.sqrt(lam)[..., :, None] * (_T(U) @ state.Psi)
-    return x_psi, Z
+        chi2 = streams.gamma(0.5 * dof, np.full((*lead, S), 2.0))
+    Z = z[..., :rows, :]
+    Z[..., m:, :] = Z[..., m:, :] * upper + np.sqrt(chi2 + extra)[..., None, :] * np.eye(S)
+    return _T(Z)
+
+
+def _update_factor_rows(state, data, config: ModelConfig, streams, shared: dict,
+                        loadings, prior_prec, what: str) -> None:
+    """Draw the variant's factor rows F (``_factor_rows_system``) in the
+    sweep's rows: Omega's for latent noise, H's for independent noise.
+
+    In the N data rows F is the state's new field. In the compressed rows
+    of a statistics sweep the normals are ``_compressed_rows``' Z~, so F's
+    cross-products with X, Y and itself have their law over N rows without
+    a pass over X or Y; F is left in ``shared["factor_rows"]`` for the rest
+    of the sweep and the state's field becomes None.
+    """
+    x_psi, Y, _ = _rows(state, data, config, shared)
+    # The compressed rows' normals are drawn before the system is factored.
+    z = _compressed_rows(data, streams, loadings.shape[-2]) if shared.get("compressed") else None
+    F = _T(_draw(_factor_rows_system(loadings, prior_prec, state, x_psi, Y, what), streams, z))
+    setattr(state, FACTOR_ROWS[config.variant], F if z is None else None)
+    shared["factor_rows"] = F
 
 
 def update_omega(state, data, config: ModelConfig, streams, shared: dict):
-    """Draw the latent noise Omega (``_factor_rows_system``), as N rows or as
-    statistics.
-
-    When ``shared["omega_rows"]`` is false (``gibbs_sweep`` sets it) and the
-    batch has the block factor (``ChainData.target_rows``), the draw is made
-    in the P + K + S1 rows of ``_compressed_rows``, which give everything
-    the rest of the sweep reads of Omega (X'Omega, Y'Omega, Omega'Omega) its
-    law, without a pass over X or Y, and ``state.Omega`` becomes None.
-    Otherwise, and when called with a ``shared`` lacking the key, Omega's N
-    rows are drawn. Either way the rows drawn in are left in ``shared`` for
-    ``_rows``.
-    """
-    if config.variant is not Variant.LATENT_NOISE:
-        raise ConfigurationError("omega update applies to the latent-noise variant")
+    """Draw the latent noise Omega (``_update_factor_rows``), as N rows or,
+    on a statistics sweep, in the compressed rows."""
     if not config.sigma_omega_sq or config.sigma_omega_sq <= 0:
         raise ConfigurationError("sampling Omega requires sigma_omega_sq > 0")
-    if shared.get("omega_rows", True) or data.target_rows is None:
-        x_psi, Y, _ = _rows(state, data, shared)
-        state.Omega = omega = _T(_draw(_omega_system(state, data, x_psi, Y, "omega update"),
-                                       streams))
-    else:
-        # The compressed rows' normals Z~ = [G; L_W'] are drawn with them.
-        x_psi, Z = _compressed_rows(state, data, streams)
-        Y, state.Omega = data.target_rows, None
-        omega = _T(_draw_from_precision(*_omega_system(state, data, x_psi, Y, "omega update"),
-                                        _T(Z)))
-    shared["rows"] = state.Psi, state.Omega, x_psi, Y, omega
+    _update_factor_rows(state, data, config, streams, shared, state.Gamma,
+                        state.tau / data.sigma_omega_sq[..., None], "omega update")
 
 
 def omega_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (N, S1) and shared covariance (S1, S1) of the Omega rows."""
     state, data, shared = _one_chain(state, dataset, config)
-    x_psi, Y, _ = _rows(state, data, shared)
-    mean, cov = _precision_moments(*_omega_system(state, data, x_psi, Y, "omega moments"))
+    x_psi, Y, _ = _rows(state, data, config, shared)
+    mean, cov = _precision_moments(*_factor_rows_system(
+        state.Gamma, state.tau / data.sigma_omega_sq[..., None], state, x_psi, Y,
+        "omega moments"))
     return _T(mean)[0], cov[0]
 
 
 def update_h(state, data, config: ModelConfig, streams, shared: dict):
-    """Draw the independent-noise factor rows (unit-variance prior scale).
+    """Draw the independent-noise factor rows H (``_update_factor_rows``),
+    as N rows or, on a statistics sweep, in the compressed rows.
 
     A state without the noise stack raises StateError (via ``tau_noise``).
     """
-    x_psi, Y, _ = _rows(state, data, shared)
-    state.H = _T(_draw(_factor_rows_system(state.Lambda, state.tau_noise, state, x_psi, Y,
-                                           "H update"), streams))
+    _update_factor_rows(state, data, config, streams, shared, state.Lambda, state.tau_noise,
+                        "H update")
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +571,12 @@ def _draw_mgp_delta(delta: np.ndarray, quads: np.ndarray, count: int,
 
 
 def _delta_quads(state, data, config: ModelConfig, shared: dict):
-    """Quadratic forms and entry count entering the delta conditional; a
-    statistics sweep's diag(Omega'Omega) comes from its rows (``_rows``)."""
+    """Quadratic forms and entry count entering the delta conditional, with
+    diag(Omega'Omega) from the sweep's rows (``_rows``)."""
     quads = (state.phi_gamma * state.Gamma**2).sum(axis=-1) + (state.Psi**2).sum(axis=-2)
     count = state.Gamma.shape[-1] + state.Psi.shape[-2]
     if config.variant is Variant.LATENT_NOISE:
-        omega = _rows(state, data, shared)[2]
+        omega = _rows(state, data, config, shared)[2]
         quads = quads + (omega**2).sum(axis=-2) / data.sigma_omega_sq[..., None]
         count += data.n_samples
     return quads, count
@@ -575,9 +589,11 @@ def update_delta(state, data, config: ModelConfig, streams, shared: dict):
 
 
 def update_delta_noise(state, data, config: ModelConfig, streams, shared: dict):
-    """Global shrinkage increments for the independent-noise H/Lambda stack."""
-    quads = (state.phi_lambda * state.Lambda**2).sum(axis=-1) + (state.H**2).sum(axis=-2)
-    count = state.Lambda.shape[-1] + state.H.shape[-2]
+    """Global shrinkage increments for the independent-noise H/Lambda stack,
+    with diag(H'H) from the sweep's rows (``_rows``)."""
+    H = _rows(state, data, config, shared)[2]
+    quads = (state.phi_lambda * state.Lambda**2).sum(axis=-1) + (H**2).sum(axis=-2)
+    count = state.Lambda.shape[-1] + data.n_samples
     state.delta_noise = _draw_mgp_delta(state.delta_noise, quads, count,
                                          config.a1, config.a2, streams)
 
@@ -594,8 +610,8 @@ def update_sigma(state, data, config: ModelConfig, streams, shared: dict):
     A small sum is recomputed from the residual in the sweep's rows
     (``_rows``). In the rows of a statistics sweep, target k's residual
     A u_k - Z v_k becomes R u_k - G v_k stacked over L_W' v_k, so its sum of
-    squares is ||R u_k - G v_k||^2 + v_k' W v_k: no Omega rows are needed,
-    and no term cancels. ``shared["rss_fallbacks"]`` counts the recomputed
+    squares is ||R u_k - G v_k||^2 + v_k' W v_k: no N rows are needed, and
+    no term cancels. ``shared["rss_fallbacks"]`` counts the recomputed
     (chain, target) sums.
     """
     D, Y, dtd, dty = _design(state, data, config, shared)
@@ -633,38 +649,36 @@ def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
     variant's list is empty. The list is built on each call from this
     module's global names, so a caller that replaces ``update_*`` here
     (fault injection, tracing) changes what the sweep calls. The updates
-    share the sweep's rows (``_rows``) and the Gamma step's D'D and D'Y
-    through one per-sweep dict. ``delta_step`` replaces the delta update
-    when given (used by the sampler-validation harness for fault injection).
-    The latent-noise Omega step draws statistics where it can, leaving
-    ``state.Omega`` None, and N rows with ``omega_rows`` (``update_omega``).
-    The sweep, each step's wall time (added to its bucket), a sweep that
-    leaves Omega's rows in ``state`` and the residual fallbacks are counted
-    in ``stats``, or in a fresh RunStats that is dropped when none is given.
+    share the factor rows a statistics sweep draws and the Gamma step's D'D
+    and D'Y through one per-sweep dict. ``delta_step`` replaces the delta
+    update when given (used by the sampler-validation harness for fault
+    injection). Every variant's sweep works in the compressed rows of a
+    statistics sweep where the batch has them, leaving the state's factor
+    rows (Omega or H) None, and in the N data rows with ``omega_rows``
+    (``_rows``). The sweep, each step's wall time (added to its bucket), a
+    sweep in the N data rows (``omega_row_sweeps``, for every variant) and
+    the residual fallbacks are counted in ``stats``, or in a fresh RunStats
+    that is dropped when none is given.
 
     A numerical failure on any chain raises NumericalError from the step
     where it occurs, and ``state`` is then part-way through the sweep.
     """
     stats = RunStats() if stats is None else stats
     stats.sweeps += 1
-    shared: dict = {"omega_rows": omega_rows}
+    shared: dict = {"compressed": not omega_rows and data.target_rows is not None}
     psi = ("psi", update_psi_naive if config.psi_update == "naive" else update_psi_fast)
     gamma, phi = ("gamma", update_gamma), ("phi", update_phi_gamma)
     delta, sigma = ("delta", delta_step or update_delta), ("sigma", update_sigma)
-    if config.variant is Variant.LATENT_NOISE:
-        steps = [psi, ("omega", update_omega), gamma, phi, delta, sigma]
-    elif config.variant is Variant.INDEPENDENT_NOISE:
-        steps = [psi, ("h", update_h), gamma, ("lambda", update_lambda),
-                 phi, ("phi", update_phi_lambda), delta, ("delta", update_delta_noise), sigma]
-    elif config.variant is Variant.NO_NOISE:
-        steps = [psi, gamma, phi, delta, sigma]
-    else:
-        steps = []
+    steps = {Variant.LATENT_NOISE: [psi, ("omega", update_omega), gamma, phi, delta, sigma],
+             Variant.INDEPENDENT_NOISE: [("h", update_h), psi, gamma, ("lambda", update_lambda),
+                                         phi, ("phi", update_phi_lambda), delta,
+                                         ("delta", update_delta_noise), sigma],
+             Variant.NO_NOISE: [psi, gamma, phi, delta, sigma]}.get(config.variant, [])
     for bucket, update in steps:
         t0 = time.perf_counter()
         update(state, data, config, streams, shared)
         _accumulate(stats.wall_time_seconds, bucket, t0)
-    stats.omega_row_sweeps += state.Omega is not None
+    stats.omega_row_sweeps += not shared["compressed"]
     stats.rss_fallbacks += shared.get("rss_fallbacks", 0)
 
 
@@ -689,9 +703,10 @@ def _advance(datasets: Sequence[Dataset], configs: Sequence[ModelConfig],
     wall time per update bucket, the sweep count and the numerical events
     to ``stats``.
 
-    The sweeps whose states the schedule retains draw Omega's rows, whether
-    or not ``retain`` keeps them, so a chain draws the same variates in
-    ``run_chain`` (whose retained states carry Omega) as in ``run_chains``.
+    The sweeps whose states the schedule retains work in the N data rows,
+    whether or not ``retain`` keeps them, so a chain draws the same
+    variates in ``run_chain`` (whose retained states carry Omega or H) as in
+    ``run_chains``.
     """
     config = configs[0]
     first = datasets[0]

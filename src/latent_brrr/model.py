@@ -346,8 +346,15 @@ def mean_coefficients(state: ModelState, config: ModelConfig) -> np.ndarray:
     return state.Gamma
 
 
-def mean_design(state: ModelState, x_psi: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Design D of the mean D B of Y, from X Psi.
+# The ModelState field that holds each variant's factor rows, the N x S
+# draws that multiply the noise loadings in the mean D B: S = rank for
+# latent noise and noise_rank for independent noise.
+FACTOR_ROWS = {Variant.LATENT_NOISE: "Omega", Variant.INDEPENDENT_NOISE: "H"}
+
+
+def mean_design(x_psi: np.ndarray, rows: np.ndarray | None, config: ModelConfig) -> np.ndarray:
+    """Design D of the mean D B of Y, from X Psi and the variant's factor
+    rows (``FACTOR_ROWS``; None for no noise), in any one set of rows.
 
     With ``mean_coefficients`` this is the one place that says what each
     variant adds to X Psi Gamma. The first S1 columns of D multiply Gamma:
@@ -356,13 +363,13 @@ def mean_design(state: ModelState, x_psi: np.ndarray, config: ModelConfig) -> np
     sampler never forms the null variant's mean; a null state has Psi = 0
     and Gamma = 0, so its D B is zero.
     """
+    if config.variant not in FACTOR_ROWS:
+        return x_psi
+    if rows is None:
+        raise StateError(f"{config.variant.value} state has no {FACTOR_ROWS[config.variant]} rows")
     if config.variant is Variant.LATENT_NOISE:
-        if state.Omega is None:
-            raise StateError("latent-noise state has no Omega rows")
-        return x_psi + state.Omega
-    if config.variant is Variant.INDEPENDENT_NOISE:
-        return np.concatenate([x_psi, state.H], axis=-1)
-    return x_psi
+        return x_psi + rows
+    return np.concatenate([x_psi, rows], axis=-1)
 
 
 def marginal_covariance(state: ModelState, config: ModelConfig) -> np.ndarray:

@@ -28,7 +28,7 @@ disagreement shows up as large two-sample z-scores.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ import latent_brrr.gibbs as gibbs
 from latent_brrr.chains import ChainData, ChainStreams
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import (
+    FACTOR_ROWS,
     Dataset,
     Dims,
     ModelConfig,
@@ -344,20 +345,23 @@ def _draw_response(state: ModelState, X: np.ndarray, config: ModelConfig,
                    standard_normal) -> np.ndarray:
     """Y (C, N, K) given each stacked draw, noise from ``standard_normal``.
 
-    A latent-noise draw without Omega rows (a statistics sweep draws none)
-    takes fresh rows from their prior N(0, sigma_omega_sq / tau_h) given
-    tau, in the same call as the noise. That draws Y given the rest of the
+    A draw without its factor rows (a statistics sweep leaves Omega or H
+    None) takes fresh rows from their prior given the rest of the state,
+    N(0, sigma_omega_sq / tau_h) for Omega and N(0, 1 / tau_noise_h) for H,
+    in the same call as the noise. That draws Y given the rest of the
     state, which is all the next sweep reads: its Psi step integrates Omega
-    out.
+    out, and H is the first step of its cycle.
     """
-    (C, S1, K), N = state.Gamma.shape, X.shape[0]
-    if config.variant is Variant.LATENT_NOISE and state.Omega is None:
-        z = standard_normal((C, N, S1 + K))
-        omega = z[..., :S1] * np.sqrt(config.sigma_omega_sq / state.tau)[:, None, :]
-        state, noise = replace(state, Omega=omega), z[..., S1:]
+    (C, _, K), N = state.Gamma.shape, X.shape[0]
+    field = FACTOR_ROWS.get(config.variant)
+    rows = getattr(state, field) if field else None
+    if field and rows is None:
+        variance = config.sigma_omega_sq / state.tau if field == "Omega" else 1.0 / state.tau_noise
+        z = standard_normal((C, N, variance.shape[-1] + K))
+        rows, noise = z[..., :-K] * np.sqrt(variance)[:, None, :], z[..., -K:]
     else:
         noise = standard_normal((C, N, K))
-    mean = mean_design(state, X @ state.Psi, config) @ mean_coefficients(state, config)
+    mean = mean_design(X @ state.Psi, rows, config) @ mean_coefficients(state, config)
     return mean + noise * np.sqrt(state.sigma_sq)[:, None, :]
 
 
@@ -418,9 +422,9 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     min(n_iter, GEWEKE_MIN_SWEEPS), on one chain axis, each on a Generator
     spawned from ``rng`` and started from an exact prior draw; each
     iteration redraws every chain's Y given its draw (X stays fixed; a
-    latent-noise draw without Omega rows takes fresh ones from their prior,
-    ``_draw_response``), then sweeps, so the sweeps draw Omega's statistics
-    where they can. A correct sweep leaves the joint distribution
+    draw without its factor rows takes fresh ones from their prior,
+    ``_draw_response``), then sweeps, so the sweeps work in the compressed
+    rows of a statistics sweep where they can. A correct sweep leaves the joint distribution
     invariant, so each chain is stationary from its first step and the C
     chain means of any g are iid: their spread is the standard error
     (``_chain_mean_z``). The marginal side draws as many iid (prior, Y)

@@ -1,4 +1,4 @@
-"""Evaluation tests: MSE, null model, PTVE, permutation association test."""
+"""Evaluation tests: MSE, PTVE, permutation association test."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,7 @@ import pytest
 from latent_brrr.errors import ConfigurationError
 from latent_brrr.evaluate import (
     AssocResult,
-    eval_report,
     mse,
-    null_model,
-    null_predictions,
     permutation_test,
     ptve,
     ptve_from_theta,
@@ -54,34 +51,9 @@ def test_mse_equals_the_full_expression_bit_for_bit(shape, order):
 def test_mse_of_null_prediction_is_column_variance():
     rng = np.random.default_rng(1)
     y = rng.standard_normal((500, 4)) * np.array([1.0, 2.0, 0.5, 3.0])
-    pred = null_predictions(y, y.shape[0])
+    pred = np.tile(y.mean(axis=0), (y.shape[0], 1))
     _, per_target = mse(pred, y)
     assert np.allclose(per_target, y.var(axis=0), rtol=1e-12)
-
-
-def test_null_model_cases():
-    assert np.all(null_model(np.zeros((5, 3))) == 0.0)
-    row = np.array([[1.0, -2.0, 0.5]])
-    assert np.array_equal(null_model(row), row[0])
-    rng = np.random.default_rng(2)
-    y = rng.standard_normal((200, 3))
-    centered = y - y.mean(axis=0)
-    assert np.max(np.abs(null_model(centered))) < 1e-12
-
-
-def test_eval_report_counts_and_predictable_subset():
-    rng = np.random.default_rng(3)
-    y = rng.standard_normal((300, 3))
-    good = 0.1 * rng.standard_normal((300, 3))
-    pred = y - good  # beats null on every target
-    pred[:, 2] = y[:, 2] + 10.0  # ruins target 2
-    report = eval_report(pred, y, null_model(y))
-    assert report.n_better_than_null == 2
-    assert report.mse_predictable == pytest.approx(report.mse_per_target[:2].mean())
-    # a comparison method that predicts target 2 well widens the predictable set
-    other = y.copy()
-    report2 = eval_report(pred, y, null_model(y), comparison_predictions=(other,))
-    assert report2.mse_predictable == pytest.approx(report.mse_per_target.mean())
 
 
 def test_ptve_trivial_cases():

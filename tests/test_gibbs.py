@@ -9,7 +9,7 @@ import pytest
 
 import latent_brrr.gibbs as gibbs
 import latent_brrr.theory as theory
-from latent_brrr.chains import ChainData, ChainStreams
+from latent_brrr.chains import ChainData, ChainStreams, RunStats
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.gibbs import (
     gamma_conditional_moments,
@@ -240,18 +240,23 @@ def test_psi_draws_same_with_cached_xty(variant):
 @pytest.mark.parametrize("method", ["fast", "naive"])
 def test_independent_noise_sweep_keeps_psi_target_y_minus_h_lambda(method):
     # X'Y is no sufficient statistic here: the target moves with H Lambda.
+    # The sweep draws H first (its N rows, on a row sweep), and its Psi step
+    # regresses Y - H Lambda on X with that H and the other fields as they were.
     config = ModelConfig(variant=Variant.INDEPENDENT_NOISE, rank=2, noise_rank=2,
                          iterations=20, burn_in=10, thin=2, psi_update=method)
     rng = np.random.default_rng(12)
     state = sample_prior(config, Dims(40, 5, 4, 2), rng)
     X = rng.standard_normal((40, 5))
     Y = rng.standard_normal((40, 4))
-    swept = solo(gibbs.gibbs_sweep, state, Dataset(X=X, Y=Y), config,
-                 np.random.default_rng(5))
+    stacked, data = ModelState.stack([state]), ChainData([Dataset(X=X, Y=Y)], [config])
+    gibbs.gibbs_sweep(stacked, data, config, ChainStreams([np.random.default_rng(5)]),
+                      omega_rows=True)
+    swept = stacked.chain(0)
     update = update_psi_fast if method == "fast" else update_psi_naive
-    expected = solo(update, replace(state, Lambda=np.zeros_like(state.Lambda)),
-                    Dataset(X=X, Y=Y - state.H @ state.Lambda), config,
-                    np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    rng.standard_normal(state.H.size)    # the H step's normals
+    expected = solo(update, replace(state, H=swept.H, Lambda=np.zeros_like(state.Lambda)),
+                    Dataset(X=X, Y=Y - swept.H @ state.Lambda), config, rng)
     assert np.allclose(swept.Psi, expected.Psi, rtol=1e-10, atol=0.0)
 
 
@@ -331,7 +336,7 @@ def test_sweep_names_the_step_whose_precision_is_not_finite(variant, psi_update,
     noise = "delta_noise" if variant is Variant.INDEPENDENT_NOISE else "delta"
     stacked = ModelState.stack([replace(state, **{noise: np.full(2, 1e308)})])
     data = ChainData([dataset], [config])
-    assert (data.target_rows is None) == (variant is not Variant.LATENT_NOISE)
+    assert data.target_rows is not None
     with pytest.raises(NumericalError, match=f"^non-finite precision in {re.escape(step)}$"):
         gibbs.gibbs_sweep(stacked, data, config, ChainStreams([np.random.default_rng(0)]),
                           omega_rows=omega_rows)
@@ -503,7 +508,7 @@ def test_draw_helper_dense_psi_system(x_scale):
     state = replace(state, delta=np.array([1e-4, 1e4, 1e4]))
     scaled = Dataset(X=dataset.X * x_scale, Y=dataset.Y)
     inv_lower, lin = gibbs._psi_naive_system(ModelState.stack([state]),
-                                             ChainData([scaled], [config]), config)
+                                             ChainData([scaled], [config]), config, {})
     L = np.linalg.inv(inv_lower[0])
     assert_draw_helper_matches_solves(L @ L.T, lin[0])
 
@@ -675,12 +680,12 @@ def test_every_update_takes_the_sweep_signature():
             ["state", "data", "config", "streams", "shared"], update.__name__
 
 
-@pytest.mark.parametrize("variant, omega_rows", [
-    (Variant.LATENT_NOISE, True), (Variant.LATENT_NOISE, False),
-    (Variant.INDEPENDENT_NOISE, False), (Variant.NO_NOISE, False)])
+@pytest.mark.parametrize("omega_rows", [True, False])
+@pytest.mark.parametrize("variant", [Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE,
+                                     Variant.NO_NOISE])
 def test_sweep_matches_updates_called_one_by_one(variant, omega_rows):
     # Called alone, each row-path update takes a fresh ChainData and shared
-    # dict. The statistics path passes the Omega step's draw on through the
+    # dict. The statistics path passes the factor step's draw on through the
     # sweep's shared dict, so its updates share one.
     state, dataset, config = sweep_problem(variant)
     stacked, data = ModelState.stack([state]), ChainData([dataset], [config])
@@ -688,9 +693,9 @@ def test_sweep_matches_updates_called_one_by_one(variant, omega_rows):
                       omega_rows=omega_rows)
     swept = stacked.chain(0)
 
-    updates = [update_psi_fast]
-    updates += {Variant.LATENT_NOISE: [update_omega],
-                Variant.INDEPENDENT_NOISE: [gibbs.update_h]}.get(variant, [])
+    updates = {Variant.LATENT_NOISE: [update_psi_fast, update_omega],
+               Variant.INDEPENDENT_NOISE: [gibbs.update_h, update_psi_fast],
+               Variant.NO_NOISE: [update_psi_fast]}[variant]
     updates += [update_gamma]
     if variant is Variant.INDEPENDENT_NOISE:
         updates += [gibbs.update_lambda, update_phi_gamma, gibbs.update_phi_lambda,
@@ -699,12 +704,12 @@ def test_sweep_matches_updates_called_one_by_one(variant, omega_rows):
         updates += [update_phi_gamma, update_delta]
     updates += [update_sigma]
     rng = np.random.default_rng(5)
-    if omega_rows or variant is not Variant.LATENT_NOISE:
+    if omega_rows:
         s = state
         for update in updates:
             s = solo(update, s, dataset, config, rng)
     else:
-        stacked, shared = ModelState.stack([state]), {"omega_rows": False}
+        stacked, shared = ModelState.stack([state]), {"compressed": True}
         for update in updates:
             update(stacked, data, config, ChainStreams([rng]), shared)
         s = stacked.chain(0)
@@ -730,25 +735,28 @@ class CountingMatmul(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-@pytest.mark.parametrize("variant, omega_rows, passes", [
-    (Variant.LATENT_NOISE, False, 0), (Variant.LATENT_NOISE, True, 1),
-    (Variant.NO_NOISE, False, 1), (Variant.INDEPENDENT_NOISE, False, 2)])
-def test_sweep_multiplies_by_x_once(variant, omega_rows, passes):
-    # A latent-noise sweep that draws Omega's statistics reads X only
-    # through the ChainData's statistics, which it forms when it is built,
-    # before counting starts; one that draws Omega's rows forms X Psi.
-    # Independent noise also forms X'H in the Psi step, because its target
-    # Y - H Lambda changes every sweep.
+@pytest.mark.parametrize("variant, omega_rows, first, passes", [
+    (Variant.LATENT_NOISE, False, 0, 0), (Variant.LATENT_NOISE, True, 1, 1),
+    (Variant.NO_NOISE, False, 0, 0), (Variant.NO_NOISE, True, 1, 1),
+    (Variant.INDEPENDENT_NOISE, False, 0, 0), (Variant.INDEPENDENT_NOISE, True, 3, 2)])
+def test_sweep_multiplies_by_x_once(variant, omega_rows, first, passes):
+    # A statistics sweep reads X only through the ChainData's statistics,
+    # which it forms when it is built, before counting starts. A row sweep
+    # forms X Psi for the Psi it draws; independent noise also forms X'H in
+    # the Psi step, because its target Y - H Lambda changes every sweep, and
+    # the H step before it reads X Psi of the last sweep's Psi, which only a
+    # batch's first sweep forms.
     state, dataset, config = sweep_problem(variant)
     object.__setattr__(dataset, "X", dataset.X.view(CountingMatmul))
     stacked, data = ModelState.stack([state]), ChainData([dataset], [config])
     streams = ChainStreams([np.random.default_rng(5)])
-    for _ in range(3):
+    field = {Variant.LATENT_NOISE: "Omega", Variant.INDEPENDENT_NOISE: "H"}.get(variant)
+    for sweep in range(3):
         CountingMatmul.calls = 0
         gibbs.gibbs_sweep(stacked, data, config, streams, omega_rows=omega_rows)
-        assert CountingMatmul.calls == passes
-        if variant is Variant.LATENT_NOISE:
-            assert (stacked.Omega is None) == (not omega_rows)
+        assert CountingMatmul.calls == (passes if sweep else first)
+        if field:
+            assert (getattr(stacked, field) is None) == (not omega_rows)
 
 
 class CountingGenerator:
@@ -799,11 +807,12 @@ def draw_omega_statistics(state, data, config, rng, monkeypatch):
     real = gibbs._compressed_rows
 
     def capture(*args):
-        drawn["x_psi"], drawn["Z"] = real(*args)
-        return drawn["x_psi"], drawn["Z"]
+        Zt = real(*args)
+        drawn["Z"] = Zt.swapaxes(-1, -2)
+        return Zt
 
     monkeypatch.setattr(gibbs, "_compressed_rows", capture)
-    shared = {"omega_rows": False}
+    shared = {"compressed": True}
     update_omega(state, data, config, ChainStreams([rng]), shared)
     assert state.Omega is None
     return shared, drawn["Z"]
@@ -831,7 +840,7 @@ def consistent_rows(dataset, data, Z_compressed, rng):
 
 def row_draw(state, data, config, Z):
     """Omega's row draw (stacked state, fresh shared dict) with the normals Z."""
-    shared = {"omega_rows": True}
+    shared = {"compressed": False}
     update_omega(state, data, config, ScriptedNormal(lambda shape: Z.T[None].copy()), shared)
     assert state.Omega is not None
     return shared
@@ -849,7 +858,7 @@ def test_statistics_draw_equals_row_draw_on_consistent_rows(monkeypatch):
     row_shared = row_draw(by_rows, data, config,
                           consistent_rows(dataset, data, Z, np.random.default_rng(2)))
     omega = by_rows.Omega[0]
-    *_, target_rows, compressed = shared["rows"]
+    target_rows, compressed = data.target_rows, shared["factor_rows"]
     lam, U = data.gram_eig[0][0], data.gram_eig[1][0]
     P = dataset.n_covariates
     pairs = [(dataset.X.T @ omega, U @ (np.sqrt(lam)[:, None] * compressed[0][:P])),
@@ -865,38 +874,45 @@ def _T(a):
     return a.swapaxes(-1, -2)
 
 
-def omega_statistics(state, data, shared):
-    """X'Omega, Y'Omega and Omega'Omega of each chain, from Omega's rows or
-    from a statistics draw's compressed rows."""
-    if state.Omega is not None:
-        omega = state.Omega
-        return _T(data.X) @ omega, _T(data.Y) @ omega, _T(omega) @ omega
-    *_, target_rows, omega = shared["rows"]
+FACTOR_FIELDS = {Variant.LATENT_NOISE: "Omega", Variant.INDEPENDENT_NOISE: "H"}
+
+
+def factor_statistics(state, data, shared, field):
+    """X'F, Y'F and F'F of each chain for the factor rows F (Omega or H),
+    from the state's N rows or from a statistics draw's compressed rows."""
+    F = getattr(state, field)
+    if F is not None:
+        return _T(data.X) @ F, _T(data.Y) @ F, _T(F) @ F
+    F = shared["factor_rows"]
     lam, U = data.gram_eig
     P = data.X.shape[-1]
-    return (U @ (np.sqrt(lam)[..., :, None] * omega[..., :P, :]), _T(target_rows) @ omega,
-            _T(omega) @ omega)
+    return (U @ (np.sqrt(lam)[..., :, None] * F[..., :P, :]), _T(data.target_rows) @ F,
+            _T(F) @ F)
 
 
 @pytest.mark.parametrize("chi2_by_normals", [512, 0])
-def test_statistics_path_matches_row_path_in_distribution(monkeypatch, chi2_by_normals):
-    # 20,000 stacked copies of one state draw Omega by each path. Every
-    # entry of X'Omega, Y'Omega and Omega'Omega agrees in mean and variance
-    # (two-sample z below 4.5). N - P - K = 5, so the Bartlett draw of W
-    # has few degrees of freedom; its chi^2 variates come from normals or,
-    # with the threshold at 0, from a Gamma draw.
+@pytest.mark.parametrize("variant", [Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE])
+def test_statistics_path_matches_row_path_in_distribution(monkeypatch, variant, chi2_by_normals):
+    # 20,000 stacked copies of one state draw the factor rows (Omega, or H
+    # for independent noise) by each path. Every entry of X'F, Y'F and F'F
+    # agrees in mean and variance (two-sample z below 4.5). N - P - K = 5,
+    # so the Bartlett draw of W has few degrees of freedom; its chi^2
+    # variates come from normals or, with the threshold at 0, from a Gamma
+    # draw.
     monkeypatch.setattr(gibbs, "_CHI2_BY_NORMALS", chi2_by_normals)
-    state, dataset, config = statistics_sweep_problem(51, N=10, P=3, K=2, S1=2)
+    state, dataset, config = sweep_problem(variant, seed=51, N=10, P=3, K=2, S1=2)
+    update = update_omega if variant is Variant.LATENT_NOISE else gibbs.update_h
+    field = FACTOR_FIELDS[variant]
     C = 20_000
     data = ChainData([dataset] * C, [config] * C)
+    assert data.target_rows is not None
     draws = []
     for seed, omega_rows in ((1, True), (2, False)):
-        stacked, shared = ModelState.stack([state] * C), {"omega_rows": omega_rows}
-        update_omega(stacked, data, config,
-                     ChainStreams(np.random.default_rng(seed).spawn(C)), shared)
-        assert (stacked.Omega is not None) == omega_rows
-        draws.append(np.concatenate([s.reshape(C, -1)
-                                     for s in omega_statistics(stacked, data, shared)], axis=1))
+        stacked, shared = ModelState.stack([state] * C), {"compressed": not omega_rows}
+        update(stacked, data, config, ChainStreams(np.random.default_rng(seed).spawn(C)), shared)
+        assert (getattr(stacked, field) is not None) == omega_rows
+        draws.append(np.concatenate([s.reshape(C, -1) for s in
+                                     factor_statistics(stacked, data, shared, field)], axis=1))
     rows, stats = draws
     for values in (lambda d: d, lambda d: (d - d.mean(axis=0))**2):
         a, b = values(rows), values(stats)
@@ -905,25 +921,35 @@ def test_statistics_path_matches_row_path_in_distribution(monkeypatch, chi2_by_n
 
 
 @pytest.mark.parametrize("case", ["p_above_n", "few_rows", "duplicate_columns",
-                                  "duplicate_targets", "no_latent_noise"])
-def test_chain_data_has_no_factor_where_it_would_fail(case):
-    # N - P - K < S1 (P > N included), collinear columns of X and a
-    # singular Schur complement leave target_rows None, so the Omega step
-    # draws rows; only latent noise forms the factor.
-    variant = Variant.NO_NOISE if case == "no_latent_noise" else Variant.LATENT_NOISE
-    N, P = {"p_above_n": (12, 20), "few_rows": (9, 4)}.get(case, (40, 4))
-    state, dataset, config = sweep_problem(variant, seed=52, N=N, P=P, K=4)
+                                  "duplicate_targets", "regular"])
+@pytest.mark.parametrize("variant", [Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE,
+                                     Variant.NO_NOISE])
+def test_chain_data_has_no_factor_where_it_would_fail(variant, case):
+    # N - P - K < S (P > N included), collinear columns of X and a singular
+    # Schur complement leave target_rows None, so a sweep asked for
+    # statistics works in the N data rows. S is the rank of the variant's
+    # factor rows: S1 = 2 for latent noise, S2 = 3 for independent noise
+    # (its few-rows case has N - P - K = S1) and none for no noise.
+    S = {Variant.LATENT_NOISE: 2, Variant.INDEPENDENT_NOISE: 3}.get(variant, 0)
+    N, P = {"p_above_n": (12, 20), "few_rows": (4 + 4 + S - 1, 4)}.get(case, (40, 4))
+    _, dataset, config = sweep_problem(variant, seed=52, N=N, P=P, K=4)
+    if variant is Variant.INDEPENDENT_NOISE:
+        config = replace(config, noise_rank=3)
+    state = sample_prior(config, Dims(N, P, 4, 2), np.random.default_rng(52))
     X, Y = dataset.X.copy(), dataset.Y.copy()
     if case == "duplicate_columns":
         X[:, 1] = X[:, 0]
     if case == "duplicate_targets":
         Y[:, 1] = Y[:, 0]
     data = ChainData([Dataset(X=X, Y=Y)], [config])
-    assert data.target_rows is None
-    if variant is Variant.LATENT_NOISE:
-        stacked, shared = ModelState.stack([state]), {"omega_rows": False}
-        update_omega(stacked, data, config, ChainStreams([np.random.default_rng(0)]), shared)
-        assert stacked.Omega.shape == (1, N, 2)
+    assert (data.target_rows is None) == (case != "regular")
+    stacked, stats = ModelState.stack([state]), RunStats()
+    gibbs.gibbs_sweep(stacked, data, config, ChainStreams([np.random.default_rng(0)]),
+                      stats=stats)
+    assert stats.omega_row_sweeps == (case != "regular")
+    if variant in FACTOR_FIELDS:
+        rows = getattr(stacked, FACTOR_FIELDS[variant])
+        assert (rows is None) if case == "regular" else rows.shape == (1, N, S)
 
 
 def design_and_coefficients(state, dataset, variant):
@@ -1010,6 +1036,42 @@ def test_sigma_falls_back_without_omega_rows_on_a_statistics_sweep(monkeypatch):
     update_sigma(stacked, data, config, ScriptedGamma(), shared)
     assert shared["rss_fallbacks"] == 2
     assert np.allclose(stacked.sigma_sq[0], config.b_sigma + 0.5 * direct, rtol=1e-8, atol=0.0)
+
+
+def test_no_noise_statistics_rows_give_the_data_rows_sums():
+    # Without factor rows the compressed rows are R itself, with X Psi =
+    # [lam^{1/2} U' Psi; 0], so D'D = Psi'X'X Psi, D'Y = Psi'X'Y and every
+    # residual sum of squares equal their N-row values up to rounding.
+    # Targets 0 and 1 fit to 1e-7, so both paths recompute their sums from
+    # the residual; targets 2 and 3 keep the expanded sum. A negligible
+    # b_sigma makes the drawn rate half the sum of squares itself.
+    state, dataset, config = sweep_problem(Variant.NO_NOISE, seed=34, N=200, K=4)
+    config = replace(config, b_sigma=1e-30)
+    noise_sd = np.array([1e-7, 1e-7, 1.0, 1.0])
+    rng = np.random.default_rng(35)
+    Y = dataset.X @ state.Psi @ state.Gamma + rng.standard_normal(dataset.Y.shape) * noise_sd
+    dataset, state = Dataset(X=dataset.X, Y=Y), replace(state, sigma_sq=noise_sd**2)
+    data = ChainData([dataset], [config])
+    P, K = dataset.n_covariates, dataset.n_targets
+    assert data.target_rows.shape == (1, P + K, K)
+    direct = ((Y - dataset.X @ state.Psi @ state.Gamma)**2).sum(axis=0)
+    assert np.all(direct[:2] < gibbs._RSS_FALLBACK_RATIO * (Y[:, :2]**2).sum(axis=0))
+    sums = []
+    for omega_rows in (True, False):
+        stacked, shared = ModelState.stack([state]), {"compressed": not omega_rows}
+        D, _, dtd, dty = gibbs._design(stacked, data, config, shared)
+        assert D.shape[-2] == (dataset.n_samples if omega_rows else P + K)
+        update_sigma(stacked, data, config, ScriptedGamma(), shared)
+        assert shared["rss_fallbacks"] == 2
+        sums.append((dtd[0], dty[0], 2.0 * stacked.sigma_sq[0]))
+    (dtd_rows, dty_rows, rss_rows), (dtd_stats, dty_stats, rss_stats) = sums
+    assert np.allclose(dtd_stats, dtd_rows, rtol=0.0, atol=1e-13 * np.abs(dtd_rows).max())
+    assert np.allclose(dty_stats, dty_rows, rtol=0.0, atol=1e-13 * np.abs(dty_rows).max())
+    # The fallback sums carry rounding error of about 1e-16 |y| / 1e-7
+    # relative in either rows, the expanded ones far less.
+    for rss in (rss_rows, rss_stats):
+        assert np.allclose(rss[:2], direct[:2], rtol=1e-8, atol=0.0)
+        assert np.allclose(rss[2:], direct[2:], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -312,8 +312,10 @@ def test_geweke_accepts_independent_noise_variant():
 def test_geweke_detects_wrong_shape_delta_noise_update(monkeypatch):
     def forget_h_entries(state, data, config, streams, shared):
         # The shape parameter counts the Lambda entries but not the H rows,
-        # while the rate keeps both.
-        quads = (state.phi_lambda * state.Lambda**2).sum(axis=-1) + (state.H**2).sum(axis=-2)
+        # while the rate keeps both. H'H comes from the sweep's rows: a
+        # statistics sweep leaves state.H None.
+        H = gibbs._rows(state, data, config, shared)[2]
+        quads = (state.phi_lambda * state.Lambda**2).sum(axis=-1) + (H**2).sum(axis=-2)
         state.delta_noise = gibbs._draw_mgp_delta(state.delta_noise, quads,
                                                   state.Lambda.shape[-1],
                                                   config.a1, config.a2, streams)
