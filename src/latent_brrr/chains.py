@@ -4,8 +4,8 @@ Each full conditional in ``gibbs`` updates a ``ModelState`` holding C >= 1
 chains along a leading axis (``ModelState.stack``), with their data in a
 ``ChainData`` and their Generators in a ``ChainStreams``. The ChainData
 forms every statistic of the data that the sweep reads (X'X, its
-eigendecomposition, X'Y, y'y and the block factor a statistics sweep works
-in), once per batch. Products are
+eigendecomposition, X'Y and the rows of the block factor a statistics
+sweep works in), once per batch. Products are
 batched ``@``, transposes swap the last two axes, and sums run along axis -1
 or -2, so one sweep call advances all C chains together: one stacked
 Cholesky, eigendecomposition or solve per step. ``gibbs.run_chains`` stacks
@@ -53,21 +53,18 @@ _RESIDUAL_BLOCK_VALUES = 2**16
 
 @dataclass
 class RunStats:
-    """Wall time per update bucket, Gibbs sweep calls and numerical events,
-    summed over runs: ``omega_row_sweeps`` counts the sweeps, of every
-    variant, that worked in the N data rows rather than in the compressed
-    rows of a statistics sweep (the name is kept from when only latent noise
-    had the choice), and ``rss_fallbacks`` the (chain, target) residual sums
-    that update_sigma recomputed directly."""
+    """Wall time per update bucket and Gibbs sweep calls, summed over runs:
+    ``omega_row_sweeps`` counts the sweeps, of every variant, that worked in
+    the N data rows rather than in the compressed rows of a statistics sweep
+    (the name is kept from when only latent noise had the choice)."""
 
     wall_time_seconds: dict[str, float] = field(default_factory=dict)
     sweeps: int = 0
     omega_row_sweeps: int = 0
-    rss_fallbacks: int = 0
 
     def as_dict(self) -> dict:
         return {"wall_time_by_update": dict(self.wall_time_seconds), "sweeps": self.sweeps,
-                "omega_row_sweeps": self.omega_row_sweeps, "rss_fallbacks": self.rss_fallbacks}
+                "omega_row_sweeps": self.omega_row_sweeps}
 
 
 @dataclass(frozen=True)
@@ -87,27 +84,29 @@ class ChainData:
     X and Y are stacked from the chains' Datasets; chains that share one Y
     (permutations of X) read it through a broadcast view instead of copies.
     Building the ChainData forms X'X and its eigendecomposition, one
-    stacked ``eigh``, and ``set_targets`` forms X'Y and y'y. Each chain's
+    stacked ``eigh``, and ``set_targets`` forms X'Y. Each chain's
     latent-noise variance, resolved from its own X, comes from its config:
     ``sigma_omega_sq`` has shape (C,), or is None without latent noise.
 
-    ``set_targets`` also forms ``target_rows``, the Y columns of the rows a
-    statistics sweep works in (``gibbs._rows``) in place of the N data rows.
-    With A = [X Y] and X'X = U diag(lam) U', A'A = R'R for the block factor
+    A statistics sweep works in the rows A~ = [R; 0] (``gibbs._rows``) in
+    place of the N data rows of A = [X Y]. With X'X = U diag(lam) U',
+    A'A = R'R for the block factor
 
         R = [[lam^{1/2} U', M], [0, L_S']],   M = lam^{-1/2} U'X'Y,
 
     where L_S is the lower Cholesky factor of the Schur complement
-    S = Y'Y - M'M. ``target_rows`` holds R's Y columns [M; L_S'], stacked
-    (C, P + K + S, K) with S rows of zeros below for the variant's factor
-    rows (S1 for latent noise, S2 for independent noise, none for no
-    noise); R's X columns are read from the eigendecomposition. S is formed
-    as E'E from the least-squares
-    residual E = Y - X (X'X)^{-1} X'Y, which keeps its small entries exact
-    to rounding where a target is fitted nearly exactly. ``target_rows``
-    is None, for the whole batch, where the factor is missing or unreliable:
-    N - P - K < S (which includes P + K > N), collinear columns of X, or
-    S singular (both judged by ``_FACTOR_RCOND``).
+    S = Y'Y - M'M, and A~ has S rows of zeros below R for the variant's
+    factor rows (S1 for latent noise, S2 for independent noise, none for no
+    noise). Its X columns ``x_rows`` = [lam^{1/2} U'; 0], stacked
+    (C, P + K + S, P), depend on X alone and are formed with the
+    eigendecomposition; ``set_targets`` forms its Y columns
+    ``target_rows`` = [M; L_S'; 0], stacked (C, P + K + S, K). S is formed
+    as E'E from the least-squares residual E = Y - X (X'X)^{-1} X'Y, which
+    keeps its small entries exact to rounding where a target is fitted
+    nearly exactly. ``target_rows`` is None, for the whole batch, where the
+    factor is missing or unreliable: N - P - K < S (which includes
+    P + K > N), collinear columns of X, or S singular (both judged by
+    ``_FACTOR_RCOND``).
 
     ``x_psi`` is where ``gibbs._rows`` keeps X Psi between sweeps, in the
     rows the batch's last sweep worked in, so a sweep that starts from the
@@ -129,19 +128,23 @@ class ChainData:
         # for independent noise (noise_rank is None otherwise), none for no noise.
         config = configs[0]
         self._pad = (config.noise_rank or config.rank) if config.variant in FACTOR_ROWS else 0
+        # Rounding can leave an eigenvalue of a collinear X'X below zero; such
+        # a batch has no target_rows and never reads x_rows.
+        lam, U = self.gram_eig
+        root = np.sqrt(np.maximum(lam, 0.0))[..., :, None] * U.swapaxes(-1, -2)
+        self.x_rows = np.concatenate(
+            [root, np.zeros((len(datasets), first.n_targets + self._pad, root.shape[-1]))], axis=-2)
         self.x_psi = None
         shared = all(d.Y is first.Y for d in datasets)
         self.set_targets(np.broadcast_to(first.Y, (len(datasets), *first.Y.shape)) if shared
                          else stack_arrays([d.Y for d in datasets]))
 
     def set_targets(self, Y: np.ndarray) -> None:
-        """New targets Y, stacked (C, N, K), with X'Y, y'y and the block
-        factor's ``target_rows`` formed from them; X'X and its
-        eigendecomposition stay."""
+        """New targets Y, stacked (C, N, K), with X'Y and the block factor's
+        ``target_rows`` formed from them; X'X, its eigendecomposition and
+        ``x_rows`` stay."""
         self.Y = Y
         self.xty = self.X.swapaxes(-1, -2) @ Y
-        # A sum of products, so a broadcast Y builds no (C, N, K) square.
-        self.yty = np.einsum("...nk,...nk->...k", Y, Y)
         self.target_rows = self._target_rows()
 
     def _target_rows(self) -> np.ndarray | None:
@@ -200,10 +203,11 @@ class ChainStreams:
 def _chain_bytes(dims: Dims, config: ModelConfig) -> int:
     """A generous count of the bytes one chain adds to a batch: its copies of
     X and Y, the N-row arrays of a sweep (Omega or H, X Psi, D, the factor
-    draws), X'X with its eigenvectors and, for naive Psi, the dense system."""
+    draws, the residual), X'X with its eigenvectors, the compressed rows
+    ``x_rows`` and, for naive Psi, the dense system."""
     N, P, K = dims.n_samples, dims.n_covariates, dims.n_targets
     S = dims.rank + (config.noise_rank or 0)
-    count = N * (P + K + 4 * S) + 2 * P * P
+    count = N * (P + 2 * K + 4 * S) + 2 * P * P + (P + K + S) * P
     if config.psi_update == "naive":
         count += 3 * (P * dims.rank) ** 2
     return 8 * count

@@ -40,8 +40,8 @@ plus matrix products.
 Every variant's mean is D B (``model.mean_design``, ``mean_coefficients``)
 with D = [X Psi (+ Omega) | H] and B = [Gamma; Lambda]; H and Lambda exist
 only for independent noise. The data enter through the statistics the
-ChainData forms when it is built (X'X, its eigendecomposition, X'Y, y'y,
-and the block factor R of A'A, A = [X Y]).
+ChainData forms when it is built (X'X, its eigendecomposition, X'Y and the
+rows of the block factor R of A'A, A = [X Y]).
 
 The Gaussian steps other than fast Psi (naive Psi, Gamma, Lambda, Omega
 and H) and their moment oracles factor each precision through one kernel,
@@ -53,34 +53,26 @@ variant, are drawn by one body (``_update_factor_rows``) as
 F = Y C_Y + (X Psi) C_Psi + Z C_Z with Z standard normal
 (``_factor_rows_system``).
 
-Every variant takes its rows from one source, ``_rows``. A sweep reads the
-data and F only through cross-products (X'F, Y'F, F'F, D'D, D'Y), so where
-the batch has R a statistics sweep works in P + K + S rows, S the rank of
-F (none for no noise), whose cross-products have the law those of the N
-rows have (``_compressed_rows``), and makes no pass over X or Y. For no
-noise these rows give D'D = Psi'X'X Psi and D'Y = Psi'X'Y up to rounding.
-A sweep works in the N data rows, forming X Psi (and X'H for independent
-noise's Psi linear term (X'Y - (X'H) Lambda) M^{-1} G'), where the
-schedule retains its state (``samples.bin`` stores Omega and H) and in
-batches without R (P + K + S > N, collinear X, a singular Schur
-complement). X Psi is kept from one sweep to the next, so the H step of
-a row sweep that follows one reads X Psi without a pass over X.
-The Gamma step forms D, D'D and D'Y in the sweep's rows, from which Gamma
-(Z'Y - (Z'H) Lambda, Z = X Psi (+ Omega)), Lambda (H'Y - (H'Z) Gamma) and
-sigma read, with target k's residual sum of squares
-
-    rss_k = y_k'y_k - 2 b_k' D'y_k + b_k' D'D b_k.
-
-The cross-products carry rounding error of order 1e-16 * sqrt(N) * y_k'y_k,
-and the sum cancels it into rss_k, so the relative error grows like
-sqrt(N) * y_k'y_k / rss_k: measured against an 80-bit reference, at most
-about 2e-16 * sqrt(N) * y_k'y_k / rss_k. Where rss_k falls below
-1e-3 * y_k'y_k, that target's sum is recomputed from the residual
-y_k - D b_k itself (an N x S product; in the P + K + S rows of a
-statistics sweep, the form given at ``update_sigma``). The bound keeps the
-relative error of the expanded sum below 1e-10 for N up to about 2e5 (measured:
-4e-12 at N = 5000, 1.5e-11 at N = 5e5); fits with rss_k that small are
-rare, and the recomputation is cheap.
+Every variant reads its data through one pair of row matrices, X and Y in
+the rows the sweep works in (``_rows``), and forms X Psi as one product of
+them. A sweep reads the data and F only through cross-products (X'F, Y'F,
+F'F, D'D, D'Y) and residual sums of squares, so where the batch has R a
+statistics sweep works in P + K + S rows, S the rank of F (none for no
+noise), whose sums have the law those of the N rows have
+(``_compressed_rows``): the pair (``ChainData.x_rows``, ``target_rows``),
+and no pass over X or Y. For no noise these rows give D'D = Psi'X'X Psi,
+D'Y = Psi'X'Y and every residual sum up to rounding. A sweep works in the
+N data rows, the pair (X, Y), where the schedule retains its state
+(``samples.bin`` stores Omega and H) and in batches without R
+(P + K + S > N, collinear X, a singular Schur complement). X Psi is kept
+from one sweep to the next, so the H step of a row sweep that follows one
+reads X Psi without a pass over X. The Gamma step forms D, D'D and D'Y in
+the sweep's rows, from which Gamma (Z'Y - (Z'H) Lambda, Z = X Psi
+(+ Omega)) and Lambda (H'Y - (H'Z) Gamma) read; independent noise's Psi
+linear term (X'Y - (X'H) Lambda) M^{-1} G' reads X'H in the same rows.
+Sigma sums each target's squared residual y_k - D b_k directly in those
+rows: a sum without cancellation, unlike the expanded y'y - 2 b'D'y +
+b'D'D b, which loses its digits on data far from centred.
 """
 
 from __future__ import annotations
@@ -111,7 +103,7 @@ from latent_brrr.model import (
 @dataclass(frozen=True)
 class ChainTrace:
     """Retained samples plus the run's ``RunStats``: per-update cumulative
-    wall time in seconds, the sweep count and the numerical events."""
+    wall time in seconds and the sweep counts."""
 
     samples: PosteriorSamples
     stats: RunStats
@@ -201,30 +193,25 @@ def _one_chain(state: ModelState, dataset: Dataset, config: ModelConfig):
 
 
 def _rows(state, data, config: ModelConfig, shared: dict):
-    """X Psi, Y and the variant's factor rows F (Omega's or H's,
+    """X, Y, X Psi and the variant's factor rows F (Omega's or H's,
     ``model.FACTOR_ROWS``; None for no noise) in the rows the sweep works
     in: the N data rows, with the state's F, or, where
     ``shared["compressed"]`` (``gibbs_sweep`` sets it), the P + K + S rows
-    A~ = [R; 0] of a statistics sweep (``_compressed_rows``), where X Psi is
-    [lam^{1/2} U' Psi; 0], Y is ``data.target_rows`` and F is what the
+    A~ = [R; 0] of a statistics sweep (``_compressed_rows``), whose X and Y
+    are ``data.x_rows`` and ``data.target_rows`` and whose F is what the
     sweep's factor step drew (``shared["factor_rows"]``).
 
     X Psi is kept in ``data.x_psi`` with the Psi and the rows it was formed
     for, and formed again when either differs.
     """
     compressed = shared.get("compressed", False)
+    X, Y = (data.x_rows, data.target_rows) if compressed else (data.X, data.Y)
     kept = data.x_psi
     if kept is None or kept[0] is not state.Psi or kept[1] != compressed:
-        if compressed:
-            lam, U = data.gram_eig
-            x_psi = np.zeros((*data.target_rows.shape[:-1], state.Psi.shape[-1]))
-            x_psi[..., :lam.shape[-1], :] = np.sqrt(lam)[..., :, None] * (_T(U) @ state.Psi)
-        else:
-            x_psi = data.X @ state.Psi
-        kept = data.x_psi = state.Psi, compressed, x_psi
-    if compressed:
-        return kept[2], data.target_rows, shared.get("factor_rows")
-    return kept[2], data.Y, vars(state).get(FACTOR_ROWS.get(config.variant))
+        kept = data.x_psi = state.Psi, compressed, X @ state.Psi
+    F = shared.get("factor_rows") if compressed else \
+        vars(state).get(FACTOR_ROWS.get(config.variant))
+    return X, Y, kept[2], F
 
 
 def _design(state, data, config: ModelConfig, shared: dict):
@@ -232,10 +219,11 @@ def _design(state, data, config: ModelConfig, shared: dict):
     sweep's rows (``_rows``), and the cross-products D'D, D'Y.
 
     They are formed once per design (X Psi and the factor rows): the Gamma
-    step forms them and leaves them in ``shared``, and the Lambda and sigma
-    steps, which change no column of D, read them from there.
+    step forms them and leaves them in ``shared``, and the Lambda step
+    (D'D, D'Y) and the sigma step (D, Y), which change no column of D, read
+    them from there.
     """
-    x_psi, Y, F = _rows(state, data, config, shared)
+    _, Y, x_psi, F = _rows(state, data, config, shared)
     cached = shared.get("design")
     if cached is None or cached[0] is not x_psi or cached[1] is not F:
         D = mean_design(x_psi, F, config)
@@ -275,8 +263,8 @@ def _block_system(state, data, config, shared, block, prior_prec_cols, what):
 def update_gamma(state, data, config: ModelConfig, streams, shared: dict):
     """Draw the loading matrix Gamma column by column (targets independent).
 
-    X Psi is taken from ``shared``, and the design's D'D and D'Y are left
-    there for update_lambda and update_sigma.
+    X Psi is taken from ``_rows``, and the design D with D'D and D'Y is
+    left in ``shared`` for update_lambda and update_sigma.
     """
     state.Gamma = _T(_draw(_block_system(
         state, data, config, shared, 0, state.phi_gamma * state.tau[..., :, None],
@@ -317,9 +305,8 @@ def _psi_linear_terms(state, data, config, shared):
     covariates of large units) M itself is numerically singular, while the
     S1 x S1 system keeps its conditioning. The regression target is Y, less
     H Lambda for independent noise; with X'Y cached on the data the linear
-    term costs O(P K S1), plus X'H in the sweep's rows for independent
-    noise: U lam^{1/2} H[:P] in the compressed rows, whose X columns are
-    [lam^{1/2} U'; 0].
+    term costs O(P K S1), plus X'H in the sweep's rows (``_rows``) for
+    independent noise.
     """
     minv_gt = _T(state.Gamma) / state.sigma_sq[..., :, None]     # D^{-1} G', (K, S1)
     if config.variant is Variant.LATENT_NOISE:
@@ -331,10 +318,8 @@ def _psi_linear_terms(state, data, config, shared):
     A = 0.5 * (A + _T(A))
     xty = data.xty
     if config.variant is Variant.INDEPENDENT_NOISE:
-        H = _rows(state, data, config, shared)[2]
-        lam, U = data.gram_eig
-        xty = xty - (U @ (np.sqrt(lam)[..., :, None] * H[..., :lam.shape[-1], :])
-                     if shared.get("compressed") else _T(data.X) @ H) @ state.Lambda
+        X, _, _, H = _rows(state, data, config, shared)
+        xty = xty - (_T(X) @ H) @ state.Lambda
     return A, xty @ minv_gt                                        # (P, S1)
 
 
@@ -454,8 +439,8 @@ def _compressed_rows(data, streams, S: int) -> np.ndarray:
     Z's part along A, rotated into R's coordinates, and W the Gram matrix of
     its independent remainder. Every cross-product of columns A c + Z d the
     sweep reads (D'D, D'Y, F'F, X'F and a residual's sum of squares) so has
-    its law over N rows. A~ Psi is [lam^{1/2} U' Psi; 0], and A~'s Y columns
-    are ``data.target_rows`` (``_rows``).
+    its law over N rows. A~'s X and Y columns are ``data.x_rows`` and
+    ``data.target_rows`` (``_rows``).
 
     Each chain draws its normals in one ``standard_normal`` call: G, an
     S x S block whose part above the diagonal gives L_W', and one whose
@@ -493,7 +478,7 @@ def _update_factor_rows(state, data, config: ModelConfig, streams, shared: dict,
     a pass over X or Y; F is left in ``shared["factor_rows"]`` for the rest
     of the sweep and the state's field becomes None.
     """
-    x_psi, Y, _ = _rows(state, data, config, shared)
+    _, Y, x_psi, _ = _rows(state, data, config, shared)
     # The compressed rows' normals are drawn before the system is factored.
     z = _compressed_rows(data, streams, loadings.shape[-2]) if shared.get("compressed") else None
     F = _T(_draw(_factor_rows_system(loadings, prior_prec, state, x_psi, Y, what), streams, z))
@@ -513,7 +498,7 @@ def update_omega(state, data, config: ModelConfig, streams, shared: dict):
 def omega_conditional_moments(state: ModelState, dataset: Dataset, config: ModelConfig):
     """Exact mean (N, S1) and shared covariance (S1, S1) of the Omega rows."""
     state, data, shared = _one_chain(state, dataset, config)
-    x_psi, Y, _ = _rows(state, data, config, shared)
+    _, Y, x_psi, _ = _rows(state, data, config, shared)
     mean, cov = _precision_moments(*_factor_rows_system(
         state.Gamma, state.tau / data.sigma_omega_sq[..., None], state, x_psi, Y,
         "omega moments"))
@@ -576,7 +561,7 @@ def _delta_quads(state, data, config: ModelConfig, shared: dict):
     quads = (state.phi_gamma * state.Gamma**2).sum(axis=-1) + (state.Psi**2).sum(axis=-2)
     count = state.Gamma.shape[-1] + state.Psi.shape[-2]
     if config.variant is Variant.LATENT_NOISE:
-        omega = _rows(state, data, config, shared)[2]
+        omega = _rows(state, data, config, shared)[3]
         quads = quads + (omega**2).sum(axis=-2) / data.sigma_omega_sq[..., None]
         count += data.n_samples
     return quads, count
@@ -591,39 +576,26 @@ def update_delta(state, data, config: ModelConfig, streams, shared: dict):
 def update_delta_noise(state, data, config: ModelConfig, streams, shared: dict):
     """Global shrinkage increments for the independent-noise H/Lambda stack,
     with diag(H'H) from the sweep's rows (``_rows``)."""
-    H = _rows(state, data, config, shared)[2]
+    H = _rows(state, data, config, shared)[3]
     quads = (state.phi_lambda * state.Lambda**2).sum(axis=-1) + (H**2).sum(axis=-2)
     count = state.Lambda.shape[-1] + data.n_samples
     state.delta_noise = _draw_mgp_delta(state.delta_noise, quads, count,
                                          config.a1, config.a2, streams)
 
 
-# Below this fraction of y'y a target's expanded residual sum of squares is
-# recomputed from the residual itself; see the module docstring.
-_RSS_FALLBACK_RATIO = 1e-3
-
-
 def update_sigma(state, data, config: ModelConfig, streams, shared: dict):
     """Conjugate update of the target-specific noise precisions, with each
-    residual sum of squares of Y - D B taken from D'D and D'Y.
+    residual sum of squares of Y - D B summed in the sweep's rows (``_rows``).
 
-    A small sum is recomputed from the residual in the sweep's rows
-    (``_rows``). In the rows of a statistics sweep, target k's residual
-    A u_k - Z v_k becomes R u_k - G v_k stacked over L_W' v_k, so its sum of
-    squares is ||R u_k - G v_k||^2 + v_k' W v_k: no N rows are needed, and
-    no term cancels. ``shared["rss_fallbacks"]`` counts the recomputed
-    (chain, target) sums.
+    In the rows of a statistics sweep, target k's residual A u_k - Z v_k
+    becomes R u_k - G v_k stacked over L_W' v_k, so its sum of squares is
+    ||R u_k - G v_k||^2 + v_k' W v_k, that of the N rows.
     """
-    D, Y, dtd, dty = _design(state, data, config, shared)
-    B = mean_coefficients(state, config)
-    yty = data.yty
-    rss = yty - 2.0 * (B * dty).sum(axis=-2) + (B * (dtd @ B)).sum(axis=-2)
-    low = rss <= _RSS_FALLBACK_RATIO * yty
-    if low.any():
-        for c in np.ndindex(low.shape[:-1]):
-            k = np.flatnonzero(low[c])
-            rss[c][k] = ((Y[c][:, k] - D[c] @ B[c][:, k])**2).sum(axis=0)
-        shared["rss_fallbacks"] = int(low.sum())
+    D, Y, _, _ = _design(state, data, config, shared)
+    # D B - Y in place, so the sum builds one array of Y's shape and no square.
+    residual = D @ mean_coefficients(state, config)
+    residual -= Y
+    rss = np.einsum("...nk,...nk->...k", residual, residual)
     rate = config.b_sigma + 0.5 * rss
     precision = streams.gamma(config.a_sigma + 0.5 * data.n_samples, 1.0 / rate)
     state.sigma_sq = 1.0 / precision
@@ -655,10 +627,10 @@ def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
     injection). Every variant's sweep works in the compressed rows of a
     statistics sweep where the batch has them, leaving the state's factor
     rows (Omega or H) None, and in the N data rows with ``omega_rows``
-    (``_rows``). The sweep, each step's wall time (added to its bucket), a
-    sweep in the N data rows (``omega_row_sweeps``, for every variant) and
-    the residual fallbacks are counted in ``stats``, or in a fresh RunStats
-    that is dropped when none is given.
+    (``_rows``). The sweep, each step's wall time (added to its bucket) and
+    a sweep in the N data rows (``omega_row_sweeps``, for every variant) are
+    counted in ``stats``, or in a fresh RunStats that is dropped when none
+    is given.
 
     A numerical failure on any chain raises NumericalError from the step
     where it occurs, and ``state`` is then part-way through the sweep.
@@ -679,7 +651,6 @@ def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
         update(state, data, config, streams, shared)
         _accumulate(stats.wall_time_seconds, bucket, t0)
     stats.omega_row_sweeps += not shared["compressed"]
-    stats.rss_fallbacks += shared.get("rss_fallbacks", 0)
 
 
 def _resolved(dataset: Dataset, config: ModelConfig) -> ModelConfig:
@@ -700,8 +671,7 @@ def _advance(datasets: Sequence[Dataset], configs: Sequence[ModelConfig],
     Returns each chain's posterior mean of Theta and, with ``retain``, the
     first chain's retained states. A numerical failure on any chain is
     raised again as NumericalError with the iteration attached. Adds the
-    wall time per update bucket, the sweep count and the numerical events
-    to ``stats``.
+    wall time per update bucket and the sweep counts to ``stats``.
 
     The sweeps whose states the schedule retains work in the N data rows,
     whether or not ``retain`` keeps them, so a chain draws the same

@@ -314,7 +314,7 @@ def test_geweke_detects_wrong_shape_delta_noise_update(monkeypatch):
         # The shape parameter counts the Lambda entries but not the H rows,
         # while the rate keeps both. H'H comes from the sweep's rows: a
         # statistics sweep leaves state.H None.
-        H = gibbs._rows(state, data, config, shared)[2]
+        H = gibbs._rows(state, data, config, shared)[3]
         quads = (state.phi_lambda * state.Lambda**2).sum(axis=-1) + (H**2).sum(axis=-2)
         state.delta_noise = gibbs._draw_mgp_delta(state.delta_noise, quads,
                                                   state.Lambda.shape[-1],
