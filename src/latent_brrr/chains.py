@@ -46,8 +46,9 @@ _BATCH_BYTES = 32 * 2**20
 # A squared Cholesky pivot of the Schur complement S below this fraction of
 # its diagonal entry counts S as singular.
 _FACTOR_RCOND = 1e-10
-# Values in one block of the least-squares residual that ``ChainData``
-# forms a batch's Schur complement from, so it holds no (C, N, K) array.
+# Values in one block of a residual summed by rows: the least-squares
+# residual that ``ChainData`` forms a batch's Schur complement from, and
+# sigma's residual (``gibbs.update_sigma``), so neither holds a (C, N, K) array.
 _RESIDUAL_BLOCK_VALUES = 2**16
 
 

@@ -35,6 +35,7 @@ from latent_brrr.model import (
 )
 from latent_brrr.simulate import SimConfig, generate
 from latent_brrr.theory import (
+    PROP2_REFERENCE_TRUNCATION,
     check_prop1,
     check_prop2,
     default_geweke_config,
@@ -320,6 +321,10 @@ def cmd_verify(args) -> None:
     check_number("prop1_tolerance", args.prop1_tolerance)
     if args.prop1_tolerance < 0:
         raise ConfigurationError("prop1_tolerance must be >= 0")
+    for rank in args.prop2_ranks if args.prop2 else ():
+        if not 0 <= rank < PROP2_REFERENCE_TRUNCATION:
+            raise ConfigurationError(f"--prop2-ranks entries must satisfy 0 <= rank < "
+                                     f"{PROP2_REFERENCE_TRUNCATION}, got {rank}")
     out = args.out_dir
 
     def worker():
@@ -332,10 +337,10 @@ def cmd_verify(args) -> None:
                                  tolerance=args.prop1_tolerance * limit)
             propositions["prop1"] = report.as_dict()
         if args.prop2:
-            rng = np.random.default_rng(args.seed + 1)
+            reports = check_prop2(args.a2, args.prop2_ranks, n_draws=args.draws,
+                                  rng=np.random.default_rng(args.seed + 1))
             entries = []
-            for rank in args.prop2_ranks:
-                report = check_prop2(args.a2, rank, n_draws=args.draws, rng=rng)
+            for rank, report in zip(args.prop2_ranks, reports):
                 entry = report.as_dict()
                 entry["rank"] = rank
                 stable = truncation_deficit(args.a2, rank)

@@ -83,7 +83,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from latent_brrr.chains import ChainData, ChainStreams, ChainsTrace, RunStats, batch_width
+from latent_brrr.chains import (
+    _RESIDUAL_BLOCK_VALUES,
+    ChainData,
+    ChainStreams,
+    ChainsTrace,
+    RunStats,
+    batch_width,
+)
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import (
     FACTOR_ROWS,
@@ -585,17 +592,33 @@ def update_delta_noise(state, data, config: ModelConfig, streams, shared: dict):
 
 def update_sigma(state, data, config: ModelConfig, streams, shared: dict):
     """Conjugate update of the target-specific noise precisions, with each
-    residual sum of squares of Y - D B summed in the sweep's rows (``_rows``).
+    residual sum of squares of Y - D B summed in the sweep's rows (``_rows``),
+    by blocks of rows (``chains._RESIDUAL_BLOCK_VALUES`` values each).
 
     In the rows of a statistics sweep, target k's residual A u_k - Z v_k
     becomes R u_k - G v_k stacked over L_W' v_k, so its sum of squares is
     ||R u_k - G v_k||^2 + v_k' W v_k, that of the N rows.
     """
     D, Y, _, _ = _design(state, data, config, shared)
-    # D B - Y in place, so the sum builds one array of Y's shape and no square.
-    residual = D @ mean_coefficients(state, config)
-    residual -= Y
+    B = mean_coefficients(state, config)
+    C, n_rows, K = Y.shape
+    # D B - Y by row blocks, formed in place in the first block's array, so
+    # the sum holds no array of Y's shape and allocates once. Each later
+    # block's first squared row carries the running sum, so the blocks add
+    # the rows in order, as one sum over all rows would (for K > 1, where
+    # einsum sums each column row by row).
+    step = max(1, _RESIDUAL_BLOCK_VALUES // (C * K))
+    residual = D[:, :step] @ B
+    residual -= Y[:, :step]
     rss = np.einsum("...nk,...nk->...k", residual, residual)
+    for start in range(step, n_rows, step):
+        rows = slice(start, start + step)
+        block = residual[:, :min(step, n_rows - start)]
+        np.matmul(D[:, rows], B, out=block)
+        block -= Y[:, rows]
+        np.square(block, out=block)
+        block[:, 0] += rss
+        rss = np.einsum("...nk->...k", block)
     rate = config.b_sigma + 0.5 * rss
     precision = streams.gamma(config.a_sigma + 0.5 * data.n_samples, 1.0 / rate)
     state.sigma_sq = 1.0 / precision

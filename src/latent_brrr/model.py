@@ -278,6 +278,18 @@ def sample_prior(config: ModelConfig, dims: Dims, rng: np.random.Generator) -> M
     All randomness comes from ``rng``; the draw order is fixed (shrinkage,
     then coefficients, then noise terms) so that seeded runs replay exactly.
     """
+    return _prior_draws(config, dims, rng, 1).chain(0)
+
+
+def _prior_draws(config: ModelConfig, dims: Dims, rng: np.random.Generator,
+                 count: int) -> ModelState:
+    """``count`` independent prior draws, stacked along a leading chain axis.
+
+    Each field is drawn for all draws in one call, in ``sample_prior``'s
+    order, so one draw (count 1) takes the same variates in the same order
+    as ``sample_prior``; more draws take them field by field, not draw by
+    draw.
+    """
     if config.rank != dims.rank:
         raise ConfigurationError(
             f"config.rank={config.rank} disagrees with dims.rank={dims.rank}"
@@ -286,18 +298,18 @@ def sample_prior(config: ModelConfig, dims: Dims, rng: np.random.Generator) -> M
 
     if config.variant is Variant.NULL:
         return ModelState(
-            Psi=np.zeros((P, S1)),
-            Gamma=np.zeros((S1, K)),
-            phi_gamma=np.ones((S1, K)),
-            delta=np.ones(S1),
-            sigma_sq=np.ones(K),
+            Psi=np.zeros((count, P, S1)),
+            Gamma=np.zeros((count, S1, K)),
+            phi_gamma=np.ones((count, S1, K)),
+            delta=np.ones((count, S1)),
+            sigma_sq=np.ones((count, K)),
         )
 
-    delta = _draw_mgp_increments(config.a1, config.a2, S1, rng)
-    tau = np.cumprod(delta)
-    phi_gamma = rng.gamma(config.nu / 2.0, 2.0 / config.nu, size=(S1, K))
-    Gamma = rng.standard_normal((S1, K)) / np.sqrt(phi_gamma * tau[:, None])
-    Psi = rng.standard_normal((P, S1)) / np.sqrt(tau[None, :])
+    delta = _draw_mgp_increments(config.a1, config.a2, (count, S1), rng)
+    tau = np.cumprod(delta, axis=-1)
+    phi_gamma = rng.gamma(config.nu / 2.0, 2.0 / config.nu, size=(count, S1, K))
+    Gamma = rng.standard_normal((count, S1, K)) / np.sqrt(phi_gamma * tau[..., None])
+    Psi = rng.standard_normal((count, P, S1)) / np.sqrt(tau[:, None, :])
 
     Omega = H = Lam = phi_lambda = delta_noise = None
     if config.variant is Variant.LATENT_NOISE:
@@ -305,16 +317,17 @@ def sample_prior(config: ModelConfig, dims: Dims, rng: np.random.Generator) -> M
             raise ConfigurationError(
                 "latent_snr is data-dependent; call resolve_sigma_omega first"
             )
-        Omega = rng.standard_normal((N, S1)) * np.sqrt(config.sigma_omega_sq / tau[None, :])
+        Omega = rng.standard_normal((count, N, S1)) * \
+            np.sqrt(config.sigma_omega_sq / tau[:, None, :])
     elif config.variant is Variant.INDEPENDENT_NOISE:
         S2 = config.noise_rank
-        delta_noise = _draw_mgp_increments(config.a1, config.a2, S2, rng)
-        tau2 = np.cumprod(delta_noise)
-        phi_lambda = rng.gamma(config.nu / 2.0, 2.0 / config.nu, size=(S2, K))
-        Lam = rng.standard_normal((S2, K)) / np.sqrt(phi_lambda * tau2[:, None])
-        H = rng.standard_normal((N, S2)) / np.sqrt(tau2[None, :])
+        delta_noise = _draw_mgp_increments(config.a1, config.a2, (count, S2), rng)
+        tau2 = np.cumprod(delta_noise, axis=-1)
+        phi_lambda = rng.gamma(config.nu / 2.0, 2.0 / config.nu, size=(count, S2, K))
+        Lam = rng.standard_normal((count, S2, K)) / np.sqrt(phi_lambda * tau2[..., None])
+        H = rng.standard_normal((count, N, S2)) / np.sqrt(tau2[:, None, :])
 
-    sigma_sq = 1.0 / rng.gamma(config.a_sigma, 1.0 / config.b_sigma, size=K)
+    sigma_sq = 1.0 / rng.gamma(config.a_sigma, 1.0 / config.b_sigma, size=(count, K))
 
     return ModelState(
         Psi=Psi, Gamma=Gamma, phi_gamma=phi_gamma, delta=delta, sigma_sq=sigma_sq,
@@ -322,9 +335,12 @@ def sample_prior(config: ModelConfig, dims: Dims, rng: np.random.Generator) -> M
     )
 
 
-def _draw_mgp_increments(a1: float, a2: float, size: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_mgp_increments(a1: float, a2: float, size: tuple[int, ...],
+                         rng: np.random.Generator) -> np.ndarray:
+    """Multiplicative-gamma increments of shape ``size``: Ga(a2, 1) draws,
+    then Ga(a1, 1) for the first increment of each draw along the last axis."""
     delta = rng.gamma(a2, 1.0, size=size)
-    delta[0] = rng.gamma(a1, 1.0)
+    delta[..., 0] = rng.gamma(a1, 1.0, size=size[:-1])
     return delta
 
 

@@ -28,6 +28,7 @@ disagreement shows up as large two-sample z-scores.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from latent_brrr.model import (
     ModelConfig,
     ModelState,
     Variant,
+    _prior_draws,
     check_number,
     mean_coefficients,
     mean_design,
@@ -227,9 +229,15 @@ def check_prop1(a1: float, a2: float, nu: float, n_covariates: int,
     return _make_report(analytic, mean, se, n_draws, tolerance)
 
 
-def check_prop2(a2: float, rank: int, *, reference_truncation: int = 50, n_draws: int = 1_000_000,
-                rng: np.random.Generator | None = None,
-                tolerance: float = 0.0, batch_size: int = 4000) -> PropositionReport:
+# The reference truncation of ``check_prop2``: every checked rank stays below it.
+PROP2_REFERENCE_TRUNCATION = 50
+
+
+def check_prop2(a2: float, rank: int | Sequence[int], *,
+                reference_truncation: int = PROP2_REFERENCE_TRUNCATION,
+                n_draws: int = 1_000_000, rng: np.random.Generator | None = None,
+                tolerance: float = 0.0,
+                batch_size: int = 4000) -> PropositionReport | list[PropositionReport]:
     """Monte-Carlo estimate of the truncation deficit versus its closed form.
 
     Compares the prediction variance of the rank truncation against a long
@@ -260,32 +268,42 @@ def check_prop2(a2: float, rank: int, *, reference_truncation: int = 50, n_draws
 
     Term h is then the product of the first h-1 such factors. As ``a1`` and
     ``nu`` cancel exactly, the check takes neither.
+
+    ``rank`` may be a sequence of ranks, each checked (0 <= rank <
+    ``reference_truncation``) before any draw; one list of reports, in
+    that order, then comes from one set of draws, whose reference sum every
+    rank shares. Each rank's report equals, bit for bit, that of a
+    single-rank call on a Generator in the same state, so the ranks' errors
+    are correlated.
     """
-    analytic = truncation_deficit(a2, rank)
-    if rank >= reference_truncation:
+    single = np.ndim(rank) == 0
+    ranks = [rank] if single else list(rank)
+    analytic = [truncation_deficit(a2, r) for r in ranks]
+    if max(ranks, default=0) >= reference_truncation:
         raise ConfigurationError("rank must stay below the reference truncation")
     if n_draws < 200 or batch_size < 1:
         raise ConfigurationError("need n_draws >= 200 and batch_size >= 1")
     rng = rng if rng is not None else np.random.default_rng()
-    partial = []
-    full = []
-    done = 0
-    while done < n_draws:
-        b = min(batch_size, n_draws - done)
+    # Row i holds rank i's partial sums and the last row the full sums, so
+    # the draws are made once and no per-batch list is concatenated.
+    sums = np.empty((len(ranks) + 1, n_draws))
+    for start in range(0, n_draws, batch_size):
+        b = min(batch_size, n_draws - start)
         delta = rng.gamma(a2 - 1.0, 1.0, size=(b, reference_truncation - 1))
         terms = np.ones((b, reference_truncation))
         np.cumprod(1.0 / ((a2 - 1.0) * delta), axis=1, out=terms[:, 1:])
-        partial.append(terms[:, :rank].sum(axis=1))
-        full.append(terms.sum(axis=1))
-        done += b
-    pairs = np.column_stack([np.concatenate(partial), np.concatenate(full)])
+        for row, r in enumerate(ranks):
+            terms[:, :r].sum(axis=1, out=sums[row, start:start + b])
+        terms.sum(axis=1, out=sums[-1, start:start + b])
 
-    def deficit(block):
-        return 1.0 - block[:, 0].mean() / block[:, 1].mean()
+    reports = []
+    for row, expected in enumerate(analytic):
+        def deficit(block, row=row):
+            return 1.0 - block[:, row].mean() / block[:, -1].mean()
 
-    empirical = deficit(pairs)
-    se = _chunked_se(pairs, deficit)
-    return _make_report(analytic, empirical, se, n_draws, tolerance)
+        se = _chunked_se(sums.T, deficit)
+        reports.append(_make_report(expected, deficit(sums.T), se, n_draws, tolerance))
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +446,9 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     invariant, so each chain is stationary from its first step and the C
     chain means of any g are iid: their spread is the standard error
     (``_chain_mean_z``). The marginal side draws as many iid (prior, Y)
-    pairs. ``corrupt_delta`` swaps in a wrong-shape delta update; a replaced
+    pairs from ``rng``: each iteration draws C prior states in one call
+    (``model._prior_draws``, each field for all C at once) and their Y.
+    ``corrupt_delta`` swaps in a wrong-shape delta update; a replaced
     ``gibbs.update_*`` reaches the sweep too. A numerical failure on any
     chain raises NumericalError from the sweep where it occurs.
     """
@@ -450,7 +470,7 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     marginal = np.empty((length, n_chains, len(names)))
     successive = np.empty_like(marginal)
     for t in range(length):
-        prior = ModelState.stack([sample_prior(config, dims, rng) for _ in range(n_chains)])
+        prior = _prior_draws(config, dims, rng, n_chains)
         marginal[t] = _statistics(prior, _draw_response(prior, X, config, rng.standard_normal))
         Y = _draw_response(state, X, config, streams.standard_normal)
         data.set_targets(Y)

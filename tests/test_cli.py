@@ -570,6 +570,24 @@ def test_verify_rejects_bad_numeric_flags_naming_the_field(tmp_path, capsys, fla
     assert not (tmp_path / "v" / "propositions.json").exists()
 
 
+@pytest.mark.parametrize("ranks", [("1", "50"), ("-1", "2")])
+def test_verify_checks_every_prop2_rank_before_any_draw(tmp_path, capsys, monkeypatch, ranks):
+    import latent_brrr.cli as cli
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a check ran before the ranks were validated")
+
+    monkeypatch.setattr(cli, "check_prop1", no_draws)
+    monkeypatch.setattr(cli, "check_prop2", no_draws)
+    code = run_cli("verify", "--prop1", "--prop2", "--prop2-ranks", *ranks,
+                   "--draws", 200, "--out-dir", tmp_path / "v")
+    assert code == 2
+    bad = next(r for r in ranks if not 0 <= int(r) < 50)
+    err = capsys.readouterr().err
+    assert "--prop2-ranks" in err and f"got {bad}" in err
+    assert not (tmp_path / "v").exists()
+
+
 def test_verify_manifest_records_every_flag(tmp_path):
     out = tmp_path / "v"
     assert run_cli("verify", "--prop2", "--prop1-tolerance", "0.2", "--draws", 200,

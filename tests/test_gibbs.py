@@ -636,6 +636,25 @@ def test_sigma_rate_matches_direct_residual_oracle(variant):
     assert np.allclose(swept.sigma_sq, direct_rate(state), rtol=1e-10, atol=0.0)
 
 
+@pytest.mark.parametrize("variant", [Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE,
+                                     Variant.NO_NOISE])
+def test_sigma_sums_row_blocks_in_the_order_of_one_sum(variant, monkeypatch):
+    # Blocks of 3 rows (2 chains, K = 4) carry the running sum into the next
+    # block, so the rates equal those of one block over all 80 rows bit for bit.
+    state, dataset, config = sweep_problem(variant, seed=34, N=80, K=4)
+    other, _, _ = sweep_problem(variant, seed=35, N=80, K=4)
+
+    def rates():
+        stacked = ModelState.stack([state, other])
+        update_sigma(stacked, ChainData([dataset] * 2, [config] * 2), config,
+                     ScriptedGamma(), {})
+        return stacked.sigma_sq
+
+    one_block = rates()
+    monkeypatch.setattr(gibbs, "_RESIDUAL_BLOCK_VALUES", 2 * 4 * 3)
+    assert np.array_equal(rates(), one_block)
+
+
 def test_sigma_posterior_mean_matches_residual_scale():
     # ||r||^2 = 2N per column -> E[1/sigma_sq] = (a + N/2)/(b + N) ~ 1/2.
     rng = np.random.default_rng(17)

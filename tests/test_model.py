@@ -1,5 +1,7 @@
 """Model-core tests: priors, prediction, marginal covariance, SNR conversion."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from latent_brrr.model import (
     ModelConfig,
     ModelState,
     Variant,
+    _prior_draws,
     latent_snr_to_variance,
     marginal_covariance,
     predict_mean,
@@ -152,6 +155,58 @@ def test_prior_independent_noise_variant_has_noise_stack():
     assert state.phi_lambda.shape == (3, 6)
     assert state.delta_noise.shape == (3,)
     assert state.Omega is None
+
+
+def state_digest(state):
+    digest = hashlib.sha256()
+    for name, value in sorted(vars(state).items()):
+        if value is not None:
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("variant, kw, expected", [
+    (Variant.LATENT_NOISE, dict(sigma_omega_sq=1.5), "8abf3ce457c17f34"),
+    (Variant.INDEPENDENT_NOISE, dict(noise_rank=2), "8409a678d84434e0"),
+    (Variant.NO_NOISE, {}, "84a460ba7271876f"),
+    (Variant.NULL, {}, "62e838bd2cdab432"),
+])
+def test_prior_draw_replays_its_pinned_variates(variant, kw, expected):
+    # Seeded fits start from sample_prior, so a change to its variates or
+    # their order changes every fit's output.
+    config = ModelConfig(variant=variant, rank=2, **kw)
+    dims = Dims(n_samples=5, n_covariates=4, n_targets=3, rank=2)
+    assert state_digest(sample_prior(config, dims, np.random.default_rng(2024))) == expected
+
+
+@pytest.mark.parametrize("config", [
+    latent_config(rank=3, sigma_omega_sq=2.5),
+    ModelConfig(variant=Variant.INDEPENDENT_NOISE, rank=3, noise_rank=2),
+], ids=["latent_noise", "independent_noise"])
+def test_stacked_prior_draws_scale_each_chain_by_its_own_shrinkage(config):
+    # Each Gaussian entry divided by its own chain's prior scale is N(0, 1);
+    # scales taken from another chain would give heavy-tailed ratios.
+    count = 20_000
+    dims = Dims(n_samples=3, n_covariates=2, n_targets=4, rank=3)
+    state = _prior_draws(config, dims, np.random.default_rng(17), count)
+    tau = state.tau[:, None, :]
+    standardized = {
+        "Psi": state.Psi * np.sqrt(tau),
+        "Gamma": state.Gamma * np.sqrt(state.phi_gamma * state.tau[..., None]),
+    }
+    if state.Omega is not None:
+        standardized["Omega"] = state.Omega * np.sqrt(tau / config.sigma_omega_sq)
+    else:
+        tau_noise = state.tau_noise
+        standardized["H"] = state.H * np.sqrt(tau_noise[:, None, :])
+        standardized["Lambda"] = state.Lambda * np.sqrt(state.phi_lambda * tau_noise[..., None])
+    for name, z in standardized.items():
+        assert z.shape[0] == count
+        square = np.square(z).ravel()
+        se = square.std(ddof=1) / np.sqrt(square.size)
+        assert abs(square.mean() - 1.0) < 5 * se, name
+        assert abs(z.mean()) < 5 / np.sqrt(z.size), name
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,22 @@ def test_prop2_report_does_not_depend_on_batch_size():
     assert reports[0] == reports[1]
 
 
+def test_prop2_ranks_share_one_draw_and_match_single_rank_calls():
+    ranks = [3, 0, 1, 2]
+    kwargs = dict(n_draws=10_001, batch_size=3000)
+    reports = check_prop2(4.0, ranks, rng=np.random.default_rng(5), **kwargs)
+    assert len(reports) == len(ranks)
+    for rank, report in zip(ranks, reports):
+        assert report == check_prop2(4.0, rank, rng=np.random.default_rng(5), **kwargs)
+    # Every rank is checked before the first draw.
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    for bad in ([1, 50], [2, -1]):
+        with pytest.raises(ConfigurationError, match="rank"):
+            check_prop2(4.0, bad, rng=rng, **kwargs)
+    assert rng.bit_generator.state == before
+
+
 def test_prediction_variance_rejects_bad_var_x():
     for var_x in (-1.0, np.nan, np.inf, [1.0, -0.5]):
         with pytest.raises(ConfigurationError, match="var_x"):
