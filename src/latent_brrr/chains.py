@@ -204,11 +204,11 @@ class ChainStreams:
 def _chain_bytes(dims: Dims, config: ModelConfig) -> int:
     """A generous count of the bytes one chain adds to a batch: its copies of
     X and Y, the N-row arrays of a sweep (Omega or H, X Psi, D, the factor
-    draws, the residual), X'X with its eigenvectors, the compressed rows
-    ``x_rows`` and, for naive Psi, the dense system."""
+    draws), X'X with its eigenvectors, the compressed rows ``x_rows`` and,
+    for naive Psi, the dense system."""
     N, P, K = dims.n_samples, dims.n_covariates, dims.n_targets
     S = dims.rank + (config.noise_rank or 0)
-    count = N * (P + 2 * K + 4 * S) + 2 * P * P + (P + K + S) * P
+    count = N * (P + K + 4 * S) + 2 * P * P + (P + K + S) * P
     if config.psi_update == "naive":
         count += 3 * (P * dims.rank) ** 2
     return 8 * count

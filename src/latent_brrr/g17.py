@@ -1,4 +1,5 @@
-"""CSV rows of a float64 matrix, each value printed exactly as C's "%.17g".
+"""CSV rows of a float64 matrix: each value written exactly as C's "%.17g"
+prints it, and read back bit for bit as np.loadtxt reads it.
 
 ``write_rows`` formats a block of about 4k cells at a time with numpy and
 writes each block as soon as it is formatted. A cell with x == +-0 or
@@ -26,6 +27,35 @@ Fast path, for |x| = m 2^e with m < 2^53:
 numpy shifts a uint64 by 64 or more, or by a negative count cast to
 uint64, to 0; the placement shifts rely on that.
 
+``read_rows`` parses blocks of about 128 KB of text that end at a newline,
+carrying a partial last line into the next block. A block must hold rows
+of n_cols values "[+-]digits[.digits][(e|E)[+-]digits]" (at least one
+mantissa digit) separated by "," and ended by LF; anything else (spaces,
+CR, "#", nan, an empty field or line, a ragged row) returns None, and the
+caller reads the whole file with np.loadtxt instead, so its results and
+error messages are loadtxt's. Per block:
+- one flatnonzero finds the separators, and each value's sign is its first
+  byte; exponent marks are looked for only in blocks that hold an e or E;
+- the 24 bytes that end at each mantissa's end are gathered as three
+  little-endian uint64 words (a strided view of the buffer, whose first 24
+  bytes are '0'); bytes before the mantissa are masked off, the dot is
+  found by the byte that has bit 4 set after xor with '0', and the bytes
+  before it move one byte right over it; the digits are checked with byte
+  tests and combined 8 to a word with three multiply-shift steps;
+- m 10^q (m the digits, q the exponent less the digits after the dot) is
+  formed as a double-double: m = mh + ml exactly, times 10^q = hi + lo from
+  a table built with exact integer arithmetic at import, with Dekker's
+  exact product mh hi. Its error is under 2^-102 of the value, so fl(sum)
+  is the correctly rounded double when it lies farther than 2^-95 of the
+  value from a midpoint between doubles;
+- values nearer a midpoint, mantissas of more than 24 bytes or of 2^64 or
+  more, exponents of more than 8 digits, and results outside about
+  1e-270..1e307 go to Python's float, which like np.loadtxt calls the
+  correctly rounded PyOS_string_to_double.
+Values are written into a matrix sized from the first block and grown or
+shrunk in place, as loadtxt's realloc does; the work arrays are reused
+from block to block.
+
 ``io`` imports this module, so its tables are built when the CLI starts,
 before any large array exists. Imported lazily at the first write, the
 tables landed in the middle of the heap of a ``predict`` run, and the peak
@@ -33,6 +63,9 @@ RSS of the benchmark's study workload rose by 7.8 MB instead of under 1 MB.
 """
 
 from __future__ import annotations
+
+import mmap
+import os
 
 import numpy as np
 
@@ -249,3 +282,345 @@ def write_rows(fh, matrix: np.ndarray) -> None:
         pieces[0::2] = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
         pieces[1::2] = (b"%.17g\0" * slow.size % tuple(x[slow].tolist())).split(b"\0")[:-1]
         fh.write(b"".join(pieces))
+
+
+# ---------------------------------------------------------------------------
+# Reading
+
+_READ_BYTES = 1 << 17               # text per block: about 6,500 values of 20 bytes
+_PAD = 24                           # '0' bytes before each block: a window never leaves the buffer
+_ZERO_CHARS = _U(0x3030303030303030)
+_HIGH_BITS = _U(0x8080808080808080)
+_DIGIT_LIMIT = _U(0x7676767676767676)  # d + 0x76 sets a byte's top bit when d > 9
+_FOURS = _U(0x1010101010101010)
+_PLACES = np.array([[0x0102030405060708 + 0x0808080808080808 * j] for j in range(3)], _U)
+_TOP_MAX = 1843                     # top 8 of 24 digits: m < 1844e16 < 2^64 - 2^11
+_Q_MIN, _Q_MAX = -270, 288          # 10^q for which m 10^q stays normal with its error term
+_SPLITTER = 2.0**27 + 1             # Veltkamp's split of a double into two 26-bit halves
+_MARGIN = 1 - 2.0**-40              # room for the product's error, under 2^-100 of it
+_NUMBER_BYTES = b"0123456789+-.eE"
+
+
+def _powers_of_ten() -> np.ndarray:
+    """Rows hi, lo, hi's high half, hi's low half: 10^q = hi + lo to 2^-106
+    relative for q = _Q_MIN.._Q_MAX, built with exact integer arithmetic."""
+    hi, lo = [], []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        a, b = (10**q, 1) if q >= 0 else (1, 10**-q)
+        h = a / b                                       # correctly rounded
+        num, den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((a * den - num * b) / (b * den))
+    hi = np.array(hi)
+    high = hi * _SPLITTER
+    high -= high - hi
+    return np.array([hi, lo, high, hi - high])
+
+
+def _window_masks() -> tuple[np.ndarray, np.ndarray]:
+    """Byte masks of a 24-byte window as (3, 25) uint64 words, one column
+    per index: its last i bytes; and the bytes after byte t, indexed by
+    t + 1 (t = -1: no dot, so all)."""
+    byte = np.arange(24)
+    count = np.arange(25)[:, None]
+
+    def words(keep):
+        return np.ascontiguousarray((keep * 255).astype(np.uint8).view("<u8").T)
+
+    return words(byte >= 24 - count), words(byte > count - 1)
+
+
+_POW10 = _powers_of_ten()
+_LAST, _AFTER = _window_masks()
+
+
+def _take_masks(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The words of ``table``'s columns ``index`` (clipped to its range)."""
+    for row, word in zip(table, out):
+        np.take(row, index, out=word, mode="clip")
+    return out
+
+
+def _all_digits(words: np.ndarray, scratch: np.ndarray) -> bool:
+    """Whether every byte of ``words`` is 0-9."""
+    np.add(words, _DIGIT_LIMIT, out=scratch)
+    scratch |= words
+    scratch &= _HIGH_BITS
+    return not scratch.any()
+
+
+def _eight_digits(d: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """In place: words of eight digit values, the first in the low byte, to
+    the numbers they spell (three multiply-shift steps, Lemire's SWAR)."""
+    np.right_shift(d, _U(8), out=scratch)
+    d *= _U(10)
+    d += scratch
+    np.right_shift(d, _U(16), out=scratch)
+    scratch &= _U(0x000000FF000000FF)
+    scratch *= _U(1 + (10000 << 32))
+    d &= _U(0x000000FF000000FF)
+    d *= _U(100 + (1000000 << 32))
+    d += scratch
+    d >>= _U(32)
+    return d
+
+
+class _Parser:
+    """Parses blocks of whole lines into values, in work arrays reused from
+    block to block. They live in anonymous mappings of their own, which
+    the system takes back with the parser: reading leaves no free blocks in
+    the heap for the arrays that follow it to fit around."""
+
+    def __init__(self, n_cols: int):
+        self.n_cols = n_cols
+        self.size = self.n_bytes = 0
+
+    @staticmethod
+    def _mapped(dtype, *shape) -> np.ndarray:
+        count = int(np.prod(shape))
+        return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype,
+                             count).reshape(shape)
+
+    def _reserve(self, n: int) -> None:
+        """Rows for n values: 4 of int64 (start, length, q, dot) and 9 that
+        hold the window masks (two times three words) while the digits are
+        read, and nine doubles while they are rounded."""
+        if n > self.size:
+            self.size = n + n // 4
+            self.rows = self._mapped(_U, 13, self.size)
+            self.flags = self._mapped(bool, 3, self.size)
+            self.chars = self._mapped(np.uint8, self.size)
+
+    def values(self, buf: bytearray, end: int) -> np.ndarray | None:
+        """The values of the lines in buf[_PAD:end], in a work array; None
+        when the text leaves the grammar."""
+        if len(buf) > self.n_bytes:
+            self.n_bytes = len(buf)
+            self.found = self._mapped(bool, 2, self.n_bytes)
+        text = np.frombuffer(buf, np.uint8, end - _PAD, _PAD)
+        newline, found = self.found[:, :text.size]
+        np.equal(text, 10, out=newline)
+        np.equal(text, 44, out=found)
+        found |= newline
+        ends = np.flatnonzero(found)                    # each value's separator
+        n, n_cols = ends.size, self.n_cols
+        rows = n // n_cols
+        if (n == 0 or n != rows * n_cols or np.count_nonzero(newline) != rows
+                or not newline[ends[n_cols - 1::n_cols]].all()):
+            return None
+        self._reserve(n)
+        start, length, q, dot = self.rows[:4, :n].view(np.int64)
+        neg, signed, slow = self.flags[:, :n]
+        start[0] = 0
+        np.add(ends[:-1], 1, out=start[1:])
+        first = np.take(text, start, out=self.chars[:n])
+        np.equal(first, 45, out=neg)
+        np.equal(first, 43, out=signed)
+        signed |= neg
+
+        # At most one exponent mark ('e' | 32 == 'E' | 32) in a value.
+        mantissa_end, marks = ends, None
+        if buf.find(b"e", _PAD, end) >= 0 or buf.find(b"E", _PAD, end) >= 0:
+            np.equal(np.bitwise_or(text, 32, out=newline.view(np.uint8)), 101, out=found)
+            marks = np.flatnonzero(found)
+            marked = np.searchsorted(ends, marks)
+            if (np.diff(marked) <= 0).any():
+                return None
+            mantissa_end = ends.copy()
+            mantissa_end[marked] = marks
+        np.subtract(mantissa_end, start, out=length)
+        length -= signed
+        np.greater(length, 24, out=slow)                # longer than a window
+
+        m = self._mantissa_digits(buf, end, mantissa_end, length, dot, slow)
+        if m is None or length.min() < 1:
+            return None
+        # The windows removed each dot of the block, save those in the part
+        # of a long mantissa before its window. (A byte removed that was no
+        # dot would leave one dot more; bytes that no window checked are
+        # checked by float() below.)
+        dots = np.count_nonzero(dot >= 0)
+        for j in np.flatnonzero(slow).tolist():
+            dots += buf.count(b".", _PAD + start[j], _PAD + mantissa_end[j] - 24)
+        if dots != np.count_nonzero(np.equal(text, 46, out=found)):
+            return None
+        np.subtract(dot, 23, out=q)                     # minus the digits after the dot
+        q *= dot >= 0
+        if marks is not None and not _add_exponents(text, buf, end, ends, marks, marked,
+                                                    q, slow):
+            return None
+        values = self._nearest(m, q, slow)
+        np.negative(values, out=values, where=neg)
+        for j in np.flatnonzero(slow).tolist():
+            token = bytes(buf[_PAD + start[j]:_PAD + ends[j]])
+            if token.translate(None, _NUMBER_BYTES):
+                return None
+            try:
+                values[j] = float(token)
+            except ValueError:
+                return None
+        return values
+
+    def _mantissa_digits(self, buf, end, mantissa_end, length, dot, slow):
+        """The digits of each mantissa as an integer, or None when a window
+        holds a byte other than a digit and one dot. Sets ``slow`` where the
+        top 8 of 24 digits exceed _TOP_MAX (m is 0 there), ``dot`` to the
+        dot's byte in the window (-1 without one), and takes it off
+        ``length``."""
+        n = length.size
+        mask, scratch = self.rows[4:7, :n], self.rows[7:10, :n]
+        # windows[:, e] are the three little-endian words of the 24 bytes
+        # that end at byte e of the block.
+        windows = np.ndarray((3, end - 23), "<u8", buf, 0, (8, 1))
+        words = windows[:, mantissa_end]
+        words ^= _ZERO_CHARS
+        words &= _take_masks(_LAST, length, mask)
+        # Each word's byte k with bit 4 set (the dot is 0x1e now; the digits
+        # have it clear) is byte 8 j + k of the window: times _PLACES it
+        # gives 8 j + k + 1 in the top byte when a word marks one byte. The
+        # highest such place is taken for the dot; of other marked bytes,
+        # at least one is left for the digit test.
+        np.bitwise_and(words, _FOURS, out=mask)
+        mask >>= _U(4)
+        mask *= _PLACES
+        mask >>= _U(56)
+        np.maximum(mask[0], mask[1], out=dot.view(_U))
+        np.maximum(dot.view(_U), mask[2], out=dot.view(_U))
+        # Move the bytes before the dot one byte right, over it.
+        np.left_shift(words, _U(8), out=mask)
+        mask[1:] |= words[:2] >> _U(56)
+        words ^= mask
+        words &= _take_masks(_AFTER, dot, scratch)
+        words ^= mask
+        dot -= 1                                        # the dot's byte, or -1
+        if not _all_digits(words, mask):
+            return None
+        length -= dot >= 0
+        m = _eight_digits(words, mask)
+        big = m[0] > _TOP_MAX
+        slow |= big
+        m[0] *= ~big
+        m[0] *= _U(10**16)
+        m[1] *= _U(10**8)
+        m[0] += m[1]
+        m[0] += m[2]
+        return m[0]
+
+    def _nearest(self, m, q, slow):
+        """m 10^q rounded to the nearest double by a double-double product,
+        in a work array; sets ``slow`` where that may not be the correctly
+        rounded value. Clobbers q."""
+        n = m.size
+        ph, pl, bh, bl, mh, ml, a, e, r = self.rows[4:, :n].view(np.float64)
+        q -= _Q_MIN
+        slow |= q.view(_U) > _U(_Q_MAX - _Q_MIN)
+        for table, row in zip(_POW10, (ph, pl, bh, bl)):
+            np.take(table, q, out=row, mode="clip")
+        # m = mh + ml exactly.
+        np.copyto(mh, m, casting="unsafe")
+        low = e.view(_U)
+        np.copyto(low, mh, casting="unsafe")
+        np.subtract(m, low, out=low)
+        np.copyto(ml, low.view(np.int64), casting="unsafe")
+        np.multiply(mh, ph, out=r)                      # p
+        ml *= ph
+        pl *= mh                                        # ml ph + mh pl: the rest but ml pl
+        # e = mh ph - p exactly (Dekker), from mh's 26-bit halves a + ph.
+        np.multiply(mh, _SPLITTER, out=a)
+        np.subtract(a, mh, out=e)
+        a -= e
+        np.subtract(mh, a, out=ph)
+        np.multiply(a, bh, out=e)
+        e -= r
+        a *= bl
+        e += a
+        np.multiply(ph, bh, out=a)
+        e += a
+        ph *= bl
+        e += ph
+        e += pl
+        e += ml
+        # x = r + e to 2^-102 x. The result mh = fl(r + e) is the correctly
+        # rounded x when 2 |x - mh| is below the gap to mh's lower
+        # neighbour (never wider than the upper gap), with room for that
+        # error.
+        np.add(r, e, out=mh)
+        r -= mh                                         # exact (Sterbenz)
+        r += e
+        r += r
+        np.abs(r, out=r)
+        np.subtract(mh.view(_U), _U(1), out=a.view(_U))
+        np.subtract(mh, a, out=a)                       # NaN for 0, where r = 0
+        a *= _MARGIN
+        slow |= r >= a
+        return mh
+
+
+def _add_exponents(text, buf, end, ends, marks, marked, q, slow) -> bool:
+    """Adds the exponent after each mark to q, for the values ``marked``;
+    False when one is not a sign and 1-8 digits (more digits set ``slow``)."""
+    first = text[marks + 1]
+    neg = first == 45
+    digits = ends[marked] - marks - 1
+    digits -= neg | (first == 43)
+    if digits.min() < 1:
+        return False
+    slow[marked[digits > 8]] = True
+    # The 8 bytes that end at each value's end.
+    word = np.ndarray((end - 24,), "<u8", buf, 16, (1,))[ends[marked]]
+    word ^= _ZERO_CHARS
+    np.minimum(digits, 8, out=digits)
+    word &= _LAST[2, digits]
+    scratch = np.empty_like(word)
+    if not _all_digits(word, scratch):
+        return False
+    value = _eight_digits(word, scratch).view(np.int64)
+    np.negative(value, out=value, where=neg)
+    q[marked] += value
+    return True
+
+
+def read_rows(fh, n_cols: int) -> np.ndarray | None:
+    """The rest of the binary file ``fh`` as an (n_rows, n_cols) float64
+    matrix, bit for bit what np.loadtxt(delimiter=",") returns; None when
+    the text is not n_cols decimal numbers on every line, when it holds no
+    line, or when n_cols < 1 (the caller then falls back to np.loadtxt)."""
+    if n_cols < 1:
+        return None
+    parser = _Parser(n_cols)
+    buf = bytearray(b"0" * _PAD + bytes(_READ_BYTES))
+    held = 0                    # bytes of a partial line after the pad
+    out, n_rows = None, 0
+    while True:
+        with memoryview(buf) as view:
+            got = fh.readinto(view[_PAD + held:])
+        filled = _PAD + held + got
+        end = buf.rfind(b"\n", _PAD, filled) + 1
+        if not got:
+            if not held:
+                break
+            buf[filled:filled + 1] = b"\n"            # a last line without one
+            end = filled = filled + 1
+        elif not end:                                   # a line longer than the buffer
+            buf += bytes(len(buf))
+            held = filled - _PAD
+            continue
+        values = parser.values(buf, end)
+        if values is None:
+            return None
+        rows = values.size // n_cols
+        if out is None:
+            # Size the matrix from the first block's bytes per row; grow and
+            # shrink it in place, as loadtxt does, so it is never copied.
+            left = os.fstat(fh.fileno()).st_size - fh.tell() + filled - end
+            out = np.empty((rows + int(1.02 * left * rows / (end - _PAD)) + 8, n_cols))
+        elif n_rows + rows > len(out):
+            out.resize((max(n_rows + rows, len(out) * 5 // 4), n_cols), refcheck=False)
+        out.reshape(-1)[n_rows * n_cols:(n_rows + rows) * n_cols] = values
+        n_rows += rows
+        held = filled - end
+        buf[_PAD:_PAD + held] = buf[end:filled]
+    if out is None:
+        return None
+    out.resize((n_rows, n_cols), refcheck=False)
+    return out

@@ -3,8 +3,11 @@
 CSV dialect: UTF-8, comma separator, LF line endings, one header row.
 Values are written exactly as C's "%.17g" prints them, so float64 values
 round-trip exactly and the bytes are those np.savetxt(fmt="%.17g") wrote;
-``g17`` formats them a block of rows at a time. A file with a header but no
-data rows is rejected. Config files are JSON with exactly the dataclass
+``g17`` formats them a block of rows at a time. ``g17.read_rows`` reads
+them back, bit for bit as np.loadtxt would; text outside its grammar
+(spaces, CR line endings, comments, nan, malformed numbers) is read by
+np.loadtxt, so results and error messages stay loadtxt's. A file with a
+header but no data rows is rejected. Config files are JSON with exactly the dataclass
 field names in snake_case; unknown keys are a hard error.
 
 samples.bin layout (all little-endian): an 8-byte magic ``LBRRRST1``,
@@ -66,15 +69,20 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     """The matrix and header names of a CSV file; a file without data rows
     raises ConfigurationError."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            header = fh.readline().rstrip("\n")
-            matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except UnicodeDecodeError as exc:
-            raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigurationError(f"malformed numeric data in {path}: {exc}") from exc
+    matrix = None
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        # Text mode would also end the header at a lone CR; leave that, and
+        # a header that is not UTF-8, to np.loadtxt's path.
+        if b"\r" not in line:
+            try:
+                header = line.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError:
+                pass
+            else:
+                matrix = g17.read_rows(fh, len(header.split(",")) if header else 0)
+    if matrix is None:
+        matrix, header = _loadtxt(path)
     if matrix.size == 0:
         raise ConfigurationError(f"{path} has a header but no data rows")
     names = header.split(",") if header else []
@@ -83,6 +91,20 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
             f"{path}: header has {len(names)} columns, data has {matrix.shape[1]}"
         )
     return matrix, names
+
+
+def _loadtxt(path: Path) -> tuple[np.ndarray, str]:
+    """The matrix and header line of a CSV file by np.loadtxt, for text that
+    ``g17.read_rows`` leaves: its errors name the file."""
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            header = fh.readline().rstrip("\n")
+            return np.loadtxt(fh, delimiter=",", ndmin=2), header
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigurationError(f"malformed numeric data in {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,15 @@ def test_uneven_folds_batch_by_training_rows_and_match_solo_fits():
             assert row["fold_mse"][fold] == pytest.approx((resid**2).mean(), rel=1e-10)
 
 
+@pytest.mark.parametrize("n_samples, width", [(2000, 20), (15000, 2)])
+def test_batch_width_counts_one_copy_of_y_per_chain(n_samples, width):
+    # The study workload's shapes (P=30, K=60, S=3): the sweep holds no N x K
+    # residual, so a chain's N-row arrays are X, Y and 4 S factor columns.
+    data = Dataset(X=np.zeros((n_samples, 30)), Y=np.zeros((n_samples, 60)))
+    config = ModelConfig(variant=Variant.LATENT_NOISE, rank=3, latent_snr=0.1)
+    assert chains.batch_width(data, config) == width
+
+
 def test_byte_cap_splits_assoc_into_batches_with_the_same_result(monkeypatch):
     data = problem(4)
     config = chain_config(Variant.LATENT_NOISE, "fast", dict(latent_snr=0.1), seed=5)

@@ -280,6 +280,47 @@ def test_malformed_csv_exits_2_naming_the_file(sim_dir, tmp_path, capsys, text, 
     assert str(bad) in err and message in err
 
 
+HEADER = b"x0,x1,x2,x3\n"
+ROWS = [b"0.5,-1.25,2,3e-2", b"1.5,2.5,-0.75,4"]
+
+
+def csv_text(*rows):
+    return HEADER + b"\n".join(rows) + b"\n"
+
+
+@pytest.mark.parametrize("text, code, message", [
+    (csv_text(ROWS[0], b"1..5,2,3,4"), 2, "could not convert string '1..5' to float64 at row 1"),
+    (csv_text(ROWS[0], b"1-5,2,3,4"), 2, "could not convert string '1-5' to float64 at row 1"),
+    (csv_text(b"1e,2,3,4", ROWS[1]), 2, "could not convert string '1e' to float64 at row 0"),
+    (csv_text(ROWS[0], b"e5,2,3,4"), 2, "could not convert string 'e5' to float64 at row 1"),
+    (csv_text(b".,2,3,4"), 2, "could not convert string '.' to float64 at row 0"),
+    (csv_text(ROWS[0], b"1,,3,4"), 2, "could not convert string '' to float64 at row 1, column 2"),
+    (HEADER + ROWS[0] + b"\n\n" + ROWS[1] + b"\n", 0, ""),
+    (csv_text(*ROWS).replace(b"\n", b"\r\n"), 0, ""),
+    (csv_text(ROWS[0], b"# a comment", ROWS[1] + b" # and another"), 0, ""),
+    (csv_text(b"1, 2,3 , 4", ROWS[1]), 0, ""),
+    (csv_text(ROWS[0], b"nan,2,3,4"), 2, "non-finite value in"),
+    (csv_text(b"1,2,3", b"4,5,6"), 2, "header has 4 columns, data has 3"),
+    (csv_text(ROWS[0], b"1,2,3,\xff4"), 2, "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+], ids=["two-dots", "inner-sign", "bare-e", "no-mantissa", "dot-alone", "empty-field",
+        "blank-line", "crlf", "comment", "spaces", "nan", "column-mismatch", "non-utf8-data"])
+def test_csv_outside_the_fast_grammar_reads_as_loadtxt_does(tmp_path, capsys, text, code,
+                                                            message):
+    # The fast reader hands these to np.loadtxt, whose result or message the
+    # command reports as before.
+    path = tmp_path / "X_odd.csv"
+    path.write_bytes(text)
+    summary = write_summary(tmp_path / "posterior_summary.json")
+    assert run_cli("predict", "--x", path, "--model", summary,
+                   "--out-dir", tmp_path / "pred") == code
+    err = capsys.readouterr().err
+    if code:
+        assert str(path) in err and message in err
+    else:
+        assert err == ""
+        assert lio.read_matrix_csv(tmp_path / "pred" / "Y_pred.csv")[0].shape == (2, 5)
+
+
 @pytest.mark.parametrize("bad_input", ["config", "plan"])
 def test_non_utf8_input_exits_2_naming_the_file(sim_dir, tmp_path, capsys, bad_input):
     # Byte 0xff never occurs in UTF-8 text; it leads a config for fit and a

@@ -1,7 +1,8 @@
 """Property tests: CSV matrices are written byte for byte as
-np.savetxt(fmt="%.17g") writes them; CSV matrices, samples.bin and the
-posterior summary's theta_mean round-trip bit for bit; config and CV-plan
-JSON parse to a value or a ConfigurationError."""
+np.savetxt(fmt="%.17g") writes them and read bit for bit as np.loadtxt reads
+them; CSV matrices, samples.bin and the posterior summary's theta_mean
+round-trip bit for bit; config and CV-plan JSON parse to a value or a
+ConfigurationError."""
 
 import dataclasses
 import json
@@ -17,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 import latent_brrr.cli as cli
 import latent_brrr.io as lio
+from latent_brrr import g17
 from latent_brrr.errors import ConfigurationError
 from latent_brrr.model import ModelConfig, ModelState, PosteriorSamples, Variant
 
@@ -121,6 +123,101 @@ def test_matrix_csv_bytes_equal_savetxt_at_every_decimal_exponent():
     values = np.concatenate([values, bits.view(np.float64)])
     assert values.size >= 1_000_000
     assert same_csv_bytes_as_savetxt(values.reshape(-1, 50)) is None
+
+
+# ---------------------------------------------------------------------------
+# reading CSV text: g17.read_rows against np.loadtxt
+
+
+def loadtxt_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+def read_rows(path):
+    with open(path, "rb") as fh:
+        return g17.read_rows(fh, len(fh.readline().split(b",")))
+
+
+def reads_as_loadtxt(path):
+    """read_rows takes the file (no fallback) and returns loadtxt's bits."""
+    got = read_rows(path)
+    return got is not None and same_bits(got, loadtxt_rows(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=MATRICES)
+@example(matrix=np.array([[5e-324, -1e-300, 1e300, 1e-8, -1e8, 1.7976931348623157e308]]))
+@example(matrix=np.array([[-0.0], [0.0], [2.2250738585072009e-308]]))
+def test_reader_equals_loadtxt_on_every_written_matrix(matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        lio.write_matrix_csv(path, matrix)
+        assert reads_as_loadtxt(path)
+
+
+HAND_WRITTEN = ["+1", ".5", "-.5", "1.", "1E5", "1e+005", "-0", "+0", "00012.5000",
+                "-0.099232985977641519", "4.8291949257150968e-05", "1e-0300", "5E+300",
+                "1234567890123456789", "-9999999999999999999", "0.1234567890123456789",
+                "12345678901234567890", "98765432109876543210", "-1844674407370955.1615e4",
+                "1.000000000000000000000000000001", "000000000000000000000000000000.25"]
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_reader_equals_loadtxt_on_hand_written_forms(tmp_path, final_newline):
+    # Each form alone on a row and between two others, the 20-digit
+    # mantissas past 2^64 and the 30-digit ones past a 24-byte window.
+    lines = [f"{token},{token},0.5" for token in HAND_WRITTEN] + ["7,-.5,1.5e1"]
+    path = tmp_path / "hand.csv"
+    path.write_text("a,b,c\n" + "\n".join(lines) + ("\n" if final_newline else ""))
+    assert reads_as_loadtxt(path)
+
+
+# A tie between two doubles, which rounds to the even one, and decimals a
+# few units of 10^-30 either side of ties: the smallest subnormal's half,
+# the largest double's upper half-gap (at which a value overflows to inf).
+MIDPOINTS = ["9007199254740993", "9007199254740993.000000000001", "9007199254740992.999999999999",
+             "9007199254740995", "2.4703282292062328e-324", "2.4703282292062327e-324",
+             "1.7976931348623158e308", "1.7976931348623159e308",
+             "1.00000000000000011102230246251565404", "1.00000000000000011102230246251565405",
+             "0.30000000000000001665334536937734810", "0.30000000000000001665334536937734811"]
+
+
+@pytest.mark.parametrize("token", MIDPOINTS)
+def test_reader_rounds_tokens_at_and_next_to_midpoints_as_float(tmp_path, token):
+    path = tmp_path / "mid.csv"
+    path.write_text(f"a,b\n{token},-{token}\n")
+    got = read_rows(path)
+    assert got is not None
+    assert same_bits(got, np.array([[float(token), -float(token)]]))
+    assert same_bits(got, loadtxt_rows(path))
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrix=MATRICES, block=st.integers(1, 64))
+@example(matrix=np.linspace(-3.0, 3.0, 300).reshape(2, 150), block=37)
+def test_reader_equals_loadtxt_with_values_straddling_blocks(matrix, block):
+    # Blocks of a few dozen bytes: values and lines cross block ends, and a
+    # line longer than the buffer makes it grow.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "m.csv"
+        lio.write_matrix_csv(path, matrix)
+        patch.setattr(g17, "_READ_BYTES", block)
+        assert reads_as_loadtxt(path)
+
+
+def test_read_matrix_csv_calls_loadtxt_only_outside_the_fast_grammar(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    matrix = np.random.default_rng(24).standard_normal((30, 7)) * 10.0 ** np.arange(-3, 4)
+    lio.write_matrix_csv(tmp_path / "m.csv", matrix)
+    (tmp_path / "odd.csv").write_bytes(b"a,b\n1, 2\n")
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert same_bits(lio.read_matrix_csv(tmp_path / "m.csv")[0], matrix)
+    with pytest.raises(AssertionError, match="np.loadtxt called"):
+        lio.read_matrix_csv(tmp_path / "odd.csv")
 
 
 @settings(max_examples=200, deadline=None)
