@@ -53,8 +53,7 @@ error messages are loadtxt's. Per block:
   1e-270..1e307 go to Python's float, which like np.loadtxt calls the
   correctly rounded PyOS_string_to_double.
 Values are written into a matrix sized from the first block and grown or
-shrunk in place, as loadtxt's realloc does; the work arrays are reused
-from block to block.
+shrunk in place, as loadtxt's realloc does.
 
 ``io`` imports this module, so its tables are built when the CLI starts,
 before any large array exists. Imported lazily at the first write, the
@@ -64,7 +63,6 @@ RSS of the benchmark's study workload rose by 7.8 MB instead of under 1 MB.
 
 from __future__ import annotations
 
-import mmap
 import os
 
 import numpy as np
@@ -109,8 +107,8 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _words(byte_values: np.ndarray) -> np.ndarray:
-    """(..., 24) byte values as rows of three little-endian words, one row
-    per output word and one column per (k, nd)."""
+    """(..., 24) byte values as rows of three little-endian words: row j
+    holds word j of each 24 bytes, one column per 24 bytes."""
     return np.ascontiguousarray(byte_values.astype(np.uint8).reshape(-1, 24).view("<u8").T)
 
 
@@ -321,239 +319,161 @@ def _window_masks() -> tuple[np.ndarray, np.ndarray]:
     """Byte masks of a 24-byte window as (3, 25) uint64 words, one column
     per index: its last i bytes; and the bytes after byte t, indexed by
     t + 1 (t = -1: no dot, so all)."""
-    byte = np.arange(24)
-    count = np.arange(25)[:, None]
-
-    def words(keep):
-        return np.ascontiguousarray((keep * 255).astype(np.uint8).view("<u8").T)
-
-    return words(byte >= 24 - count), words(byte > count - 1)
+    byte, count = np.arange(24.0), np.arange(25.0)[:, None]
+    return (_words(np.where(byte >= 24 - count, 255, 0)),
+            _words(np.where(byte > count - 1, 255, 0)))
 
 
 _POW10 = _powers_of_ten()
 _LAST, _AFTER = _window_masks()
 
 
-def _take_masks(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The words of ``table``'s columns ``index`` (clipped to its range)."""
-    for row, word in zip(table, out):
-        np.take(row, index, out=word, mode="clip")
-    return out
-
-
-def _all_digits(words: np.ndarray, scratch: np.ndarray) -> bool:
+def _all_digits(words: np.ndarray) -> bool:
     """Whether every byte of ``words`` is 0-9."""
-    np.add(words, _DIGIT_LIMIT, out=scratch)
-    scratch |= words
-    scratch &= _HIGH_BITS
-    return not scratch.any()
+    return not (((words + _DIGIT_LIMIT) | words) & _HIGH_BITS).any()
 
 
-def _eight_digits(d: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """In place: words of eight digit values, the first in the low byte, to
-    the numbers they spell (three multiply-shift steps, Lemire's SWAR)."""
-    np.right_shift(d, _U(8), out=scratch)
-    d *= _U(10)
-    d += scratch
-    np.right_shift(d, _U(16), out=scratch)
-    scratch &= _U(0x000000FF000000FF)
-    scratch *= _U(1 + (10000 << 32))
-    d &= _U(0x000000FF000000FF)
-    d *= _U(100 + (1000000 << 32))
-    d += scratch
-    d >>= _U(32)
-    return d
+def _eight_digits(d: np.ndarray) -> np.ndarray:
+    """Words of eight digit values, the first in the low byte, to the
+    numbers they spell (three multiply-shift steps, Lemire's SWAR)."""
+    d = d * _U(10) + (d >> _U(8))
+    pairs = _U(0x000000FF000000FF)
+    return ((d & pairs) * _U(100 + (1000000 << 32))
+            + ((d >> _U(16)) & pairs) * _U(1 + (10000 << 32))) >> _U(32)
 
 
-class _Parser:
-    """Parses blocks of whole lines into values, in work arrays reused from
-    block to block. They live in anonymous mappings of their own, which
-    the system takes back with the parser: reading leaves no free blocks in
-    the heap for the arrays that follow it to fit around."""
+def _block_values(buf: bytearray, end: int, n_cols: int) -> np.ndarray | None:
+    """The values of the lines in buf[_PAD:end]; None when the text leaves
+    the grammar."""
+    text = np.frombuffer(buf, np.uint8, end - _PAD, _PAD)
+    newline = text == 10
+    ends = np.flatnonzero(newline | (text == 44))       # each value's separator
+    n = ends.size
+    rows = n // n_cols
+    if (n == 0 or n != rows * n_cols or np.count_nonzero(newline) != rows
+            or not newline[ends[n_cols - 1::n_cols]].all()):
+        return None
+    start = np.concatenate(([0], ends[:-1] + 1))
+    first = text[start]
+    neg = first == 45
+    signed = neg | (first == 43)
 
-    def __init__(self, n_cols: int):
-        self.n_cols = n_cols
-        self.size = self.n_bytes = 0
-
-    @staticmethod
-    def _mapped(dtype, *shape) -> np.ndarray:
-        count = int(np.prod(shape))
-        return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype,
-                             count).reshape(shape)
-
-    def _reserve(self, n: int) -> None:
-        """Rows for n values: 4 of int64 (start, length, q, dot) and 9 that
-        hold the window masks (two times three words) while the digits are
-        read, and nine doubles while they are rounded."""
-        if n > self.size:
-            self.size = n + n // 4
-            self.rows = self._mapped(_U, 13, self.size)
-            self.flags = self._mapped(bool, 3, self.size)
-            self.chars = self._mapped(np.uint8, self.size)
-
-    def values(self, buf: bytearray, end: int) -> np.ndarray | None:
-        """The values of the lines in buf[_PAD:end], in a work array; None
-        when the text leaves the grammar."""
-        if len(buf) > self.n_bytes:
-            self.n_bytes = len(buf)
-            self.found = self._mapped(bool, 2, self.n_bytes)
-        text = np.frombuffer(buf, np.uint8, end - _PAD, _PAD)
-        newline, found = self.found[:, :text.size]
-        np.equal(text, 10, out=newline)
-        np.equal(text, 44, out=found)
-        found |= newline
-        ends = np.flatnonzero(found)                    # each value's separator
-        n, n_cols = ends.size, self.n_cols
-        rows = n // n_cols
-        if (n == 0 or n != rows * n_cols or np.count_nonzero(newline) != rows
-                or not newline[ends[n_cols - 1::n_cols]].all()):
+    # At most one exponent mark ('e' | 32 == 'E' | 32) in a value.
+    mantissa_end, marks = ends, None
+    if buf.find(b"e", _PAD, end) >= 0 or buf.find(b"E", _PAD, end) >= 0:
+        marks = np.flatnonzero((text | 32) == 101)
+        marked = np.searchsorted(ends, marks)
+        if (np.diff(marked) <= 0).any():
             return None
-        self._reserve(n)
-        start, length, q, dot = self.rows[:4, :n].view(np.int64)
-        neg, signed, slow = self.flags[:, :n]
-        start[0] = 0
-        np.add(ends[:-1], 1, out=start[1:])
-        first = np.take(text, start, out=self.chars[:n])
-        np.equal(first, 45, out=neg)
-        np.equal(first, 43, out=signed)
-        signed |= neg
+        mantissa_end = ends.copy()
+        mantissa_end[marked] = marks
+    length = mantissa_end - start - signed
+    slow = length > 24                                  # longer than a window
 
-        # At most one exponent mark ('e' | 32 == 'E' | 32) in a value.
-        mantissa_end, marks = ends, None
-        if buf.find(b"e", _PAD, end) >= 0 or buf.find(b"E", _PAD, end) >= 0:
-            np.equal(np.bitwise_or(text, 32, out=newline.view(np.uint8)), 101, out=found)
-            marks = np.flatnonzero(found)
-            marked = np.searchsorted(ends, marks)
-            if (np.diff(marked) <= 0).any():
-                return None
-            mantissa_end = ends.copy()
-            mantissa_end[marked] = marks
-        np.subtract(mantissa_end, start, out=length)
-        length -= signed
-        np.greater(length, 24, out=slow)                # longer than a window
+    digits = _mantissa_digits(buf, end, mantissa_end, length)
+    if digits is None:
+        return None
+    m, dot, big = digits
+    slow |= big
+    dotted = dot >= 0
+    if (length - dotted).min() < 1:
+        return None
+    # The windows removed each dot of the block, save those in the part
+    # of a long mantissa before its window. (A byte removed that was no
+    # dot would leave one dot more; bytes that no window checked are
+    # checked by float() below.)
+    dots = np.count_nonzero(dotted)
+    for j in np.flatnonzero(slow).tolist():
+        dots += buf.count(b".", _PAD + start[j], _PAD + mantissa_end[j] - 24)
+    if dots != np.count_nonzero(text == 46):
+        return None
+    q = (dot - 23) * dotted                             # minus the digits after the dot
+    if marks is not None and not _add_exponents(text, buf, end, ends, marks, marked, q, slow):
+        return None
+    values = _nearest(m, q, slow)
+    values = np.where(neg, -values, values)
+    for j in np.flatnonzero(slow).tolist():
+        token = bytes(buf[_PAD + start[j]:_PAD + ends[j]])
+        if token.translate(None, _NUMBER_BYTES):
+            return None
+        try:
+            values[j] = float(token)
+        except ValueError:
+            return None
+    return values
 
-        m = self._mantissa_digits(buf, end, mantissa_end, length, dot, slow)
-        if m is None or length.min() < 1:
-            return None
-        # The windows removed each dot of the block, save those in the part
-        # of a long mantissa before its window. (A byte removed that was no
-        # dot would leave one dot more; bytes that no window checked are
-        # checked by float() below.)
-        dots = np.count_nonzero(dot >= 0)
-        for j in np.flatnonzero(slow).tolist():
-            dots += buf.count(b".", _PAD + start[j], _PAD + mantissa_end[j] - 24)
-        if dots != np.count_nonzero(np.equal(text, 46, out=found)):
-            return None
-        np.subtract(dot, 23, out=q)                     # minus the digits after the dot
-        q *= dot >= 0
-        if marks is not None and not _add_exponents(text, buf, end, ends, marks, marked,
-                                                    q, slow):
-            return None
-        values = self._nearest(m, q, slow)
-        np.negative(values, out=values, where=neg)
-        for j in np.flatnonzero(slow).tolist():
-            token = bytes(buf[_PAD + start[j]:_PAD + ends[j]])
-            if token.translate(None, _NUMBER_BYTES):
-                return None
-            try:
-                values[j] = float(token)
-            except ValueError:
-                return None
-        return values
 
-    def _mantissa_digits(self, buf, end, mantissa_end, length, dot, slow):
-        """The digits of each mantissa as an integer, or None when a window
-        holds a byte other than a digit and one dot. Sets ``slow`` where the
-        top 8 of 24 digits exceed _TOP_MAX (m is 0 there), ``dot`` to the
-        dot's byte in the window (-1 without one), and takes it off
-        ``length``."""
-        n = length.size
-        mask, scratch = self.rows[4:7, :n], self.rows[7:10, :n]
-        # windows[:, e] are the three little-endian words of the 24 bytes
-        # that end at byte e of the block.
-        windows = np.ndarray((3, end - 23), "<u8", buf, 0, (8, 1))
-        words = windows[:, mantissa_end]
-        words ^= _ZERO_CHARS
-        words &= _take_masks(_LAST, length, mask)
-        # Each word's byte k with bit 4 set (the dot is 0x1e now; the digits
-        # have it clear) is byte 8 j + k of the window: times _PLACES it
-        # gives 8 j + k + 1 in the top byte when a word marks one byte. The
-        # highest such place is taken for the dot; of other marked bytes,
-        # at least one is left for the digit test.
-        np.bitwise_and(words, _FOURS, out=mask)
-        mask >>= _U(4)
-        mask *= _PLACES
-        mask >>= _U(56)
-        np.maximum(mask[0], mask[1], out=dot.view(_U))
-        np.maximum(dot.view(_U), mask[2], out=dot.view(_U))
-        # Move the bytes before the dot one byte right, over it.
-        np.left_shift(words, _U(8), out=mask)
-        mask[1:] |= words[:2] >> _U(56)
-        words ^= mask
-        words &= _take_masks(_AFTER, dot, scratch)
-        words ^= mask
-        dot -= 1                                        # the dot's byte, or -1
-        if not _all_digits(words, mask):
-            return None
-        length -= dot >= 0
-        m = _eight_digits(words, mask)
-        big = m[0] > _TOP_MAX
-        slow |= big
-        m[0] *= ~big
-        m[0] *= _U(10**16)
-        m[1] *= _U(10**8)
-        m[0] += m[1]
-        m[0] += m[2]
-        return m[0]
+def _mantissa_digits(buf, end, mantissa_end, length):
+    """The digits of each mantissa as an integer, the dot's byte in its
+    window (-1 without one), and where the top 8 of 24 digits exceed
+    _TOP_MAX (m is 0 there); None when a window holds a byte other than a
+    digit and one dot."""
+    # windows[:, e] are the three little-endian words of the 24 bytes
+    # that end at byte e of the block. Gathered from them, the words come
+    # in column order; in row order, the steps on one or two rows below
+    # run on contiguous memory, 4 to 7 times as fast.
+    windows = np.ndarray((3, end - 23), "<u8", buf, 0, (8, 1))
+    words = np.bitwise_xor(windows[:, mantissa_end], _ZERO_CHARS, order="C")
+    words &= np.take(_LAST, length, axis=1, mode="clip")
+    # Each word's byte k with bit 4 set (the dot is 0x1e now; the digits
+    # have it clear) is byte 8 j + k of the window: times _PLACES it
+    # gives 8 j + k + 1 in the top byte when a word marks one byte. The
+    # highest such place is taken for the dot; of other marked bytes,
+    # at least one is left for the digit test.
+    place = ((words & _FOURS) >> _U(4)) * _PLACES >> _U(56)
+    dot = np.maximum(np.maximum(place[0], place[1]), place[2]).view(np.int64)
+    # Move the bytes before the dot one byte right, over it.
+    moved = words << _U(8)
+    moved[1:] |= words[:2] >> _U(56)
+    words ^= moved
+    words &= np.take(_AFTER, dot, axis=1, mode="clip")
+    words ^= moved
+    if not _all_digits(words):
+        return None
+    m = _eight_digits(words)
+    big = m[0] > _TOP_MAX
+    return m[0] * ~big * _U(10**16) + m[1] * _U(10**8) + m[2], dot - 1, big
 
-    def _nearest(self, m, q, slow):
-        """m 10^q rounded to the nearest double by a double-double product,
-        in a work array; sets ``slow`` where that may not be the correctly
-        rounded value. Clobbers q."""
-        n = m.size
-        ph, pl, bh, bl, mh, ml, a, e, r = self.rows[4:, :n].view(np.float64)
-        q -= _Q_MIN
-        slow |= q.view(_U) > _U(_Q_MAX - _Q_MIN)
-        for table, row in zip(_POW10, (ph, pl, bh, bl)):
-            np.take(table, q, out=row, mode="clip")
-        # m = mh + ml exactly.
-        np.copyto(mh, m, casting="unsafe")
-        low = e.view(_U)
-        np.copyto(low, mh, casting="unsafe")
-        np.subtract(m, low, out=low)
-        np.copyto(ml, low.view(np.int64), casting="unsafe")
-        np.multiply(mh, ph, out=r)                      # p
-        ml *= ph
-        pl *= mh                                        # ml ph + mh pl: the rest but ml pl
-        # e = mh ph - p exactly (Dekker), from mh's 26-bit halves a + ph.
-        np.multiply(mh, _SPLITTER, out=a)
-        np.subtract(a, mh, out=e)
-        a -= e
-        np.subtract(mh, a, out=ph)
-        np.multiply(a, bh, out=e)
-        e -= r
-        a *= bl
-        e += a
-        np.multiply(ph, bh, out=a)
-        e += a
-        ph *= bl
-        e += ph
-        e += pl
-        e += ml
-        # x = r + e to 2^-102 x. The result mh = fl(r + e) is the correctly
-        # rounded x when 2 |x - mh| is below the gap to mh's lower
-        # neighbour (never wider than the upper gap), with room for that
-        # error.
-        np.add(r, e, out=mh)
-        r -= mh                                         # exact (Sterbenz)
-        r += e
-        r += r
-        np.abs(r, out=r)
-        np.subtract(mh.view(_U), _U(1), out=a.view(_U))
-        np.subtract(mh, a, out=a)                       # NaN for 0, where r = 0
-        a *= _MARGIN
-        slow |= r >= a
-        return mh
+
+def _nearest(m, q, slow):
+    """m 10^q rounded to the nearest double by a double-double product;
+    sets ``slow`` where that may not be the correctly rounded value."""
+    q = q - _Q_MIN
+    slow |= q.view(_U) > _U(_Q_MAX - _Q_MIN)
+    ph, pl, bh, bl = np.take(_POW10, q, axis=1, mode="clip")
+    # m = mh + ml exactly.
+    mh = m.astype(np.float64)
+    ml = (m - mh.astype(_U)).view(np.int64).astype(np.float64)
+    p = mh * ph
+    # e = mh ph - p exactly (Dekker), from mh's 26-bit halves ah + al,
+    # plus ml ph + mh pl: the rest but ml pl. Summed in place: a temporary
+    # for each step made the product 10% slower.
+    ah = mh * _SPLITTER
+    ah -= ah - mh
+    al = mh - ah
+    e = ah * bh
+    e -= p
+    e += ah * bl
+    e += al * bh
+    e += al * bl
+    pl *= mh
+    e += pl
+    ml *= ph
+    e += ml
+    # x = p + e to 2^-102 x. The result fl(p + e) is the correctly
+    # rounded x when 2 |x - fl(p + e)| is below the gap to its lower
+    # neighbour (never wider than the upper gap), with room for that
+    # error.
+    x = p + e
+    p -= x                                              # exact (Sterbenz)
+    p += e
+    p += p
+    twice_error = np.abs(p, out=p)
+    gap = (x.view(_U) - _U(1)).view(np.float64)
+    np.subtract(x, gap, out=gap)                        # NaN for 0, where the error is 0
+    gap *= _MARGIN
+    slow |= twice_error >= gap
+    return x
 
 
 def _add_exponents(text, buf, end, ends, marks, marked, q, slow) -> bool:
@@ -567,14 +487,11 @@ def _add_exponents(text, buf, end, ends, marks, marked, q, slow) -> bool:
         return False
     slow[marked[digits > 8]] = True
     # The 8 bytes that end at each value's end.
-    word = np.ndarray((end - 24,), "<u8", buf, 16, (1,))[ends[marked]]
-    word ^= _ZERO_CHARS
-    np.minimum(digits, 8, out=digits)
-    word &= _LAST[2, digits]
-    scratch = np.empty_like(word)
-    if not _all_digits(word, scratch):
+    word = np.ndarray((end - 24,), "<u8", buf, 16, (1,))[ends[marked]] ^ _ZERO_CHARS
+    word &= _LAST[2, np.minimum(digits, 8)]
+    if not _all_digits(word):
         return False
-    value = _eight_digits(word, scratch).view(np.int64)
+    value = _eight_digits(word).view(np.int64)
     np.negative(value, out=value, where=neg)
     q[marked] += value
     return True
@@ -587,7 +504,6 @@ def read_rows(fh, n_cols: int) -> np.ndarray | None:
     line, or when n_cols < 1 (the caller then falls back to np.loadtxt)."""
     if n_cols < 1:
         return None
-    parser = _Parser(n_cols)
     buf = bytearray(b"0" * _PAD + bytes(_READ_BYTES))
     held = 0                    # bytes of a partial line after the pad
     out, n_rows = None, 0
@@ -605,7 +521,7 @@ def read_rows(fh, n_cols: int) -> np.ndarray | None:
             buf += bytes(len(buf))
             held = filled - _PAD
             continue
-        values = parser.values(buf, end)
+        values = _block_values(buf, end, n_cols)
         if values is None:
             return None
         rows = values.size // n_cols

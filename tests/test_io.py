@@ -6,7 +6,10 @@ ConfigurationError."""
 
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -194,6 +197,53 @@ def test_reader_rounds_tokens_at_and_next_to_midpoints_as_float(tmp_path, token)
     assert same_bits(got, loadtxt_rows(path))
 
 
+DIGITS = "0123456789"
+
+
+@st.composite
+def grammar_tokens(draw):
+    """A token of the reader's fast grammar: [+-], 0-30 digits, an optional
+    dot and 0-30 digits (one mantissa digit at least), and an optional
+    e|E exponent of [+-] and 1-4 digits."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    whole = draw(st.text(DIGITS, max_size=30))
+    point = draw(st.sampled_from(["", "."]))
+    fraction = draw(st.text(DIGITS, max_size=30)) if point else ""
+    if not whole + fraction:
+        whole = draw(st.text(DIGITS, min_size=1, max_size=30))
+    exponent = ""
+    if draw(st.booleans()):
+        exponent = (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                    + draw(st.text(DIGITS, min_size=1, max_size=4)))
+    return sign + whole + point + fraction + exponent
+
+
+GRAMMAR_FILES = st.tuples(st.integers(1, 5), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(st.lists(grammar_tokens(), min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=GRAMMAR_FILES, final_newline=st.booleans())
+# Overflow to inf, subnormals, underflow to +-0, a 61-digit mantissa.
+@example(rows=[["9e9999", "-1E400", "4.9e-324", "-2e-0310"], ["1e-400", "-.0001e-9999", "+0",
+               "123456789012345678901234567890.123456789012345678901234567890"]],
+         final_newline=False)
+def test_reader_equals_loadtxt_on_any_text_of_its_grammar(rows, final_newline):
+    text = "\n".join(",".join(row) for row in rows) + ("\n" if final_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.csv"
+        path.write_text(",".join(["c"] * len(rows[0])) + "\n" + text)
+        assert reads_as_loadtxt(path)
+
+
+@pytest.mark.parametrize("token", ["1..2", "1e", "1e+", "e5", ".", "+-1", "1.2.3", "1e5e5"])
+def test_reader_leaves_near_numbers_to_loadtxt(tmp_path, token):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,b,c\n1.5,2,3\n-4,{token},6\n7,8,9\n")
+    assert read_rows(path) is None
+
+
 @settings(max_examples=50, deadline=None)
 @given(matrix=MATRICES, block=st.integers(1, 64))
 @example(matrix=np.linspace(-3.0, 3.0, 300).reshape(2, 150), block=37)
@@ -218,6 +268,43 @@ def test_read_matrix_csv_calls_loadtxt_only_outside_the_fast_grammar(tmp_path, m
     assert same_bits(lio.read_matrix_csv(tmp_path / "m.csv")[0], matrix)
     with pytest.raises(AssertionError, match="np.loadtxt called"):
         lio.read_matrix_csv(tmp_path / "odd.csv")
+
+
+READ_PEAK = """
+import json, sys
+import latent_brrr.io as lio
+
+def peak_kib():
+    # The high-water mark of this process's own memory map. ru_maxrss
+    # starts at the peak of the process that spawned this one, here the
+    # test runner, which may well be larger than this whole process.
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+lio.read_matrix_csv(sys.argv[1])
+before = peak_kib()
+matrix, _ = lio.read_matrix_csv(sys.argv[2])
+print(json.dumps({"grown_kib": peak_kib() - before, "nbytes": matrix.nbytes}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_reading_a_matrix_grows_peak_memory_by_little_more_than_the_matrix(tmp_path):
+    # In a fresh process, after a first small read has mapped in the
+    # reader's code: a reader that held its blocks and joined them at the
+    # end (twice the matrix) would fail.
+    lio.write_matrix_csv(tmp_path / "small.csv", np.ones((3, 2)))
+    lio.write_matrix_csv(tmp_path / "big.csv",
+                         np.random.default_rng(25).standard_normal((15000, 60)))
+    env = dict(os.environ)
+    src = str(Path(lio.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", READ_PEAK, str(tmp_path / "small.csv"),
+                            str(tmp_path / "big.csv")], capture_output=True, text=True,
+                           env=env, timeout=120, check=True)
+    report = json.loads(child.stdout)
+    assert report["nbytes"] == 15000 * 60 * 8
+    assert report["grown_kib"] * 1024 <= 1.25 * report["nbytes"] + 3 * 2**20
 
 
 @settings(max_examples=200, deadline=None)
