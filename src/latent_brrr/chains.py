@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import isub
 
 import numpy as np
 
 from latent_brrr.errors import NumericalError
-from latent_brrr.model import FACTOR_ROWS, Dataset, Dims, ModelConfig, stack_arrays
+from latent_brrr.model import FACTOR_ROWS, Dataset, Dims, ModelConfig, stack_arrays, sum_squares
 
 # Bytes of stacked per-chain arrays one batch of ``run_chains`` may hold
 # (counted by ``_chain_bytes``); more fits of one shape run in further batches.
@@ -46,10 +47,6 @@ _BATCH_BYTES = 32 * 2**20
 # A squared Cholesky pivot of the Schur complement S below this fraction of
 # its diagonal entry counts S as singular.
 _FACTOR_RCOND = 1e-10
-# Values in one block of a residual summed by rows: the least-squares
-# residual that ``ChainData`` forms a batch's Schur complement from, and
-# sigma's residual (``gibbs.update_sigma``), so neither holds a (C, N, K) array.
-_RESIDUAL_BLOCK_VALUES = 2**16
 
 
 @dataclass
@@ -104,10 +101,11 @@ class ChainData:
     ``target_rows`` = [M; L_S'; 0], stacked (C, P + K + S, K). S is formed
     as E'E from the least-squares residual E = Y - X (X'X)^{-1} X'Y, which
     keeps its small entries exact to rounding where a target is fitted
-    nearly exactly. ``target_rows`` is None, for the whole batch, where the
-    factor is missing or unreliable: N - P - K < S (which includes
-    P + K > N), collinear columns of X, or S singular (both judged by
-    ``_FACTOR_RCOND``).
+    nearly exactly, by ``model.sum_squares`` in row blocks of at most
+    ``model.ROW_BLOCK_VALUES`` values. ``target_rows`` is None, for the whole
+    batch, where the factor is missing or unreliable: N - P - K < S (which
+    includes P + K > N), collinear columns of X, or S singular (both judged
+    by ``_FACTOR_RCOND``).
 
     ``x_psi`` is where ``gibbs._rows`` keeps X Psi between sweeps, in the
     rows the batch's last sweep worked in, so a sweep that starts from the
@@ -157,13 +155,9 @@ class ChainData:
         isqrt = 1.0 / np.sqrt(lam)[..., :, None]
         M = isqrt * (U.swapaxes(-1, -2) @ self.xty)
         coef = U @ (isqrt * M)                       # (X'X)^{-1} X'Y
-        schur = np.zeros((C, K, K))
-        step = max(1, _RESIDUAL_BLOCK_VALUES // (C * K))
-        for start in range(0, N, step):
-            rows = slice(start, start + step)
-            residual = self.X[:, rows] @ coef
-            np.subtract(self.Y[:, rows], residual, out=residual)
-            schur += residual.swapaxes(-1, -2) @ residual
+        # -E = X (X'X)^{-1} X'Y - Y, formed in place: (-E)'(-E) is E'E exactly.
+        schur = sum_squares(lambda rows: isub(self.X[:, rows] @ coef, self.Y[:, rows]),
+                            self.Y.shape, outer=True)
         try:
             lower = np.linalg.cholesky(schur)
         except np.linalg.LinAlgError:

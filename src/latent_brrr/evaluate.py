@@ -9,7 +9,7 @@ import numpy as np
 from latent_brrr.errors import ConfigurationError, NumericalError
 # run_chain stays bound here for callers and tracers that patch it by module.
 from latent_brrr.gibbs import RunStats, batch_width, run_chain, run_chains  # noqa: F401
-from latent_brrr.model import Dataset, ModelConfig, PosteriorSamples, total_variance
+from latent_brrr.model import Dataset, ModelConfig, PosteriorSamples, sum_squares, total_variance
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class AssocResult:
 
 
 def mse(predictions: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Column-wise mean squared error and its average over targets."""
+    """Column-wise mean squared error and its average over targets, summed by
+    ``model.sum_squares`` in row blocks of ``model.ROW_BLOCK_VALUES`` values."""
     predictions = np.asarray(predictions, dtype=float)
     y = np.asarray(y, dtype=float)
     if predictions.shape != y.shape:
@@ -51,18 +52,7 @@ def mse(predictions: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         # or squared errors it lays out column-major for column-major operands.
         per_target = ((predictions - y) ** 2).mean(axis=0)
         return float(per_target.mean()), per_target
-    # Square the errors 2048 rows at a time (under 1 MB at K = 60), not all
-    # N x K at once, which set predict's peak memory. Reducing the running sum
-    # stacked above each block adds the rows in the order the full
-    # expression's mean adds them, so the sums are the same bit for bit.
-    block = min(N, 2048)
-    squares = np.zeros((block + 1, K))
-    for start in range(0, N, block):
-        rows = squares[1:1 + min(block, N - start)]
-        np.subtract(predictions[start:start + len(rows)], y[start:start + len(rows)], out=rows)
-        np.square(rows, out=rows)
-        squares[0] = np.add.reduce(squares[:1 + len(rows)], axis=0)
-    per_target = squares[0] / N
+    per_target = sum_squares(lambda rows: predictions[rows] - y[rows], y.shape) / N
     return float(per_target.mean()), per_target
 
 

@@ -80,11 +80,11 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from operator import isub
 
 import numpy as np
 
 from latent_brrr.chains import (
-    _RESIDUAL_BLOCK_VALUES,
     ChainData,
     ChainStreams,
     ChainsTrace,
@@ -104,6 +104,7 @@ from latent_brrr.model import (
     mean_design,
     resolve_sigma_omega,
     sample_prior,
+    sum_squares,
 )
 
 
@@ -593,7 +594,7 @@ def update_delta_noise(state, data, config: ModelConfig, streams, shared: dict):
 def update_sigma(state, data, config: ModelConfig, streams, shared: dict):
     """Conjugate update of the target-specific noise precisions, with each
     residual sum of squares of Y - D B summed in the sweep's rows (``_rows``),
-    by blocks of rows (``chains._RESIDUAL_BLOCK_VALUES`` values each).
+    by ``model.sum_squares`` in row blocks of ``model.ROW_BLOCK_VALUES`` values.
 
     In the rows of a statistics sweep, target k's residual A u_k - Z v_k
     becomes R u_k - G v_k stacked over L_W' v_k, so its sum of squares is
@@ -601,24 +602,7 @@ def update_sigma(state, data, config: ModelConfig, streams, shared: dict):
     """
     D, Y, _, _ = _design(state, data, config, shared)
     B = mean_coefficients(state, config)
-    C, n_rows, K = Y.shape
-    # D B - Y by row blocks, formed in place in the first block's array, so
-    # the sum holds no array of Y's shape and allocates once. Each later
-    # block's first squared row carries the running sum, so the blocks add
-    # the rows in order, as one sum over all rows would (for K > 1, where
-    # einsum sums each column row by row).
-    step = max(1, _RESIDUAL_BLOCK_VALUES // (C * K))
-    residual = D[:, :step] @ B
-    residual -= Y[:, :step]
-    rss = np.einsum("...nk,...nk->...k", residual, residual)
-    for start in range(step, n_rows, step):
-        rows = slice(start, start + step)
-        block = residual[:, :min(step, n_rows - start)]
-        np.matmul(D[:, rows], B, out=block)
-        block -= Y[:, rows]
-        np.square(block, out=block)
-        block[:, 0] += rss
-        rss = np.einsum("...nk->...k", block)
+    rss = sum_squares(lambda rows: isub(D[:, rows] @ B, Y[:, rows]), Y.shape)
     rate = config.b_sigma + 0.5 * rss
     precision = streams.gamma(config.a_sigma + 0.5 * data.n_samples, 1.0 / rate)
     state.sigma_sq = 1.0 / precision

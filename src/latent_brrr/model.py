@@ -19,6 +19,7 @@ structured noise entirely; the null variant fixes the coefficients at zero.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -418,13 +419,42 @@ def latent_snr_to_variance(beta: float, rank: int, X: np.ndarray) -> float:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ConfigurationError("X must be a matrix with at least two rows")
+    # Judged exactly: the variance of a constant X is 0 or rounding noise.
+    if (X.min(axis=0) == X.max(axis=0)).all():
+        raise ConfigurationError("latent_snr needs X with variance: every column of X is constant")
     return rank * total_variance(X) / beta
+
+
+# Values in one block of a pass over data rows (``sum_squares``).
+ROW_BLOCK_VALUES = 2**16
+
+
+def sum_squares(terms, shape: tuple[int, ...], outer: bool = False):
+    """Sum over the N rows of terms T of ``shape`` (..., N, K) of their squares,
+    or with ``outer`` of T'T; ``terms(rows)`` gives T[..., rows, :] as a new
+    array. Blocks hold at most ROW_BLOCK_VALUES values, and each carries the
+    running sum in its first row: for K > 1 the rows add in order, bit for bit
+    as in ``np.square(T).sum(axis=-2)``."""
+    *lead, n_rows, width = shape
+    step = max(1, ROW_BLOCK_VALUES // (math.prod(lead) * width))
+    total = 0.0
+    for start in range(0, max(n_rows, 1), step):
+        block = terms(slice(start, start + step))
+        if outer:
+            total = total + block.swapaxes(-1, -2) @ block
+        else:
+            np.square(block, out=block)
+            if start:
+                block[..., 0, :] += total
+            total = np.einsum("...nk->...k", block)  # a third of sum(axis=-2)'s time
+        del block  # before the next block is formed: one block at a time
+    return total
 
 
 def total_variance(M: np.ndarray) -> float:
     """trace(Var(M)): the sum of the column variances, denominator N-1."""
-    centered = M - M.mean(axis=0)
-    return float((centered * centered).sum() / (M.shape[0] - 1))
+    mean = M.mean(axis=0)
+    return float(sum_squares(lambda rows: M[rows] - mean, M.shape).sum() / (M.shape[0] - 1))
 
 
 def resolve_sigma_omega(config: ModelConfig, X: np.ndarray) -> ModelConfig:

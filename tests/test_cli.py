@@ -244,6 +244,19 @@ def test_fit_on_awkward_data_gives_a_finite_fit_or_a_clean_exit(tmp_path, capsys
         assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize("value", [0.1, 3.0])
+def test_fit_with_latent_snr_on_a_constant_x_exits_2_naming_the_cause(tmp_path, capsys, value):
+    Y = np.random.default_rng(19).standard_normal((50, 2))
+    lio.write_matrix_csv(tmp_path / "X.csv", np.full((50, 3), value), ["x0", "x1", "x2"])
+    lio.write_matrix_csv(tmp_path / "Y.csv", Y, ["y0", "y1"])
+    config = write_config(tmp_path / "config.json", latent_snr=0.5)
+    code = run_cli("fit", "--x", tmp_path / "X.csv", "--y", tmp_path / "Y.csv",
+                   "--config", config, "--out-dir", tmp_path / "fit")
+    assert code == 2
+    assert "every column of X is constant" in capsys.readouterr().err
+    assert not (tmp_path / "fit" / "posterior_summary.json").exists()
+
+
 @pytest.mark.parametrize("case, row_sweeps", [("p_above_n", 60), ("duplicate_columns", 60),
                                               ("single_target", 10)])
 def test_latent_noise_fit_draws_omega_rows_only_where_it_must(tmp_path, case, row_sweeps):

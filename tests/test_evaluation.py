@@ -31,9 +31,10 @@ def test_mse_hand_case():
     assert total == 5.0
 
 
+# Blocks hold 2**16 values: 13107 rows at K = 5, 32768 at K = 2.
 @pytest.mark.parametrize("shape, order", [
-    ((15000, 60), "C"), ((7, 3), "C"), ((3, 1000), "C"), ((4097, 5), "C"),
-    ((2049, 2), "C"), ((20000, 1), "C"), ((4097, 5), "F"),
+    ((15000, 60), "C"), ((7, 3), "C"), ((3, 1000), "C"), ((26215, 5), "C"),
+    ((13106, 5), "C"), ((32769, 2), "C"), ((20000, 1), "C"), ((26215, 5), "F"),
 ])
 def test_mse_equals_the_full_expression_bit_for_bit(shape, order):
     # mse sums the squared errors by blocks of rows; the sums must be the

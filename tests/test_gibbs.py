@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latent_brrr.gibbs as gibbs
+import latent_brrr.model as model
 import latent_brrr.theory as theory
 from latent_brrr.chains import ChainData, ChainStreams, RunStats
 from latent_brrr.errors import ConfigurationError, NumericalError
@@ -651,7 +652,7 @@ def test_sigma_sums_row_blocks_in_the_order_of_one_sum(variant, monkeypatch):
         return stacked.sigma_sq
 
     one_block = rates()
-    monkeypatch.setattr(gibbs, "_RESIDUAL_BLOCK_VALUES", 2 * 4 * 3)
+    monkeypatch.setattr(model, "ROW_BLOCK_VALUES", 2 * 4 * 3)
     assert np.array_equal(rates(), one_block)
 
 

@@ -1,11 +1,16 @@
 """Model-core tests: priors, prediction, marginal covariance, SNR conversion."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import latent_brrr.model as model
 from latent_brrr.errors import ConfigurationError, DimensionError, StateError
+from latent_brrr.gibbs import run_chain
 from latent_brrr.model import (
     Dataset,
     Dims,
@@ -18,6 +23,8 @@ from latent_brrr.model import (
     predict_mean,
     resolve_sigma_omega,
     sample_prior,
+    sum_squares,
+    total_variance,
 )
 
 
@@ -335,6 +342,24 @@ def test_latent_snr_limits_and_errors():
         latent_snr_to_variance(1.0, 2, X[:1])
 
 
+@pytest.mark.parametrize("value", [0.1, 3.0])
+def test_latent_snr_rejects_an_x_whose_every_column_is_constant(value):
+    # X = 0.1 leaves rounding noise (1.4e-32) as its variance, X = 3.0 an
+    # exact 0; neither may become sigma_omega_sq.
+    rng = np.random.default_rng(16)
+    dataset = Dataset(X=np.full((50, 3), value), Y=rng.standard_normal((50, 2)))
+    config = ModelConfig(variant=Variant.LATENT_NOISE, rank=2, latent_snr=0.5,
+                         iterations=20, burn_in=10, thin=2)
+    with pytest.raises(ConfigurationError, match="every column of X is constant"):
+        run_chain(dataset, config)
+
+
+def test_latent_snr_accepts_an_x_with_one_constant_column():
+    X = standardized_matrix(np.random.default_rng(17), 50, 4)
+    X[:, 0] = 3.0
+    assert latent_snr_to_variance(0.5, 2, X) == pytest.approx(2 * 3 / 0.5, rel=1e-12)
+
+
 @pytest.mark.parametrize("beta", [1 / 5, 1 / 7.5, 1 / 10, 1 / 12.5, 1 / 15])
 def test_latent_snr_grid_values_accepted(beta):
     X = standardized_matrix(np.random.default_rng(14), 100, 30)
@@ -352,3 +377,41 @@ def test_resolve_sigma_omega_materializes_latent_snr():
     # non-latent variants pass through untouched
     nn = ModelConfig(variant=Variant.NO_NOISE, rank=2)
     assert resolve_sigma_omega(nn, X) is nn
+
+
+# ---------------------------------------------------------------------------
+# sums of squares over row blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains=st.sampled_from([(), (1,), (3,)]), K=st.integers(2, 6),
+       step=st.integers(1, 5), blocks=st.integers(0, 3), offset=st.integers(-1, 1),
+       seed=st.integers(0, 2**32 - 1))
+@example(chains=(3,), K=2, step=2, blocks=0, offset=0, seed=0)
+@example(chains=(), K=3, step=4, blocks=2, offset=1, seed=1)
+def test_sum_squares_equals_one_reduction_bit_for_bit(chains, K, step, blocks, offset, seed):
+    # A budget of `step` rows; N = 0 and N at a block boundary +-1.
+    row_values = int(np.prod(chains)) * K
+    N = max(0, blocks * step + offset)
+    T = np.random.default_rng(seed).standard_normal((*chains, N, K)) * 1e3
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "ROW_BLOCK_VALUES", step * row_values)
+        squares = sum_squares(lambda rows: T[..., rows, :].copy(), T.shape)
+        products = sum_squares(lambda rows: T[..., rows, :].copy(), T.shape, outer=True)
+    assert np.array_equal(squares, np.square(T).sum(axis=-2))
+    # T'T by blocks adds the products in another order: equal to rounding.
+    magnitude = np.abs(T).swapaxes(-1, -2) @ np.abs(T)
+    assert products.shape == (*chains, K, K)
+    assert (np.abs(products - T.swapaxes(-1, -2) @ T) <= 1e-12 * magnitude).all()
+
+
+def test_total_variance_holds_no_array_of_its_input_shape():
+    M = np.random.default_rng(18).standard_normal((20000, 300))
+    tracemalloc.start()
+    try:
+        value = total_variance(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < M.nbytes
+    assert value == pytest.approx(M.var(axis=0, ddof=1).sum(), rel=1e-12)
