@@ -23,7 +23,7 @@ from latent_brrr import __version__
 from latent_brrr import io as lio
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.evaluate import mse, permutation_test
-from latent_brrr.gibbs import RunStats, run_chain
+from latent_brrr.gibbs import RunStats, draw_factor_rows, run_chain
 from latent_brrr.model import (
     Dataset,
     Dims,
@@ -220,7 +220,7 @@ def cmd_fit(args) -> None:
             "n_retained": len(states),
         })
         if args.samples:
-            lio.write_samples(out / "samples.bin", samples)
+            lio.write_samples(out / "samples.bin", draw_factor_rows(samples, dataset))
         return trace.stats.as_dict()
 
     _run_with_manifest(args, lio.model_config_to_dict(resolved), worker)

@@ -61,13 +61,15 @@ statistics sweep works in P + K + S rows, S the rank of F (none for no
 noise), whose sums have the law those of the N rows have
 (``_compressed_rows``): the pair (``ChainData.x_rows``, ``target_rows``),
 and no pass over X or Y. For no noise these rows give D'D = Psi'X'X Psi,
-D'Y = Psi'X'Y and every residual sum up to rounding. A sweep works in the
-N data rows, the pair (X, Y), where the schedule retains its state
-(``samples.bin`` stores Omega and H) and in batches without R
-(P + K + S > N, collinear X, a singular Schur complement). X Psi is kept
-from one sweep to the next, so the H step of a row sweep that follows one
-reads X Psi without a pass over X. The Gamma step forms D, D'D and D'Y in
-the sweep's rows, from which Gamma (Z'Y - (Z'H) Lambda, Z = X Psi
+D'Y = Psi'X'Y and every residual sum up to rounding. Only batches without
+R (P + K + S > N, collinear X, a singular Schur complement) work in the N
+data rows, the pair (X, Y), and they do on every sweep. The factor rows
+are a nuisance no summary reads; ``samples.bin`` stores them, and
+``draw_factor_rows`` draws them for each retained state after the run,
+from their full conditional given that state, on a Generator spawned from
+the seed. X Psi is kept from one sweep to the next, so the H step of a row
+sweep reads X Psi without a pass over X. The Gamma step forms D, D'D and
+D'Y in the sweep's rows, from which Gamma (Z'Y - (Z'H) Lambda, Z = X Psi
 (+ Omega)) and Lambda (H'Y - (H'Z) Gamma) read; independent noise's Psi
 linear term (X'Y - (X'H) Lambda) M^{-1} G' reads X'H in the same rows.
 Sigma sums each target's squared residual y_k - D b_k directly in those
@@ -94,6 +96,7 @@ from latent_brrr.chains import (
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import (
     FACTOR_ROWS,
+    ROW_BLOCK_VALUES,
     Dataset,
     Dims,
     ModelConfig,
@@ -634,10 +637,11 @@ def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
     injection). Every variant's sweep works in the compressed rows of a
     statistics sweep where the batch has them, leaving the state's factor
     rows (Omega or H) None, and in the N data rows with ``omega_rows``
-    (``_rows``). The sweep, each step's wall time (added to its bucket) and
-    a sweep in the N data rows (``omega_row_sweeps``, for every variant) are
-    counted in ``stats``, or in a fresh RunStats that is dropped when none
-    is given.
+    (``_rows``), the row path the statistics path is checked against; the
+    chain driver never sets it. The sweep, each step's wall time (added to
+    its bucket) and a sweep in the N data rows (``omega_row_sweeps``, for
+    every variant) are counted in ``stats``, or in a fresh RunStats that is
+    dropped when none is given.
 
     A numerical failure on any chain raises NumericalError from the step
     where it occurs, and ``state`` is then part-way through the sweep.
@@ -680,10 +684,11 @@ def _advance(datasets: Sequence[Dataset], configs: Sequence[ModelConfig],
     raised again as NumericalError with the iteration attached. Adds the
     wall time per update bucket and the sweep counts to ``stats``.
 
-    The sweeps whose states the schedule retains work in the N data rows,
-    whether or not ``retain`` keeps them, so a chain draws the same
-    variates in ``run_chain`` (whose retained states carry Omega or H) as in
-    ``run_chains``.
+    Every sweep works in the compressed rows where the batch has them, and
+    ``retain`` changes no draw, so a chain draws the same variates in
+    ``run_chain`` as in ``run_chains``. A retained state of such a batch
+    carries no Omega or H (None); ``draw_factor_rows`` draws them for
+    ``samples.bin``.
     """
     config = configs[0]
     first = datasets[0]
@@ -706,12 +711,11 @@ def _advance(datasets: Sequence[Dataset], configs: Sequence[ModelConfig],
     theta_sum = np.zeros((len(configs), P, K))
     retained: list[ModelState] = []
     for it in range(1, config.iterations + 1):
-        kept = it > config.burn_in and (it - config.burn_in) % config.thin == 0
         try:
-            gibbs_sweep(state, data, config, streams, stats=stats, omega_rows=kept)
+            gibbs_sweep(state, data, config, streams, stats=stats)
         except NumericalError as exc:
             raise NumericalError(f"{exc} (iteration {it})") from exc
-        if kept:
+        if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
             theta_sum += state.theta
             if retain:
                 retained.append(state.chain(0))
@@ -724,13 +728,58 @@ def run_chain(dataset: Dataset, config: ModelConfig) -> ChainTrace:
     The one-chain case of ``run_chains``. Retains every ``thin``-th
     post-burn-in state and the posterior mean of Theta = Psi Gamma over the
     retained states. A numerical failure raises NumericalError with the
-    iteration index attached.
+    iteration index attached. Where the sweeps work in compressed rows the
+    retained states carry no factor rows (Omega or H is None);
+    ``draw_factor_rows`` draws them.
     """
     config = _resolved(dataset, config)
     stats = RunStats()
     theta_means, retained = _advance([dataset], [config], stats, retain=True)
     samples = PosteriorSamples(states=retained, theta_mean=theta_means[0], config=config)
     return ChainTrace(samples=samples, stats=stats)
+
+
+def draw_factor_rows(samples: PosteriorSamples, dataset: Dataset) -> PosteriorSamples:
+    """``samples`` (of ``run_chain`` on ``dataset``) with each retained
+    state's factor rows, Omega for latent noise and H for independent noise
+    (``model.FACTOR_ROWS``), drawn in the N data rows from their full
+    conditional given the rest of that state. Samples of the other variants
+    are returned as they are.
+
+    The sweeps integrate the factor rows out or draw them in compressed
+    rows, and no summary reads them. Drawing them after the run, given each
+    retained state, through the Omega and H steps' system
+    (``_factor_rows_system``), gives each pair the joint posterior law: the
+    collapsed-Gibbs move of recovering an integrated-out block from its
+    full conditional (Liu, JASA 1994). Rows a row sweep drew are replaced.
+    The normals come from a Generator spawned from ``config.seed``, so the
+    chain's own stream, and with it every other output, does not depend on
+    whether the rows are drawn. The states are stacked in blocks of at most
+    ``model.ROW_BLOCK_VALUES`` factor values, each with one product with X
+    and one normal draw, in the order of the states.
+    """
+    config = samples.config
+    field = FACTOR_ROWS.get(config.variant)
+    if field is None:
+        return samples
+    rng = np.random.default_rng(config.seed).spawn(1)[0]
+    (N, P), S = dataset.X.shape, config.noise_rank or config.rank
+    states = [replace(s, **{field: None}) for s in samples.states]
+    step = max(1, ROW_BLOCK_VALUES // (N * S))
+    for start in range(0, len(states), step):
+        block = states[start:start + step]
+        state = ModelState.stack(block)
+        C, S1 = len(block), state.Psi.shape[-1]
+        x_psi = (dataset.X @ state.Psi.transpose(1, 0, 2).reshape(P, C * S1)).reshape(N, C, S1)
+        if config.variant is Variant.LATENT_NOISE:
+            loadings, prior_prec = state.Gamma, state.tau / config.sigma_omega_sq
+        else:
+            loadings, prior_prec = state.Lambda, state.tau_noise
+        system = _factor_rows_system(loadings, prior_prec, state, x_psi.swapaxes(0, 1),
+                                     dataset.Y, f"{field} rows")
+        F = _T(_draw(system, None, rng.standard_normal(system[1].shape)))
+        states[start:start + step] = [replace(s, **{field: F[c]}) for c, s in enumerate(block)]
+    return replace(samples, states=tuple(states))
 
 
 def run_chains(fits: Sequence[tuple[Dataset, ModelConfig]],

@@ -18,7 +18,8 @@ Psi (P, S1), Gamma (S1, K), phi_gamma (S1, K), delta (S1,), sigma_sq (K,),
 followed by Omega (n_rows, S1) when n_rows > 0 and noise_rank == 0, or by
 H (n_rows, S2), Lambda (S2, K), phi_lambda (S2, K), delta_noise (S2,) when
 noise_rank > 0. ``_sample_blocks`` holds this order for both the writer and
-the reader.
+the reader. A latent- or independent-noise file always carries the factor
+rows (``gibbs.draw_factor_rows`` draws them after the run).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from latent_brrr import g17
 from latent_brrr.errors import ConfigurationError
-from latent_brrr.model import ModelConfig, ModelState, PosteriorSamples, Variant
+from latent_brrr.model import FACTOR_ROWS, ModelConfig, ModelState, PosteriorSamples, Variant
 from latent_brrr.tuning import CvPlan
 
 SAMPLES_MAGIC = b"LBRRRST1"
@@ -196,13 +197,20 @@ def _sample_blocks(n_rows: int, P: int, K: int, S1: int, S2: int) -> dict[str, t
 
 
 def write_samples(path, samples: PosteriorSamples) -> None:
+    """Write the retained states in the samples.bin layout. A latent- or
+    independent-noise state without its factor rows (Omega or H; see
+    ``gibbs.draw_factor_rows``) raises ConfigurationError."""
     states = samples.states
     if not states:
         raise ConfigurationError("no retained states to write")
+    field = FACTOR_ROWS.get(samples.config.variant)
+    if field and any(getattr(state, field) is None for state in states):
+        raise ConfigurationError(f"a retained {samples.config.variant.value} state has no "
+                                 f"{field} rows to write; draw them with draw_factor_rows")
     first = states[0]
     P, S1 = first.Psi.shape
     K = first.Gamma.shape[1]
-    n_rows = next((noise.shape[0] for noise in (first.Omega, first.H) if noise is not None), 0)
+    n_rows = getattr(first, field).shape[0] if field else 0
     S2 = 0 if first.H is None else first.H.shape[1]
     with open(path, "wb") as fh:
         fh.write(SAMPLES_MAGIC)

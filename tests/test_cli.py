@@ -10,7 +10,7 @@ import pytest
 from latent_brrr import io as lio
 from latent_brrr.cli import build_parser, main
 from latent_brrr.errors import ConfigurationError
-from latent_brrr.gibbs import ChainsTrace, run_chain
+from latent_brrr.gibbs import ChainsTrace, draw_factor_rows, run_chain
 from latent_brrr.model import Dataset, ModelConfig, Variant
 from latent_brrr.simulate import SimConfig
 
@@ -45,26 +45,51 @@ def test_matrix_csv_round_trips_exactly(tmp_path):
     assert text.splitlines()[0] == "a,b,c,d"
 
 
-def test_samples_bin_round_trips(tmp_path):
+def round_trip_samples(tmp_path, variant, field, **extra):
+    """A run_chain fit's samples with their factor rows drawn, written to
+    samples.bin and read back, checked state by state; the read states."""
     rng = np.random.default_rng(1)
-    X = rng.standard_normal((20, 3))
-    Y = rng.standard_normal((20, 4))
-    config = ModelConfig(variant=Variant.LATENT_NOISE, rank=2, sigma_omega_sq=0.8,
-                         iterations=20, burn_in=10, thin=2, seed=3)
-    trace = run_chain(Dataset(X=X, Y=Y), config)
+    dataset = Dataset(X=rng.standard_normal((20, 3)), Y=rng.standard_normal((20, 4)))
+    config = ModelConfig(variant=variant, rank=2, iterations=20, burn_in=10, thin=2, seed=3,
+                         **extra)
+    samples = draw_factor_rows(run_chain(dataset, config).samples, dataset)
     path = tmp_path / "samples.bin"
-    lio.write_samples(path, trace.samples)
+    lio.write_samples(path, samples)
     states = lio.read_samples(path)
-    assert len(states) == len(trace.samples.states)
-    for got, want in zip(states, trace.samples.states):
+    assert len(states) == len(samples.states)
+    width = extra.get("noise_rank", config.rank)
+    for got, want in zip(states, samples.states):
         assert np.array_equal(got.Psi, want.Psi)
-        assert np.array_equal(got.Omega, want.Omega)
+        assert getattr(got, field).shape == (20, width)
+        assert np.array_equal(getattr(got, field), getattr(want, field))
         assert np.array_equal(got.sigma_sq, want.sigma_sq)
+    return path
+
+
+def test_samples_bin_round_trips(tmp_path):
+    path = round_trip_samples(tmp_path, Variant.LATENT_NOISE, "Omega", sigma_omega_sq=0.8)
     # 16-byte magic/version header
     raw = path.read_bytes()
     assert raw[:8] == b"LBRRRST1"
     with pytest.raises(ConfigurationError):
         lio.read_samples(tmp_path / "m.bin") if (tmp_path / "m.bin").write_bytes(b"x" * 64) else None
+
+
+def test_samples_bin_round_trips_independent_noise_h(tmp_path):
+    round_trip_samples(tmp_path, Variant.INDEPENDENT_NOISE, "H", noise_rank=3)
+
+
+@pytest.mark.parametrize("variant, extra", [(Variant.LATENT_NOISE, dict(sigma_omega_sq=0.8)),
+                                            (Variant.INDEPENDENT_NOISE, dict(noise_rank=2))])
+def test_samples_without_factor_rows_are_not_written(tmp_path, variant, extra):
+    # A fit with the block factor retains no rows; the file must not drop them.
+    rng = np.random.default_rng(2)
+    dataset = Dataset(X=rng.standard_normal((20, 3)), Y=rng.standard_normal((20, 4)))
+    config = ModelConfig(variant=variant, rank=2, iterations=20, burn_in=10, thin=2, **extra)
+    samples = run_chain(dataset, config).samples
+    with pytest.raises(ConfigurationError, match="no (Omega|H) rows"):
+        lio.write_samples(tmp_path / "samples.bin", samples)
+    assert not (tmp_path / "samples.bin").exists()
 
 
 def test_config_json_rejects_unknown_keys(tmp_path):
@@ -172,6 +197,28 @@ def test_fit_predict_pipeline(sim_dir, tmp_path):
     assert len(report["mse_per_target"]) == 5
 
 
+@pytest.mark.parametrize("variant, extra, field", [
+    ("latent_noise", {}, "Omega"),
+    ("independent_noise", dict(latent_snr=None, noise_rank=2), "H"),
+])
+def test_fit_samples_change_no_summary_and_rerun_byte_identically(sim_dir, tmp_path, variant,
+                                                                  extra, field):
+    # The factor rows of samples.bin are drawn after the run, on a stream of
+    # their own, so --samples changes no byte of the summary.
+    config = write_config(tmp_path / "config.json", variant=variant, **extra)
+    data = ("--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv", "--config", config)
+    for name, flags in (("plain", ()), ("a", ("--samples",)), ("b", ("--samples",))):
+        assert run_cli("fit", *data, *flags, "--out-dir", tmp_path / name) == 0
+    summaries = {name: (tmp_path / name / "posterior_summary.json").read_bytes()
+                 for name in ("plain", "a", "b")}
+    assert summaries["plain"] == summaries["a"] == summaries["b"]
+    assert (tmp_path / "a" / "samples.bin").read_bytes() == \
+        (tmp_path / "b" / "samples.bin").read_bytes()
+    states = lio.read_samples(tmp_path / "a" / "samples.bin")
+    assert len(states) == 10
+    assert all(getattr(s, field).shape == (80, 2) for s in states)
+
+
 def test_fit_retaining_one_state_writes_strict_json_with_null_sd(sim_dir, tmp_path, recwarn):
     # One retained state has no sample sd: the summary says null, not NaN.
     config = write_config(tmp_path / "config.json", iterations=10, burn_in=5, thin=5)
@@ -258,10 +305,10 @@ def test_fit_with_latent_snr_on_a_constant_x_exits_2_naming_the_cause(tmp_path, 
 
 
 @pytest.mark.parametrize("case, row_sweeps", [("p_above_n", 60), ("duplicate_columns", 60),
-                                              ("single_target", 10)])
+                                              ("single_target", 0)])
 def test_latent_noise_fit_draws_omega_rows_only_where_it_must(tmp_path, case, row_sweeps):
     # P + K + rank > N and collinear columns leave no block factor, so every
-    # sweep draws Omega's rows; otherwise only the 10 retained sweeps do.
+    # sweep draws Omega's rows; otherwise no sweep does, retained or not.
     X, Y, rank = awkward_data(case)
     lio.write_matrix_csv(tmp_path / "X.csv", X, [f"x{j}" for j in range(X.shape[1])])
     lio.write_matrix_csv(tmp_path / "Y.csv", Y, [f"y{j}" for j in range(Y.shape[1])])
@@ -694,12 +741,12 @@ def test_cv_and_assoc_manifests_record_update_timings_and_sweeps(sim_dir, tmp_pa
     data = ("--x", sim_dir / "X_train.csv", "--y", sim_dir / "Y_train.csv", "--config", config)
     assert run_cli("cv", *data, "--plan", plan, "--out-dir", tmp_path / "cv") == 0
     assert run_cli("assoc", *data, "--n-perm", 3, "--out-dir", tmp_path / "assoc") == 0
-    # Each batch draws Omega's rows on the 10 sweeps its schedule retains.
+    # Every batch has the block factor, so no sweep draws Omega's rows.
     buckets = {"setup", "psi", "omega", "gamma", "phi", "delta", "sigma"}
     for command, sweeps in (("cv", 60), ("assoc", 30)):
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
         assert manifest["sweeps"] == sweeps
-        assert manifest["omega_row_sweeps"] == sweeps // 3
+        assert manifest["omega_row_sweeps"] == 0
         assert "rss_fallbacks" not in manifest
         assert set(manifest["wall_time_by_update"]) == buckets
         assert all(t > 0 for t in manifest["wall_time_by_update"].values())

@@ -1253,3 +1253,102 @@ def test_run_chain_validation_errors():
     with pytest.raises(ConfigurationError):
         run_chain(dataset, ModelConfig(variant=Variant.NO_NOISE, rank=2,
                                        iterations=10, burn_in=8, thin=5))
+
+
+# ---------------------------------------------------------------------------
+# factor rows drawn after the run
+
+
+def factor_rows_oracle(state, dataset, config):
+    """Exact mean (N, S) and shared covariance (S, S) of the rows of Omega
+    (by ``omega_conditional_moments``) or of H (dense: rows are independent
+    Bayesian linear models with design Lambda')."""
+    if config.variant is Variant.LATENT_NOISE:
+        return omega_conditional_moments(state, dataset, config)
+    resid = dataset.Y - dataset.X @ state.Psi @ state.Gamma
+    sigma_inv = np.diag(1.0 / state.sigma_sq)
+    cov = np.linalg.inv(np.diag(np.cumprod(state.delta_noise))
+                        + state.Lambda @ sigma_inv @ state.Lambda.T)
+    return resid @ sigma_inv @ state.Lambda.T @ cov, cov
+
+
+@pytest.mark.parametrize("variant", [Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE])
+def test_drawn_factor_rows_have_their_conditional_moments(variant):
+    # M retained copies of one state: their rows are M independent draws
+    # from the one full conditional, whose moments are known exactly.
+    if variant is Variant.LATENT_NOISE:
+        state, dataset, config, _ = make_problem(11, N=5, K=3, S1=2)
+    else:
+        state, dataset, config = independent_noise_problem(40, N=5)
+    field = {Variant.LATENT_NOISE: "Omega", Variant.INDEPENDENT_NOISE: "H"}[variant]
+    M = 4000
+    samples = model.PosteriorSamples(states=(state,) * M, theta_mean=state.theta,
+                                     config=config)
+    draws = np.stack([getattr(s, field) for s in
+                      gibbs.draw_factor_rows(samples, dataset).states])
+    mean, cov = factor_rows_oracle(state, dataset, config)
+    z_mean = (draws.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / M)
+    assert np.max(np.abs(z_mean)) < 4.5, z_mean
+    # Centred by the exact mean, the rows' products estimate cov, each entry
+    # with variance (C_ii C_jj + C_ij^2) / (M N).
+    centred = (draws - mean).reshape(-1, cov.shape[0])
+    emp = centred.T @ centred / len(centred)
+    se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / len(centred))
+    assert np.max(np.abs((emp - cov) / se)) < 4.5, (emp, cov)
+
+
+def test_factor_rows_are_drawn_alike_in_blocks_of_any_size(monkeypatch):
+    # Blocks draw their normals in the order of the states, so a block of
+    # one state at a time gives the rows of one block of all, up to the
+    # rounding of the product with X.
+    _, dataset, _, _ = make_problem(26, N=30, P=4, K=3, S1=2)
+    config = ModelConfig(variant=Variant.LATENT_NOISE, rank=2, sigma_omega_sq=1.0,
+                         iterations=40, burn_in=10, thin=3, seed=5)
+    samples = run_chain(dataset, config).samples
+    whole = gibbs.draw_factor_rows(samples, dataset).states
+    monkeypatch.setattr(gibbs, "ROW_BLOCK_VALUES", 1)
+    apart = gibbs.draw_factor_rows(samples, dataset).states
+    for a, b in zip(whole, apart):
+        assert np.allclose(a.Omega, b.Omega, rtol=1e-12, atol=1e-12)
+        assert a.Psi is b.Psi and a.Omega.shape == (30, 2)
+
+
+def test_drawing_factor_rows_leaves_other_variants_and_the_given_samples_alone():
+    _, dataset, _, _ = make_problem(27, N=30, P=4, K=3, S1=2)
+    config = ModelConfig(variant=Variant.NO_NOISE, rank=2, iterations=20, burn_in=10,
+                         thin=2, seed=5)
+    samples = run_chain(dataset, config).samples
+    assert gibbs.draw_factor_rows(samples, dataset) is samples
+    config = replace(config, variant=Variant.LATENT_NOISE, sigma_omega_sq=1.0)
+    samples = run_chain(dataset, config).samples
+    filled = gibbs.draw_factor_rows(samples, dataset)
+    assert all(s.Omega is None for s in samples.states)
+    assert all(s.Omega.shape == (30, 2) for s in filled.states)
+    assert filled.theta_mean is samples.theta_mean
+
+
+class CountingChainData(ChainData):
+    """A ChainData whose X and Y count the matrix products made with them
+    once it is built: the passes over the data rows after setup."""
+
+    def __init__(self, datasets, configs):
+        super().__init__(datasets, configs)
+        self.X, self.Y = self.X.view(CountingMatmul), self.Y.view(CountingMatmul)
+        CountingMatmul.calls = 0
+
+
+@pytest.mark.parametrize("variant", [Variant.LATENT_NOISE, Variant.INDEPENDENT_NOISE])
+def test_chains_with_the_block_factor_make_no_pass_over_the_data_rows(monkeypatch, variant):
+    # Every sweep of a batch with the block factor works in its compressed
+    # rows, retained or not, in run_chain as in run_chains.
+    _, dataset, config = sweep_problem(variant)
+    config = replace(config, iterations=60, burn_in=20, thin=4)
+    monkeypatch.setattr(gibbs, "ChainData", CountingChainData)
+    trace = run_chain(dataset, config)
+    assert CountingMatmul.calls == 0
+    assert trace.stats.sweeps == 60 and trace.stats.omega_row_sweeps == 0
+    stats = RunStats()
+    fits = [(dataset, replace(config, seed=seed)) for seed in range(3)]
+    assert gibbs.run_chains(fits, stats).errors == (None,) * 3
+    assert CountingMatmul.calls == 0
+    assert stats.sweeps == 60 and stats.omega_row_sweeps == 0
