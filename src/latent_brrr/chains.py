@@ -105,7 +105,8 @@ class ChainData:
     ``model.ROW_BLOCK_VALUES`` values. ``target_rows`` is None, for the whole
     batch, where the factor is missing or unreliable: N - P - K < S (which
     includes P + K > N), collinear columns of X, or S singular (both judged
-    by ``_FACTOR_RCOND``).
+    by ``_FACTOR_RCOND``). ``gibbs.gibbs_sweep`` works in the N data rows
+    (X, Y) exactly when ``target_rows`` is None, and in A~ otherwise.
 
     ``x_psi`` is where ``gibbs._rows`` keeps X Psi between sweeps, in the
     rows the batch's last sweep worked in, so a sweep that starts from the

@@ -197,9 +197,20 @@ def cmd_simulate(args) -> None:
 
 
 def _summarize(stack: np.ndarray) -> dict:
-    """Mean and sample sd over the retained states; a single state has no sd."""
-    return {"mean": stack.mean(axis=0).tolist(),
-            "sd": stack.std(axis=0, ddof=1).tolist() if len(stack) > 1 else None}
+    """Mean and sample sd over the retained states; a single state has no sd.
+    An entry whose sums overflow (draws near 1e150 and beyond) is taken from
+    its draws divided by their largest magnitude, so finite draws give a
+    finite mean and sd."""
+    scale = np.abs(stack).max(axis=0)
+    scale[scale == 0] = 1.0
+
+    def moment(fn):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = fn(stack)
+            return np.where(np.isfinite(value), value, fn(stack / scale) * scale).tolist()
+
+    return {"mean": moment(lambda a: a.mean(axis=0)),
+            "sd": moment(lambda a: a.std(axis=0, ddof=1)) if len(stack) > 1 else None}
 
 
 def cmd_fit(args) -> None:

@@ -620,8 +620,7 @@ def _accumulate(timings, name, t0):
 
 
 def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
-                streams: ChainStreams, *, delta_step=None, stats: RunStats | None = None,
-                omega_rows: bool = False) -> None:
+                streams: ChainStreams, *, stats: RunStats | None = None) -> None:
     """One full update cycle of every chain in ``state``, in a fixed order.
 
     ``state`` holds C >= 1 chains along its leading axis, ``data`` their
@@ -629,29 +628,25 @@ def gibbs_sweep(state: ModelState, data: ChainData, config: ModelConfig,
     (timing bucket, update) steps, each called with the sweep's signature
     ``(state, data, config, streams, shared)`` in one loop; the null
     variant's list is empty. The list is built on each call from this
-    module's global names, so a caller that replaces ``update_*`` here
-    (fault injection, tracing) changes what the sweep calls. The updates
-    share the factor rows a statistics sweep draws and the Gamma step's D'D
-    and D'Y through one per-sweep dict. ``delta_step`` replaces the delta
-    update when given (used by the sampler-validation harness for fault
-    injection). Every variant's sweep works in the compressed rows of a
-    statistics sweep where the batch has them, leaving the state's factor
-    rows (Omega or H) None, and in the N data rows with ``omega_rows``
-    (``_rows``), the row path the statistics path is checked against; the
-    chain driver never sets it. The sweep, each step's wall time (added to
-    its bucket) and a sweep in the N data rows (``omega_row_sweeps``, for
-    every variant) are counted in ``stats``, or in a fresh RunStats that is
-    dropped when none is given.
+    module's ``update_*`` names, so replacing one of them is how a caller
+    injects a fault or traces a step. The updates share the factor rows a
+    statistics sweep draws and the Gamma step's D'D and D'Y through one
+    per-sweep dict. The sweep works in the N data rows exactly when
+    ``data.target_rows`` is None, and otherwise in the compressed rows of a
+    statistics sweep, leaving the state's factor rows (Omega or H) None
+    (``_rows``). The sweep, each step's wall time (added to its bucket) and
+    a sweep in the N data rows (``omega_row_sweeps``) are counted in
+    ``stats``, or in a fresh RunStats that is dropped when none is given.
 
     A numerical failure on any chain raises NumericalError from the step
     where it occurs, and ``state`` is then part-way through the sweep.
     """
     stats = RunStats() if stats is None else stats
     stats.sweeps += 1
-    shared: dict = {"compressed": not omega_rows and data.target_rows is not None}
+    shared: dict = {"compressed": data.target_rows is not None}
     psi = ("psi", update_psi_naive if config.psi_update == "naive" else update_psi_fast)
     gamma, phi = ("gamma", update_gamma), ("phi", update_phi_gamma)
-    delta, sigma = ("delta", delta_step or update_delta), ("sigma", update_sigma)
+    delta, sigma = ("delta", update_delta), ("sigma", update_sigma)
     steps = {Variant.LATENT_NOISE: [psi, ("omega", update_omega), gamma, phi, delta, sigma],
              Variant.INDEPENDENT_NOISE: [("h", update_h), psi, gamma, ("lambda", update_lambda),
                                          phi, ("phi", update_phi_lambda), delta,

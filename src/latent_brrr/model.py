@@ -422,7 +422,12 @@ def latent_snr_to_variance(beta: float, rank: int, X: np.ndarray) -> float:
     # Judged exactly: the variance of a constant X is 0 or rounding noise.
     if (X.min(axis=0) == X.max(axis=0)).all():
         raise ConfigurationError("latent_snr needs X with variance: every column of X is constant")
-    return rank * total_variance(X) / beta
+    with np.errstate(over="ignore"):
+        variance = total_variance(X)
+    if not math.isfinite(rank * variance / beta):
+        raise ConfigurationError(f"latent_snr {beta} gives no finite sigma_omega_sq: the "
+                                 f"variance of X, trace(Var(X)) = {variance:g}, overflows")
+    return rank * variance / beta
 
 
 # Values in one block of a pass over data rows (``sum_squares``).

@@ -100,30 +100,24 @@ def gamma_ratio_two_down_direct(a: float) -> float:
     return math.exp(math.lgamma(a - 2.0) - math.lgamma(a))
 
 
-def prediction_variance_limit(a1: float, a2: float, nu: float,
-                              var_x: float | np.ndarray,
-                              n_covariates: int | None = None) -> float:
-    """Prior variance of one predicted target under the infinite model."""
-    for name, value in (("a1", a1), ("a2", a2), ("nu", nu)):
+def prediction_variance_limit(a1: float, a2: float, nu: float, var_x: float,
+                              n_covariates: int) -> float:
+    """Prior variance of one predicted target under the infinite model, for
+    ``n_covariates`` covariates of variance ``var_x`` each."""
+    for name, value in (("a1", a1), ("a2", a2), ("nu", nu), ("var_x", var_x)):
         check_number(name, value)
     if not a1 > 2 or not a2 > 3 or not nu > 2:
         raise ConfigurationError(
             "prediction variance diverges unless a1 > 2, a2 > 3 and nu > 2"
         )
-    var_x = np.atleast_1d(np.asarray(var_x, dtype=float))
-    if not (np.isfinite(var_x).all() and (var_x >= 0).all()):
+    if var_x < 0:
         raise ConfigurationError("var_x must be finite and non-negative")
-    if n_covariates is not None:
-        check_number("n_covariates", n_covariates, integer=True)
-        if n_covariates < 0:
-            raise ConfigurationError("n_covariates must be >= 0")
-        if var_x.size == 1:
-            var_x = np.full(n_covariates, var_x[0]) if n_covariates else np.zeros(0)
-        elif var_x.size != n_covariates:
-            raise ConfigurationError("var_x length disagrees with n_covariates")
+    check_number("n_covariates", n_covariates, integer=True)
+    if n_covariates < 0:
+        raise ConfigurationError("n_covariates must be >= 0")
     r1 = gamma_ratio_two_down(a1)
     r2 = gamma_ratio_two_down(a2)
-    return float(nu / (nu - 2.0) * var_x.sum() * r1 / (1.0 - r2))
+    return float(nu / (nu - 2.0) * (n_covariates * float(var_x)) * r1 / (1.0 - r2))
 
 
 def truncation_deficit(a2: float, rank: int) -> float:
@@ -400,15 +394,6 @@ def _statistics(state: ModelState, Y: np.ndarray) -> np.ndarray:
                            for _, values in _statistic_blocks(state, Y)], axis=1)
 
 
-def _corrupted_delta_step(state, data, config, streams, shared):
-    # Fault injection: the shape parameter forgets the Omega entries while
-    # the rate keeps them, a realistic wrong-shape bug.
-    quads, _ = gibbs._delta_quads(state, data, config, shared)
-    wrong_count = state.Gamma.shape[-1] + state.Psi.shape[-2]
-    state.delta = gibbs._draw_mgp_delta(state.delta, quads, wrong_count,
-                                        config.a1, config.a2, streams)
-
-
 def _chain_mean_z(ind: np.ndarray, dep: np.ndarray) -> np.ndarray:
     """z-scores of mean(ind) - mean(dep) per trailing index, for iid draws
     ``ind`` (n, ...) and C independent stationary chains ``dep`` (L, C, ...).
@@ -424,7 +409,7 @@ def _chain_mean_z(ind: np.ndarray, dep: np.ndarray) -> np.ndarray:
 
 
 def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
-                rng: np.random.Generator, *, corrupt_delta: bool = False) -> GewekeReport:
+                rng: np.random.Generator) -> GewekeReport:
     """Run both simulators and return a z-score per statistic and test function.
 
     Statistics: every Gamma and Psi entry, each tau_h, each sigma_sq_j, and
@@ -441,16 +426,18 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
     spawned from ``rng`` and started from an exact prior draw; each
     iteration redraws every chain's Y given its draw (X stays fixed; a
     draw without its factor rows takes fresh ones from their prior,
-    ``_draw_response``), then sweeps, so the sweeps work in the compressed
-    rows of a statistics sweep where they can. A correct sweep leaves the joint distribution
-    invariant, so each chain is stationary from its first step and the C
-    chain means of any g are iid: their spread is the standard error
-    (``_chain_mean_z``). The marginal side draws as many iid (prior, Y)
-    pairs from ``rng``: each iteration draws C prior states in one call
-    (``model._prior_draws``, each field for all C at once) and their Y.
-    ``corrupt_delta`` swaps in a wrong-shape delta update; a replaced
-    ``gibbs.update_*`` reaches the sweep too. A numerical failure on any
-    chain raises NumericalError from the sweep where it occurs.
+    ``_draw_response``), then sweeps: in the compressed rows of a
+    statistics sweep where the ChainData has the block factor, and in the N
+    data rows where its ``target_rows`` is None. A correct sweep leaves the
+    joint distribution invariant, so each chain is stationary from its first
+    step and the C chain means of any g are iid: their spread is the
+    standard error (``_chain_mean_z``). The marginal side draws as many iid
+    (prior, Y) pairs from ``rng``: each iteration draws C prior states in
+    one call (``model._prior_draws``, each field for all C at once) and
+    their Y. Replacing a ``gibbs.update_*`` for the run is how a fault is
+    injected: the sweep calls the module's update names as they are at
+    call time. A numerical failure on any chain raises NumericalError from
+    the sweep where it occurs.
     """
     if n_iter < 1:
         raise ConfigurationError("geweke_test needs n_iter >= 1")
@@ -466,7 +453,6 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
              for label, values in _statistic_blocks(state, data.Y)
              for index in np.ndindex(values.shape[1:])]
     streams = ChainStreams(generators)
-    delta_step = _corrupted_delta_step if corrupt_delta else None
     marginal = np.empty((length, n_chains, len(names)))
     successive = np.empty_like(marginal)
     for t in range(length):
@@ -474,7 +460,7 @@ def geweke_test(config: ModelConfig, dims: Dims, n_iter: int,
         marginal[t] = _statistics(prior, _draw_response(prior, X, config, rng.standard_normal))
         Y = _draw_response(state, X, config, streams.standard_normal)
         data.set_targets(Y)
-        gibbs.gibbs_sweep(state, data, config, streams, delta_step=delta_step)
+        gibbs.gibbs_sweep(state, data, config, streams)
         successive[t] = _statistics(state, Y)
 
     marginal = marginal.reshape(-1, len(names))

@@ -21,6 +21,7 @@ import pytest
 from scipy.stats import kstwo
 
 import latent_brrr
+import latent_brrr.gibbs as gibbs
 from latent_brrr import io as lio
 from latent_brrr.cli import main as cli_main
 from latent_brrr.evaluate import mse, permutation_test
@@ -84,13 +85,14 @@ def test_criterion_2_prop2_truncation_deficit():
            "closed form agrees with gamma evaluation to 1e-12", "; ".join(details))
 
 
-def test_criterion_3_geweke_validation():
+def test_criterion_3_geweke_validation(corrupted_delta_step):
     start = time.perf_counter()
     dims = Dims(n_samples=20, n_covariates=3, n_targets=4, rank=2)
     config = default_geweke_config(rank=2)
     clean = geweke_test(config, dims, 100_000, np.random.default_rng(0))
-    corrupted = geweke_test(config, dims, 100_000, np.random.default_rng(43),
-                            corrupt_delta=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gibbs, "update_delta", corrupted_delta_step)
+        corrupted = geweke_test(config, dims, 100_000, np.random.default_rng(43))
     elapsed = time.perf_counter() - start
     ok = clean.fraction_within(4.0) >= 0.95 \
         and corrupted.max_abs_z() > 6.0 and elapsed < 1800.0

@@ -304,6 +304,47 @@ def test_fit_with_latent_snr_on_a_constant_x_exits_2_naming_the_cause(tmp_path, 
     assert not (tmp_path / "fit" / "posterior_summary.json").exists()
 
 
+def test_fit_with_latent_snr_on_an_x_whose_variance_overflows_exits_2_naming_it(tmp_path,
+                                                                                capsys):
+    rng = np.random.default_rng(20)
+    lio.write_matrix_csv(tmp_path / "X.csv", 1e200 * rng.standard_normal((50, 3)),
+                         ["x0", "x1", "x2"])
+    lio.write_matrix_csv(tmp_path / "Y.csv", rng.standard_normal((50, 2)), ["y0", "y1"])
+    config = write_config(tmp_path / "config.json", latent_snr=0.5)
+    code = run_cli("fit", "--x", tmp_path / "X.csv", "--y", tmp_path / "Y.csv",
+                   "--config", config, "--out-dir", tmp_path / "fit")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "latent_snr" in err and "variance of X" in err
+    assert not (tmp_path / "fit" / "posterior_summary.json").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    dict(latent_snr=0.5), dict(latent_snr=None, sigma_omega_sq=1e300),
+    dict(variant="independent_noise", latent_snr=None, noise_rank=2),
+    dict(variant="no_noise", latent_snr=None)])
+def test_fit_on_data_near_the_float_range_writes_finite_summaries(tmp_path, recwarn, extra):
+    # X and Y scaled by 1e150 put sigma_sq near 1e300, whose squared
+    # deviations overflow: the summary must still be strict JSON, finite.
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((60, 4))
+    Y = X @ rng.standard_normal((4, 3)) + rng.standard_normal((60, 3))
+    lio.write_matrix_csv(tmp_path / "X.csv", 1e150 * X, [f"x{j}" for j in range(4)])
+    lio.write_matrix_csv(tmp_path / "Y.csv", 1e150 * Y, ["y0", "y1", "y2"])
+    config = write_config(tmp_path / "config.json", **extra)
+    assert run_cli("fit", "--x", tmp_path / "X.csv", "--y", tmp_path / "Y.csv",
+                   "--config", config, "--out-dir", tmp_path / "fit") == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    summary = json.loads((tmp_path / "fit" / "posterior_summary.json").read_text(),
+                         parse_constant=reject)
+    for name, entry in summary["parameter_summaries"].items():
+        assert np.isfinite(entry["mean"]).all() and np.isfinite(entry["sd"]).all(), name
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("case, row_sweeps", [("p_above_n", 60), ("duplicate_columns", 60),
                                               ("single_target", 0)])
 def test_latent_noise_fit_draws_omega_rows_only_where_it_must(tmp_path, case, row_sweeps):
@@ -652,6 +693,14 @@ def test_verify_rejects_bad_var_x(tmp_path, capsys, var_x):
     assert code == 2
     assert "var_x" in capsys.readouterr().err
     assert not (tmp_path / "v" / "propositions.json").exists()
+
+
+def test_verify_prop1_at_a_trillion_covariates_exits_0(tmp_path):
+    # The closed form needs only P var_x, so its cost does not grow with P.
+    assert run_cli("verify", "--prop1", "--p", 10**12, "--draws", 200,
+                   "--out-dir", tmp_path / "v") == 0
+    report = json.loads((tmp_path / "v" / "propositions.json").read_text())
+    assert report["prop1"]["analytic_value"] == pytest.approx(1.8e12)
 
 
 @pytest.mark.parametrize("flags, field", [

@@ -63,6 +63,15 @@ def solo(update, state, dataset, config, streams):
     return stacked.chain(0)
 
 
+def in_data_rows(data, rows=True):
+    """``data``, a ChainData, with its block factor dropped where ``rows``:
+    a sweep works in the N data rows exactly when ``data.target_rows`` is
+    None."""
+    if rows:
+        data.target_rows = None
+    return data
+
+
 # ---------------------------------------------------------------------------
 # Gamma update
 
@@ -251,9 +260,9 @@ def test_independent_noise_sweep_keeps_psi_target_y_minus_h_lambda(method):
     state = sample_prior(config, Dims(40, 5, 4, 2), rng)
     X = rng.standard_normal((40, 5))
     Y = rng.standard_normal((40, 4))
-    stacked, data = ModelState.stack([state]), ChainData([Dataset(X=X, Y=Y)], [config])
-    gibbs.gibbs_sweep(stacked, data, config, ChainStreams([np.random.default_rng(5)]),
-                      omega_rows=True)
+    stacked = ModelState.stack([state])
+    data = in_data_rows(ChainData([Dataset(X=X, Y=Y)], [config]))
+    gibbs.gibbs_sweep(stacked, data, config, ChainStreams([np.random.default_rng(5)]))
     swept = stacked.chain(0)
     update = update_psi_fast if method == "fast" else update_psi_naive
     rng = np.random.default_rng(5)
@@ -341,8 +350,8 @@ def test_sweep_names_the_step_whose_precision_is_not_finite(variant, psi_update,
     data = ChainData([dataset], [config])
     assert data.target_rows is not None
     with pytest.raises(NumericalError, match=f"^non-finite precision in {re.escape(step)}$"):
-        gibbs.gibbs_sweep(stacked, data, config, ChainStreams([np.random.default_rng(0)]),
-                          omega_rows=omega_rows)
+        gibbs.gibbs_sweep(stacked, in_data_rows(data, omega_rows), config,
+                          ChainStreams([np.random.default_rng(0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +703,10 @@ def sweep_problem(variant, seed=30, N=60, P=5, K=4, S1=2):
     return state, Dataset(X=X, Y=Y), config
 
 
-def test_every_update_takes_the_sweep_signature():
+def test_every_update_takes_the_sweep_signature(corrupted_delta_step):
     updates = [getattr(gibbs, name) for name in dir(gibbs) if name.startswith("update_")]
     assert len(updates) == 11
-    for update in updates + [theory._corrupted_delta_step]:
+    for update in updates + [corrupted_delta_step]:
         assert list(inspect.signature(update).parameters) == \
             ["state", "data", "config", "streams", "shared"], update.__name__
 
@@ -711,8 +720,8 @@ def test_sweep_matches_updates_called_one_by_one(variant, omega_rows):
     # sweep's shared dict, so its updates share one.
     state, dataset, config = sweep_problem(variant)
     stacked, data = ModelState.stack([state]), ChainData([dataset], [config])
-    gibbs.gibbs_sweep(stacked, data, config, ChainStreams([np.random.default_rng(5)]),
-                      omega_rows=omega_rows)
+    gibbs.gibbs_sweep(stacked, in_data_rows(data, omega_rows), config,
+                      ChainStreams([np.random.default_rng(5)]))
     swept = stacked.chain(0)
 
     updates = {Variant.LATENT_NOISE: [update_psi_fast, update_omega],
@@ -770,12 +779,13 @@ def test_sweep_multiplies_by_x_once(variant, omega_rows, first, passes):
     # batch's first sweep forms.
     state, dataset, config = sweep_problem(variant)
     object.__setattr__(dataset, "X", dataset.X.view(CountingMatmul))
-    stacked, data = ModelState.stack([state]), ChainData([dataset], [config])
+    stacked = ModelState.stack([state])
+    data = in_data_rows(ChainData([dataset], [config]), omega_rows)
     streams = ChainStreams([np.random.default_rng(5)])
     field = {Variant.LATENT_NOISE: "Omega", Variant.INDEPENDENT_NOISE: "H"}.get(variant)
     for sweep in range(3):
         CountingMatmul.calls = 0
-        gibbs.gibbs_sweep(stacked, data, config, streams, omega_rows=omega_rows)
+        gibbs.gibbs_sweep(stacked, data, config, streams)
         assert CountingMatmul.calls == (passes if sweep else first)
         if field:
             assert (getattr(stacked, field) is None) == (not omega_rows)
@@ -809,8 +819,9 @@ def test_geweke_size_sweep_makes_seven_generator_calls_per_chain(omega_rows):
     datasets = [Dataset(X=X, Y=(X @ s.Psi + s.Omega) @ s.Gamma + rng.standard_normal((20, 4)))
                 for s in states]
     generators = [CountingGenerator(g) for g in rng.spawn(4)]
-    stacked, data = ModelState.stack(states), ChainData(datasets, [config] * 4)
-    gibbs.gibbs_sweep(stacked, data, config, ChainStreams(generators), omega_rows=omega_rows)
+    stacked = ModelState.stack(states)
+    data = in_data_rows(ChainData(datasets, [config] * 4), omega_rows)
+    gibbs.gibbs_sweep(stacked, data, config, ChainStreams(generators))
     assert [g.calls for g in generators] == [7] * 4
 
 

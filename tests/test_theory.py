@@ -291,9 +291,11 @@ def test_geweke_correct_sampler_passes_desk_scale():
     assert report.fraction_within(4.0) >= 0.95
 
 
-def test_geweke_detects_corrupted_delta_update():
-    report = geweke_test(default_geweke_config(), small_dims(), 15_000,
-                         np.random.default_rng(3), corrupt_delta=True)
+def test_geweke_detects_corrupted_delta_update(corrupted_delta_step):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gibbs, "update_delta", corrupted_delta_step)
+        report = geweke_test(default_geweke_config(), small_dims(), 15_000,
+                             np.random.default_rng(3))
     assert report.max_abs_z() > 6.0
 
 
