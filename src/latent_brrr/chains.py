@@ -33,7 +33,7 @@ from operator import isub
 import numpy as np
 
 from latent_brrr.errors import NumericalError
-from latent_brrr.model import FACTOR_ROWS, Dataset, Dims, ModelConfig, stack_arrays, sum_squares
+from latent_brrr.model import FACTOR_ROWS, Dataset, Dims, ModelConfig, sum_squares
 
 # Bytes of stacked per-chain arrays one batch of ``run_chains`` may hold
 # (counted by ``_chain_bytes``); more fits of one shape run in further batches.
@@ -75,12 +75,27 @@ class ChainsTrace:
     errors: tuple[str | None, ...]
 
 
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The chains' arrays along a new leading axis, copying none they share:
+    one broadcast view of an array every chain holds, the stack whose
+    consecutive slices (base[0], base[1], ...) they are, or else a stack."""
+    first, base = arrays[0], arrays[0].base
+    if all(a is first for a in arrays):
+        return np.broadcast_to(first, (len(arrays), *first.shape), subok=True)
+    if isinstance(base, np.ndarray) and base.shape == (len(arrays), *first.shape) and all(
+            a.base is base and a.strides == base.strides[1:]
+            and a.ctypes.data == base.ctypes.data + c * base.strides[0]
+            for c, a in enumerate(arrays)):
+        return base
+    return np.stack(arrays)
+
+
 class ChainData:
     """The data of a batch's chains, stacked along the chain axis, and the
     statistics the sweep reads of it.
 
-    X and Y are stacked from the chains' Datasets; chains that share one Y
-    (permutations of X) read it through a broadcast view instead of copies.
+    X and Y hold the chains' arrays by one rule (``_stacked``): an array
+    every chain holds is one broadcast view; only distinct ones are copied.
     Building the ChainData forms X'X and its eigendecomposition, one
     stacked ``eigh``, and ``set_targets`` forms X'Y. Each chain's
     latent-noise variance, resolved from its own X, comes from its config:
@@ -118,7 +133,7 @@ class ChainData:
             np.array([c.sigma_omega_sq for c in configs])
         first = datasets[0]
         self.n_samples = first.n_samples
-        self.X = stack_arrays([d.X for d in datasets])
+        self.X = _stacked([d.X for d in datasets])
         self.gram = self.X.swapaxes(-1, -2) @ self.X
         try:
             self.gram_eig = np.linalg.eigh(self.gram)
@@ -135,9 +150,7 @@ class ChainData:
         self.x_rows = np.concatenate(
             [root, np.zeros((len(datasets), first.n_targets + self._pad, root.shape[-1]))], axis=-2)
         self.x_psi = None
-        shared = all(d.Y is first.Y for d in datasets)
-        self.set_targets(np.broadcast_to(first.Y, (len(datasets), *first.Y.shape)) if shared
-                         else stack_arrays([d.Y for d in datasets]))
+        self.set_targets(_stacked([d.Y for d in datasets]))
 
     def set_targets(self, Y: np.ndarray) -> None:
         """New targets Y, stacked (C, N, K), with X'Y and the block factor's

@@ -79,11 +79,16 @@ def permutation_test(dataset: Dataset, config: ModelConfig, n_perm: int,
     advance together in ``run_chains``, ``batch_width`` chains at a time,
     and a batch's permuted copies of X exist only while it runs. A failed
     chain is retried once with the pair's second seed and recorded in
-    ``retried_fits``; a second failure aborts. With ``stats``, the update
-    timings and sweep count are added to it.
+    ``retried_fits``; a second failure aborts. Targets with zero total
+    variance raise ConfigurationError before any fit runs. With ``stats``,
+    the update timings and sweep count are added to it.
     """
     if n_perm < 1:
         raise ConfigurationError("permutation test needs n_perm >= 1")
+    # Every fit holds this Y object, so its total is ptve_from_theta's.
+    total = total_variance(dataset.Y)
+    if total <= 0:
+        raise ConfigurationError("targets have zero total variance")
     n = dataset.n_samples
     permutations = [rng.permutation(n) for _ in range(n_perm)]
     seeds = rng.integers(0, 2**63, size=(n_perm + 1, 2))
@@ -109,7 +114,7 @@ def permutation_test(dataset: Dataset, config: ModelConfig, n_perm: int,
                 raise NumericalError(error)
             thetas[fit] = theta
         for fit in batch:
-            ptves[fit] = ptve_from_theta(thetas[fit], data[fit])
+            ptves[fit] = total_variance(data[fit].X @ thetas[fit]) / total
     observed, perm_ptves = float(ptves[0]), ptves[1:]
     return AssocResult(
         observed_ptve=observed,

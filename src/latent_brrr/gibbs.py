@@ -96,7 +96,6 @@ from latent_brrr.chains import (
 from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.model import (
     FACTOR_ROWS,
-    ROW_BLOCK_VALUES,
     Dataset,
     Dims,
     ModelConfig,
@@ -747,33 +746,26 @@ def draw_factor_rows(samples: PosteriorSamples, dataset: Dataset) -> PosteriorSa
     (``_factor_rows_system``), gives each pair the joint posterior law: the
     collapsed-Gibbs move of recovering an integrated-out block from its
     full conditional (Liu, JASA 1994). Rows a row sweep drew are replaced.
-    The normals come from a Generator spawned from ``config.seed``, so the
-    chain's own stream, and with it every other output, does not depend on
-    whether the rows are drawn. The states are stacked in blocks of at most
-    ``model.ROW_BLOCK_VALUES`` factor values, each with one product with X
-    and one normal draw, in the order of the states.
+    The normals come from a Generator spawned from ``config.seed``, one
+    draw per state in the order of the states, so the chain's own stream,
+    and with it every other output, does not depend on whether the rows
+    are drawn.
     """
     config = samples.config
     field = FACTOR_ROWS.get(config.variant)
     if field is None:
         return samples
     rng = np.random.default_rng(config.seed).spawn(1)[0]
-    (N, P), S = dataset.X.shape, config.noise_rank or config.rank
-    states = [replace(s, **{field: None}) for s in samples.states]
-    step = max(1, ROW_BLOCK_VALUES // (N * S))
-    for start in range(0, len(states), step):
-        block = states[start:start + step]
-        state = ModelState.stack(block)
-        C, S1 = len(block), state.Psi.shape[-1]
-        x_psi = (dataset.X @ state.Psi.transpose(1, 0, 2).reshape(P, C * S1)).reshape(N, C, S1)
+    states = []
+    for state in samples.states:
         if config.variant is Variant.LATENT_NOISE:
             loadings, prior_prec = state.Gamma, state.tau / config.sigma_omega_sq
         else:
             loadings, prior_prec = state.Lambda, state.tau_noise
-        system = _factor_rows_system(loadings, prior_prec, state, x_psi.swapaxes(0, 1),
+        system = _factor_rows_system(loadings, prior_prec, state, dataset.X @ state.Psi,
                                      dataset.Y, f"{field} rows")
-        F = _T(_draw(system, None, rng.standard_normal(system[1].shape)))
-        states[start:start + step] = [replace(s, **{field: F[c]}) for c, s in enumerate(block)]
+        F = _draw(system, None, rng.standard_normal(system[1].shape))
+        states.append(replace(state, **{field: _T(F)}))
     return replace(samples, states=tuple(states))
 
 

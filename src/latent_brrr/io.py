@@ -67,12 +67,14 @@ def write_matrix_csv(path, matrix: np.ndarray, names: list[str] | None = None,
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
-    """The matrix and header names of a CSV file; a file without data rows
-    raises ConfigurationError."""
+    """The matrix and header names of a CSV file; an empty file, or one
+    without data rows, raises ConfigurationError."""
     path = Path(path)
     matrix = None
     with open(path, "rb") as fh:
         line = fh.readline()
+        if not line:
+            raise ConfigurationError(f"{path} is empty")
         # Text mode would also end the header at a lone CR; leave that, and
         # a header that is not UTF-8, to np.loadtxt's path.
         if b"\r" not in line:

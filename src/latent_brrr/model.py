@@ -187,7 +187,7 @@ class ModelState:
     @classmethod
     def stack(cls, states: Sequence[ModelState]) -> ModelState:
         """The draws of ``states`` stacked along a new leading chain axis."""
-        return cls(**{name: stack_arrays([vars(s)[name] for s in states])
+        return cls(**{name: np.stack([vars(s)[name] for s in states])
                       for name, value in vars(states[0]).items() if value is not None})
 
     def chain(self, index: int) -> ModelState:
@@ -210,19 +210,6 @@ class ModelState:
     def theta(self) -> np.ndarray:
         """Regression coefficient matrix Theta = Psi Gamma, shape (P, K)."""
         return self.Psi @ self.Gamma
-
-
-def stack_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The arrays stacked along a new leading axis. Arrays that are already
-    the consecutive slices of one stack (views base[0], base[1], ...) give
-    that stack back uncopied."""
-    base = arrays[0].base
-    if isinstance(base, np.ndarray) and base.shape == (len(arrays), *arrays[0].shape) and all(
-            a.base is base and a.strides == base.strides[1:]
-            and a.ctypes.data == base.ctypes.data + c * base.strides[0]
-            for c, a in enumerate(arrays)):
-        return base
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 @dataclass(frozen=True)

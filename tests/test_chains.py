@@ -253,6 +253,21 @@ def test_chain_data_forms_each_chains_statistics(shared_y):
     assert_statistics_of(data, X, Y)
 
 
+def test_chain_data_holds_one_x_that_every_chain_shares():
+    # Every chain holds one X and the Ys differ, as in geweke_test: X is one
+    # broadcast view, not a copy per chain, and each chain's statistics are
+    # its own.
+    base = problem(9, N=200, P=15, K=6)
+    datasets = [Dataset(X=base.X, Y=problem(seed, N=200, P=15, K=6).Y) for seed in range(4)]
+    data = ChainData(datasets, [ModelConfig(variant=Variant.NO_NOISE)] * 4)
+    assert data.X.strides[0] == 0 and data.Y.strides[0] != 0
+    X = np.stack([base.X] * 4)
+    assert_statistics_of(data, X, np.stack([d.Y for d in datasets]))
+    Y = np.random.default_rng(10).standard_normal((4, 200, 6))
+    data.set_targets(Y)
+    assert_statistics_of(data, X, Y)
+
+
 def test_chain_data_reports_a_failed_gram_eigendecomposition(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

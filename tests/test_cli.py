@@ -482,6 +482,15 @@ def test_header_only_csv_exits_2_naming_the_file(sim_dir, tmp_path, capsys, recw
     assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
+def test_fit_on_an_empty_csv_exits_2_naming_the_file(sim_dir, tmp_path, capsys):
+    empty = tmp_path / "X_empty.csv"
+    empty.write_bytes(b"")
+    code = run_cli("fit", "--x", empty, "--y", sim_dir / "Y_train.csv",
+                   "--config", write_config(tmp_path / "c.json"), "--out-dir", tmp_path / "out")
+    assert code == 2
+    assert f"{empty} is empty" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fault", ["too_few_columns", "nan"])
 def test_predict_bad_targets_exit_2_before_writing_predictions(sim_dir, tmp_path, capsys,
                                                                 fault):
@@ -901,3 +910,20 @@ def test_assoc_exits_3_when_a_fit_fails_on_both_seeds(sim_dir, tmp_path, capsys,
     assert "synthetic failure in gamma update (iteration 1)" in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
     assert not (out / "assoc.json").exists()
+
+
+def test_assoc_rejects_constant_targets_before_any_fit(sim_dir, tmp_path, capsys, monkeypatch):
+    import latent_brrr.evaluate as evaluate
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_chains called")
+
+    monkeypatch.setattr(evaluate, "run_chains", never)
+    X, _ = lio.read_matrix_csv(sim_dir / "X_train.csv")
+    zeros = tmp_path / "Y_zero.csv"
+    lio.write_matrix_csv(zeros, np.zeros((len(X), 2)), ["y0", "y1"])
+    code = run_cli("assoc", "--x", sim_dir / "X_train.csv", "--y", zeros,
+                   "--config", write_config(tmp_path / "config.json"), "--n-perm", 2,
+                   "--out-dir", tmp_path / "assoc")
+    assert code == 2
+    assert "targets have zero total variance" in capsys.readouterr().err
