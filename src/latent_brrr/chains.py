@@ -201,11 +201,14 @@ class ChainStreams:
 
     def gamma(self, shape: float, scale: np.ndarray) -> np.ndarray:
         # Ga(shape, scale) variates are scale times Ga(shape, 1) variates, bit
-        # for bit; drawing the unit-scale ones by size skips numpy's checks of
-        # an array scale, which cost several times the draws at these sizes.
+        # for bit. Drawing the unit-scale ones into each chain's row and then
+        # scaling once skips numpy's checks of an array scale and a temporary
+        # per chain, which cost several times the draws at these sizes.
         out = np.empty(np.shape(scale))
+        rows = out.reshape(len(self.generators), -1)
         for c, generator in enumerate(self.generators):
-            out[c] = generator.standard_gamma(shape, size=np.shape(scale[c])) * scale[c]
+            generator.standard_gamma(shape, out=rows[c])
+        out *= scale
         return out
 
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -325,7 +327,34 @@ def cmd_assoc(args) -> None:
         args, {"model_config": lio.model_config_to_dict(config), "n_perm": args.n_perm}, worker)
 
 
+def _in_thread(fn):
+    """Start ``fn()`` on a daemon thread, so Ctrl-C still ends the command;
+    the returned function joins it and returns its value or raises its error."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, name="verify-propositions", daemon=True)
+    thread.start()
+
+    def result():
+        thread.join()
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["value"]
+
+    return result
+
+
 def cmd_verify(args) -> None:
+    """Run the checks asked for. With ``--geweke``, the proposition checks
+    run on a worker thread while Geweke runs on this one; each check draws
+    from its own Generator seeded from ``--seed``, so the files are those
+    that separate runs would write."""
     if not (args.prop1 or args.prop2 or args.geweke):
         raise ConfigurationError("verify needs at least one of --prop1/--prop2/--geweke")
     check_seed(args.seed)
@@ -338,36 +367,76 @@ def cmd_verify(args) -> None:
                                      f"{PROP2_REFERENCE_TRUNCATION}, got {rank}")
     out = args.out_dir
 
-    def worker():
+    def propositions(limit, deficits):
+        # prop2 runs first: its per-draw sums grow with --draws (32 MB at the
+        # default 1e6), and beside Geweke they must be freed before Geweke
+        # forms its z-scores, the peak of a serial run. prop1 holds a few MB
+        # at any size. An error of prop1 still wins, as when it ran first.
+        reports = prop2_error = None
+        if args.prop2:
+            try:
+                reports = check_prop2(args.a2, args.prop2_ranks, n_draws=args.draws,
+                                      rng=np.random.default_rng(args.seed + 1))
+            except Exception as exc:
+                prop2_error = exc
         propositions = {}
         if args.prop1:
-            limit = prediction_variance_limit(args.a1, args.a2, args.nu, args.var_x, args.p)
             report = check_prop1(args.a1, args.a2, args.nu, args.p,
                                  var_x=args.var_x, truncation=args.truncation,
                                  n_draws=args.draws, rng=np.random.default_rng(args.seed),
                                  tolerance=args.prop1_tolerance * limit)
             propositions["prop1"] = report.as_dict()
+        if prop2_error is not None:
+            raise prop2_error
         if args.prop2:
-            reports = check_prop2(args.a2, args.prop2_ranks, n_draws=args.draws,
-                                  rng=np.random.default_rng(args.seed + 1))
             entries = []
-            for rank, report in zip(args.prop2_ranks, reports):
+            for rank, stable, report in zip(args.prop2_ranks, deficits, reports):
                 entry = report.as_dict()
                 entry["rank"] = rank
-                stable = truncation_deficit(args.a2, rank)
                 direct = gamma_ratio_two_down_direct(args.a2) ** rank
                 entry["closed_form_consistency"] = abs(stable - direct) <= 1e-12 * direct
                 entries.append(entry)
             propositions["prop2"] = entries
-        if propositions:
-            lio.write_json(out / "propositions.json", propositions)
-        if args.geweke:
-            rng = np.random.default_rng(args.seed + 2)
-            config = default_geweke_config(rank=2)
-            dims = Dims(n_samples=20, n_covariates=3, n_targets=4, rank=2)
-            report = geweke_test(config, dims, args.geweke_iters, rng)
-            payload = report.as_dict()
-            payload["passed"] = bool(report.fraction_within(4.0) >= 0.95)
+        return propositions
+
+    def geweke():
+        report = geweke_test(default_geweke_config(rank=2),
+                             Dims(n_samples=20, n_covariates=3, n_targets=4, rank=2),
+                             args.geweke_iters, np.random.default_rng(args.seed + 2))
+        payload = report.as_dict()
+        payload["passed"] = bool(report.fraction_within(4.0) >= 0.95)
+        return payload
+
+    def worker():
+        limit = deficits = None
+        # Every check a Monte Carlo run would make before its first draw, in
+        # the order the runs make them, so none fails after a thread starts.
+        if args.prop1:
+            limit = prediction_variance_limit(args.a1, args.a2, args.nu, args.var_x, args.p)
+            if args.p and (args.truncation < 1 or args.draws < 200):
+                raise ConfigurationError("--prop1 needs --truncation >= 1 and --draws >= 200")
+        if args.prop2:
+            deficits = [truncation_deficit(args.a2, rank) for rank in args.prop2_ranks]
+            if args.draws < 200:
+                raise ConfigurationError("--prop2 needs --draws >= 200")
+        if args.geweke and args.geweke_iters < 1:
+            raise ConfigurationError("--geweke needs --geweke-iters >= 1")
+
+        checks = args.prop1 or args.prop2
+        pending = functools.partial(propositions, limit, deficits)
+        if checks and args.geweke:
+            pending = _in_thread(pending)
+        # The files are written in the serial order: propositions.json, even
+        # when Geweke fails, unless a proposition check failed first.
+        try:
+            payload = geweke() if args.geweke else None
+        except Exception:
+            if checks:
+                lio.write_json(out / "propositions.json", pending())
+            raise
+        if checks:
+            lio.write_json(out / "propositions.json", pending())
+        if payload is not None:
             lio.write_json(out / "geweke.json", payload)
 
     flags = {name: value for name, value in vars(args).items()

@@ -146,8 +146,10 @@ def _delta_factors(a: float, size, rng: np.random.Generator) -> np.ndarray:
     f = 1/(3 delta), the proposal of ``check_prop2``.
     """
     k = 3.0 - a / 2.0
-    scale = math.exp(math.lgamma(a - k) - math.lgamma(a))
-    return scale * rng.gamma(a - k, 1.0, size=size) ** (k - 2.0)
+    d = rng.gamma(a - k, 1.0, size=size)
+    np.power(d, k - 2.0, out=d)
+    d *= math.exp(math.lgamma(a - k) - math.lgamma(a))
+    return d
 
 
 def _chunked_se(values: np.ndarray, statistic, n_chunks: int = 50):
@@ -205,11 +207,15 @@ def check_prop1(a1: float, a2: float, nu: float, n_covariates: int,
     # Running mean and sum of squared deviations, merged batch by batch.
     mean, m2 = 0.0, 0.0
     batch_size = min(batch_size, max(1, _PROP1_BATCH_VALUES // truncation))
+    # Every batch reuses these two buffers; a batch of b draws fills their first b rows.
+    z_rows = np.empty((min(batch_size, n_draws), truncation))
+    tau_rows = np.empty_like(z_rows)
     for start in range(0, n_draws, batch_size):
         b = min(batch_size, n_draws - start)
         norm_sq = var_x * rng.chisquare(n_covariates, size=b)
-        z_sq = np.square(rng.standard_normal((b, truncation)))
-        inv_tau_sq = np.empty((b, truncation))
+        z_sq, inv_tau_sq = z_rows[:b], tau_rows[:b]
+        rng.standard_normal(out=z_sq)
+        np.square(z_sq, out=z_sq)
         inv_tau_sq[:, 0] = _delta_factors(a1, b, rng)
         inv_tau_sq[:, 1:] = _delta_factors(a2, (b, truncation - 1), rng)
         np.cumprod(inv_tau_sq, axis=1, out=inv_tau_sq)
@@ -225,6 +231,9 @@ def check_prop1(a1: float, a2: float, nu: float, n_covariates: int,
 
 # The reference truncation of ``check_prop2``: every checked rank stays below it.
 PROP2_REFERENCE_TRUNCATION = 50
+# Values in each (draws, reference truncation) array of one ``check_prop2``
+# batch: 1,000 draws at the default truncation.
+_PROP2_BATCH_VALUES = 50_000
 
 
 def check_prop2(a2: float, rank: int | Sequence[int], *,
@@ -269,6 +278,10 @@ def check_prop2(a2: float, rank: int | Sequence[int], *,
     rank shares. Each rank's report equals, bit for bit, that of a
     single-rank call on a Generator in the same state, so the ranks' errors
     are correlated.
+
+    ``batch_size`` is an upper bound on the draws per batch: a batch holds at
+    most ``_PROP2_BATCH_VALUES`` values per (draws, reference truncation)
+    array. The draws are one Gamma stream, so the reports do not depend on it.
     """
     single = np.ndim(rank) == 0
     ranks = [rank] if single else list(rank)
@@ -281,11 +294,15 @@ def check_prop2(a2: float, rank: int | Sequence[int], *,
     # Row i holds rank i's partial sums and the last row the full sums, so
     # the draws are made once and no per-batch list is concatenated.
     sums = np.empty((len(ranks) + 1, n_draws))
+    batch_size = min(batch_size, max(1, _PROP2_BATCH_VALUES // reference_truncation))
     for start in range(0, n_draws, batch_size):
         b = min(batch_size, n_draws - start)
+        # 1/((a2 - 1) delta), formed in place.
         delta = rng.gamma(a2 - 1.0, 1.0, size=(b, reference_truncation - 1))
+        delta *= a2 - 1.0
+        np.reciprocal(delta, out=delta)
         terms = np.ones((b, reference_truncation))
-        np.cumprod(1.0 / ((a2 - 1.0) * delta), axis=1, out=terms[:, 1:])
+        np.cumprod(delta, axis=1, out=terms[:, 1:])
         for row, r in enumerate(ranks):
             terms[:, :r].sum(axis=1, out=sums[row, start:start + b])
         terms.sum(axis=1, out=sums[-1, start:start + b])

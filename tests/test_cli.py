@@ -9,7 +9,7 @@ import pytest
 
 from latent_brrr import io as lio
 from latent_brrr.cli import build_parser, main
-from latent_brrr.errors import ConfigurationError
+from latent_brrr.errors import ConfigurationError, NumericalError
 from latent_brrr.gibbs import ChainsTrace, draw_factor_rows, run_chain
 from latent_brrr.model import Dataset, ModelConfig, Variant
 from latent_brrr.simulate import SimConfig
@@ -571,8 +571,6 @@ def test_fit_outputs_byte_identical_across_reruns(sim_dir, tmp_path):
 
 def test_failed_fit_leaves_failure_manifest(sim_dir, tmp_path, monkeypatch):
     import latent_brrr.cli as cli_mod
-    from latent_brrr.errors import NumericalError
-
     def explode(dataset, config):
         raise NumericalError("synthetic collapse (iteration 3)")
 
@@ -768,6 +766,84 @@ def test_verify_geweke_smoke(tmp_path):
     assert 0.0 <= report["fraction_within_4"] <= 1.0
 
 
+def verify_files(out, *checks):
+    """The files of one small ``verify`` run with ``checks``, by name."""
+    assert run_cli("verify", *checks, "--draws", 2000, "--geweke-iters", 200, "--seed", 3,
+                   "--out-dir", out) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()
+            if path.name != "manifest.json"}
+
+
+def test_verify_combined_run_writes_the_single_check_files(tmp_path):
+    # The proposition checks run beside Geweke, each on its own Generator.
+    combined = verify_files(tmp_path / "all", "--prop1", "--prop2", "--geweke")
+    assert combined == {**verify_files(tmp_path / "props", "--prop1", "--prop2"),
+                        **verify_files(tmp_path / "geweke", "--geweke")}
+    assert set(combined) == {"propositions.json", "geweke.json"}
+
+
+def raising(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+PROP1_ERROR = ConfigurationError("synthetic prop1 failure")
+PROP2_ERROR = ConfigurationError("synthetic prop2 failure")
+GEWEKE_ERROR = NumericalError("synthetic geweke failure")
+
+
+@pytest.mark.parametrize("errors, code, written", [
+    ({"check_prop1": PROP1_ERROR}, 2, []),
+    ({"geweke_test": GEWEKE_ERROR}, 3, ["propositions.json"]),
+    ({"check_prop1": PROP1_ERROR, "geweke_test": GEWEKE_ERROR}, 2, []),
+    ({"check_prop2": PROP2_ERROR}, 2, []),
+    ({"check_prop1": PROP1_ERROR, "check_prop2": PROP2_ERROR}, 2, []),
+])
+def test_verify_fails_as_the_checks_run_one_after_another_did(
+        tmp_path, monkeypatch, errors, code, written):
+    # The error reported is the one a serial run (prop1, prop2, Geweke)
+    # meets first; propositions.json is written when both checks pass.
+    import latent_brrr.cli as cli
+
+    for name, error in errors.items():
+        monkeypatch.setattr(cli, name, raising(error))
+    out = tmp_path / "v"
+    assert run_cli("verify", "--prop1", "--prop2", "--geweke", "--draws", 200,
+                   "--geweke-iters", 20, "--out-dir", out) == code
+    assert sorted(path.name for path in out.iterdir()) == sorted(["manifest.json", *written])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == str(next(iter(errors.values())))
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--prop1", "--draws", 100), "draws"),
+    (("--prop2", "--draws", 100), "draws"),
+    (("--prop1", "--truncation", 0), "truncation"),
+    (("--prop1", "--a1", 2), "a1"),
+    (("--geweke-iters", 0), "--geweke-iters"),
+])
+def test_verify_checks_its_flags_before_geweke_starts(tmp_path, capsys, monkeypatch,
+                                                      flags, named):
+    import latent_brrr.cli as cli
+
+    monkeypatch.setattr(cli, "geweke_test", raising(AssertionError("geweke_test ran")))
+    out = tmp_path / "v"
+    assert run_cli("verify", "--geweke", *flags, "--out-dir", out) == 2
+    assert named in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
+
+
+def test_verify_prop1_without_covariates_needs_no_draws(tmp_path):
+    # check_prop1 returns its zero report before it looks at the draw count.
+    assert run_cli("verify", "--prop1", "--p", 0, "--draws", 100,
+                   "--out-dir", tmp_path / "v") == 0
+    report = json.loads((tmp_path / "v" / "propositions.json").read_text())["prop1"]
+    assert report["n_draws"] == 0 and report["passed"]
+
+
 def test_verify_requires_a_check(tmp_path, capsys):
     assert run_cli("verify", "--out-dir", tmp_path / "v") == 2
 
@@ -879,8 +955,6 @@ def test_out_dir_below_a_regular_file_exits_4(tmp_path, capsys):
 def fail_every_gamma_step(monkeypatch):
     """Make every Gibbs sweep raise NumericalError in its Gamma step."""
     import latent_brrr.gibbs as gibbs
-    from latent_brrr.errors import NumericalError
-
     def fail(state, data, config, streams, shared):
         raise NumericalError("synthetic failure in gamma update")
 

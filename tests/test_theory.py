@@ -152,10 +152,46 @@ def test_prop2_standard_error_is_calibrated():
 
 
 def test_prop2_report_does_not_depend_on_batch_size():
+    # 333 rows per block against the 1,000-row cap the larger sizes get.
     reports = [check_prop2(4.0, 2, n_draws=10_000, rng=np.random.default_rng(3),
                            batch_size=batch)
-               for batch in (4000, 10_000)]
-    assert reports[0] == reports[1]
+               for batch in (333, 4000, 10_000)]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prop_checks_allocate_little_at_benchmark_size():
+    # verify overlaps these checks with Geweke, so their peaks add to its own.
+    # At 50,000 draws and truncation 50 they were 6.5 and 7.9 MB before the
+    # factors were formed in place and prop2's blocks capped at 1,000 rows.
+    assert peak_bytes(lambda: check_prop1(
+        3.0, 4.0, 3.0, n_covariates=30, truncation=50, n_draws=50_000,
+        rng=np.random.default_rng(11))) <= 6e6
+    assert peak_bytes(lambda: check_prop2(
+        4.0, [1, 2, 3], n_draws=50_000, rng=np.random.default_rng(12))) <= 4e6
+
+
+def test_prop_check_values_are_pinned():
+    # The floats these checks reported before their buffers were made lean:
+    # the in-place forms and prop2's block size change no bit.
+    report = check_prop1(3.0, 4.0, 3.0, n_covariates=30, truncation=50, n_draws=50_000,
+                         rng=np.random.default_rng(11))
+    assert (report.empirical_value, report.mc_standard_error) == \
+        (54.19453043328112, 0.4261908507644536)
+    reports = check_prop2(4.0, [1, 2, 3], n_draws=50_000, rng=np.random.default_rng(12))
+    assert [(r.empirical_value, r.mc_standard_error) for r in reports] == [
+        (0.16537414994844157, 0.0006381221304413232),
+        (0.027855337179786388, 0.000188972455862337),
+        (0.004619114245769884, 4.64294513595399e-05),
+    ]
 
 
 def test_prop2_ranks_share_one_draw_and_match_single_rank_calls():
